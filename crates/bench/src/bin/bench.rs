@@ -22,6 +22,7 @@
 //! the EXPERIMENTS.md walkthrough of `PGAS_FAULT_PLAN=drop1`.
 
 use pgas_machine::critdiff::CritDiff;
+use pgas_machine::ResolvedKnobs;
 use repro_bench::baseline::{self, BenchRecord};
 use repro_bench::probes::{probe_for, FIGURE_IDS};
 
@@ -57,13 +58,15 @@ fn resolve_figures(named: &[String]) -> Vec<&'static str> {
         .collect()
 }
 
-/// Probe the given figures and return their fresh records.
-fn probe_records(figures: &[&'static str]) -> Vec<BenchRecord> {
+/// Probe the given figures and return their fresh records, each with the
+/// knobs its probe ran under (for failure reports; baselines do not carry
+/// them).
+fn probe_records(figures: &[&'static str]) -> Vec<(BenchRecord, ResolvedKnobs)> {
     figures
         .iter()
         .map(|&id| {
             let probe = probe_for(id).expect("figure ids come from FIGURE_IDS");
-            BenchRecord::from_probe(id, &probe)
+            (BenchRecord::from_probe(id, &probe), probe.knobs)
         })
         .collect()
 }
@@ -73,7 +76,7 @@ fn probe_records(figures: &[&'static str]) -> Vec<BenchRecord> {
 fn record(figures: &[&'static str]) {
     let dir = baseline::results_dir();
     let mut records = baseline::load_baselines(&dir).unwrap_or_default();
-    for fresh in probe_records(figures) {
+    for (fresh, _) in probe_records(figures) {
         records.retain(|r| r.figure != fresh.figure);
         records.push(fresh);
     }
@@ -111,7 +114,7 @@ fn regress(tol: f64, update: bool, figures: &[&'static str]) {
         }
     };
     let mut failures = 0usize;
-    for fresh in probe_records(figures) {
+    for (fresh, knobs) in probe_records(figures) {
         let Some(base) = baseline::find(&committed, &fresh.figure) else {
             eprintln!("{}: no committed baseline (run with --update to add)", fresh.figure);
             failures += 1;
@@ -129,6 +132,7 @@ fn regress(tol: f64, update: bool, figures: &[&'static str]) {
         } else {
             failures += 1;
             println!("{}: REGRESSED", fresh.figure);
+            println!("  knobs: {knobs}");
             for r in &regs {
                 println!("  {r}");
             }

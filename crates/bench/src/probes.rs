@@ -19,6 +19,7 @@ use pgas_machine::json::Json;
 use pgas_machine::tailprof::{ReqPathReport, REQ_PHASES};
 use pgas_machine::{
     with_forced_metrics, with_forced_tracing, CriticalPathReport, MetricsSnapshot, Platform,
+    ResolvedKnobs,
 };
 
 /// The distilled outcome of one probe run.
@@ -33,6 +34,9 @@ pub struct ProbeOutcome {
     /// table from these, so `bench regress` attributes a tail regression
     /// to queue-wait vs wire vs fault-delay instead of just "slower".
     pub req_paths: Vec<ReqPathReport>,
+    /// The knobs the probe ran under and who set them: printed by `bench
+    /// regress` under a regressed figure, never written to a baseline.
+    pub knobs: ResolvedKnobs,
 }
 
 impl ProbeOutcome {
@@ -81,6 +85,7 @@ fn probe<R: Send>(f: impl FnOnce() -> pgas_machine::SimOutcome<R>) -> ProbeOutco
         report: out.critical_path(),
         metrics: out.metrics.clone(),
         req_paths: out.req_paths(),
+        knobs: out.knobs,
     }
 }
 

@@ -15,6 +15,7 @@ use crate::cost::{CostModel, FlowDetail, AM_HEADER_BYTES};
 use crate::op::{Completion, OpDesc, OpKind, OpReceipt};
 use crate::pending::{Hazard, HazardKind, PendingSet};
 use crate::profile::ConduitProfile;
+use pgas_machine::knobs::Source;
 use pgas_machine::machine::{Machine, Pe, PeId};
 use pgas_machine::sanitizer::{HazardKind as SanKind, HazardReport};
 use pgas_machine::stats::{FaultEvent, Stats};
@@ -231,13 +232,15 @@ impl<'m> Ctx<'m> {
         // Resolution precedence mirrors the tracing/metrics switches: a
         // `with_forced_aggregation` thread override beats the explicit
         // per-context policy, which beats the machine/environment default.
-        let cfg = match (m.aggregation_forced(), opts.coalesce) {
+        let agg = &m.knobs().aggregation;
+        let forced = (agg.source == Source::Forced).then_some(agg.value);
+        let cfg = match (forced, opts.coalesce) {
             (Some(false), _) => None,
             (Some(true), CoalescePolicy::On(c)) => Some(c),
             (Some(true), _) => Some(CoalescingConfig::default()),
             (None, CoalescePolicy::Off) => None,
             (None, CoalescePolicy::On(c)) => Some(c),
-            (None, CoalescePolicy::Auto) => m.aggregation_default().then(CoalescingConfig::default),
+            (None, CoalescePolicy::Auto) => agg.value.then(CoalescingConfig::default),
         };
         Ctx {
             pe,
@@ -252,7 +255,7 @@ impl<'m> Ctx<'m> {
             team_scope: Cell::new(0),
             active_team: Cell::new(0),
             deferred: RefCell::new(Vec::new()),
-            checksums: m.checksums_enabled(),
+            checksums: m.knobs().checksums.value,
             inflight_crc: Cell::new(None),
         }
     }

@@ -85,5 +85,5 @@ pub use planner::{
 pub use remote_ptr::RemotePtr;
 pub use runtime::{run_caf, run_caf_result};
 pub use section::{DimRange, Section};
-pub use strided::{adaptive_plan, plan_call_count, Plan};
+pub use strided::{plan_call_count, Plan};
 pub use team::CafTeam;

@@ -1,6 +1,6 @@
 //! Strided plan selection behind a first-class API (paper §VII).
 //!
-//! PR 1 grew `adaptive_plan` — a free function whose per-call/per-byte
+//! PR 1 grew an adaptive planner — a free function whose per-call/per-byte
 //! coefficients are a *heuristic mirror* of the simulator's cost model. That
 //! mirror drifts whenever `conduit/cost.rs` or a platform preset changes.
 //! This module redesigns plan selection around a [`StridedPlanner`] trait
@@ -92,7 +92,7 @@ fn pick_best(candidates: Vec<(Plan, f64)>) -> PlanChoice {
     PlanChoice { plan: best.0, predicted_ns: best.1, candidates }
 }
 
-/// The PR 1 `adaptive_plan` cost heuristic, unchanged: per-call overhead,
+/// The PR 1 adaptive cost heuristic, unchanged: per-call overhead,
 /// payload bandwidth, the conduit's `iput` capability, and target-side
 /// locality (elements whose stride spans many cache lines are charged a
 /// penalty). Ignores `target_pe` — the heuristic prices every target as a

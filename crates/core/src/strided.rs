@@ -113,18 +113,6 @@ fn record_misprediction(shmem: &Shmem<'_>, target_pe: usize, predicted_ns: Optio
     );
 }
 
-/// The §VII extension: pick the cheapest plan under a per-conduit cost
-/// heuristic that accounts for per-call overhead, payload bandwidth, the
-/// conduit's `iput` capability, and target-side locality (elements whose
-/// stride spans many cache lines are charged a penalty).
-///
-/// Kept as a thin shim over [`HeuristicPlanner`] for callers that only want
-/// the plan; new code should use the [`crate::planner::StridedPlanner`]
-/// trait, which also reports predicted and candidate costs.
-pub fn adaptive_plan(shmem: &Shmem<'_>, sec: &Section, shape: &[usize], elem: usize) -> Plan {
-    HeuristicPlanner.plan(shmem, 0, sec, shape, elem, TransferDir::Put).plan
-}
-
 /// Byte regions (offset, len) of the section's stride-1 runs, in packed
 /// order, for the AM-packed path.
 fn byte_runs<T: Scalar>(ptr: SymPtr<T>, shape: &[usize], sec: &Section) -> Vec<(usize, usize)> {
@@ -248,7 +236,8 @@ pub fn get_section<T: Scalar>(
 
 /// Number of communication calls each (static) algorithm issues for a
 /// section — the quantity the paper's §IV-C analysis counts
-/// (50·40·25 vs 1·40·25). For `Adaptive`, use [`adaptive_plan`] and
+/// (50·40·25 vs 1·40·25). For `Adaptive`, ask a
+/// [`crate::planner::StridedPlanner`] for the plan and use
 /// [`plan_call_count`] instead (the choice depends on the conduit).
 pub fn call_count(algo: StridedAlgorithm, sec: &Section) -> usize {
     let plan = match algo {
@@ -453,7 +442,9 @@ mod tests {
             run_caf(
                 platform.config(2, 1).with_heap_bytes(1 << 18),
                 CafConfig::new(backend, platform),
-                move |img| super::adaptive_plan(img.shmem(), &sec, &shape, 4),
+                move |img| {
+                    HeuristicPlanner.plan(img.shmem(), 0, &sec, &shape, 4, TransferDir::Put).plan
+                },
             )
             .results[0]
         };

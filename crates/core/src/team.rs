@@ -353,8 +353,8 @@ mod tests {
     use super::*;
     use crate::config::{Backend, CafConfig};
     use crate::runtime::run_caf;
-    use pgas_machine::fault::{with_forced_plan, FaultPlan};
     use pgas_machine::{generic_smp, Platform};
+    use pgas_machine::{with_forced_plan, FaultPlan};
 
     fn cfg() -> CafConfig {
         CafConfig::new(Backend::Shmem, Platform::GenericSmp)

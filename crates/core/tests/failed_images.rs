@@ -199,7 +199,7 @@ fn event_wait_stat_observes_poster_death() {
 /// is caught by the sanitizer's teardown audit as a stale-lock hazard.
 #[test]
 fn stale_lock_audit_reports_erroneous_deallocation() {
-    pgas_machine::sanitizer::with_forced_mode(SanitizerMode::Record, || {
+    pgas_machine::with_forced_mode(SanitizerMode::Record, || {
         let out = run_caf(mcfg(2), cfg(), |img| {
             let lck1 = img.lock_var();
             if img.this_image() == 1 {
@@ -224,7 +224,7 @@ fn stale_lock_audit_reports_erroneous_deallocation() {
 /// the audit has no false positives on clean runs.
 #[test]
 fn stale_lock_audit_is_quiet_on_clean_runs() {
-    pgas_machine::sanitizer::with_forced_mode(SanitizerMode::Record, || {
+    pgas_machine::with_forced_mode(SanitizerMode::Record, || {
         let out = run_caf(mcfg(2), cfg(), |img| {
             let lck = img.lock_var();
             img.sync_all();

@@ -1,6 +1,7 @@
 //! Machine description: topology, wire parameters, compute speed.
 
 use crate::fault::FaultPlan;
+use crate::knobs::Knobs;
 use crate::sanitizer::SanitizerMode;
 use crate::stream::StreamConfig;
 
@@ -64,56 +65,23 @@ pub struct MachineConfig {
     pub compute: ComputeParams,
     /// Stack size for PE threads, bytes.
     pub stack_bytes: usize,
-    /// Record a virtual-time execution trace (see `crate::trace`).
-    pub trace: bool,
-    /// Record per-op metrics (see `crate::metrics`). Off by default.
-    pub metrics: bool,
     /// Width of the metrics registry's virtual-time windows, ns. `0` (the
     /// default) records no windowed series; non-zero additionally buckets
     /// `observe_windowed`/`count_windowed` feeds into fixed windows for
     /// deterministic percentile-over-time / throughput-over-time series.
     /// Only meaningful when metrics are enabled.
     pub metrics_window_ns: u64,
-    /// Race & sync sanitizer mode (see `crate::sanitizer`). Off by default.
-    pub sanitizer: SanitizerMode,
-    /// Deterministic fault schedule (see `crate::fault`). `None` by default;
-    /// a zero plan behaves identically to `None`.
-    pub faults: Option<FaultPlan>,
-    /// Live streaming snapshot channel (see `crate::stream`). `None` by
-    /// default; there is no environment default — a stream needs a consumer
-    /// holding its ring, so only code can usefully enable one.
-    pub stream: Option<StreamConfig>,
     /// Grant NIC reservations in virtual-time order `(start, pe)` instead of
     /// real-thread arrival order. Off by default: it serializes contended
     /// reservations in *real* time, and it assumes a workload whose real
     /// blocking waits are barriers/`wait_on` (true of the benchmark probes).
     /// Regression probes enable it so contended runs digest bit-identically.
     pub deterministic_nic: bool,
-    /// Worker-pool limit: at most this many PE threads are *runnable* at
-    /// once, admitted in `(virtual clock, pe)` order (see `crate::sched`).
-    /// `None` defers to the `PGAS_WORKERS` environment default; `Some(0)`
-    /// (or any value `>= total_pes`) pins legacy one-thread-per-PE mode,
-    /// beating the environment. Simulation outcomes are bit-identical for
-    /// every setting; the limit only bounds host-side concurrency so
-    /// paper-scale (1024/2048-image) and larger jobs fit the host.
-    pub workers: Option<usize>,
-    /// Default for conduit small-op aggregation (per-destination coalescing
-    /// and active-message fast paths, see `pgas-conduit`). `None` defers to
-    /// the `PGAS_COALESCE` environment default (which itself defaults to
-    /// off); an explicit choice — either way — beats the environment. A
-    /// `with_forced_aggregation` thread override beats both, applied by
-    /// `Machine::new`. The machine itself aggregates nothing; conduits read
-    /// the resolved default back from the machine they attach to.
-    pub aggregation: Option<bool>,
-    /// Default for conduit end-to-end payload checksums (CRC32 computed at
-    /// submit, verified at apply — see `pgas-conduit::integrity`). `None`
-    /// defers to the `PGAS_CHECKSUM` environment default (which itself
-    /// defaults to off); an explicit choice — either way — beats the
-    /// environment. A `with_forced_checksums` thread override beats both,
-    /// applied by `Machine::new`. Checksums charge no virtual time, so
-    /// enabling them changes no digest; they turn injected corruption into
-    /// typed `PayloadCorrupt` retries instead of generic link rejects.
-    pub checksums: Option<bool>,
+    /// This config's choices for the eight machine-wide knobs (sanitizer,
+    /// faults, trace, metrics, workers, aggregation, checksums, stream);
+    /// all `None` in the presets. `Machine::new` resolves them against the
+    /// thread-forced and environment layers (see `crate::knobs`).
+    pub knobs: Knobs,
 }
 
 impl MachineConfig {
@@ -140,15 +108,25 @@ impl MachineConfig {
         self
     }
 
+    // The eight knob builders. What counts as "no choice" is asymmetric, and
+    // this is the one place that says so: `false`/`Off` for the three
+    // observers (trace, metrics, sanitizer) leaves the knob unset, because
+    // the `PGAS_TRACE`/`PGAS_METRICS`/`PGAS_SANITIZER` CI jobs must reach
+    // configs that spell out the off default, and only a `with_forced_*`
+    // scope turns an observer off. For the other knobs every value —
+    // `with_workers(0)`, `with_aggregation(false)`, `with_checksums(false)`,
+    // `with_faults(FaultPlan::none())` — is an explicit choice that beats
+    // the environment: timing-exact tests opt out of the env default with it.
+
     /// Enable virtual-time execution tracing.
     pub fn with_trace(mut self, on: bool) -> Self {
-        self.trace = on;
+        self.knobs.trace = on.then_some(true);
         self
     }
 
     /// Enable the per-op metrics registry.
     pub fn with_metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
+        self.knobs.metrics = on.then_some(true);
         self
     }
 
@@ -162,21 +140,19 @@ impl MachineConfig {
 
     /// Set the race & sync sanitizer mode.
     pub fn with_sanitizer(mut self, mode: SanitizerMode) -> Self {
-        self.sanitizer = mode;
+        self.knobs.sanitizer = (mode != SanitizerMode::Off).then_some(mode);
         self
     }
 
-    /// Attach a deterministic fault schedule. An explicit plan — even
-    /// [`FaultPlan::none`] — beats the `PGAS_FAULT_PLAN` environment default.
+    /// Attach a deterministic fault schedule.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.knobs.faults = Some(plan);
         self
     }
 
-    /// Attach a live streaming snapshot channel. A `with_forced_stream`
-    /// thread override beats this, mirroring trace/metrics resolution.
+    /// Attach a live streaming snapshot channel.
     pub fn with_stream(mut self, stream: StreamConfig) -> Self {
-        self.stream = Some(stream);
+        self.knobs.stream = Some(stream);
         self
     }
 
@@ -187,11 +163,12 @@ impl MachineConfig {
         self
     }
 
-    /// Bound runnable PE threads to `n` worker slots (see the `workers`
-    /// field). An explicit choice — including `0`, meaning unbounded legacy
-    /// mode — beats the `PGAS_WORKERS` environment default.
+    /// Bound runnable PE threads to `n` worker slots, admitted in
+    /// `(virtual clock, pe)` order (see `crate::sched`); `0` means one
+    /// thread per PE. Simulation outcomes are bit-identical for every
+    /// setting; the limit only bounds host-side concurrency.
     pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = Some(n);
+        self.knobs.workers = Some(n);
         self
     }
 
@@ -202,104 +179,16 @@ impl MachineConfig {
         self
     }
 
-    /// Set the conduit small-op aggregation default (see the `aggregation`
-    /// field). An explicit choice — either way — beats the `PGAS_COALESCE`
-    /// environment default.
+    /// Set the conduit small-op aggregation default.
     pub fn with_aggregation(mut self, on: bool) -> Self {
-        self.aggregation = Some(on);
+        self.knobs.aggregation = Some(on);
         self
     }
 
-    /// The sanitizer mode a machine built from this config will run with.
-    ///
-    /// An explicit [`Self::with_sanitizer`] choice always stands; when the
-    /// config is at the `Off` default, the process-wide `PGAS_SANITIZER`
-    /// environment variable (read once, at first machine build) supplies the
-    /// default. A `with_forced_mode` thread override beats both, but that is
-    /// applied by `Machine::new`, not here.
-    pub fn sanitizer_mode(&self) -> SanitizerMode {
-        match self.sanitizer {
-            SanitizerMode::Off => crate::sanitizer::env_default().unwrap_or(SanitizerMode::Off),
-            explicit => explicit,
-        }
-    }
-
-    /// Whether a machine built from this config will record a trace.
-    ///
-    /// `with_trace(true)` always enables; when the config is at the `false`
-    /// default, the process-wide `PGAS_TRACE` environment variable (read
-    /// once, at first use) supplies the default. A `with_forced_tracing`
-    /// thread override beats both, but that is applied by `Machine::new`,
-    /// not here.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace || crate::trace::env_default().unwrap_or(false)
-    }
-
-    /// Whether a machine built from this config will record metrics.
-    ///
-    /// Resolution mirrors [`Self::trace_enabled`], with the `PGAS_METRICS`
-    /// environment variable and the `with_forced_metrics` thread override.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics || crate::metrics::env_default().unwrap_or(false)
-    }
-
-    /// The worker-pool limit a machine built from this config will run with
-    /// (`None` = legacy one-thread-per-PE).
-    ///
-    /// An explicit [`Self::with_workers`] choice always stands (including an
-    /// explicit `0`, which pins legacy mode); when the config carries no
-    /// limit, the process-wide `PGAS_WORKERS` environment variable (read
-    /// once, at first use) supplies the default. A `with_forced_workers`
-    /// thread override beats both, but that is applied by `Machine::new`,
-    /// not here. `0` and anything `>= total_pes` resolve to `None`: a pool
-    /// that admits every PE at once is exactly legacy mode, so no scheduler
-    /// state is built and the legacy path is untouched.
-    pub fn worker_limit(&self) -> Option<usize> {
-        self.workers.or_else(crate::sched::env_default).filter(|&w| w > 0 && w < self.total_pes())
-    }
-
-    /// Set the conduit payload-checksum default (see the `checksums` field).
-    /// An explicit choice — either way — beats the `PGAS_CHECKSUM`
-    /// environment default.
+    /// Set the conduit payload-checksum default.
     pub fn with_checksums(mut self, on: bool) -> Self {
-        self.checksums = Some(on);
+        self.knobs.checksums = Some(on);
         self
-    }
-
-    /// The conduit payload-checksum default a machine built from this config
-    /// will advertise (`false` = conduits neither compute nor verify CRCs).
-    ///
-    /// An explicit [`Self::with_checksums`] choice always stands; when the
-    /// config carries no choice, the process-wide `PGAS_CHECKSUM`
-    /// environment variable (read once, at first use) supplies the default.
-    /// A `with_forced_checksums` thread override beats both, but that is
-    /// applied by `Machine::new`, not here.
-    pub fn checksums_default(&self) -> bool {
-        self.checksums.or_else(crate::integrity::env_default).unwrap_or(false)
-    }
-
-    /// The conduit aggregation default a machine built from this config will
-    /// advertise (`false` = conduits do not coalesce unless explicitly asked
-    /// to).
-    ///
-    /// An explicit [`Self::with_aggregation`] choice always stands; when the
-    /// config carries no choice, the process-wide `PGAS_COALESCE`
-    /// environment variable (read once, at first use) supplies the default.
-    /// A `with_forced_aggregation` thread override beats both, but that is
-    /// applied by `Machine::new`, not here.
-    pub fn aggregation_default(&self) -> bool {
-        self.aggregation.or_else(crate::aggregate::env_default).unwrap_or(false)
-    }
-
-    /// The fault plan a machine built from this config will run with.
-    ///
-    /// An explicit [`Self::with_faults`] choice always stands (including an
-    /// explicit zero plan, which disables faults); when the config carries no
-    /// plan, the process-wide `PGAS_FAULT_PLAN` environment variable (read
-    /// once, at first use) supplies the default. A `with_forced_plan` thread
-    /// override beats both, but that is applied by `Machine::new`, not here.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.faults.clone().or_else(crate::fault::env_default)
     }
 
     /// Validate the configuration, returning a description of the first
@@ -327,7 +216,7 @@ impl MachineConfig {
                 crate::machine::MAX_PES
             ));
         }
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = &self.knobs.faults {
             plan.validate(self.total_pes(), self.nodes)?;
         }
         Ok(())
@@ -388,57 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_sanitizer_choice_beats_env_default() {
-        // with_sanitizer must stand no matter what PGAS_SANITIZER says —
-        // tests that deliberately request Panic (or Record) rely on it.
-        let cfg = platforms::generic_smp(2).with_sanitizer(SanitizerMode::Panic);
-        assert_eq!(cfg.sanitizer_mode(), SanitizerMode::Panic);
-        let cfg = platforms::generic_smp(2).with_sanitizer(SanitizerMode::Record);
-        assert_eq!(cfg.sanitizer_mode(), SanitizerMode::Record);
-    }
-
-    #[test]
-    fn env_default_applies_when_config_is_off() {
-        // Race-free env proof: read the variable (never write it) and assert
-        // the config resolves to exactly what it says. Locally the variable
-        // is normally unset -> Off; in the PGAS_SANITIZER=record CI job this
-        // asserts the env-driven default reaches the config with no code
-        // changes.
-        let expected = std::env::var("PGAS_SANITIZER")
-            .ok()
-            .as_deref()
-            .and_then(SanitizerMode::parse)
-            .unwrap_or(SanitizerMode::Off);
-        let cfg = platforms::generic_smp(2);
-        assert_eq!(cfg.sanitizer, SanitizerMode::Off, "presets default to Off");
-        assert_eq!(cfg.sanitizer_mode(), expected);
-    }
-
-    #[test]
-    fn explicit_fault_plan_beats_env_default() {
-        // An explicit plan — including an explicit zero plan — must stand no
-        // matter what PGAS_FAULT_PLAN says: timing-exact tests rely on
-        // with_faults(FaultPlan::none()) to opt out of the env-driven plan.
-        let cfg = platforms::generic_smp(2).with_faults(FaultPlan::none());
-        assert!(cfg.fault_plan().unwrap().is_zero());
-        let cfg = platforms::generic_smp(2).with_faults(FaultPlan::transient_drops(9, 0.25));
-        assert_eq!(cfg.fault_plan().unwrap().drop_prob, 0.25);
-    }
-
-    #[test]
-    fn env_fault_plan_applies_when_config_has_none() {
-        // Race-free env proof, mirroring the sanitizer test above: read the
-        // variable (never write it) and assert the config resolves to exactly
-        // what it says. Locally the variable is normally unset -> None; in
-        // the PGAS_FAULT_PLAN CI job this asserts the env-driven plan reaches
-        // the config with no code changes.
-        let expected = std::env::var("PGAS_FAULT_PLAN").ok().as_deref().and_then(FaultPlan::parse);
-        let cfg = platforms::generic_smp(2);
-        assert!(cfg.faults.is_none(), "presets default to no plan");
-        assert_eq!(cfg.fault_plan(), expected);
-    }
-
-    #[test]
     fn validate_checks_fault_plan() {
         let cfg = platforms::generic_smp(4).with_faults(FaultPlan::transient_drops(1, 2.0));
         assert!(cfg.validate().is_err());
@@ -446,56 +284,6 @@ mod tests {
         assert!(cfg.validate().is_err(), "failure of a PE the machine does not have");
         let cfg = platforms::generic_smp(4).with_faults(FaultPlan::transient_drops(1, 0.01));
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn env_trace_and_metrics_apply_when_config_is_off() {
-        // Race-free env proof, mirroring the sanitizer/fault tests: read the
-        // variables (never write them) and assert the config resolves to
-        // exactly what they say. Locally both are normally unset -> false;
-        // in the PGAS_TRACE/PGAS_METRICS CI job this asserts the env-driven
-        // defaults reach the config with no code changes.
-        let parse = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| match v.trim().to_ascii_lowercase().as_str() {
-                    "1" | "true" | "on" | "yes" => Some(true),
-                    "0" | "false" | "off" | "no" => Some(false),
-                    _ => None,
-                })
-                .unwrap_or(false)
-        };
-        let cfg = platforms::generic_smp(2);
-        assert!(!cfg.trace, "presets default to untraced");
-        assert!(!cfg.metrics, "presets default to no metrics");
-        assert_eq!(cfg.trace_enabled(), parse("PGAS_TRACE"));
-        assert_eq!(cfg.metrics_enabled(), parse("PGAS_METRICS"));
-        // An explicit true always stands.
-        assert!(platforms::generic_smp(2).with_trace(true).trace_enabled());
-        assert!(platforms::generic_smp(2).with_metrics(true).metrics_enabled());
-    }
-
-    #[test]
-    fn env_aggregation_applies_when_config_has_none() {
-        // Race-free env proof, mirroring the trace/metrics tests: read the
-        // variable (never write it) and assert the config resolves to
-        // exactly what it says. Locally the variable is normally unset ->
-        // false; in the PGAS_COALESCE=on CI job this asserts the env-driven
-        // default reaches the config with no code changes.
-        let expected = std::env::var("PGAS_COALESCE")
-            .ok()
-            .and_then(|v| match v.trim().to_ascii_lowercase().as_str() {
-                "1" | "true" | "on" | "yes" => Some(true),
-                "0" | "false" | "off" | "no" => Some(false),
-                _ => None,
-            })
-            .unwrap_or(false);
-        let cfg = platforms::generic_smp(2);
-        assert!(cfg.aggregation.is_none(), "presets default to no choice");
-        assert_eq!(cfg.aggregation_default(), expected);
-        // An explicit choice always stands, either way.
-        assert!(platforms::generic_smp(2).with_aggregation(true).aggregation_default());
-        assert!(!platforms::generic_smp(2).with_aggregation(false).aggregation_default());
     }
 
     #[test]

@@ -27,9 +27,8 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// A bandwidth cut on one node's NIC over a virtual-time interval:
 /// reservations that begin inside `[begin_ns, end_ns)` see their occupancy
@@ -218,44 +217,6 @@ impl FaultKind {
     }
 }
 
-// ---- process-wide default (PGAS_FAULT_PLAN) --------------------------------
-
-/// The environment-selected default plan, read once per process (so parallel
-/// test threads all see the same answer). Mirrors `PGAS_SANITIZER`.
-pub(crate) fn env_default() -> Option<FaultPlan> {
-    static DEFAULT: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    DEFAULT
-        .get_or_init(|| std::env::var("PGAS_FAULT_PLAN").ok().as_deref().and_then(FaultPlan::parse))
-        .clone()
-}
-
-// ---- thread-scoped override -------------------------------------------------
-
-thread_local! {
-    static FORCED_PLAN: RefCell<Option<FaultPlan>> = const { RefCell::new(None) };
-}
-
-/// Run `f` with every machine *built on this thread* using `plan`, beating
-/// both explicit config and the `PGAS_FAULT_PLAN` environment default.
-/// Mirrors [`crate::sanitizer::with_forced_mode`]; the main use is injecting
-/// a plan into app harnesses that build their own `MachineConfig`.
-pub fn with_forced_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<FaultPlan>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_PLAN.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let prev = FORCED_PLAN.with(|c| c.borrow_mut().replace(plan));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// The plan forced on this thread, if any.
-pub(crate) fn forced_plan() -> Option<FaultPlan> {
-    FORCED_PLAN.with(|c| c.borrow().clone())
-}
-
 // ---- runtime state ----------------------------------------------------------
 
 /// Live fault state carried by a machine whose resolved plan is non-zero.
@@ -289,10 +250,6 @@ impl FaultState {
             deadline,
             plan,
         }
-    }
-
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Roll one message attempt by `pe`. One draw per attempt keeps the

@@ -10,6 +10,7 @@
 
 use crate::config::MachineConfig;
 use crate::critpath::CriticalPathReport;
+use crate::knobs::ResolvedKnobs;
 use crate::machine::{Machine, Pe};
 use crate::metrics::MetricsSnapshot;
 use crate::sanitizer::{HazardKind, HazardReport};
@@ -40,13 +41,13 @@ pub struct SimOutcome<R> {
     pub metrics: MetricsSnapshot,
     /// Per-node NIC traffic, indexed by node.
     pub nics: Vec<NicSnapshot>,
-    /// Execution trace (empty unless `MachineConfig::trace` was set).
+    /// Execution trace (empty unless the run was traced).
     pub trace: Vec<crate::trace::Span>,
     /// Serving-request lifecycle records (empty unless the run was traced
     /// and the workload marked requests via `Tracer::begin_request` /
     /// `end_request`), sorted by `(pe, id)`.
     pub requests: Vec<crate::trace::ReqRecord>,
-    /// Sanitizer diagnostics (empty unless `MachineConfig::sanitizer` was
+    /// Sanitizer diagnostics (empty unless the sanitizer mode was
     /// `Record` — in `Panic` mode the job fails at the first hazard).
     pub hazard_reports: Vec<HazardReport>,
     /// Every strided-plan selection made during the job, in recording order
@@ -59,6 +60,9 @@ pub struct SimOutcome<R> {
     pub failed_pes: Vec<usize>,
     /// Platform name the job ran on.
     pub machine: String,
+    /// Every knob the run was under, and which layer set it; renders on one
+    /// line (`trace=on(env) workers=2(forced) …`).
+    pub knobs: ResolvedKnobs,
 }
 
 /// One served request's end-to-end latency, decomposed along the same
@@ -335,6 +339,7 @@ where
         },
         failed_pes: machine.failed_pes(),
         machine: name,
+        knobs: machine.knobs().clone(),
         results,
     })
 }
@@ -433,7 +438,7 @@ mod tests {
     #[test]
     fn request_log_decomposes_end_to_end_latency() {
         use crate::trace::{Span, SpanKind};
-        let out = crate::trace::with_forced_tracing(true, || {
+        let out = crate::with_forced_tracing(true, || {
             run(generic_smp(2), |pe| {
                 if pe.id() == 0 {
                     let t = pe.machine().tracer();

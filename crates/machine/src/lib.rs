@@ -24,14 +24,13 @@
 //! heaps, clocks, NICs, barriers and a SPMD launcher. Communication-library
 //! semantics live in `pgas-conduit` and above.
 
-pub mod aggregate;
 pub mod config;
 pub mod critdiff;
 pub mod critpath;
 pub mod fault;
 pub mod heap;
-pub mod integrity;
 pub mod json;
+pub mod knobs;
 pub mod launch;
 pub mod machine;
 pub mod metrics;
@@ -46,26 +45,26 @@ pub mod sync;
 pub mod tailprof;
 pub mod trace;
 
-pub use aggregate::with_forced_aggregation;
 pub use config::{ComputeParams, LinkParams, MachineConfig, WireParams};
 pub use critdiff::{digest_metrics, CritDiff, MetricDigest, RunDigest};
 pub use critpath::{critical_path, CriticalPathReport, PathCategory, PathSegment};
-pub use fault::{with_forced_plan, DegradedWindow, FaultKind, FaultPlan, PeFailure, RetryPolicy};
-pub use integrity::with_forced_checksums;
+pub use fault::{DegradedWindow, FaultKind, FaultPlan, PeFailure, RetryPolicy};
+pub use knobs::{
+    with_forced_aggregation, with_forced_checksums, with_forced_metrics, with_forced_mode,
+    with_forced_plan, with_forced_stream, with_forced_tracing, with_forced_workers, Knobs,
+    ResolvedKnobs,
+};
 pub use launch::{run, run_with_result, NicSnapshot, RequestLog, SimError, SimOutcome};
 pub use machine::{Machine, PeId};
 pub use metrics::{
-    with_forced_metrics, HistogramEntry, MetricsRegistry, MetricsSnapshot, WindowCounterEntry,
-    WindowEntry,
+    HistogramEntry, MetricsRegistry, MetricsSnapshot, WindowCounterEntry, WindowEntry,
 };
 pub use platforms::{cray_xc30, generic_smp, stampede, titan, Platform};
-pub use sanitizer::{with_forced_mode, HazardKind, HazardReport, SanitizerMode};
-pub use sched::with_forced_workers;
+pub use sanitizer::{HazardKind, HazardReport, SanitizerMode};
 pub use slo::{BurnWindow, SloAlert, SloReport, SloSpec, SloWindow};
 pub use stats::{FaultEvent, PlanDecision, StatsSnapshot};
-pub use stream::{with_forced_stream, SnapshotRing, StreamConfig, StreamConsumer, StreamSample};
+pub use stream::{SnapshotRing, StreamConfig, StreamConsumer, StreamSample};
 pub use tailprof::{
     attribute, req_paths, Exemplar, ReqPathReport, ReqPhase, TailAttribution, TailProfile,
     TailSampler, REQ_PHASES,
 };
-pub use trace::with_forced_tracing;

@@ -3,6 +3,7 @@
 use crate::config::MachineConfig;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::heap::Heap;
+use crate::knobs::{Knobs, ResolvedKnobs};
 use crate::metrics::MetricsRegistry;
 use crate::nic::Nic;
 use crate::sanitizer::{HazardReport, Sanitizer, SanitizerMode};
@@ -31,15 +32,14 @@ struct PeState {
 }
 
 /// Runtime state of the live streaming snapshot channel (see
-/// [`crate::stream`]): the configured cadence and ring, the next virtual
-/// time at which a sample is due, and the sample sequence counter.
+/// [`crate::stream`]): the configured cadence and ring, and the next
+/// virtual time at which a sample is due.
 struct StreamState {
     cadence_ns: u64,
     ring: Arc<SnapshotRing>,
-    /// Next cadence boundary a sample is owed for; claimed by CAS so
-    /// exactly one PE thread produces each sample.
+    /// Next cadence boundary a sample is owed for. Read without the ring's
+    /// lock on the fast path; claimed and moved only under it.
     next_tick: AtomicU64,
-    seq: AtomicU64,
     /// The originating config, kept so push consumers registered on it —
     /// even after the machine was built — see every sample.
     cfg: StreamConfig,
@@ -51,7 +51,6 @@ impl StreamState {
             cadence_ns: cfg.cadence_ns(),
             ring: cfg.ring(),
             next_tick: AtomicU64::new(cfg.cadence_ns()),
-            seq: AtomicU64::new(0),
             cfg,
         }
     }
@@ -145,16 +144,8 @@ pub struct Machine {
     /// mode (no worker limit resolved, or the limit covers every PE), so
     /// the legacy path costs one branch per blocking region.
     sched: Option<SchedState>,
-    /// Conduit aggregation override captured on the launching thread at
-    /// build time (thread-locals do not propagate to PE threads, so
-    /// conduits built on PE threads read it back from here). `Some` beats
-    /// both the config choice and the `PGAS_COALESCE` environment default.
-    aggregation_forced: Option<bool>,
-    /// Resolved payload-checksum switch, captured at build time on the
-    /// launching thread (forced > config > `PGAS_CHECKSUM` env). Unlike
-    /// aggregation there is no per-context refinement, so the machine
-    /// stores the final answer.
-    checksums: bool,
+    /// Every knob as resolved on the launching thread at build time.
+    knobs: ResolvedKnobs,
 }
 
 impl Machine {
@@ -162,28 +153,13 @@ impl Machine {
     pub fn new(cfg: MachineConfig) -> Arc<Machine> {
         cfg.validate().expect("invalid machine configuration");
         let n = cfg.total_pes();
-        // Resolution mirrors the sanitizer: thread-forced plan beats explicit
-        // config, which beats the PGAS_FAULT_PLAN environment default. A zero
-        // plan builds no state at all.
-        let faults = crate::fault::forced_plan()
-            .or_else(|| cfg.fault_plan())
-            .filter(|plan| !plan.is_zero())
-            .map(|plan| {
-                plan.validate(n, cfg.nodes).expect("invalid fault plan");
-                FaultState::new(plan, n)
-            });
-        // Stream resolution: thread-forced channel beats config. There is no
-        // environment default — a stream needs a consumer holding its ring.
-        let stream =
-            crate::stream::forced_stream().or_else(|| cfg.stream.clone()).map(StreamState::new);
-        // Worker-limit resolution mirrors the others: thread-forced limit
-        // beats explicit config, which beats the PGAS_WORKERS environment
-        // default. Zero or a limit covering every PE is exactly legacy mode,
-        // so no scheduler state is built at all.
-        let sched = crate::sched::forced_workers()
-            .or_else(|| cfg.worker_limit())
-            .filter(|&w| w > 0 && w < n)
-            .map(|w| SchedState::new(w, n));
+        let knobs = Knobs::resolve(&cfg);
+        let faults = knobs.faults.value.clone().map(|plan| {
+            plan.validate(n, cfg.nodes).expect("invalid fault plan");
+            FaultState::new(plan, n)
+        });
+        let stream = knobs.stream.value.clone().map(StreamState::new);
+        let sched = knobs.workers.value.map(|w| SchedState::new(w, n));
         let arbiter = cfg.deterministic_nic.then(|| ArbiterState {
             parked: Mutex::new(BTreeSet::new()),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
@@ -198,13 +174,6 @@ impl Machine {
             stream,
             arbiter,
             sched,
-            // Aggregation resolution mirrors the others: capture the thread
-            // override here, on the launching thread; conduits combine it
-            // with the config/env default via the getters below.
-            aggregation_forced: crate::aggregate::forced_aggregation(),
-            // Checksum resolution mirrors aggregation, fully resolved here.
-            checksums: crate::integrity::forced_checksums()
-                .unwrap_or_else(|| cfg.checksums_default()),
             pes: (0..n)
                 .map(|_| PeState {
                     heap: Heap::new(cfg.heap_bytes),
@@ -216,24 +185,12 @@ impl Machine {
             global_barrier: ClockBarrier::new(n),
             subset_barriers: Mutex::new(HashMap::new()),
             stats: Stats::default(),
-            // Trace/metrics resolution mirrors the sanitizer and fault plan:
-            // thread-forced override beats config, which beats env default.
-            tracer: Tracer::new(
-                crate::trace::forced_tracing().unwrap_or_else(|| cfg.trace_enabled()),
-                n,
-            ),
-            metrics: MetricsRegistry::new_windowed(
-                crate::metrics::forced_metrics().unwrap_or_else(|| cfg.metrics_enabled()),
-                n,
-                cfg.metrics_window_ns,
-            ),
-            sanitizer: Sanitizer::new(
-                crate::sanitizer::forced_mode().unwrap_or_else(|| cfg.sanitizer_mode()),
-                n,
-                cfg.heap_bytes,
-            ),
+            tracer: Tracer::new(knobs.trace.value, n),
+            metrics: MetricsRegistry::new_windowed(knobs.metrics.value, n, cfg.metrics_window_ns),
+            sanitizer: Sanitizer::new(knobs.sanitizer.value, n, cfg.heap_bytes),
             poison: Poison::default(),
             cfg,
+            knobs,
         })
     }
 
@@ -242,29 +199,12 @@ impl Machine {
         &self.cfg
     }
 
-    /// The `with_forced_aggregation` override active on the thread that
-    /// built this machine, if any. Beats both the config choice and the
-    /// `PGAS_COALESCE` environment default (see `pgas-conduit`, which
-    /// performs the final resolution against its own per-context options).
+    /// Every knob this machine runs with, and which layer set it (see
+    /// [`crate::knobs`]). Resolved once at build time, on the launching
+    /// thread; conduits built on PE threads read their switches from here.
     #[inline]
-    pub fn aggregation_forced(&self) -> Option<bool> {
-        self.aggregation_forced
-    }
-
-    /// The config/environment aggregation default for conduits attached to
-    /// this machine ([`MachineConfig::aggregation_default`]).
-    #[inline]
-    pub fn aggregation_default(&self) -> bool {
-        self.cfg.aggregation_default()
-    }
-
-    /// Should conduits attached to this machine checksum wire payloads?
-    /// Resolved at build time: `with_forced_checksums` beats
-    /// [`MachineConfig::with_checksums`], which beats the `PGAS_CHECKSUM`
-    /// environment default.
-    #[inline]
-    pub fn checksums_enabled(&self) -> bool {
-        self.checksums
+    pub fn knobs(&self) -> &ResolvedKnobs {
+        &self.knobs
     }
 
     /// Total number of PEs.
@@ -424,7 +364,7 @@ impl Machine {
 
     /// The active fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
+        self.knobs.faults.value.as_ref()
     }
 
     /// Roll one message attempt by `pe` against the plan's transient-fault
@@ -561,47 +501,50 @@ impl Machine {
     /// streaming test asserts. Which PE thread wins the claim (and thus the
     /// exact set of samples) depends on host scheduling; the stream is a
     /// live monitoring surface, not a deterministic artifact.
+    ///
+    /// Claim, numbering and push are one critical section under the ring's
+    /// lock, so the ring (and every push consumer) sees samples in `seq` and
+    /// `t_ns` order: a claimer that raced ahead on the fast-path check finds
+    /// the boundary already moved past its clock and leaves.
     #[cold]
     fn stream_sample(&self, st: &StreamState, now: u64) {
-        let due = st.next_tick.load(Ordering::Relaxed);
-        if now < due {
-            return;
-        }
-        // One sample per crossing: the winner moves the boundary past `now`.
-        let next = (now / st.cadence_ns + 1) * st.cadence_ns;
-        if st.next_tick.compare_exchange(due, next, Ordering::AcqRel, Ordering::Relaxed).is_err() {
-            return;
-        }
-        let sample = StreamSample {
-            seq: st.seq.fetch_add(1, Ordering::Relaxed),
-            t_ns: now,
-            clocks: (0..self.num_pes()).map(|p| self.clock(p)).collect(),
-            counters: self.metrics.live_counter_totals(),
-            inflight: self.tracer.latest_per_pe(),
-            nics: self
-                .nics
-                .iter()
-                .map(|nic| crate::launch::NicSnapshot {
-                    messages: nic.messages(),
-                    bytes: nic.bytes(),
-                    busy_ns: nic.busy_ns(),
-                })
-                .collect(),
-            windows: match st.cfg.window_metric() {
-                Some(name) => self.metrics.live_window_series(name),
-                None => Vec::new(),
-            },
-            requests: if st.cfg.requests_enabled() {
-                self.tracer.live_requests()
-            } else {
-                Vec::new()
-            },
-        };
-        // Fan out to push consumers (dashboards, pgas_top's live series)
-        // before the ring can evict anything: a slow puller never costs a
-        // subscriber a sample.
-        st.cfg.notify_consumers(&sample);
-        st.ring.push(sample);
+        st.ring.push_with(|seq| {
+            if now < st.next_tick.load(Ordering::Relaxed) {
+                return None;
+            }
+            // One sample per crossing: move the boundary past `now`.
+            st.next_tick.store((now / st.cadence_ns + 1) * st.cadence_ns, Ordering::Relaxed);
+            let sample = StreamSample {
+                seq,
+                t_ns: now,
+                clocks: (0..self.num_pes()).map(|p| self.clock(p)).collect(),
+                counters: self.metrics.live_counter_totals(),
+                inflight: self.tracer.latest_per_pe(),
+                nics: self
+                    .nics
+                    .iter()
+                    .map(|nic| crate::launch::NicSnapshot {
+                        messages: nic.messages(),
+                        bytes: nic.bytes(),
+                        busy_ns: nic.busy_ns(),
+                    })
+                    .collect(),
+                windows: match st.cfg.window_metric() {
+                    Some(name) => self.metrics.live_window_series(name),
+                    None => Vec::new(),
+                },
+                requests: if st.cfg.requests_enabled() {
+                    self.tracer.live_requests()
+                } else {
+                    Vec::new()
+                },
+            };
+            // Fan out to push consumers (dashboards, pgas_top's live series)
+            // before the ring can evict anything: a slow puller never costs
+            // a subscriber a sample.
+            st.cfg.notify_consumers(&sample);
+            Some(sample)
+        });
     }
 
     // ---- worker-pool scheduling -----------------------------------------
@@ -610,7 +553,7 @@ impl Machine {
     /// mode.
     #[inline]
     pub fn worker_limit(&self) -> Option<usize> {
-        self.sched.as_ref().map(|s| s.workers())
+        self.knobs.workers.value
     }
 
     /// Launcher hook: block until `pe`'s thread is admitted to a worker
@@ -1141,11 +1084,11 @@ mod tests {
         assert_eq!(m.worker_limit(), None, "explicit 0 pins legacy mode");
         let m = Machine::new(generic_smp(4).with_workers(4));
         assert_eq!(m.worker_limit(), None, "a pool covering every PE is legacy mode");
-        crate::sched::with_forced_workers(2, || {
+        crate::with_forced_workers(2, || {
             let m = Machine::new(generic_smp(4).with_workers(0));
             assert_eq!(m.worker_limit(), Some(2), "forced override beats explicit config");
         });
-        crate::sched::with_forced_workers(0, || {
+        crate::with_forced_workers(0, || {
             let m = Machine::new(generic_smp(4).with_workers(2));
             assert_eq!(m.worker_limit(), None, "forced 0 pins legacy over config");
         });
@@ -1225,7 +1168,7 @@ mod tests {
     fn fault_hooks_are_inert_without_a_plan() {
         // Force the no-plan state: a PGAS_FAULT_PLAN env default (the CI
         // test-faulted job) would otherwise reach this machine.
-        crate::fault::with_forced_plan(crate::fault::FaultPlan::none(), || {
+        crate::with_forced_plan(crate::fault::FaultPlan::none(), || {
             let m = Machine::new(generic_smp(2));
             assert!(!m.faults_active());
             assert!(m.fault_plan().is_none());
@@ -1290,6 +1233,47 @@ mod tests {
         assert!(samples[0].counters.is_empty());
         assert!(samples[0].inflight.is_empty());
         assert_eq!(samples[0].nics.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_stream_ticks_land_in_the_ring_in_order() {
+        use crate::stream::{StreamConfig, StreamSample};
+        use std::sync::mpsc;
+        // Force the interleaving that used to reorder the ring: the claimer
+        // of the first boundary stalls inside its push consumer — sample
+        // numbered, not yet in the ring — until a later tick on another
+        // thread has returned, or (now that a claim holds the ring's lock
+        // through the push, so none can) until it gives up waiting.
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let done_rx = std::sync::Mutex::new(done_rx);
+        let sc = StreamConfig::new(100, 16).with_consumer(Arc::new(move |s: &StreamSample| {
+            if s.t_ns == 100 {
+                let patience = std::time::Duration::from_millis(100);
+                let _ = done_rx.lock().unwrap().recv_timeout(patience);
+            }
+        }));
+        let ring = sc.ring();
+        let m = &*Machine::new(generic_smp(4).with_stream(sc));
+        let next_tick = &m.stream.as_ref().unwrap().next_tick;
+        std::thread::scope(|scope| {
+            scope.spawn(|| m.stream_tick(100));
+            for t in [200, 300, 400] {
+                let done_tx = done_tx.clone();
+                scope.spawn(move || {
+                    // Start once the first claimer is past its claim.
+                    while next_tick.load(Ordering::Relaxed) == 100 {
+                        std::thread::yield_now();
+                    }
+                    m.stream_tick(t);
+                    let _ = done_tx.send(());
+                });
+            }
+        });
+        let samples = ring.drain();
+        assert!(samples.len() >= 2, "the stalled claim and at least one later tick sampled");
+        assert_eq!(samples[0].t_ns, 100);
+        assert!(samples.windows(2).all(|w| w[0].seq < w[1].seq), "ring is in seq order");
+        assert!(samples.windows(2).all(|w| w[0].t_ns < w[1].t_ns), "ring is in t_ns order");
     }
 
     #[test]

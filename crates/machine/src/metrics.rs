@@ -10,14 +10,10 @@
 //! lock repairs, plan decisions), so a run's entire quantitative story is one
 //! queryable value on `SimOutcome`, exportable as JSON or Prometheus text.
 //!
-//! Resolution order for enabling metrics mirrors the sanitizer and fault
-//! plan: a thread-forced override ([`with_forced_metrics`]) beats the
-//! explicit `MachineConfig::metrics` flag, which beats the `PGAS_METRICS`
-//! environment default.
+//! Whether a machine records metrics is the `metrics` knob (see
+//! `crate::knobs`).
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
@@ -766,48 +762,6 @@ fn stats_json(s: &StatsSnapshot) -> Json {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Enable-flag resolution: forced (thread) > config > environment default.
-// ---------------------------------------------------------------------------
-
-/// Parse a boolean-ish env/config flag value.
-pub(crate) fn parse_flag(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
-/// Process-wide default from `PGAS_METRICS`, read once.
-pub(crate) fn env_default() -> Option<bool> {
-    static ENV_DEFAULT: OnceLock<Option<bool>> = OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| std::env::var("PGAS_METRICS").ok().and_then(|v| parse_flag(&v)))
-}
-
-thread_local! {
-    static FORCED_METRICS: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-pub(crate) fn forced_metrics() -> Option<bool> {
-    FORCED_METRICS.with(|c| c.get())
-}
-
-/// Run `f` with metrics recording forced on or off for machines constructed
-/// on this thread, overriding both config and environment. Restores the
-/// previous override on exit (including unwinds).
-pub fn with_forced_metrics<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_METRICS.with(|c| c.set(self.0));
-        }
-    }
-    let prev = FORCED_METRICS.with(|c| c.replace(Some(on)));
-    let _restore = Restore(prev);
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,17 +875,6 @@ mod tests {
         let parsed = crate::json::parse(&json).expect("metrics JSON parses");
         assert_eq!(parsed.get("counters").and_then(|c| c.as_array()).map(|a| a.len()), Some(1));
         assert_eq!(parsed.get("histograms").and_then(|c| c.as_array()).map(|a| a.len()), Some(1));
-    }
-
-    #[test]
-    fn forced_override_restores_on_exit() {
-        assert_eq!(forced_metrics(), None);
-        with_forced_metrics(true, || {
-            assert_eq!(forced_metrics(), Some(true));
-            with_forced_metrics(false, || assert_eq!(forced_metrics(), Some(false)));
-            assert_eq!(forced_metrics(), Some(true));
-        });
-        assert_eq!(forced_metrics(), None);
     }
 
     #[test]

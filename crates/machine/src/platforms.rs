@@ -15,7 +15,7 @@
 //! conduit profiles in `pgas-conduit`.
 
 use crate::config::{ComputeParams, LinkParams, MachineConfig, WireParams};
-use crate::sanitizer::SanitizerMode;
+use crate::knobs::Knobs;
 
 /// Identifier for a paper platform, used by benchmark harnesses to pick both
 /// a `MachineConfig` and the set of conduit profiles evaluated on it.
@@ -76,16 +76,9 @@ pub fn stampede(nodes: usize, cores_per_node: usize) -> MachineConfig {
         },
         compute: ComputeParams { core_gflops: 2.0, local_op_ns: 1.0 },
         stack_bytes: DEFAULT_STACK,
-        trace: false,
-        metrics: false,
         metrics_window_ns: 0,
-        sanitizer: SanitizerMode::Off,
-        faults: None,
-        stream: None,
         deterministic_nic: false,
-        workers: None,
-        aggregation: None,
-        checksums: None,
+        knobs: Knobs::default(),
     }
 }
 
@@ -105,16 +98,9 @@ pub fn titan(nodes: usize, cores_per_node: usize) -> MachineConfig {
         },
         compute: ComputeParams { core_gflops: 1.2, local_op_ns: 1.2 },
         stack_bytes: DEFAULT_STACK,
-        trace: false,
-        metrics: false,
         metrics_window_ns: 0,
-        sanitizer: SanitizerMode::Off,
-        faults: None,
-        stream: None,
         deterministic_nic: false,
-        workers: None,
-        aggregation: None,
-        checksums: None,
+        knobs: Knobs::default(),
     }
 }
 
@@ -134,16 +120,9 @@ pub fn cray_xc30(nodes: usize, cores_per_node: usize) -> MachineConfig {
         },
         compute: ComputeParams { core_gflops: 2.0, local_op_ns: 1.0 },
         stack_bytes: DEFAULT_STACK,
-        trace: false,
-        metrics: false,
         metrics_window_ns: 0,
-        sanitizer: SanitizerMode::Off,
-        faults: None,
-        stream: None,
         deterministic_nic: false,
-        workers: None,
-        aggregation: None,
-        checksums: None,
+        knobs: Knobs::default(),
     }
 }
 
@@ -163,16 +142,9 @@ pub fn generic_smp(cores: usize) -> MachineConfig {
         },
         compute: ComputeParams { core_gflops: 2.5, local_op_ns: 0.8 },
         stack_bytes: DEFAULT_STACK,
-        trace: false,
-        metrics: false,
         metrics_window_ns: 0,
-        sanitizer: SanitizerMode::Off,
-        faults: None,
-        stream: None,
         deterministic_nic: false,
-        workers: None,
-        aggregation: None,
-        checksums: None,
+        knobs: Knobs::default(),
     }
 }
 

@@ -1,6 +1,6 @@
 //! PGAS race & synchronization sanitizer.
 //!
-//! When enabled via [`crate::MachineConfig::sanitizer`], the machine keeps a
+//! When enabled via [`crate::MachineConfig::with_sanitizer`], the machine keeps a
 //! FastTrack-style shadow of every symmetric heap — per 8-byte word: the last
 //! writer PE, its completion time, whether the access was atomic, and the
 //! byte mask it touched, plus the analogous last-reader record — together
@@ -67,45 +67,6 @@ impl SanitizerMode {
             _ => None,
         }
     }
-}
-
-/// The process-wide default mode from `PGAS_SANITIZER`, read exactly once
-/// (so later `set_var` games or parallel test threads can't observe
-/// different defaults for different machines). An unset or unparsable
-/// variable yields `None` and the config's own mode stands.
-pub(crate) fn env_default() -> Option<SanitizerMode> {
-    static ENV_DEFAULT: std::sync::OnceLock<Option<SanitizerMode>> = std::sync::OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| {
-        std::env::var("PGAS_SANITIZER").ok().as_deref().and_then(SanitizerMode::parse)
-    })
-}
-
-thread_local! {
-    static FORCED_MODE: std::cell::Cell<Option<SanitizerMode>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// Run `f` with every machine built *on this thread* forced to sanitizer
-/// `mode`, regardless of what its `MachineConfig` says. Retained as a thin
-/// shim for harnesses that need a scoped override; the preferred way to turn
-/// the sanitizer on without code changes is the process-wide `PGAS_SANITIZER`
-/// environment variable (see [`crate::MachineConfig::sanitizer_mode`]),
-/// which this override still beats when both are present.
-/// The previous override is restored on exit, including on unwind.
-pub fn with_forced_mode<R>(mode: SanitizerMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<SanitizerMode>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_MODE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCED_MODE.with(|c| c.replace(Some(mode))));
-    f()
-}
-
-/// The mode forced by [`with_forced_mode`] on the current thread, if any.
-pub(crate) fn forced_mode() -> Option<SanitizerMode> {
-    FORCED_MODE.with(|c| c.get())
 }
 
 /// Classification of a detected hazard.

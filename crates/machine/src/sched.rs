@@ -35,41 +35,6 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// The process-wide default worker limit from `PGAS_WORKERS`, read exactly
-/// once (mirroring `PGAS_SANITIZER` / `PGAS_FAULT_PLAN` resolution). Unset,
-/// unparsable, or `0` yields `None`: one thread per PE, no slot accounting.
-pub(crate) fn env_default() -> Option<usize> {
-    static ENV_DEFAULT: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| {
-        std::env::var("PGAS_WORKERS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    })
-}
-
-thread_local! {
-    static FORCED_WORKERS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-/// Run `f` with every machine built *on this thread* forced to worker limit
-/// `workers` (`0` = unbounded legacy mode), beating both the config and the
-/// `PGAS_WORKERS` environment default — the same precedence the sanitizer,
-/// fault-plan, trace, and metrics overrides use. Restored on exit,
-/// including on unwind.
-pub fn with_forced_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_WORKERS.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCED_WORKERS.with(|c| c.replace(Some(workers))));
-    f()
-}
-
-/// The limit forced by [`with_forced_workers`] on the current thread, if any.
-pub(crate) fn forced_workers() -> Option<usize> {
-    FORCED_WORKERS.with(|c| c.get())
-}
-
 #[derive(Debug)]
 struct SchedInner {
     /// Slots currently held by runnable PE threads, `<= workers`.
@@ -117,11 +82,6 @@ impl SchedState {
                 self.cvs[pe].notify_all();
             }
         }
-    }
-
-    /// The resolved worker limit.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Block until `pe` (ready at virtual time `clock`) is admitted: a slot

@@ -13,12 +13,10 @@
 //! observability-off check) is that attaching a stream changes no virtual
 //! clock: sampling only ever reads.
 //!
-//! Enabling resolves like tracing and metrics, minus the environment
-//! default — a stream without a consumer holding the ring is useless, so
-//! there is nothing sensible an env var could do. A thread-forced override
-//! ([`with_forced_stream`]) beats `MachineConfig::stream`.
+//! Enabling resolves like every other knob (see `crate::knobs`), minus the
+//! environment layer — a stream without a consumer holding the ring is
+//! useless, so there is nothing sensible an env var could do.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -32,7 +30,8 @@ use crate::trace::{ReqRecord, Span};
 /// boundary in virtual time.
 #[derive(Debug, Clone)]
 pub struct StreamSample {
-    /// Monotone sample index, starting at 0.
+    /// Monotone sample index: how many samples the ring had been handed
+    /// before this one (0 for the first sample of a fresh ring).
     pub seq: u64,
     /// Virtual time of the sampling PE when the sample was taken, ns.
     pub t_ns: u64,
@@ -84,7 +83,17 @@ impl SnapshotRing {
 
     /// Append a sample, evicting the oldest if the ring is full.
     pub fn push(&self, sample: StreamSample) {
+        self.push_with(|_| Some(sample));
+    }
+
+    /// Run `produce` under the ring's lock with the index of the next sample
+    /// (the lifetime push count) and append what it returns, if anything.
+    /// The machine claims a cadence boundary, numbers the sample and pushes
+    /// it inside one such call, which is what keeps the ring in `seq` order.
+    /// `produce` must not touch the ring.
+    pub(crate) fn push_with(&self, produce: impl FnOnce(u64) -> Option<StreamSample>) {
         let mut inner = self.inner.lock();
+        let Some(sample) = produce(inner.total) else { return };
         if inner.samples.len() == self.capacity {
             inner.samples.pop_front();
             inner.dropped += 1;
@@ -128,9 +137,10 @@ impl SnapshotRing {
     }
 }
 
-/// A registered push consumer: called with every sample as it is taken, on
-/// the sampling PE's thread, right after the sample lands in the ring. Must
-/// be cheap and non-blocking — it runs inside the simulation.
+/// A registered push consumer: called with every sample as it is taken, in
+/// `seq` order, on the sampling PE's thread and under the ring's lock just
+/// before the sample lands in the ring. Must be cheap, non-blocking and must
+/// not touch the ring — it runs inside the simulation.
 pub type StreamConsumer = Arc<dyn Fn(&StreamSample) + Send + Sync>;
 
 /// Configuration of the streaming snapshot channel: how often to sample (in
@@ -238,34 +248,6 @@ impl StreamConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Enable resolution: forced (thread) > config. No environment default — a
-// stream is only meaningful with a consumer holding the ring.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static FORCED_STREAM: RefCell<Option<StreamConfig>> = const { RefCell::new(None) };
-}
-
-pub(crate) fn forced_stream() -> Option<StreamConfig> {
-    FORCED_STREAM.with(|c| c.borrow().clone())
-}
-
-/// Run `f` with the streaming channel `cfg` forced onto machines constructed
-/// on this thread, overriding `MachineConfig::stream`. Restores the previous
-/// override on exit (including unwinds).
-pub fn with_forced_stream<R>(cfg: StreamConfig, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<StreamConfig>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_STREAM.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let prev = FORCED_STREAM.with(|c| c.borrow_mut().replace(cfg));
-    let _restore = Restore(prev);
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,21 +287,6 @@ mod tests {
         ring.push(sample(1));
         assert_eq!(ring.latest().unwrap().seq, 1);
         assert_eq!(ring.len(), 2, "latest() is a peek");
-    }
-
-    #[test]
-    fn forced_stream_restores_on_exit() {
-        assert!(forced_stream().is_none());
-        let cfg = StreamConfig::new(1000, 8);
-        with_forced_stream(cfg.clone(), || {
-            assert_eq!(forced_stream().unwrap().cadence_ns(), 1000);
-            let inner = StreamConfig::new(500, 8);
-            with_forced_stream(inner, || {
-                assert_eq!(forced_stream().unwrap().cadence_ns(), 500);
-            });
-            assert_eq!(forced_stream().unwrap().cadence_ns(), 1000);
-        });
-        assert!(forced_stream().is_none());
     }
 
     #[test]

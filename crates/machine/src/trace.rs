@@ -19,12 +19,7 @@
 //! per PE grouped by node, and flow arrows from each origin op to a
 //! synthesized delivery slice on the peer's row.
 //!
-//! Enabling resolves like the sanitizer and fault plan: a thread-forced
-//! override ([`with_forced_tracing`]) beats `MachineConfig::trace`, which
-//! beats the `PGAS_TRACE` environment default.
-
-use std::cell::Cell;
-use std::sync::OnceLock;
+//! Whether a machine traces is the `trace` knob (see `crate::knobs`).
 
 use crate::json::Json;
 use parking_lot::Mutex;
@@ -548,41 +543,6 @@ pub fn chrome_trace_json_with_requests(
     Json::Array(events).pretty()
 }
 
-// ---------------------------------------------------------------------------
-// Enable-flag resolution: forced (thread) > config > environment default.
-// ---------------------------------------------------------------------------
-
-/// Process-wide default from `PGAS_TRACE`, read once.
-pub(crate) fn env_default() -> Option<bool> {
-    static ENV_DEFAULT: OnceLock<Option<bool>> = OnceLock::new();
-    *ENV_DEFAULT.get_or_init(|| {
-        std::env::var("PGAS_TRACE").ok().and_then(|v| crate::metrics::parse_flag(&v))
-    })
-}
-
-thread_local! {
-    static FORCED_TRACING: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-pub(crate) fn forced_tracing() -> Option<bool> {
-    FORCED_TRACING.with(|c| c.get())
-}
-
-/// Run `f` with tracing forced on or off for machines constructed on this
-/// thread, overriding both config and environment. Restores the previous
-/// override on exit (including unwinds).
-pub fn with_forced_tracing<R>(on: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<bool>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_TRACING.with(|c| c.set(self.0));
-        }
-    }
-    let prev = FORCED_TRACING.with(|c| c.replace(Some(on)));
-    let _restore = Restore(prev);
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,16 +774,5 @@ mod tests {
         assert!(json.contains("\"latency_ns\": 400"));
         // Without requests the export is unchanged (golden compatibility).
         assert_eq!(chrome_trace_json(&spans, 2), chrome_trace_json_with_requests(&spans, &[], 2));
-    }
-
-    #[test]
-    fn forced_tracing_restores_on_exit() {
-        assert_eq!(forced_tracing(), None);
-        with_forced_tracing(true, || {
-            assert_eq!(forced_tracing(), Some(true));
-            with_forced_tracing(false, || assert_eq!(forced_tracing(), Some(false)));
-            assert_eq!(forced_tracing(), Some(true));
-        });
-        assert_eq!(forced_tracing(), None);
     }
 }
