@@ -852,12 +852,8 @@ mod tests {
         let fd = attr.series("fault_delay").unwrap();
         let hc = attr.series("handler_compute").unwrap();
         assert!(!qw.points.is_empty(), "violating windows were attributed");
-        let outage_peak = qw
-            .points
-            .iter()
-            .zip(&fd.points)
-            .map(|(q, f)| q.1 + f.1)
-            .fold(0.0f64, f64::max);
+        let outage_peak =
+            qw.points.iter().zip(&fd.points).map(|(q, f)| q.1 + f.1).fold(0.0f64, f64::max);
         assert!(
             outage_peak > 50.0,
             "the death window's tail is mostly queueing + fault delay: {outage_peak:.1}%"

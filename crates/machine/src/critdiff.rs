@@ -730,10 +730,8 @@ mod tests {
             end_ns: phase_ns.iter().sum(),
             phase_ns,
         };
-        let base =
-            RunDigest::from_run_with_requests(&r, &m, &[req([10, 100, 20, 5, 0, 300])]);
-        let cand =
-            RunDigest::from_run_with_requests(&r, &m, &[req([10, 100, 20, 5, 400, 300])]);
+        let base = RunDigest::from_run_with_requests(&r, &m, &[req([10, 100, 20, 5, 0, 300])]);
+        let cand = RunDigest::from_run_with_requests(&r, &m, &[req([10, 100, 20, 5, 400, 300])]);
         // Self-diff of a serving digest is exactly zero.
         assert!(CritDiff::between(&base, &base).is_zero());
         // The fault-delay growth is attributed to its phase.
@@ -753,8 +751,8 @@ mod tests {
         let back = RunDigest::from_json(&crate::json::parse(&text).unwrap()).unwrap();
         assert_eq!(cand, back);
         assert!(!old.to_json().pretty().contains("\"requests\""));
-        let old_back = RunDigest::from_json(&crate::json::parse(&old.to_json().pretty()).unwrap())
-            .unwrap();
+        let old_back =
+            RunDigest::from_json(&crate::json::parse(&old.to_json().pretty()).unwrap()).unwrap();
         assert_eq!(old, old_back);
     }
 

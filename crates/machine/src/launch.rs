@@ -174,13 +174,7 @@ impl<R> SimOutcome<R> {
         k: usize,
         seed: u64,
     ) -> crate::tailprof::TailAttribution {
-        crate::tailprof::attribute(
-            &self.req_paths(),
-            threshold_ns,
-            self.metrics.window_ns,
-            k,
-            seed,
-        )
+        crate::tailprof::attribute(&self.req_paths(), threshold_ns, self.metrics.window_ns, k, seed)
     }
 
     /// Assert the sanitizer found nothing; panics with every report

@@ -681,9 +681,8 @@ impl MetricsSnapshot {
                 last_name = w.name;
             }
             let base = format!("window_start_ns=\"{}\"", w.start_ns);
-            let profile = tail.and_then(|t| {
-                t.profile_at(w.start_ns.checked_div(t.window_ns).unwrap_or(0))
-            });
+            let profile =
+                tail.and_then(|t| t.profile_at(w.start_ns.checked_div(t.window_ns).unwrap_or(0)));
             for (label, q) in [("0.5", 0.50), ("0.99", 0.99), ("0.999", 0.999)] {
                 out.push_str(&format!(
                     "pgas_{}_window{{{},quantile=\"{}\"}} {}",

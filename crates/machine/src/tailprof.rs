@@ -677,8 +677,7 @@ mod tests {
             latency_ns: latency,
             dominant: ReqPhase::HandlerCompute,
         };
-        let offers: Vec<Exemplar> =
-            (0..100).map(|i| exemplar(i, 1000 + (i * 37) % 50)).collect();
+        let offers: Vec<Exemplar> = (0..100).map(|i| exemplar(i, 1000 + (i * 37) % 50)).collect();
         let run = |order: &[Exemplar]| {
             let mut s = TailSampler::new(5, 0xC0FFEE);
             for &e in order {
@@ -742,9 +741,11 @@ mod tests {
         let tail = attribute(&reports, 1000, 1000, 4, 0x5E21);
         tail.annotate(&mut report);
         assert_eq!(report.windows[3].dominant_cause, Some(ReqPhase::FaultDelay));
-        assert!(report.windows.iter().filter(|w| w.violations == 0).all(|w| w
-            .dominant_cause
-            .is_none()));
+        assert!(report
+            .windows
+            .iter()
+            .filter(|w| w.violations == 0)
+            .all(|w| w.dominant_cause.is_none()));
         let raised: Vec<_> = report.alerts.iter().filter(|a| a.raised).collect();
         assert!(!raised.is_empty());
         for a in &raised {

@@ -438,7 +438,10 @@ pub fn chrome_trace_json_with_requests(
             (
                 "args".into(),
                 Json::Object(vec![
-                    ("queue_ns".into(), Json::uint(r.begin_ns.saturating_sub(r.arrival_ns) as usize)),
+                    (
+                        "queue_ns".into(),
+                        Json::uint(r.begin_ns.saturating_sub(r.arrival_ns) as usize),
+                    ),
                     (
                         "latency_ns".into(),
                         Json::uint(r.end_ns.saturating_sub(r.arrival_ns) as usize),

@@ -261,8 +261,7 @@ fn serve_top() {
                     phase[2] += r.nic_ns;
                     phase[3] += r.sync_ns;
                     phase[4] += r.fault_ns;
-                    phase[5] +=
-                        r.end_ns.saturating_sub(r.begin_ns).saturating_sub(attributed);
+                    phase[5] += r.end_ns.saturating_sub(r.begin_ns).saturating_sub(attributed);
                 }
                 let total: u64 = phase.iter().sum();
                 if slow > 0 && total > 0 {

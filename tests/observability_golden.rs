@@ -142,10 +142,7 @@ fn serving_windowed_export_matches_golden_fixture() {
     {
         assert!(text.contains(needle), "windowed series `{needle}` missing from the export");
     }
-    assert!(
-        text.contains("# {req="),
-        "the outage window's p999 carries an exemplar annotation"
-    );
+    assert!(text.contains("# {req="), "the outage window's p999 carries an exemplar annotation");
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(SERVING_FIXTURE, &text).expect("write serving golden fixture");
         return;
