@@ -278,14 +278,13 @@ mod tests {
 
     #[test]
     fn more_locks_reduce_contention() {
-        // Virtual time still varies run-to-run with the OS scheduling of the
-        // image threads (lock-queue order is whoever swaps first), so a
-        // single trial is marginal under load; total over three is not.
-        let total = |cfg: DhtConfig| {
-            (0..3).map(|_| run_dht(Platform::Titan, Backend::Shmem, 8, cfg).time_ms).sum::<f64>()
+        // Deterministic NIC: lock-queue order, and with it both virtual
+        // times, are a function of the configuration alone.
+        let time = |cfg: DhtConfig| {
+            run_dht_outcome(Platform::Titan, Backend::Shmem, 8, cfg, true).0.time_ms
         };
-        let coarse = total(small());
-        let fine = total(DhtConfig { locks_per_image: 8, ..small() });
+        let coarse = time(small());
+        let fine = time(DhtConfig { locks_per_image: 8, ..small() });
         assert!(fine < coarse, "fine {fine:.2}ms vs coarse {coarse:.2}ms");
     }
 

@@ -27,8 +27,10 @@ fn bench(name: &str, bytes_per_iter: Option<u64>, mut f: impl FnMut()) {
     for _ in 0..iters {
         f();
     }
-    let elapsed = start.elapsed();
-    let ns_per_iter = elapsed.as_nanos() as f64 / iters as f64;
+    report(name, bytes_per_iter, start.elapsed().as_nanos() as f64 / iters as f64, iters);
+}
+
+fn report(name: &str, bytes_per_iter: Option<u64>, ns_per_iter: f64, iters: u64) {
     match bytes_per_iter {
         Some(b) => {
             let gib_s = b as f64 / ns_per_iter * 1e9 / (1u64 << 30) as f64;
@@ -53,6 +55,79 @@ fn heap_copy() {
             heap.read_bytes(8, std::hint::black_box(&mut dst))
         });
     }
+}
+
+fn heap_stamps() {
+    use pgas_machine::heap::Heap;
+    let heap = Heap::new(4096 + 64);
+    // Rising times, so every call stores (the stamp of a fresh remote write);
+    // a single caller is trivially a serialized stamp writer.
+    let mut t = 0u64;
+    for size in [8usize, 4096] {
+        bench(&format!("stamp_range_{size}"), Some(size as u64), || {
+            t += 1;
+            heap.stamp_range(8, size, std::hint::black_box(t))
+        });
+    }
+    bench("max_stamp_4096", Some(4096), || {
+        std::hint::black_box(heap.max_stamp(8, 4096));
+    });
+}
+
+/// The machine's per-op synchronization paths with nobody to synchronize
+/// with: what every operation pays when there is no contention.
+fn machine_idle_paths() {
+    use pgas_machine::{generic_smp, Machine};
+    let cv = parking_lot::Condvar::new();
+    bench("condvar_notify_no_waiter", None, || {
+        std::hint::black_box(cv.notify_all());
+    });
+
+    let m = Machine::new(generic_smp(2).with_heap_bytes(1 << 12));
+    let word = m.heap(1).atomic64(0);
+    bench("apply_and_notify_idle", None, || {
+        m.apply_and_notify(1, || word.fetch_add(1, std::sync::atomic::Ordering::AcqRel));
+    });
+
+    for (name, cfg) in [
+        ("lift_clock_arbiter_off", generic_smp(2)),
+        ("lift_clock_arbiter_on", generic_smp(2).with_deterministic_nic()),
+    ] {
+        let m = Machine::new(cfg.with_heap_bytes(1 << 12));
+        let mut t = 0u64;
+        bench(name, None, || {
+            t += 10;
+            std::hint::black_box(m.lift_clock(0, t));
+        });
+    }
+
+    // Arbiter on, one active PE: PE 1 returns at once, PE 0 takes every turn
+    // unopposed (the shape of the benchmark's `ladder_pair`).
+    pgas_machine::run(generic_smp(2).with_heap_bytes(1 << 12).with_deterministic_nic(), |pe| {
+        if pe.id() == 0 {
+            let m = pe.machine();
+            bench("nic_turn_uncontended", None, || {
+                let start = m.clock(0);
+                let slot = m.nic_turn(0, start, || m.nic(0).reserve_tx(start, 10, 8));
+                m.lift_clock(0, slot.end);
+            });
+        }
+    });
+}
+
+fn barrier_all_32() {
+    use pgas_machine::generic_smp;
+    const ROUNDS: u64 = 2000;
+    let out = pgas_machine::run(generic_smp(32).with_heap_bytes(1 << 12), |pe| {
+        let m = pe.machine();
+        m.barrier_all(pe.id(), 0.0);
+        let start = Instant::now();
+        for _ in 0..ROUNDS {
+            m.barrier_all(pe.id(), 0.0);
+        }
+        start.elapsed().as_nanos() as f64 / ROUNDS as f64
+    });
+    report("barrier_all_32", None, out.results[0], ROUNDS);
 }
 
 fn allocator() {
@@ -105,6 +180,9 @@ fn tiny_simulation() {
 fn main() {
     println!("{:<28} {:>12} {:>16}", "benchmark", "mean", "throughput");
     heap_copy();
+    heap_stamps();
+    machine_idle_paths();
+    barrier_all_32();
     allocator();
     section_enumeration();
     tiny_simulation();

@@ -2371,11 +2371,16 @@ mod tests {
         let plan = FaultPlan::new(5)
             .with_pe_failure(2, 1_000)
             .with_retry(RetryPolicy { max_attempts: 3, ..Default::default() });
+        // The target dies (its thread crosses the deadline) only once the
+        // call has returned: a target that host scheduling let die first is
+        // refused at issue, with nothing to time out.
+        let called = std::sync::atomic::AtomicBool::new(false);
         let out = run(two_node_cfg().with_faults(plan), |pe| {
             let ctx = shmem_ctx(pe);
             let add = ctx.register_am(Rc::new(AddAm));
             ctx.barrier_all();
             if pe.id() == 2 {
+                pe.machine().wait_on(2, || called.load(Ordering::Acquire));
                 pe.advance(2_000.0); // crosses the scheduled deadline
                 None
             } else if pe.id() == 0 {
@@ -2387,6 +2392,8 @@ mod tests {
                 pe.advance(990.0);
                 let t0 = pe.now();
                 let err = ctx.try_am_call(2, add, &5u64.to_le_bytes()).err();
+                called.store(true, Ordering::Release);
+                pe.machine().notify_pe(2);
                 Some((err, pe.now() - t0))
             } else {
                 None

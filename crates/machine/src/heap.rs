@@ -12,6 +12,8 @@
 //! virtual completion time of remote writes that touched it. Readers take the
 //! max over the region they read and fold it into their own clock, which
 //! propagates causality through memory (Lamport clocks through the heap).
+//! Stamps are read lock-free but written by one thread at a time per heap —
+//! the contract stated at [`Heap::stamp_range`].
 //!
 //! Out-of-bounds access panics: it is the simulator's analogue of a segfault
 //! from a bad remote address.
@@ -23,6 +25,10 @@ pub struct Heap {
     words: Box<[AtomicU64]>,
     stamps: Box<[AtomicU64]>,
     len_bytes: usize,
+    /// Set for the duration of a `stamp_range` call: detects a second,
+    /// unserialized stamp writer (see the contract there).
+    #[cfg(debug_assertions)]
+    stamping: std::sync::atomic::AtomicBool,
 }
 
 impl Heap {
@@ -33,6 +39,8 @@ impl Heap {
             words: (0..words).map(|_| AtomicU64::new(0)).collect(),
             stamps: (0..words).map(|_| AtomicU64::new(0)).collect(),
             len_bytes: words * 8,
+            #[cfg(debug_assertions)]
+            stamping: std::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -122,15 +130,35 @@ impl Heap {
     }
 
     /// Record that a remote write covering `[off, off+len)` completed at
-    /// virtual time `t`.
+    /// virtual time `t`: every covered word's stamp becomes `max(stamp, t)`.
+    ///
+    /// **Writer contract:** stamp writers of one heap are serialized — every
+    /// caller runs inside the owner's `Machine::apply_and_notify` critical
+    /// section (its notify lock). That is what lets the max be a plain load,
+    /// compare and store instead of one atomic read-modify-write per word:
+    /// no other writer can slip between the load and the store, and the
+    /// lock's release/acquire orders one stamper's stores before the next
+    /// one's loads. Readers ([`Self::max_stamp`]) stay lock-free; the
+    /// `Release` store pairs with their `Acquire` load. Debug builds check
+    /// the contract.
     pub fn stamp_range(&self, off: usize, len: usize, t: u64) {
         if len == 0 {
             return;
         }
         self.check(off, len, "stamp");
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.stamping.swap(true, Ordering::Acquire),
+            "two concurrent stamp_range calls on one heap: stamp writers must run inside \
+             Machine::apply_and_notify on the heap's owner"
+        );
         for w in &self.stamps[off / 8..(off + len).div_ceil(8)] {
-            w.fetch_max(t, Ordering::AcqRel);
+            if w.load(Ordering::Relaxed) < t {
+                w.store(t, Ordering::Release);
+            }
         }
+        #[cfg(debug_assertions)]
+        self.stamping.store(false, Ordering::Release);
     }
 
     /// Maximum remote-write completion time over `[off, off+len)`.
@@ -229,6 +257,84 @@ mod tests {
         assert_eq!(h.max_stamp(16, 48), 0);
         // Unaligned span covering a stamped word sees its stamp.
         assert_eq!(h.max_stamp(7, 2), 250);
+    }
+
+    #[test]
+    fn serialized_stampers_never_leave_a_word_below_its_largest_time() {
+        // Eight threads stamp overlapping ranges of PE 0's heap with
+        // increasing times, each call inside the owner's critical section.
+        // Whatever the interleaving, every word ends at the largest time any
+        // call covering it wrote.
+        use crate::machine::Machine;
+        const THREADS: usize = 8;
+        const ROUNDS: u64 = 500;
+        const WORDS: usize = 64;
+        let m = &*Machine::new(crate::platforms::generic_smp(1));
+        let span = |t: usize, r: u64| {
+            let first = (t * 5 + r as usize * 3) % WORDS;
+            (first, 1 + (t + r as usize) % (WORDS - first))
+        };
+        let time = |t: usize, r: u64| r * THREADS as u64 + t as u64 + 1;
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                scope.spawn(move || {
+                    for r in 0..ROUNDS {
+                        let (first, words) = span(t, r);
+                        m.apply_and_notify(0, || {
+                            m.heap(0).stamp_range(first * 8, words * 8, time(t, r))
+                        });
+                    }
+                });
+            }
+        });
+        let mut want = [0u64; WORDS];
+        for t in 0..THREADS {
+            for r in 0..ROUNDS {
+                let (first, words) = span(t, r);
+                for w in &mut want[first..first + words] {
+                    *w = (*w).max(time(t, r));
+                }
+            }
+        }
+        for (i, &w) in want.iter().enumerate() {
+            assert_eq!(m.heap(0).max_stamp(i * 8, 8), w, "word {i}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn unserialized_stampers_trip_the_debug_detector() {
+        // Two threads stamp the same heap with no lock between them. Each
+        // call covers 4 MiB, so two calls started together overlap; the one
+        // that finds the other inside its call panics.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+        let h = &Heap::new(1 << 22);
+        let tripped = &AtomicBool::new(false);
+        let start = &std::sync::Barrier::new(2);
+        let messages: Vec<String> = std::thread::scope(|scope| {
+            let stampers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(move || {
+                        start.wait();
+                        for t in 1..=2000u64 {
+                            if tripped.load(Ordering::Acquire) {
+                                break;
+                            }
+                            let r = catch_unwind(AssertUnwindSafe(|| h.stamp_range(0, 1 << 22, t)));
+                            if let Err(e) = r {
+                                tripped.store(true, Ordering::Release);
+                                return e.downcast_ref::<&str>().map(|msg| msg.to_string());
+                            }
+                        }
+                        None
+                    })
+                })
+                .collect();
+            stampers.into_iter().filter_map(|s| s.join().unwrap()).collect()
+        });
+        assert!(!messages.is_empty(), "concurrent stampers went undetected");
+        assert!(messages[0].contains("Machine::apply_and_notify"), "{}", messages[0]);
     }
 
     #[test]

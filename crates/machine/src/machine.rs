@@ -14,7 +14,7 @@ use crate::sync::{ClockBarrier, NotifyCell, Poison};
 use crate::trace::{Span, SpanKind, Tracer};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Index of a processing element, `0..total_pes`.
@@ -81,6 +81,26 @@ impl StreamState {
 /// write — e.g. `pe_failed` flips during a fault plan — where wake latency
 /// can still tie-break; fault-plan runs should not claim deterministic
 /// digests.
+///
+/// **Who wakes the minimum.** Only the minimum key's holder can be granted,
+/// and its grant check reads state other PEs change without touching the
+/// arbiter, so those PEs wake it — exactly when they stop blocking it:
+/// a clock movement that *crosses* its start (`prev <= start < next`), and
+/// parking, going quiescent or finishing while `clock <= start`. Adding a
+/// blocker (un-quiescing, removing one's own key) wakes nobody. A key that
+/// becomes the minimum because a smaller one was removed is woken by the
+/// remover. Every wake is sent with the `parked` mutex held to the set's
+/// actual minimum, and the grant check runs under that mutex, so a wake
+/// finds its target either asleep or yet to check — it cannot be lost, and
+/// the minimum's timed wait is a backstop a healthy run never needs
+/// (`backstop_grants` counts the times it was). Whether to take the mutex at
+/// all is decided from `min_start` by a Dekker handshake, see
+/// [`Machine::arb_unblocked`].
+///
+/// **Lock order:** `NotifyCell.gen` → `parked`. `wait_on`'s sleep hook wakes
+/// the minimum while holding the waiter's `gen`; nothing may take `gen`
+/// (e.g. through [`Machine::apply_and_notify`]) while holding `parked` —
+/// which is why a granted turn runs its reservation with `parked` dropped.
 struct ArbiterState {
     /// Parked requests, at most one per PE, ordered by `(start, pe, ctx)`:
     /// the context channel id is part of the key, so ops issued on
@@ -95,10 +115,17 @@ struct ArbiterState {
     /// PE — at 1024+ images a shared-condvar broadcast per clock movement
     /// is a thundering herd that dominates wall time.
     cvs: Vec<Condvar>,
-    /// PE holding the minimum parked key (`usize::MAX` when none), cached
-    /// under the `parked` mutex on every insert/remove so clock movements
-    /// can find their wake target with one atomic load, no locking.
-    min_pe: AtomicUsize,
+    /// `start` of the minimum parked key (`u64::MAX` when nothing is
+    /// parked), stored under the `parked` mutex on every insert/remove.
+    /// PEs read it lock-free to decide whether what they just did unblocked
+    /// the minimum; the wake itself never trusts it (it re-reads the set).
+    min_start: AtomicU64,
+    /// Grants that a backstop expiry discovered: a parked PE's timed wait ran
+    /// out unnotified and the re-check granted, i.e. the wake it was owed had
+    /// not come. Stays 0 unless the wake rules above have a hole — or, once
+    /// in a long while, an expiry lands between a sender publishing its
+    /// change and taking the mutex to send the wake.
+    backstop_grants: AtomicU64,
     /// Mirror of "is this PE parked", updated under the `parked` mutex:
     /// lets the grant check ask in O(1) instead of scanning the set.
     parked_flags: Vec<AtomicBool>,
@@ -163,7 +190,8 @@ impl Machine {
         let arbiter = cfg.deterministic_nic.then(|| ArbiterState {
             parked: Mutex::new(BTreeSet::new()),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
-            min_pe: AtomicUsize::new(usize::MAX),
+            min_start: AtomicU64::new(u64::MAX),
+            backstop_grants: AtomicU64::new(0),
             parked_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
             quiescent: (0..n).map(|_| AtomicBool::new(false)).collect(),
             in_wait_on: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -630,80 +658,114 @@ impl Machine {
         start: u64,
         f: impl FnOnce() -> R,
     ) -> R {
+        debug_assert!(start < u64::MAX, "u64::MAX is the nothing-parked value of min_start");
         let key = (start, pe, ctx);
         let mut parked = arb.parked.lock();
         let inserted = parked.insert(key);
         debug_assert!(inserted, "a PE parks at most one NIC request at a time");
         arb.parked_flags[pe].store(true, Ordering::Release);
         Self::arb_cache_min(arb, &parked);
-        // Parking makes this PE "comparable by key", which can complete the
-        // current minimum's grant condition — wake it (if it isn't us).
-        let min = *parked.iter().next().expect("own key is parked");
-        if min != key {
+        // Parking makes this PE "comparable by key": if it was blocking the
+        // minimum (and isn't the minimum itself), that can complete the
+        // minimum's grant condition.
+        let min = *parked.first().expect("own key is parked");
+        if min != key && self.clock(pe) <= min.0 {
             arb.cvs[min.1].notify_all();
         }
+        let mut backstop_expired = false;
         loop {
             if self.poison.is_poisoned() {
                 parked.remove(&key);
                 arb.parked_flags[pe].store(false, Ordering::Release);
                 Self::arb_cache_min(arb, &parked);
+                Self::arb_wake_min(arb, &parked);
                 drop(parked);
-                self.arb_wake_min(arb);
                 self.poison.check(); // panics
                 unreachable!("poison.check() panics when poisoned");
             }
-            let min = *parked.iter().next().expect("own key is parked");
+            let min = *parked.first().expect("own key is parked");
             if min == key && self.arb_grantable(arb, start, pe) {
+                if backstop_expired {
+                    arb.backstop_grants.fetch_add(1, Ordering::Relaxed);
+                }
                 break;
             }
-            // Timed wait on this PE's own condvar: a missed notification
-            // (or a PE advancing past `start` without ever touching the
-            // arbiter) can never hang us. Only the minimum key polls
-            // eagerly — its grant condition reads other PEs' clocks, which
-            // can move without an arbiter touch; everyone else is woken by
-            // name on becoming the minimum and polls only as a backstop.
+            // Every wake this thread is owed — on becoming the minimum, and
+            // as the minimum whenever a blocker goes away — is sent under
+            // the mutex held here, so none can be missed; the timeout only
+            // bounds the damage if that protocol ever has a hole (and lets
+            // poison be noticed). The minimum's is short because it stalls
+            // the whole grant chain.
             let tick =
                 if min == key { crate::sync::WAIT_TICK_MIN } else { crate::sync::WAIT_TICK_IDLE };
-            arb.cvs[pe].wait_for(&mut parked, tick);
+            backstop_expired = arb.cvs[pe].wait_for(&mut parked, tick).timed_out();
         }
         // Keep the key parked while reserving: it blocks every later key, so
-        // grants are mutually exclusive without a separate lock.
+        // grants are mutually exclusive without a separate lock. `f` may take
+        // a `NotifyCell.gen` lock, which orders before `parked`.
         drop(parked);
         let out = f();
         let mut parked = arb.parked.lock();
         parked.remove(&key);
         arb.parked_flags[pe].store(false, Ordering::Release);
         Self::arb_cache_min(arb, &parked);
+        // Whoever is the minimum now has not evaluated its grant condition
+        // as the minimum yet. (Often this PE, no longer parked, still blocks
+        // it until its next crossing and the wake is early; withholding it
+        // then measured slower end to end on `serve_mixed` — CHANGES.md,
+        // PR 13.)
+        Self::arb_wake_min(arb, &parked);
         drop(parked);
-        self.arb_wake_min(arb);
         out
     }
 
-    /// Refresh the cached minimum-key holder. Call with the `parked` mutex
-    /// held, after every insert/remove.
+    /// Refresh the cached minimum start. Call with the `parked` mutex held,
+    /// after every insert/remove.
     fn arb_cache_min(arb: &ArbiterState, parked: &BTreeSet<(u64, PeId, u32)>) {
-        let min = parked.iter().next().map(|&(_, p, _)| p).unwrap_or(usize::MAX);
-        arb.min_pe.store(min, Ordering::Release);
+        let min_start = parked.first().map_or(u64::MAX, |&(start, _, _)| start);
+        arb.min_start.store(min_start, Ordering::Release);
     }
 
-    /// Wake the holder of the minimum parked key, if any. Lock-free — the
-    /// target is the cached `min_pe` — and sufficient: only the minimum can
-    /// be granted, every other parked PE sleeps until it becomes the
-    /// minimum (a stale read is repaired by the next wake or, worst case,
-    /// the target's own backstop-tick re-check).
+    /// Wake the holder of the minimum parked key, if any. Takes the locked
+    /// set: the target is read from it, and because the minimum checks its
+    /// grant condition and goes to sleep under the same mutex, the wake
+    /// reaches it asleep or before its next check — never in between.
+    fn arb_wake_min(arb: &ArbiterState, parked: &BTreeSet<(u64, PeId, u32)>) {
+        if let Some(&(_, min_pe, _)) = parked.first() {
+            arb.cvs[min_pe].notify_all();
+        }
+    }
+
+    /// The calling PE just stopped blocking every parked start in
+    /// `[lo, hi)` — its clock moved from `lo` to `hi`, or it went quiescent
+    /// or finished at clock `lo` (`hi = u64::MAX`). Wake the minimum if its
+    /// start is one of them.
+    ///
+    /// One half of a Dekker handshake with [`Self::arb_grantable`]. Here:
+    /// publish the change (the caller's store) → `SeqCst` fence → load
+    /// `min_start`. There: `min_start` stored under the mutex → `SeqCst`
+    /// fence → load the other PEs' clocks and flags. So either this load sees
+    /// the minimum and the wake goes out under the mutex, or the minimum's
+    /// check sees the change. A stale `min_start` belongs to a key that has
+    /// since been granted or displaced; a displaced key is woken by the
+    /// remover when it is the minimum again, and checks afresh.
     #[inline]
-    fn arb_wake_min(&self, arb: &ArbiterState) {
-        let min = arb.min_pe.load(Ordering::Acquire);
-        if min != usize::MAX {
-            arb.cvs[min].notify_all();
+    fn arb_unblocked(arb: &ArbiterState, lo: u64, hi: u64) {
+        fence(Ordering::SeqCst);
+        let min_start = arb.min_start.load(Ordering::Acquire);
+        if lo <= min_start && min_start < hi {
+            Self::arb_wake_min(arb, &arb.parked.lock());
         }
     }
 
     /// Grant condition for a parked minimum `(start, pe)`: every other PE is
     /// quiescent, parked itself (its key is larger — ours is the minimum), or
     /// already strictly past `start` (clocks are monotone, so it can never
-    /// issue an earlier request).
+    /// issue an earlier request). Call with the `parked` mutex held; the
+    /// fence is the minimum's half of the handshake in
+    /// [`Self::arb_unblocked`].
     fn arb_grantable(&self, arb: &ArbiterState, start: u64, pe: PeId) -> bool {
+        fence(Ordering::SeqCst);
         (0..self.num_pes()).all(|q| {
             q == pe
                 || arb.finished[q].load(Ordering::Acquire)
@@ -714,26 +776,33 @@ impl Machine {
     }
 
     /// Mark `pe` unable to issue NIC requests until externally unblocked
-    /// (entering a barrier or `wait_on`, or finishing its program closure).
-    /// No-op without an arbiter.
+    /// (entering a barrier or `wait_on`, or finishing its program closure),
+    /// or able again. No-op without an arbiter.
     #[inline]
     pub(crate) fn arb_set_quiescent(&self, pe: PeId, quiescent: bool) {
         if let Some(arb) = &self.arbiter {
             arb.quiescent[pe].store(quiescent, Ordering::Release);
             if quiescent {
-                self.arb_wake_min(arb);
+                Self::arb_unblocked(arb, self.clock(pe), u64::MAX);
             }
         }
     }
 
-    /// Wake the arbiter's minimum-key holder after a clock movement (its
-    /// grant check reads other PEs' clocks). One branch when no arbiter,
-    /// one atomic load when nothing is parked.
+    /// `pe`'s clock moved from `prev` to `next`: wake the arbiter's minimum
+    /// if the move crossed its start. One branch when no arbiter; a fence
+    /// and a load when the move crossed nothing.
     #[inline]
-    fn arb_clock_moved(&self) {
+    fn arb_clock_moved(&self, prev: u64, next: u64) {
         if let Some(arb) = &self.arbiter {
-            self.arb_wake_min(arb);
+            Self::arb_unblocked(arb, prev, next);
         }
+    }
+
+    /// Grants on this machine that only a backstop expiry discovered (see
+    /// [`ArbiterState::backstop_grants`]); 0 without an arbiter.
+    #[cfg(test)]
+    pub(crate) fn arb_backstop_grants(&self) -> u64 {
+        self.arbiter.as_ref().map_or(0, |arb| arb.backstop_grants.load(Ordering::Relaxed))
     }
 
     /// Mark `pe`'s program closure finished (launcher hook): permanently
@@ -765,7 +834,7 @@ impl Machine {
         self.pes[pe].clock.store(next, Ordering::Release);
         self.poll_failure(pe, next);
         self.stream_tick(next);
-        self.arb_clock_moved();
+        self.arb_clock_moved(prev, next);
         next
     }
 
@@ -777,7 +846,7 @@ impl Machine {
         self.pes[pe].clock.store(next, Ordering::Release);
         self.poll_failure(pe, next);
         self.stream_tick(next);
-        self.arb_clock_moved();
+        self.arb_clock_moved(prev, next);
         next
     }
 
@@ -835,7 +904,8 @@ impl Machine {
             || {
                 arb.in_wait_on[pe].store(true, Ordering::Release);
                 arb.quiescent[pe].store(true, Ordering::Release);
-                self.arb_wake_min(arb);
+                // Runs under `pe`'s `gen` lock (lock order gen → parked).
+                Self::arb_unblocked(arb, self.clock(pe), u64::MAX);
             },
             || {
                 arb.quiescent[pe].store(false, Ordering::Release);
@@ -883,8 +953,9 @@ impl Machine {
         // *before* the waiters wake: a released-but-unscheduled PE must not
         // look quiescent to the NIC arbiter, or reservations could be granted
         // out of virtual-time order.
+        let prev = self.clock(pe);
         let max = self.sched_block(pe, || {
-            self.global_barrier.arrive_with(self.clock(pe), &self.poison, || {
+            self.global_barrier.arrive_with(prev, &self.poison, || {
                 for q in 0..self.num_pes() {
                     self.arb_set_quiescent(q, false);
                 }
@@ -895,7 +966,7 @@ impl Machine {
         self.arb_set_quiescent(pe, false);
         self.sanitizer.barrier_join(pe, 0..self.num_pes(), t);
         self.stream_tick(t);
-        self.arb_clock_moved();
+        self.arb_clock_moved(prev, t);
         t
     }
 
@@ -928,8 +999,9 @@ impl Machine {
         };
         self.arb_set_quiescent(pe, true);
         // See barrier_all: release clears the group's quiescent flags.
+        let prev = self.clock(pe);
         let max = self.sched_block(pe, || {
-            barrier.arrive_with(self.clock(pe), &self.poison, || {
+            barrier.arrive_with(prev, &self.poison, || {
                 for &q in group {
                     self.arb_set_quiescent(q, false);
                 }
@@ -940,7 +1012,7 @@ impl Machine {
         self.arb_set_quiescent(pe, false);
         self.sanitizer.barrier_join(pe, group.iter().copied(), t);
         self.stream_tick(t);
-        self.arb_clock_moved();
+        self.arb_clock_moved(prev, t);
         t
     }
 
@@ -1136,6 +1208,71 @@ mod tests {
     }
 
     #[test]
+    fn arbiter_wakes_are_never_left_to_the_backstop() {
+        // The job shape of `pooled_scheduler_outcomes_match_legacy` at eight
+        // PEs, three rounds arranged so that each kind of wake is some
+        // minimum's last one. Round 1: the last PE sleeps in `wait_on` below
+        // the others' tied start (quiescence). Round 2 starts below the clock
+        // the barrier before it releases at (a barrier's crossing). Round 3
+        // starts above every clock: tied turns (parking, then un-parking),
+        // while the last PE takes none and just lifts its clock past the
+        // start (crossing). Every wake a parked PE is owed is sent under its
+        // mutex, so no grant is left for a backstop tick to find — in 50
+        // runs, alternating the ambient worker count and a pool of two.
+        let job = |workers: Option<usize>| {
+            let cfg = generic_smp(8).with_deterministic_nic();
+            let cfg = match workers {
+                Some(w) => cfg.with_workers(w),
+                None => cfg,
+            };
+            let out = crate::launch::run(cfg, |pe| {
+                let m = pe.machine();
+                let (me, n) = (pe.id(), pe.n());
+                let word = |p: PeId| m.heap(p).atomic64(0);
+                let await_ring =
+                    |round| m.wait_on(me, || word(me).load(Ordering::Acquire) == round);
+                for (round, start) in [(1, 1000), (2, 2000), (3, 5000)] {
+                    let sleeps_first = round == 1 && me == n - 1;
+                    if sleeps_first {
+                        await_ring(round);
+                    }
+                    if round == 3 && me == n - 1 {
+                        m.lift_clock(me, start + 1);
+                    } else {
+                        let r = m.nic_turn(me, start, || m.nic(0).reserve_tx(start, 10, 1).end);
+                        m.lift_clock(me, r);
+                    }
+                    if me != 0 && !sleeps_first {
+                        await_ring(round);
+                    }
+                    if me + 1 < n {
+                        m.apply_and_notify(me + 1, || word(me + 1).store(round, Ordering::Release));
+                    }
+                    m.barrier_all(me, 1500.0);
+                }
+                // No turn is taken after the last barrier: the count is final.
+                (m.clock(me), m.arb_backstop_grants())
+            });
+            let backstop_grants = out.results[0].1;
+            let results: Vec<u64> = out.results.iter().map(|r| r.0).collect();
+            ((results, out.clocks, out.nics), backstop_grants)
+        };
+        let (reference, _) = job(None);
+        assert_eq!(reference.0[0], 5000 + 7 * 10 + 1500, "seven tied turns, in series");
+        for run in 0..50 {
+            // An expiry can land between a sender publishing its change and
+            // taking the mutex to send the wake; that counts, but it does not
+            // repeat. A hole in the wake rules does.
+            let clean = (0..3).any(|_| {
+                let (outcome, backstop_grants) = job((run % 2 == 1).then_some(2));
+                assert_eq!(outcome, reference, "run {run}");
+                backstop_grants == 0
+            });
+            assert!(clean, "run {run}: three attempts in a row needed the backstop");
+        }
+    }
+
+    #[test]
     fn node_layout_is_blockwise() {
         let m = Machine::new(crate::platforms::stampede(4, 16));
         assert_eq!(m.node_of(0), 0);
@@ -1214,7 +1351,11 @@ mod tests {
         use crate::stream::StreamConfig;
         let sc = StreamConfig::new(100, 16);
         let ring = sc.ring();
-        let m = Machine::new(generic_smp(2).with_stream(sc));
+        // The last assertions need an untraced, metric-less machine whatever
+        // PGAS_TRACE / PGAS_METRICS say.
+        let m = crate::with_forced_tracing(false, || {
+            crate::with_forced_metrics(false, || Machine::new(generic_smp(2).with_stream(sc)))
+        });
         assert!(m.stream_active());
         // 7 × 30 ns: the 100 ns boundary is crossed at t=120 (sample, next
         // due tick 200) and the 200 ns boundary at t=210 (second sample).

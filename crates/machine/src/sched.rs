@@ -106,9 +106,9 @@ impl SchedState {
                 inner.running += 1;
                 break;
             }
-            // Only the minimum key polls eagerly (a slot can free without a
-            // wake reaching us first); everyone else is woken by name when
-            // it becomes the minimum and polls purely as a backstop.
+            // Both ticks are backstops: every wake is sent under this mutex,
+            // by name, to the key that became admissible. The minimum's is
+            // short because it stalls every admission behind it.
             let tick = if min == key { WAIT_TICK_MIN } else { WAIT_TICK_IDLE };
             self.cvs[pe].wait_for(&mut inner, tick);
         }

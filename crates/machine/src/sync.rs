@@ -15,23 +15,24 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Relaxed polling period for waiters that are *target-notified* when they
-/// become actionable — non-minimum keys in the NIC arbiter's parking lot and
-/// in the worker pool's ready queue. Those threads are woken by name exactly
-/// when they become the minimum (notification happens under the same mutex
-/// their wait holds, so it cannot be lost); the timeout is a pure
-/// missed-wake backstop and can be lazy without adding latency to the
-/// handoff path. At thousands of parked PEs this is what keeps the
-/// wall-clock poll storm (waiters/tick) sublinear in simulation size.
+/// Backstop period for every waiter but a queue's designated minimum:
+/// barrier and `wait_until` waiters, and non-minimum keys in the NIC
+/// arbiter's parking lot and in the worker pool's ready queue. All of them
+/// are notified under the mutex their wait holds — the parked keys by name,
+/// when they become the minimum — so no wake can be lost; the timeout only
+/// bounds the damage of a protocol hole and lets poison be noticed, and can
+/// be lazy without adding latency to any handoff. At thousands of parked PEs
+/// this is what keeps the wall-clock poll storm (waiters/tick) sublinear in
+/// simulation size.
 pub(crate) const WAIT_TICK_IDLE: Duration = Duration::from_millis(200);
 
-/// Eager polling period for the *designated minimum* waiter in the NIC
-/// arbiter and the worker-pool ready queue. Wakes toward the minimum are
-/// sent lock-free from hot paths (every clock advance), so one can land in
-/// the window between the minimum's predicate check and its re-park and be
-/// lost; the minimum's own poll is what repairs that, and it bounds the
-/// whole grant/admission chain's per-step stall. Exactly one thread per
-/// queue polls at this rate, so the eager tick adds no storm.
+/// Backstop period for the *designated minimum* waiter in the NIC arbiter
+/// and the worker-pool ready queue. Its wakes, too, are all sent under its
+/// queue's mutex (see `ArbiterState` for who sends the arbiter's), so a
+/// healthy run never takes this timeout either; it is short because the
+/// minimum stalls the whole grant/admission chain, so a hole would cost
+/// 1 ms per step instead of 200. Exactly one thread per queue waits at this
+/// rate, so the short tick adds no storm.
 pub(crate) const WAIT_TICK_MIN: Duration = Duration::from_millis(1);
 
 /// Shared poison flag: set when any PE panics.
