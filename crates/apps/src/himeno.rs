@@ -83,18 +83,14 @@ pub fn serial_gosa(cfg: &HimenoConfig) -> Vec<f64> {
         let mut gosa = 0.0f64;
         for k in 1..km - 1 {
             for j in 1..jm - 1 {
-                for i in 1..im - 1 {
-                    let ss = stencil(&p, idx(i, j, k), 1, im, im * jm);
-                    gosa += (ss as f64) * (ss as f64);
-                    wrk[idx(i, j, k)] = p[idx(i, j, k)] + OMEGA * ss;
-                }
+                let row = idx(0, j, k);
+                sweep_row(&p, &mut wrk[row..row + im], row, im, im * jm, &mut gosa);
             }
         }
         for k in 1..km - 1 {
             for j in 1..jm - 1 {
-                for i in 1..im - 1 {
-                    p[idx(i, j, k)] = wrk[idx(i, j, k)];
-                }
+                let interior = idx(1, j, k)..idx(im - 1, j, k);
+                p[interior.clone()].copy_from_slice(&wrk[interior]);
             }
         }
         out.push(gosa);
@@ -102,20 +98,34 @@ pub fn serial_gosa(cfg: &HimenoConfig) -> Vec<f64> {
     out
 }
 
-/// The 19-point Himeno stencil residual at linear index `c` with the given
-/// unit strides (a=[1,1,1,1/6], b=[0,0,0], c=[1,1,1], bnd=1, wrk1=0).
+/// One row of the Jacobi sweep: the 19-point Himeno stencil residual
+/// (a=[1,1,1,1/6], b=[0,0,0], c=[1,1,1], bnd=1, wrk1=0) at the interior
+/// cells `1..im-1` of the row starting at linear index `row` of `p`, with
+/// `sj`/`sk` the strides of the other two dimensions. Writes the relaxed
+/// pressures into `wrk_row` and adds the squared residuals to `gosa`, cell
+/// by cell in `i` order. The nine neighbour rows are sliced once, so the
+/// inner loop indexes slices of one known length.
 #[inline]
-fn stencil(p: &[f32], c: usize, si: usize, sj: usize, sk: usize) -> f32 {
-    let s0 = p[c + si]
-        + p[c + sj]
-        + p[c + sk]
-        + 0.0 * (p[c + si + sj] - p[c + si - sj] - p[c - si + sj] + p[c - si - sj])
-        + 0.0 * (p[c + sj + sk] - p[c - sj + sk] - p[c + sj - sk] + p[c - sj - sk])
-        + 0.0 * (p[c + si + sk] - p[c - si + sk] - p[c + si - sk] + p[c - si - sk])
-        + p[c - si]
-        + p[c - sj]
-        + p[c - sk];
-    (s0 * A3 - p[c]) * 1.0
+fn sweep_row(p: &[f32], wrk_row: &mut [f32], row: usize, sj: usize, sk: usize, gosa: &mut f64) {
+    let im = wrk_row.len();
+    let at = |o: usize| &p[o..o + im];
+    let (c, jp, jm, kp, km) = (at(row), at(row + sj), at(row - sj), at(row + sk), at(row - sk));
+    let (jpkp, jmkp) = (at(row + sj + sk), at(row - sj + sk));
+    let (jpkm, jmkm) = (at(row + sj - sk), at(row - sj - sk));
+    for i in 1..im - 1 {
+        let s0 = c[i + 1]
+            + jp[i]
+            + kp[i]
+            + 0.0 * (jp[i + 1] - jm[i + 1] - jp[i - 1] + jm[i - 1])
+            + 0.0 * (jpkp[i] - jmkp[i] - jpkm[i] + jmkm[i])
+            + 0.0 * (kp[i + 1] - kp[i - 1] - km[i + 1] + km[i - 1])
+            + c[i - 1]
+            + jm[i]
+            + km[i];
+        let ss = (s0 * A3 - c[i]) * 1.0;
+        *gosa += (ss as f64) * (ss as f64);
+        wrk_row[i] = c[i] + OMEGA * ss;
+    }
 }
 
 /// Run the CAF Himeno benchmark on `images` images (requires
@@ -189,15 +199,18 @@ pub fn run_himeno_outcome(
 
         let left = (me > 1).then(|| me - 1);
         let right = (me < n).then(|| me + 1);
-        let pack_plane = |p: &[f32], jl: usize| {
-            let mut buf = vec![0.0f32; im * km];
-            for k in 0..km {
-                for i in 0..im {
-                    buf[i + im * k] = p[idx(i, jl, k)];
-                }
+        // One pack buffer and the two ghost-plane sections serve every
+        // iteration.
+        let (from_left, from_right) = (plane_sec(0), plane_sec(1));
+        let mut plane = vec![0.0f32; im * km];
+        let pack_plane = |p: &[f32], jl: usize, plane: &mut [f32]| {
+            for (k, row) in plane.chunks_exact_mut(im).enumerate() {
+                row.copy_from_slice(&p[idx(0, jl, k)..][..im]);
             }
-            buf
         };
+        // Owned local planes minus the fixed global boundary planes (global
+        // j = 0 and j = jm - 1).
+        let interior = 1 + usize::from(j0 == 0)..jloc + 1 - usize::from(j0 + jloc == jm);
 
         let t0 = img.shmem().ctx().pe().now();
         let mut gosa_global = 0.0f64;
@@ -206,51 +219,38 @@ pub fn run_himeno_outcome(
             // "from right" ghost; my last owned plane -> right neighbour's
             // "from left" ghost.
             if let Some(l) = left {
-                ghosts.put_section(img, l, &plane_sec(1), &pack_plane(&p, 1));
+                pack_plane(&p, 1, &mut plane);
+                ghosts.put_section(img, l, &from_right, &plane);
             }
             if let Some(r) = right {
-                ghosts.put_section(img, r, &plane_sec(0), &pack_plane(&p, jloc));
+                pack_plane(&p, jloc, &mut plane);
+                ghosts.put_section(img, r, &from_left, &plane);
             }
             img.sync_all();
             let gdata = ghosts.read_local(img);
-            for k in 0..km {
-                for i in 0..im {
-                    if left.is_some() {
-                        p[idx(i, 0, k)] = gdata[i + im * (2 * k)];
-                    }
-                    if right.is_some() {
-                        p[idx(i, jloc + 1, k)] = gdata[i + im * (1 + 2 * k)];
-                    }
+            for (k, pair) in gdata.chunks_exact(2 * im).enumerate() {
+                if left.is_some() {
+                    p[idx(0, 0, k)..][..im].copy_from_slice(&pair[..im]);
+                }
+                if right.is_some() {
+                    p[idx(0, jloc + 1, k)..][..im].copy_from_slice(&pair[im..]);
                 }
             }
             // Jacobi sweep over owned interior planes.
             let mut gosa = 0.0f64;
-            let mut cells = 0u64;
             for k in 1..km - 1 {
-                for jl in 1..=jloc {
-                    let jg = j0 + jl - 1; // global j of this local plane
-                    if jg == 0 || jg == jm - 1 {
-                        continue; // global boundary, fixed
-                    }
-                    for i in 1..im - 1 {
-                        let ss = stencil(&p, idx(i, jl, k), 1, im, im * jtot);
-                        gosa += (ss as f64) * (ss as f64);
-                        wrk[idx(i, jl, k)] = p[idx(i, jl, k)] + OMEGA * ss;
-                        cells += 1;
-                    }
+                for jl in interior.clone() {
+                    let row = idx(0, jl, k);
+                    sweep_row(&p, &mut wrk[row..row + im], row, im, im * jtot, &mut gosa);
                 }
             }
             for k in 1..km - 1 {
-                for jl in 1..=jloc {
-                    let jg = j0 + jl - 1;
-                    if jg == 0 || jg == jm - 1 {
-                        continue;
-                    }
-                    for i in 1..im - 1 {
-                        p[idx(i, jl, k)] = wrk[idx(i, jl, k)];
-                    }
+                for jl in interior.clone() {
+                    let cells = idx(1, jl, k)..idx(im - 1, jl, k);
+                    p[cells.clone()].copy_from_slice(&wrk[cells]);
                 }
             }
+            let cells = (km - 2) * interior.len() * (im - 2);
             img.shmem().ctx().pe().compute_flops(cells as f64 * 34.0);
             let mut g = [gosa];
             img.co_sum(&mut g, None);

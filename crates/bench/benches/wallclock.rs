@@ -12,7 +12,13 @@ const WARMUP: Duration = Duration::from_millis(50);
 const MEASURE: Duration = Duration::from_millis(200);
 
 /// Time `f` (called once per iteration) and report its mean cost.
-fn bench(name: &str, bytes_per_iter: Option<u64>, mut f: impl FnMut()) {
+fn bench(name: &str, bytes_per_iter: Option<u64>, f: impl FnMut()) {
+    let (ns_per_iter, iters) = time(f);
+    report(name, bytes_per_iter, "ns/iter", ns_per_iter, iters);
+}
+
+/// Mean cost of `f` in ns, and the iterations it was taken over.
+fn time(mut f: impl FnMut()) -> (f64, u64) {
     // Warm up and estimate the per-iteration cost.
     let warm_start = Instant::now();
     let mut warm_iters: u64 = 0;
@@ -27,17 +33,17 @@ fn bench(name: &str, bytes_per_iter: Option<u64>, mut f: impl FnMut()) {
     for _ in 0..iters {
         f();
     }
-    report(name, bytes_per_iter, start.elapsed().as_nanos() as f64 / iters as f64, iters);
+    (start.elapsed().as_nanos() as f64 / iters as f64, iters)
 }
 
-fn report(name: &str, bytes_per_iter: Option<u64>, ns_per_iter: f64, iters: u64) {
+fn report(name: &str, bytes_per_iter: Option<u64>, unit: &str, ns: f64, iters: u64) {
     match bytes_per_iter {
         Some(b) => {
-            let gib_s = b as f64 / ns_per_iter * 1e9 / (1u64 << 30) as f64;
-            println!("{name:<28} {ns_per_iter:>12.1} ns/iter {gib_s:>10.2} GiB/s ({iters} iters)");
+            let gib_s = b as f64 / ns * 1e9 / (1u64 << 30) as f64;
+            println!("{name:<34} {ns:>12.1} {unit} {gib_s:>10.2} GiB/s ({iters} iters)");
         }
         None => {
-            println!("{name:<28} {ns_per_iter:>12.1} ns/iter {:>16} ({iters} iters)", "");
+            println!("{name:<34} {ns:>12.1} {unit} {:>16} ({iters} iters)", "");
         }
     }
 }
@@ -55,6 +61,16 @@ fn heap_copy() {
             heap.read_bytes(8, std::hint::black_box(&mut dst))
         });
     }
+    // One Himeno halo row (65 f32) written element by element, as the
+    // strided apply did, against the one run it is written as now.
+    let heap = Heap::new(512);
+    let row = vec![0xA5u8; 260];
+    bench("heap_write_4B_x65", Some(260), || {
+        for (i, elem) in std::hint::black_box(&row).chunks_exact(4).enumerate() {
+            heap.write_bytes(8 + 4 * i, elem);
+        }
+    });
+    bench("heap_write_260B", Some(260), || heap.write_bytes(8, std::hint::black_box(&row)));
 }
 
 fn heap_stamps() {
@@ -127,7 +143,7 @@ fn barrier_all_32() {
         }
         start.elapsed().as_nanos() as f64 / ROUNDS as f64
     });
-    report("barrier_all_32", None, out.results[0], ROUNDS);
+    report("barrier_all_32", None, "ns/iter", out.results[0], ROUNDS);
 }
 
 fn allocator() {
@@ -160,8 +176,74 @@ fn section_enumeration() {
         std::hint::black_box(sec.elements(&shape));
     });
     bench("section_pencils_1k", None, || {
-        std::hint::black_box(sec.pencils(&shape, 0));
+        std::hint::black_box(
+            sec.pencils(&shape, 0).fold(0, |sum, (arr, packed)| sum + arr + packed),
+        );
     });
+}
+
+/// Section transfers through the whole caf > openshmem > conduit > machine
+/// path: image 1 to image 2 across the network on a native-`iput` profile
+/// with `2dim_strided`. Host ns per selected element.
+fn section_transfers() {
+    use caf::{run_caf, Backend, CafConfig, DimRange, Section, StridedAlgorithm};
+    use pgas_machine::{titan, Platform};
+    // One ghost plane of Himeno size S: 129 pencils of 65 contiguous f32.
+    let halo = Section::new(vec![
+        DimRange::full(65),
+        DimRange { start: 1, count: 1, step: 1 },
+        DimRange::full(129),
+    ]);
+    // The shape of the benchmark's `caf.strided_host_ns_per_elem` probe:
+    // every other row and column of a 64x64 array, 32 pencils at stride 2.
+    let every_other = DimRange { start: 0, count: 32, step: 2 };
+    let stride2 = Section::new(vec![every_other, every_other]);
+    for (name, shape, sec, get) in [
+        ("put_section_halo_65x1x129_f32", vec![65, 2, 129], &halo, false),
+        ("get_section_halo_65x1x129_f32", vec![65, 2, 129], &halo, true),
+        ("put_section_stride2_32x32", vec![64, 64], &stride2, false),
+    ] {
+        let out = run_caf(
+            titan(2, 1).with_heap_bytes(1 << 20),
+            CafConfig::new(Backend::Shmem, Platform::Titan).with_strided(StridedAlgorithm::TwoDim),
+            |img| {
+                let a = img.coarray::<f32>(&shape).unwrap();
+                let data = vec![1.5f32; sec.total()];
+                let timing = (img.this_image() == 1).then(|| {
+                    time(|| {
+                        if get {
+                            std::hint::black_box(a.get_section(img, 2, sec));
+                        } else {
+                            a.put_section(img, 2, sec, std::hint::black_box(&data));
+                        }
+                    })
+                });
+                img.sync_all();
+                timing
+            },
+        );
+        let (ns, iters) = out.results[0].expect("image 1 timed the transfer");
+        report(name, None, "ns/elem", ns / sec.total() as f64, iters);
+    }
+}
+
+/// The Himeno Jacobi sweep with nothing to exchange: one image, size S.
+/// Host ns per interior cell update, launch and set-up included.
+fn himeno_sweep() {
+    use caf::Backend;
+    use caf_apps::himeno::{run_himeno, HimenoConfig};
+    let cfg = HimenoConfig::size_s();
+    let cells = ((cfg.imax - 2) * (cfg.jmax - 2) * (cfg.kmax - 2) * cfg.iters) as f64;
+    let (ns, iters) = time(|| {
+        std::hint::black_box(run_himeno(
+            pgas_machine::Platform::CrayXc30,
+            Backend::Shmem,
+            None,
+            1,
+            cfg,
+        ));
+    });
+    report("himeno_sweep_S_1image", None, "ns/cell", ns / cells, iters);
 }
 
 fn tiny_simulation() {
@@ -178,12 +260,14 @@ fn tiny_simulation() {
 }
 
 fn main() {
-    println!("{:<28} {:>12} {:>16}", "benchmark", "mean", "throughput");
+    println!("{:<34} {:>12} {:>16}", "benchmark", "mean", "throughput");
     heap_copy();
     heap_stamps();
     machine_idle_paths();
     barrier_all_32();
     allocator();
     section_enumeration();
+    section_transfers();
+    himeno_sweep();
     tiny_simulation();
 }

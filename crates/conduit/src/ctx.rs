@@ -1075,13 +1075,17 @@ impl<'m> Ctx<'m> {
             .strided_put_native(self.pe.id(), dst, nelems, elem, t_begin, floor, Some(&mut detail))
             .expect("checked native above");
         m.apply_and_notify(dst, || {
-            for i in 0..nelems {
-                let s = i * src_stride * elem;
-                let d = dst_off + i * dst_stride * elem;
-                m.heap(dst).write_bytes(d, &src[s..s + elem]);
-                m.heap(dst).stamp_range(d, elem, t.remote_complete);
-                m.san_record_write(dst, d, elem, self.pe.id(), t.remote_complete, false, "iput");
-            }
+            self.apply_strided_write(
+                dst,
+                dst_off,
+                dst_stride,
+                src,
+                elem,
+                src_stride,
+                nelems,
+                t.remote_complete,
+                "iput",
+            )
         });
         m.lift_clock(self.pe.id(), t.local_complete);
         self.record_op(SpanKind::Put, t_begin, Some(dst), nelems * elem, detail);
@@ -1091,6 +1095,45 @@ impl<'m> Ctx<'m> {
         let span = (nelems - 1) * dst_stride * elem + elem;
         self.pending.borrow_mut().record_put(dst, dst_off, span, t.remote_complete);
         Ok(nelems * elem)
+    }
+
+    /// Target-side half of a strided put, run inside the caller's
+    /// `apply_and_notify` section on `dst`: element `i` of `src` lands at
+    /// `dst_off + i * dst_stride * elem` and the words it touches are
+    /// stamped `t`. A transfer contiguous on both sides is one run — one
+    /// heap write, one stamp pass; any other layout is one [`Heap::scatter`].
+    /// Host work is linear in `nelems` either way. The sanitizer keeps one
+    /// record per element, so a report names the element that raced.
+    ///
+    /// [`Heap::scatter`]: pgas_machine::heap::Heap::scatter
+    #[allow(clippy::too_many_arguments)] // the iput geometry plus stamp and label
+    fn apply_strided_write(
+        &self,
+        dst: PeId,
+        dst_off: usize,
+        dst_stride: usize,
+        src: &[u8],
+        elem: usize,
+        src_stride: usize,
+        nelems: usize,
+        t: u64,
+        op: &'static str,
+    ) {
+        let m = self.machine();
+        let heap = m.heap(dst);
+        if dst_stride == 1 && src_stride == 1 {
+            let run = &src[..nelems * elem];
+            heap.write_bytes(dst_off, run);
+            heap.stamp_range(dst_off, run.len(), t);
+        } else {
+            heap.scatter(dst_off, dst_stride * elem, src, src_stride * elem, elem, nelems, t);
+        }
+        if m.san_on() {
+            for i in 0..nelems {
+                let d = dst_off + i * dst_stride * elem;
+                m.san_record_write(dst, d, elem, self.pe.id(), t, false, op);
+            }
+        }
     }
 
     /// Strided get: the mirror of [`Self::do_strided_put`].
@@ -1130,13 +1173,18 @@ impl<'m> Ctx<'m> {
             .cost
             .strided_get_native(self.pe.id(), dst, nelems, elem, t_begin, None)
             .expect("checked native above");
-        let mut stamp = 0;
-        for i in 0..nelems {
-            let s = src_off + i * src_stride * elem;
-            let d = i * out_stride * elem;
-            m.heap(dst).read_bytes(s, &mut out[d..d + elem]);
-            stamp = stamp.max(m.heap(dst).max_stamp(s, elem));
-            m.san_check_read(dst, s, elem, self.pe.id(), "iget");
+        let heap = m.heap(dst);
+        let stamp = if src_stride == 1 && out_stride == 1 {
+            let run = &mut out[..nelems * elem];
+            heap.read_bytes(src_off, run);
+            heap.max_stamp(src_off, run.len())
+        } else {
+            heap.gather(src_off, src_stride * elem, out, out_stride * elem, elem, nelems)
+        };
+        if m.san_on() {
+            for i in 0..nelems {
+                m.san_check_read(dst, src_off + i * src_stride * elem, elem, self.pe.id(), "iget");
+            }
         }
         m.lift_clock(self.pe.id(), done.max(stamp));
         self.trace(SpanKind::Get, t_begin, Some(dst), nelems * elem);
@@ -1176,13 +1224,17 @@ impl<'m> Ctx<'m> {
             Some(&mut detail),
         );
         m.apply_and_notify(dst, || {
-            for i in 0..nelems {
-                let s = i * src_stride * elem;
-                let d = dst_off + i * dst_stride * elem;
-                m.heap(dst).write_bytes(d, &src[s..s + elem]);
-                m.heap(dst).stamp_range(d, elem, t.remote_complete);
-                m.san_record_write(dst, d, elem, self.pe.id(), t.remote_complete, false, "am put");
-            }
+            self.apply_strided_write(
+                dst,
+                dst_off,
+                dst_stride,
+                src,
+                elem,
+                src_stride,
+                nelems,
+                t.remote_complete,
+                "am put",
+            )
         });
         m.lift_clock(self.pe.id(), t.local_complete);
         let span = (nelems - 1) * dst_stride * elem + elem;

@@ -131,36 +131,36 @@ impl Section {
     /// dimensions' coordinates), the pair of
     /// `(array element offset, packed element offset)` of the pencil's first
     /// element. Packed offsets address the section's elements laid out
-    /// column-major in a dense buffer.
-    pub fn pencils(&self, shape: &[usize], base_dim: usize) -> Vec<(usize, usize)> {
+    /// column-major in a dense buffer. Pencils come in packed order (first
+    /// outer dimension fastest), one at a time: nothing is materialised.
+    pub fn pencils(
+        &self,
+        shape: &[usize],
+        base_dim: usize,
+    ) -> impl ExactSizeIterator<Item = (usize, usize)> {
         assert!(base_dim < self.rank());
-        let strides = fortran_strides(shape);
-        let packed_strides = fortran_strides(&self.counts());
-        let outer: Vec<usize> = (0..self.rank()).filter(|&d| d != base_dim).collect();
-        let n_pencils: usize = outer.iter().map(|&d| self.dims[d].count).product();
-        let base = self.base_linear(shape);
-        let mut out = Vec::with_capacity(n_pencils);
-        let mut coord = vec![0usize; outer.len()];
-        for _ in 0..n_pencils {
-            let mut arr = base;
-            let mut packed = 0;
-            for (ci, &d) in outer.iter().enumerate() {
-                arr += coord[ci] * self.dims[d].step * strides[d];
-                packed += coord[ci] * packed_strides[d];
+        // Per outer dimension: (count, array step, packed step).
+        let mut outer = Vec::with_capacity(self.rank() - 1);
+        let (mut stride, mut packed_stride) = (1, 1);
+        for (d, (r, &extent)) in self.dims.iter().zip(shape).enumerate() {
+            if d != base_dim {
+                outer.push((r.count, r.step * stride, packed_stride));
             }
-            out.push((arr, packed));
-            // Increment the odometer (first outer dim fastest, matching
-            // column-major packed order).
-            for (ci, &d) in outer.iter().enumerate() {
-                coord[ci] += 1;
-                if coord[ci] < self.dims[d].count {
-                    break;
-                }
-                coord[ci] = 0;
-                let _ = d;
-            }
+            stride *= extent;
+            packed_stride *= r.count;
         }
-        out
+        let n_pencils: usize = outer.iter().map(|o| o.0).product();
+        let base = self.base_linear(shape);
+        (0..n_pencils).map(move |mut p| {
+            let (mut arr, mut packed) = (base, 0);
+            for &(count, step, packed_step) in &outer {
+                let coord = p % count;
+                arr += coord * step;
+                packed += coord * packed_step;
+                p /= count;
+            }
+            (arr, packed)
+        })
     }
 
     /// Enumerate every selected element as
@@ -286,7 +286,7 @@ mod tests {
         ]);
         let elems = sec.elements(&shape);
         for base in 0..3 {
-            let pencils = sec.pencils(&shape, base);
+            let pencils: Vec<_> = sec.pencils(&shape, base).collect();
             let astride = sec.array_stride(&shape, base);
             let pstride = sec.packed_stride(base);
             let mut reconstructed: Vec<(usize, usize)> = Vec::new();

@@ -113,26 +113,39 @@ fn record_misprediction(shmem: &Shmem<'_>, target_pe: usize, predicted_ns: Optio
     );
 }
 
+/// Length in elements of the section's stride-1 runs: a whole pencil along
+/// dimension 0 when that dimension is contiguous, one element otherwise.
+fn run_len(sec: &Section) -> usize {
+    let d0 = sec.dims()[0];
+    if d0.step == 1 {
+        d0.count
+    } else {
+        1
+    }
+}
+
+/// `(array element offset, packed element offset)` of each stride-1 run, in
+/// packed order; every run is [`run_len`] elements long.
+fn runs<'a>(sec: &'a Section, shape: &[usize]) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let d0 = sec.dims()[0];
+    let per_pencil = d0.count / run_len(sec);
+    sec.pencils(shape, 0).flat_map(move |(arr, packed)| {
+        (0..per_pencil).map(move |k| (arr + k * d0.step, packed + k))
+    })
+}
+
 /// Byte regions (offset, len) of the section's stride-1 runs, in packed
 /// order, for the AM-packed path.
 fn byte_runs<T: Scalar>(ptr: SymPtr<T>, shape: &[usize], sec: &Section) -> Vec<(usize, usize)> {
-    let run_contiguous = sec.dims()[0].step == 1;
-    let run_len = if run_contiguous { sec.dims()[0].count } else { 1 };
-    let mut regions = Vec::new();
-    if run_contiguous {
-        for (arr, _) in sec.pencils(shape, 0) {
-            regions.push((ptr.offset() + arr * T::BYTES, run_len * T::BYTES));
-        }
-    } else {
-        for (arr, _) in sec.elements(shape) {
-            regions.push((ptr.offset() + arr * T::BYTES, T::BYTES));
-        }
-    }
-    regions
+    let len = run_len(sec) * T::BYTES;
+    runs(sec, shape).map(|(arr, _)| (ptr.offset() + arr * T::BYTES, len)).collect()
 }
 
 /// Write `data` (the section's elements, packed column-major) into
 /// `target_pe`'s copy of the array at `ptr`/`shape`, selected by `sec`.
+///
+/// Host work is linear in `sec.total()`: every call below is handed exactly
+/// the packed elements it transfers.
 pub fn put_section<T: Scalar>(
     shmem: &Shmem<'_>,
     algo: StridedAlgorithm,
@@ -153,24 +166,18 @@ pub fn put_section<T: Scalar>(
     let t0 = shmem.ctx().pe().now();
     match plan {
         Plan::Runs => {
-            let contiguous = sec.dims()[0].step == 1;
-            if contiguous {
-                let run = sec.dims()[0].count;
-                for (arr, packed) in sec.pencils(shape, 0) {
-                    shmem.put(ptr.at(arr), &data[packed..packed + run], target_pe);
-                }
-            } else {
-                for (arr, packed) in sec.elements(shape) {
-                    shmem.put(ptr.at(arr), &data[packed..packed + 1], target_pe);
-                }
+            let run = run_len(sec);
+            for (arr, packed) in runs(sec, shape) {
+                shmem.put(ptr.at(arr), &data[packed..packed + run], target_pe);
             }
         }
         Plan::BaseDim(base) => {
             let n = sec.dims()[base].count;
             let tst = sec.array_stride(shape, base);
             let sst = sec.packed_stride(base);
+            let span = (n - 1) * sst + 1;
             for (arr, packed) in sec.pencils(shape, base) {
-                shmem.iput(ptr.at(arr), tst, &data[packed..], sst, n, target_pe);
+                shmem.iput(ptr.at(arr), tst, &data[packed..packed + span], sst, n, target_pe);
             }
         }
         Plan::Packed => {
@@ -182,6 +189,7 @@ pub fn put_section<T: Scalar>(
 }
 
 /// Read the section of `target_pe`'s copy of the array into a packed vector.
+/// Linear in `sec.total()`, like [`put_section`].
 pub fn get_section<T: Scalar>(
     shmem: &Shmem<'_>,
     algo: StridedAlgorithm,
@@ -202,28 +210,21 @@ pub fn get_section<T: Scalar>(
     let t0 = shmem.ctx().pe().now();
     match plan {
         Plan::Runs => {
-            let contiguous = sec.dims()[0].step == 1;
-            if contiguous {
-                let run = sec.dims()[0].count;
-                for (arr, packed) in sec.pencils(shape, 0) {
-                    shmem.get(ptr.at(arr), &mut out[packed..packed + run], target_pe);
-                }
-            } else {
-                for (arr, packed) in sec.elements(shape) {
-                    shmem.get(ptr.at(arr), &mut out[packed..packed + 1], target_pe);
-                }
+            let run = run_len(sec);
+            for (arr, packed) in runs(sec, shape) {
+                shmem.get(ptr.at(arr), &mut out[packed..packed + run], target_pe);
             }
         }
         Plan::BaseDim(base) => {
             let n = sec.dims()[base].count;
             let sst = sec.array_stride(shape, base);
             let tst = sec.packed_stride(base);
+            let span = (n - 1) * tst + 1;
             for (arr, packed) in sec.pencils(shape, base) {
-                shmem.iget(ptr.at(arr), sst, &mut out[packed..], tst, n, target_pe);
+                shmem.iget(ptr.at(arr), sst, &mut out[packed..packed + span], tst, n, target_pe);
             }
         }
         Plan::Packed => {
-            // Runs/elements regions arrive in packed order either way.
             let regions = byte_runs(ptr, shape, sec);
             let mut buf = vec![0u8; sec.total() * T::BYTES];
             shmem.ctx().am_get_regions(target_pe, &regions, &mut buf);
@@ -256,13 +257,7 @@ pub fn call_count(algo: StridedAlgorithm, sec: &Section) -> usize {
 /// Communication calls a concrete [`Plan`] issues for a section.
 pub fn plan_call_count(plan: Plan, sec: &Section) -> usize {
     match plan {
-        Plan::Runs => {
-            if sec.dims()[0].step == 1 {
-                sec.total() / sec.dims()[0].count
-            } else {
-                sec.total()
-            }
-        }
+        Plan::Runs => sec.total() / run_len(sec),
         Plan::Packed => 1,
         Plan::BaseDim(base) => sec.total() / sec.dims()[base].count,
     }

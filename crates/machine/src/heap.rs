@@ -68,6 +68,14 @@ impl Heap {
     /// Copy `src` into the heap at byte offset `off`.
     pub fn write_bytes(&self, off: usize, src: &[u8]) {
         self.check(off, src.len(), "write");
+        self.store(off, src);
+    }
+
+    /// [`Self::write_bytes`] for a range the caller has already checked.
+    /// Always inlined, so the copy loop is compiled next to its caller's
+    /// bounds check as it was when the two were one function.
+    #[inline(always)]
+    fn store(&self, off: usize, src: &[u8]) {
         let mut pos = off;
         let mut rest = src;
         // Leading partial word.
@@ -96,6 +104,14 @@ impl Heap {
     /// Copy heap bytes at offset `off` into `dst`.
     pub fn read_bytes(&self, off: usize, dst: &mut [u8]) {
         self.check(off, dst.len(), "read");
+        self.load(off, dst);
+    }
+
+    /// [`Self::read_bytes`] for a range the caller has already checked.
+    /// Always inlined, like [`Self::store`]: left to the inliner's choice,
+    /// a 4 KiB `read_bytes` measured 12 % slower.
+    #[inline(always)]
+    fn load(&self, off: usize, dst: &mut [u8]) {
         let mut pos = off;
         let mut rest = &mut dst[..];
         if !pos.is_multiple_of(8) {
@@ -146,19 +162,33 @@ impl Heap {
             return;
         }
         self.check(off, len, "stamp");
+        self.as_stamper(|| self.stamp_words(off, len, t));
+    }
+
+    /// Run `f`, the body of a stamp writer. Debug builds check the writer
+    /// contract of [`Self::stamp_range`] around it.
+    #[inline]
+    fn as_stamper<R>(&self, f: impl FnOnce() -> R) -> R {
         #[cfg(debug_assertions)]
         assert!(
             !self.stamping.swap(true, Ordering::Acquire),
             "two concurrent stamp_range calls on one heap: stamp writers must run inside \
              Machine::apply_and_notify on the heap's owner"
         );
+        let out = f();
+        #[cfg(debug_assertions)]
+        self.stamping.store(false, Ordering::Release);
+        out
+    }
+
+    /// Raise the stamps of the words of an already checked range to `t`.
+    #[inline]
+    fn stamp_words(&self, off: usize, len: usize, t: u64) {
         for w in &self.stamps[off / 8..(off + len).div_ceil(8)] {
             if w.load(Ordering::Relaxed) < t {
                 w.store(t, Ordering::Release);
             }
         }
-        #[cfg(debug_assertions)]
-        self.stamping.store(false, Ordering::Release);
     }
 
     /// Maximum remote-write completion time over `[off, off+len)`.
@@ -167,12 +197,93 @@ impl Heap {
             return 0;
         }
         self.check(off, len, "stamp read");
+        self.max_stamp_words(off, len)
+    }
+
+    #[inline]
+    fn max_stamp_words(&self, off: usize, len: usize) -> u64 {
         self.stamps[off / 8..(off + len).div_ceil(8)]
             .iter()
             .map(|w| w.load(Ordering::Acquire))
             .max()
             .unwrap_or(0)
     }
+
+    /// Strided write: element `i` of `n` (`elem` bytes each) is taken from
+    /// `src[i * src_step..]` and lands at byte offset `off + i * step`; the
+    /// words it touches are stamped with `t`. Equal to one
+    /// [`Self::write_bytes`] + [`Self::stamp_range`] per element — gaps
+    /// between elements keep their bytes and their stamps — but the span
+    /// from the first element to the last is bounds-checked once. The stamp
+    /// writer contract of [`Self::stamp_range`] applies.
+    #[allow(clippy::too_many_arguments)] // two (base, step) pairs plus the element geometry
+    pub fn scatter(
+        &self,
+        off: usize,
+        step: usize,
+        src: &[u8],
+        src_step: usize,
+        elem: usize,
+        n: usize,
+        t: u64,
+    ) {
+        if n == 0 || elem == 0 {
+            return;
+        }
+        self.check(off, strided_span(n, step, elem), "write");
+        assert!(
+            src.len() >= strided_span(n, src_step, elem),
+            "scatter source too short: {n} elements of {elem} bytes at step {src_step} from {}",
+            src.len()
+        );
+        self.as_stamper(|| {
+            for i in 0..n {
+                let at = off + i * step;
+                self.store(at, &src[i * src_step..][..elem]);
+                self.stamp_words(at, elem, t);
+            }
+        });
+    }
+
+    /// Strided read, the mirror of [`Self::scatter`]: element `i` is read
+    /// from byte offset `off + i * step` into `out[i * out_step..]`. Returns
+    /// the maximum stamp over the words the elements touch (not the gaps),
+    /// as one [`Self::read_bytes`] + [`Self::max_stamp`] per element would.
+    pub fn gather(
+        &self,
+        off: usize,
+        step: usize,
+        out: &mut [u8],
+        out_step: usize,
+        elem: usize,
+        n: usize,
+    ) -> u64 {
+        if n == 0 || elem == 0 {
+            return 0;
+        }
+        self.check(off, strided_span(n, step, elem), "read");
+        assert!(
+            out.len() >= strided_span(n, out_step, elem),
+            "gather destination too short: {n} elements of {elem} bytes at step {out_step} into {}",
+            out.len()
+        );
+        let mut stamp = 0;
+        for i in 0..n {
+            let at = off + i * step;
+            self.load(at, &mut out[i * out_step..][..elem]);
+            stamp = stamp.max(self.max_stamp_words(at, elem));
+        }
+        stamp
+    }
+}
+
+/// Bytes from the start of the first to the end of the last of `n >= 1`
+/// elements of `elem` bytes laid out every `step` bytes.
+fn strided_span(n: usize, step: usize, elem: usize) -> usize {
+    (n - 1)
+        .checked_mul(step)
+        .and_then(|gaps| gaps.checked_add(elem))
+        .expect("strided span overflows the address space")
 }
 
 /// CAS-merge `src` into `word` starting at byte `in_word`.
@@ -349,6 +460,93 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn oob_write_panics() {
         Heap::new(16).write_bytes(12, &[0; 8]);
+    }
+
+    /// Every byte and every word stamp of a heap.
+    fn image(h: &Heap) -> (Vec<u8>, Vec<u64>) {
+        let mut bytes = vec![0u8; h.len()];
+        h.read_bytes(0, &mut bytes);
+        (bytes, (0..h.len() / 8).map(|w| h.max_stamp(w * 8, 8)).collect())
+    }
+
+    #[test]
+    fn scatter_and_gather_equal_the_per_element_calls() {
+        // Element sizes 1..=8 at odd and even offsets, steps that leave gaps,
+        // touch, and (step < elem) overlap; source both packed and strided.
+        for elem in [1usize, 2, 4, 8] {
+            for off in [0usize, 3, 4, 8, 13] {
+                for step in [elem, elem + 1, 2 * elem, 3 * elem + 4, elem.div_ceil(2)] {
+                    for src_step in [elem, 2 * elem + 1] {
+                        let n = 9;
+                        let src: Vec<u8> =
+                            (0..(n - 1) * src_step + elem).map(|b| b as u8 ^ 0x5A).collect();
+                        let (fast, slow) = (Heap::new(512), Heap::new(512));
+                        for h in [&fast, &slow] {
+                            h.write_bytes(0, &[0xEE; 512]);
+                            h.stamp_range(16, 8, 900); // a newer stamp must survive
+                        }
+                        fast.scatter(off, step, &src, src_step, elem, n, 700);
+                        for i in 0..n {
+                            slow.write_bytes(off + i * step, &src[i * src_step..][..elem]);
+                            slow.stamp_range(off + i * step, elem, 700);
+                        }
+                        let case = format!("elem={elem} off={off} step={step} src_step={src_step}");
+                        assert_eq!(image(&fast), image(&slow), "scatter {case}");
+
+                        let mut got = vec![0xAAu8; src.len()];
+                        let mut want = got.clone();
+                        let stamp = fast.gather(off, step, &mut got, src_step, elem, n);
+                        let mut want_stamp = 0;
+                        for i in 0..n {
+                            slow.read_bytes(off + i * step, &mut want[i * src_step..][..elem]);
+                            want_stamp = want_stamp.max(slow.max_stamp(off + i * step, elem));
+                        }
+                        assert_eq!((got, stamp), (want, want_stamp), "gather {case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_of_unaligned_words_preserves_the_gaps() {
+        // 4-byte elements every 12 bytes from offset 6: the first straddles
+        // words 0/1, the second sits inside word 2, the third straddles 3/4.
+        let h = Heap::new(48);
+        h.write_bytes(0, &[0xFF; 48]);
+        h.scatter(6, 12, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], 4, 4, 3, 50);
+        let (bytes, stamps) = image(&h);
+        let mut want = [0xFFu8; 48];
+        want[6..10].copy_from_slice(&[1, 2, 3, 4]);
+        want[18..22].copy_from_slice(&[5, 6, 7, 8]);
+        want[30..34].copy_from_slice(&[9, 10, 11, 12]);
+        assert_eq!(bytes, want);
+        assert_eq!(stamps, [50, 50, 50, 50, 50, 0], "word 5 is never touched");
+        // A gather leaves the stamp of a word that lies wholly in a gap out
+        // of its maximum: elements at 6 and 30, word 2 between them.
+        h.stamp_range(16, 8, 99);
+        let mut out = [0u8; 8];
+        assert_eq!(h.gather(6, 24, &mut out, 4, 4, 2), 50);
+        assert_eq!(out, [1, 2, 3, 4, 9, 10, 11, 12]);
+    }
+
+    #[test]
+    #[should_panic(expected = "remote write out of bounds: offset 8 + len 20 > heap size 24")]
+    fn scatter_checks_its_whole_span() {
+        // Elements 0 and 1 fit; the third ends at byte 28 of a 24-byte heap.
+        Heap::new(24).scatter(8, 8, &[0; 12], 4, 4, 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "remote read out of bounds")]
+    fn gather_checks_its_whole_span() {
+        Heap::new(24).gather(8, 8, &mut [0; 12], 4, 4, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "scatter source too short")]
+    fn scatter_checks_its_source() {
+        Heap::new(64).scatter(0, 8, &[0; 11], 4, 4, 3, 1);
     }
 
     #[test]

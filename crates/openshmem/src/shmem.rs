@@ -332,6 +332,12 @@ impl<'m> Shmem<'m> {
 
     /// `shmem_iput`: write `nelems` elements taken from `src` at stride
     /// `sst` (in elements) to `dest_pe`'s `dst` at stride `tst`.
+    ///
+    /// `src` must hold at least the `(nelems - 1) * sst + 1` elements the
+    /// strided read spans (asserted); a slice of exactly that length is
+    /// enough, and elements beyond it are never looked at. Only the `nelems`
+    /// selected elements are serialised, so the host cost is linear in
+    /// `nelems` whatever the stride.
     pub fn iput<T: Scalar>(
         &self,
         dst: SymPtr<T>,
@@ -350,12 +356,29 @@ impl<'m> Shmem<'m> {
             nelems,
             dst.count()
         );
-        let bytes = to_bytes(src);
-        self.ctx.iput(dest_pe, dst.offset(), tst, &bytes, T::BYTES, sst, nelems);
+        assert!(sst > 0, "iput source stride must be positive");
+        assert!(
+            src.len() > (nelems - 1) * sst,
+            "iput source too short: {nelems} elements at stride {sst} need {}, have {}",
+            (nelems - 1) * sst + 1,
+            src.len()
+        );
+        // The wire carries the selected elements packed; the conduit sees a
+        // unit source stride.
+        let mut bytes = vec![0u8; nelems * T::BYTES];
+        for (slot, v) in bytes.chunks_exact_mut(T::BYTES).zip(src.iter().step_by(sst)) {
+            v.store(slot);
+        }
+        self.ctx.iput(dest_pe, dst.offset(), tst, &bytes, T::BYTES, 1, nelems);
     }
 
     /// `shmem_iget`: gather `nelems` elements of `src_pe`'s `src` at stride
     /// `sst` into `out` at stride `tst`.
+    ///
+    /// `out` must hold at least the `(nelems - 1) * tst + 1` elements the
+    /// strided write spans (asserted); a slice of exactly that length is
+    /// enough. Elements of `out` between the selected ones keep their
+    /// values, and only the `nelems` selected ones pass through bytes.
     pub fn iget<T: Scalar>(
         &self,
         src: SymPtr<T>,
@@ -369,9 +392,18 @@ impl<'m> Shmem<'m> {
             return;
         }
         assert!((nelems - 1) * sst < src.count(), "iget overruns source");
-        let mut buf = to_bytes(out);
-        self.ctx.iget(src_pe, src.offset(), sst, &mut buf, T::BYTES, tst, nelems);
-        from_bytes(&buf, out);
+        assert!(tst > 0, "iget destination stride must be positive");
+        assert!(
+            out.len() > (nelems - 1) * tst,
+            "iget destination too short: {nelems} elements at stride {tst} need {}, have {}",
+            (nelems - 1) * tst + 1,
+            out.len()
+        );
+        let mut bytes = vec![0u8; nelems * T::BYTES];
+        self.ctx.iget(src_pe, src.offset(), sst, &mut bytes, T::BYTES, 1, nelems);
+        for (v, slot) in out.iter_mut().step_by(tst).zip(bytes.chunks_exact(T::BYTES)) {
+            *v = T::load(slot);
+        }
     }
 
     // ---- local heap access (this PE's own symmetric memory) ---------------
@@ -701,7 +733,7 @@ fn src_default<T: Scalar>() -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgas_machine::{generic_smp, run, stampede, Platform};
+    use pgas_machine::{generic_smp, run, run_with_result, stampede, Platform};
 
     fn cfg() -> pgas_machine::MachineConfig {
         generic_smp(4).with_heap_bytes(1 << 17)
@@ -799,6 +831,47 @@ mod tests {
     }
 
     #[test]
+    fn iput_iget_take_slices_of_exactly_the_strided_span() {
+        // 4 elements at local stride 3 span (4-1)*3+1 = 10 elements: a slice
+        // of exactly that is enough, and the untouched elements in between
+        // survive an iget.
+        let out = run(cfg(), |pe| {
+            let shmem = mk(pe);
+            let arr = shmem.shmalloc::<i32>(16).unwrap();
+            shmem.write_local(arr, &[0; 16]);
+            shmem.barrier_all();
+            if shmem.my_pe() == 0 {
+                let src: Vec<i32> = (100..110).collect();
+                shmem.iput(arr, 2, &src, 3, 4, 1);
+                shmem.quiet();
+            }
+            shmem.barrier_all();
+            let mut got = [-1i32; 10];
+            shmem.iget(arr, 2, &mut got, 3, 4, 1);
+            got
+        });
+        for r in out.results {
+            assert_eq!(r, [100, -1, -1, 103, -1, -1, 106, -1, -1, 109]);
+        }
+    }
+
+    #[test]
+    fn iput_iget_reject_slices_one_element_short() {
+        let short_put = run_with_result(cfg(), |pe| {
+            let shmem = mk(pe);
+            let arr = shmem.shmalloc::<i32>(16).unwrap();
+            shmem.iput(arr, 2, &[0i32; 9], 3, 4, 1);
+        });
+        assert!(short_put.unwrap_err().message.contains("iput source too short"));
+        let short_get = run_with_result(cfg(), |pe| {
+            let shmem = mk(pe);
+            let arr = shmem.shmalloc::<i32>(16).unwrap();
+            shmem.iget(arr, 2, &mut [0i32; 9], 3, 4, 1);
+        });
+        assert!(short_get.unwrap_err().message.contains("iget destination too short"));
+    }
+
+    #[test]
     fn atomics_signed_values() {
         let out = run(cfg(), |pe| {
             let shmem = mk(pe);
@@ -843,7 +916,7 @@ mod tests {
 
     #[test]
     fn strict_mode_catches_missing_quiet_between_put_and_get() {
-        let err = pgas_machine::run_with_result(stampede(2, 1).with_heap_bytes(1 << 16), |pe| {
+        let err = run_with_result(stampede(2, 1).with_heap_bytes(1 << 16), |pe| {
             let shmem = Shmem::new(
                 pe,
                 ShmemConfig::new(ConduitProfile::mvapich_shmem())
