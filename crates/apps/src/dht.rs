@@ -289,6 +289,20 @@ mod tests {
     }
 
     #[test]
+    fn lock_handoffs_under_the_arbiter_are_woken_not_timed_out() {
+        // One lock per image, eight images queueing on it: a run made of
+        // handoffs. On the fiber engine every one is a notify — no PE's timed
+        // wait runs out and no arbiter grant is left to a backstop tick.
+        let (r, out) = run_dht_outcome(Platform::Titan, Backend::Shmem, 8, small(), true);
+        assert_eq!(r.checksum, expected_checksum(8, &small()));
+        if out.engine.os_threads == 1 {
+            assert!(out.engine.fiber_switches > 0);
+            assert_eq!(out.engine.timed_wait_expiries, 0);
+            assert_eq!(out.engine.backstop_grants, 0);
+        }
+    }
+
+    #[test]
     fn am_updates_match_the_oracle_and_the_locked_mode() {
         let am = DhtConfig { update: DhtUpdateMode::Am, ..small() };
         for images in [1, 2, 5, 8] {

@@ -10,6 +10,8 @@
 //! * [`heat`] — a 1-D heat-diffusion mini-app exercising `sync images`
 //!   with neighbour lists and section-based gather.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod dht;
 pub mod heat;

@@ -799,9 +799,14 @@ mod tests {
         FaultPlan::new(cfg.seed).with_pe_failure(4, 12_000)
     }
 
+    /// On the virtual-time NIC arbiter: these tests compare latencies and
+    /// tails across runs, which the host-racy NIC of [`run_serve`] only
+    /// repeats up to reservation order.
     fn run(plan: FaultPlan, cfg: ServeConfig) -> ServeResult {
         with_forced_aggregation(true, || {
-            with_forced_plan(plan, || run_serve(Platform::Titan, Backend::Shmem, 9, cfg))
+            with_forced_plan(plan, || {
+                run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true).0
+            })
         })
     }
 

@@ -146,6 +146,78 @@ fn barrier_all_32() {
     report("barrier_all_32", None, "ns/iter", out.results[0], ROUNDS);
 }
 
+/// What the arbiter's engine pays per handoff and per launch: the rows
+/// `dht_locked` and `serve_mixed` are made of.
+fn arbiter_engine() {
+    use pgas_machine::{generic_smp, stampede};
+    use std::sync::atomic::Ordering::{Acquire, Release};
+
+    // One fiber to the next and back, through the scheduler both times.
+    if parking_lot::fiber::SUPPORTED {
+        const YIELDS: u64 = 1_000_000;
+        let body = |_| (0..YIELDS).for_each(|_| parking_lot::fiber::yield_now());
+        let start = Instant::now();
+        parking_lot::fiber::run(2, 64 << 10, body, || unreachable!("yielders never stall"));
+        let ns = start.elapsed().as_nanos() as f64 / YIELDS as f64;
+        report("fiber_switch_round_trip", None, "ns/iter", ns, YIELDS);
+    }
+
+    // Two PEs alternating as the arbiter's minimum: PE 1 starts 5 ns behind
+    // and every turn moves its taker 10 ns on, so each grant waits for the
+    // other PE to park behind it — one handoff per turn.
+    const TURNS: u64 = 20_000;
+    let cfg = generic_smp(2).with_heap_bytes(1 << 12).with_deterministic_nic();
+    let out = pgas_machine::run(cfg.clone(), |pe| {
+        let (m, me) = (pe.machine(), pe.id());
+        m.barrier_all(me, 0.0);
+        m.advance(me, 5.0 * me as f64);
+        let start = Instant::now();
+        for _ in 0..TURNS {
+            let t = m.clock(me);
+            m.nic_turn(me, t, || m.nic(0).reserve_tx(t, 1, 8));
+            m.lift_clock(me, t + 10);
+        }
+        start.elapsed().as_nanos() as f64 / (2 * TURNS) as f64
+    });
+    report("nic_turn_handoff_2pe", None, "ns/turn", out.results[0], 2 * TURNS);
+
+    // A word bounced between two PEs through `wait_on`: two handoffs a round.
+    const ROUNDS: u64 = 20_000;
+    let out = pgas_machine::run(cfg, |pe| {
+        let (m, me) = (pe.machine(), pe.id());
+        let word = |p: usize| m.heap(p).atomic64(0);
+        let send = |to: usize, r: u64| m.apply_and_notify(to, || word(to).store(r, Release));
+        m.barrier_all(me, 0.0);
+        let start = Instant::now();
+        for r in 1..=ROUNDS {
+            if me == 0 {
+                send(1, r);
+            }
+            m.wait_on(me, || word(me).load(Acquire) == r);
+            if me == 1 {
+                send(0, r);
+            }
+        }
+        start.elapsed().as_nanos() as f64 / (2 * ROUNDS) as f64
+    });
+    report("wait_on_handoff_2pe", None, "ns/handoff", out.results[0], 2 * ROUNDS);
+
+    // A job's fixed cost: build the machine, start every PE, join.
+    let cfg = generic_smp(32).with_heap_bytes(1 << 12).with_deterministic_nic();
+    bench("launch_32pe_arbiter", None, || {
+        assert_eq!(pgas_machine::run(cfg.clone(), |pe| pe.id()).results.len(), 32);
+    });
+    const LAUNCHES: u64 = 3;
+    let cfg = stampede(625, 16).with_heap_bytes(1 << 12).with_stack_bytes(1 << 17);
+    let start = Instant::now();
+    for _ in 0..LAUNCHES {
+        let out = pgas_machine::run(cfg.clone().with_deterministic_nic(), |pe| pe.id());
+        assert_eq!(out.results.len(), 10_000);
+    }
+    let ns = start.elapsed().as_nanos() as f64 / LAUNCHES as f64;
+    report("launch_10k_pe_arbiter", None, "ns/iter", ns, LAUNCHES);
+}
+
 fn allocator() {
     use openshmem::SymAlloc;
     bench("sym_alloc_churn", None, || {
@@ -265,6 +337,7 @@ fn main() {
     heap_stamps();
     machine_idle_paths();
     barrier_all_32();
+    arbiter_engine();
     allocator();
     section_enumeration();
     section_transfers();

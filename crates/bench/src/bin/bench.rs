@@ -21,6 +21,8 @@
 //! sanitizer modes, …) against the committed baseline without gating — see
 //! the EXPERIMENTS.md walkthrough of `PGAS_FAULT_PLAN=drop1`.
 
+#![forbid(unsafe_code)]
+
 use pgas_machine::critdiff::CritDiff;
 use pgas_machine::ResolvedKnobs;
 use repro_bench::baseline::{self, BenchRecord};

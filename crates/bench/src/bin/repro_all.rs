@@ -10,6 +10,8 @@
 //! The baselines come from the figures' *probes*, which ignore quick mode —
 //! a `REPRO_QUICK=1` run emits the same BENCH files as a full run.
 
+#![forbid(unsafe_code)]
+
 use repro_bench::baseline::BenchRecord;
 use repro_bench::FigureJob;
 

@@ -10,6 +10,8 @@
 //! Every generator takes `quick: bool`: quick mode (used by tests and smoke
 //! runs, or `REPRO_QUICK=1`) shrinks sweeps and iteration counts.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod figures;
 pub mod probes;

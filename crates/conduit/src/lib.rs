@@ -28,6 +28,8 @@
 //! buffers ([`coalesce`]) that batch small puts and non-fetching AMOs into
 //! single wire transfers.
 
+#![forbid(unsafe_code)]
+
 pub mod am;
 pub mod coalesce;
 pub mod cost;

@@ -50,6 +50,8 @@
 //! assert_eq!(out.results, vec![4, 1, 2, 3]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod atomics;
 pub mod coarray;
 pub mod config;

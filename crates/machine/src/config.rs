@@ -63,7 +63,7 @@ pub struct MachineConfig {
     pub heap_bytes: usize,
     pub wire: WireParams,
     pub compute: ComputeParams,
-    /// Stack size for PE threads, bytes.
+    /// Stack size of each PE's thread or fiber, bytes.
     pub stack_bytes: usize,
     /// Width of the metrics registry's virtual-time windows, ns. `0` (the
     /// default) records no windowed series; non-zero additionally buckets
@@ -76,6 +76,8 @@ pub struct MachineConfig {
     /// reservations in *real* time, and it assumes a workload whose real
     /// blocking waits are barriers/`wait_on` (true of the benchmark probes).
     /// Regression probes enable it so contended runs digest bit-identically.
+    /// Since such a run has one PE making progress at a time, it also runs
+    /// the PEs as fibers on the launching thread (see `crate::launch`).
     pub deterministic_nic: bool,
     /// This config's choices for the eight machine-wide knobs (sanitizer,
     /// faults, trace, metrics, workers, aggregation, checksums, stream);
@@ -163,17 +165,17 @@ impl MachineConfig {
         self
     }
 
-    /// Bound runnable PE threads to `n` worker slots, admitted in
-    /// `(virtual clock, pe)` order (see `crate::sched`); `0` means one
-    /// thread per PE. Simulation outcomes are bit-identical for every
+    /// Bound runnable PEs to `n` worker slots, admitted in
+    /// `(virtual clock, pe)` order (see `crate::sched`); `0` means no
+    /// limit. Simulation outcomes are bit-identical for every
     /// setting; the limit only bounds host-side concurrency.
     pub fn with_workers(mut self, n: usize) -> Self {
         self.knobs.workers = Some(n);
         self
     }
 
-    /// Override the PE thread stack size (large jobs shrink it so thousands
-    /// of PE threads fit the host's address-space and memory budget).
+    /// Override the PE stack size (large jobs shrink it so thousands of PE
+    /// stacks fit the host's address-space and memory budget).
     pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
         self.stack_bytes = bytes;
         self

@@ -1,9 +1,15 @@
-//! SPMD launcher: spawn one OS thread per PE, run the program closure on
-//! each, propagate panics without deadlocking the rest of the job.
+//! SPMD launcher: run the program closure once per PE, propagate panics
+//! without deadlocking the rest of the job.
+//!
+//! Two substrates run the same PE body (DESIGN.md, "Execution engines"): a
+//! machine under the virtual-time NIC arbiter runs its PEs as fibers on the
+//! launching thread (`parking_lot::fiber`), where a blocked PE is a parked
+//! stack and a handoff a stack switch; every other machine — and every
+//! target without the fiber switch — spawns one OS thread per PE.
 //!
 //! Under a worker limit (`MachineConfig::with_workers` / `PGAS_WORKERS`,
 //! see `crate::sched`) the threads still all spawn, but at most `W` are
-//! runnable at once: each thread is admitted in `(virtual clock, pe)` order
+//! runnable at once: each PE is admitted in `(virtual clock, pe)` order
 //! and yields its slot at every blocking point. Outcomes are bit-identical
 //! for every worker count; the limit only bounds host-side concurrency so
 //! paper-scale jobs (thousands of PEs) fit the host.
@@ -11,7 +17,7 @@
 use crate::config::MachineConfig;
 use crate::critpath::CriticalPathReport;
 use crate::knobs::ResolvedKnobs;
-use crate::machine::{Machine, Pe};
+use crate::machine::{Machine, Pe, PeId};
 use crate::metrics::MetricsSnapshot;
 use crate::sanitizer::{HazardKind, HazardReport};
 use crate::stats::{FaultEvent, PlanDecision, StatsSnapshot};
@@ -24,6 +30,23 @@ pub struct NicSnapshot {
     pub messages: u64,
     pub bytes: u64,
     pub busy_ns: u64,
+}
+
+/// What running the job cost the host's scheduler — the engine's own
+/// counters, outside `stats`/`metrics` (which describe the simulated machine
+/// and are equal whichever engine ran it).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// OS threads that ran PE bodies: the PE count on the thread engine, 1
+    /// (the launching thread) on fibers.
+    pub os_threads: usize,
+    /// Times a PE fiber was given the carrier (0 on the thread engine).
+    pub fiber_switches: u64,
+    /// Timed waits of PE fibers that ran out, i.e. wakes that were owed and
+    /// not sent (0 on the thread engine, where the kernel keeps no count).
+    pub timed_wait_expiries: u64,
+    /// NIC-arbiter grants that only a backstop expiry discovered.
+    pub backstop_grants: u64,
 }
 
 /// Everything a finished simulation reports.
@@ -63,6 +86,8 @@ pub struct SimOutcome<R> {
     /// Every knob the run was under, and which layer set it; renders on one
     /// line (`trace=on(env) workers=2(forced) …`).
     pub knobs: ResolvedKnobs,
+    /// What the run cost the host's scheduler.
+    pub engine: EngineStats,
 }
 
 /// One served request's end-to-end latency, decomposed along the same
@@ -206,12 +231,13 @@ impl<R> SimOutcome<R> {
     }
 }
 
-/// A simulation failure: some PE panicked.
+/// A simulation failure: some PE panicked, or the job deadlocked.
 #[derive(Debug)]
 pub struct SimError {
-    /// PE whose panic was captured first.
+    /// PE whose panic was captured first; for a deadlock, the lowest PE that
+    /// was blocked.
     pub pe: usize,
-    /// Rendered panic message.
+    /// Rendered panic message; for a deadlock, what each blocked PE waits on.
     pub message: String,
 }
 
@@ -233,12 +259,70 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// What runs the PE bodies of a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Engine {
+    /// One OS thread per PE.
+    Threads,
+    /// One fiber per PE, all on the launching thread.
+    Fibers,
+}
+
+impl Engine {
+    /// Fibers exactly where cooperative switching is safe and pays: under
+    /// the NIC arbiter, which never grants a turn to a PE whose clock has
+    /// passed a runnable PE's (a poller parks before it can starve anyone)
+    /// and whose grant chain is a handoff per step. The host-racy default
+    /// engine keeps threads: its PEs really do run in parallel.
+    fn of(cfg: &MachineConfig) -> Engine {
+        if cfg.deterministic_nic && parking_lot::fiber::SUPPORTED {
+            Engine::Fibers
+        } else {
+            Engine::Threads
+        }
+    }
+}
+
+/// One PE's whole life, on either engine.
+fn pe_body<F, R>(machine: &Machine, f: &F, id: PeId) -> std::thread::Result<R>
+where
+    F: Fn(Pe<'_>) -> R,
+{
+    // Under a worker limit a fresh PE first waits for a slot (ready at clock
+    // 0); legacy mode starts at once.
+    machine.sched_acquire(id);
+    let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(Pe::new(id, machine))));
+    // A finished PE is permanently quiescent for the NIC arbiter — stragglers
+    // must not wait on its clock — and gives up its worker slot.
+    machine.pe_finished(id);
+    if out.is_err() {
+        // Unblock everyone else before reporting.
+        machine.poison().poison();
+        machine.interrupt_all();
+    }
+    out
+}
+
 /// Run `f` as an SPMD program on a fresh machine built from `cfg`,
 /// returning per-PE results or the first captured failure.
 ///
-/// `f` is shared by all PE threads; per-PE state should live inside the
-/// closure body (or in the machine's heaps).
+/// `f` is shared by all PEs; per-PE state should live inside the closure
+/// body (or in the machine's heaps).
 pub fn run_with_result<F, R>(cfg: MachineConfig, f: F) -> Result<SimOutcome<R>, SimError>
+where
+    F: Fn(Pe<'_>) -> R + Send + Sync,
+    R: Send,
+{
+    run_on(Engine::of(&cfg), cfg, f)
+}
+
+/// [`run_with_result`] on a given engine: the engine-equivalence tests'
+/// switch; nothing outside them picks one.
+pub(crate) fn run_on<F, R>(
+    engine: Engine,
+    cfg: MachineConfig,
+    f: F,
+) -> Result<SimOutcome<R>, SimError>
 where
     F: Fn(Pe<'_>) -> R + Send + Sync,
     R: Send,
@@ -247,47 +331,57 @@ where
     let n = machine.num_pes();
     let name = machine.config().name.clone();
     let stack = machine.config().stack_bytes;
+    let mut engine_stats = EngineStats::default();
 
-    let mut slots: Vec<Result<R, SimError>> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for id in 0..n {
-            let machine = &machine;
-            let f = &f;
-            let builder = std::thread::Builder::new().name(format!("pe-{id}")).stack_size(stack);
-            let handle = builder
-                .spawn_scoped(scope, move || {
-                    // Under a worker limit a fresh PE thread first waits for
-                    // a slot (ready at clock 0); legacy mode starts at once.
-                    machine.sched_acquire(id);
-                    let pe = Pe::new(id, machine);
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(pe)));
-                    // A finished PE is permanently quiescent for the NIC
-                    // arbiter — stragglers must not wait on its clock — and
-                    // gives up its worker slot.
-                    machine.pe_finished(id);
-                    if out.is_err() {
-                        // Unblock everyone else before reporting.
-                        machine.poison().poison();
-                        machine.interrupt_all();
-                    }
-                    out
+    let ended: Vec<std::thread::Result<R>> = match engine {
+        Engine::Threads => std::thread::scope(|scope| {
+            engine_stats.os_threads = n;
+            let handles: Vec<_> = (0..n)
+                .map(|id| {
+                    let (machine, f) = (&machine, &f);
+                    std::thread::Builder::new()
+                        .name(format!("pe-{id}"))
+                        .stack_size(stack)
+                        .spawn_scoped(scope, move || pe_body(machine, f, id))
+                        .expect("failed to spawn PE thread")
                 })
-                .expect("failed to spawn PE thread");
-            handles.push(handle);
-        }
-        for (id, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(Ok(r)) => slots.push(Ok(r)),
-                Ok(Err(payload)) => {
-                    slots.push(Err(SimError { pe: id, message: panic_message(payload.as_ref()) }))
-                }
-                Err(payload) => {
-                    slots.push(Err(SimError { pe: id, message: panic_message(payload.as_ref()) }))
-                }
+                .collect();
+            handles.into_iter().map(|h| h.join().and_then(|out| out)).collect()
+        }),
+        Engine::Fibers => {
+            // No fiber can run again: say why, then bring the job down the
+            // way a panic does, so every wait unwinds through its poison
+            // check.
+            let mut deadlock = None;
+            let (ended, ran) = parking_lot::fiber::run(
+                n,
+                stack,
+                |id| pe_body(&machine, &f, id),
+                || {
+                    if deadlock.is_none() {
+                        deadlock = machine.stall_report();
+                    }
+                    machine.poison().poison();
+                    machine.interrupt_all();
+                },
+            );
+            if let Some((pe, message)) = deadlock {
+                return Err(SimError { pe, message });
             }
+            engine_stats.os_threads = 1;
+            engine_stats.fiber_switches = ran.switches;
+            engine_stats.timed_wait_expiries = ran.expiries;
+            ended.into_iter().map(|out| out.and_then(|out| out)).collect()
         }
-    });
+    };
+    engine_stats.backstop_grants = machine.arb_backstop_grants();
+    let slots: Vec<Result<R, SimError>> = ended
+        .into_iter()
+        .enumerate()
+        .map(|(pe, out)| {
+            out.map_err(|payload| SimError { pe, message: panic_message(payload.as_ref()) })
+        })
+        .collect();
 
     // Prefer reporting a "real" failure over the poison-propagation panics of
     // the other PEs.
@@ -334,6 +428,7 @@ where
         failed_pes: machine.failed_pes(),
         machine: name,
         knobs: machine.knobs().clone(),
+        engine: engine_stats,
         results,
     })
 }
@@ -400,6 +495,48 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.pe, 2);
         assert!(err.message.contains("boom"), "got: {}", err.message);
+    }
+
+    #[test]
+    fn a_deadlock_is_an_error_naming_every_wait() {
+        if !parking_lot::fiber::SUPPORTED {
+            return; // threads tick every 200 ms forever
+        }
+        use std::sync::atomic::Ordering;
+        let began = std::time::Instant::now();
+        // PEs 0 and 1 each wait for a flag only the other would set — after
+        // its own wait. PE 2 waits for them in a barrier; PE 3 is done.
+        let err = run_with_result(generic_smp(4).with_deterministic_nic(), |pe| {
+            let (m, me) = (pe.machine(), pe.id());
+            let flag = |p: usize| m.heap(p).atomic64(0);
+            match me {
+                0 | 1 => {
+                    m.advance(me, 100.0 * (me + 1) as f64);
+                    m.wait_on(me, || flag(me).load(Ordering::Acquire) == 1);
+                    m.apply_and_notify(1 - me, || flag(1 - me).store(1, Ordering::Release));
+                }
+                2 => {
+                    m.barrier_all(me, 0.0);
+                }
+                _ => {}
+            }
+        })
+        .unwrap_err();
+        assert!(
+            began.elapsed() < std::time::Duration::from_millis(500),
+            "took {:?}",
+            began.elapsed()
+        );
+        assert_eq!(err.pe, 0, "the lowest blocked PE");
+        let lines: Vec<&str> = err.message.lines().map(str::trim).collect();
+        assert!(
+            lines[0].starts_with("deadlock:") && lines[0].contains("3 unfinished"),
+            "{lines:?}"
+        );
+        assert!(lines[1].starts_with("PE 0 at 100 ns: wait_on"), "{lines:?}");
+        assert!(lines[2].starts_with("PE 1 at 200 ns: wait_on"), "{lines:?}");
+        assert_eq!(lines[3], "PE 2 at 0 ns: barrier(all) round 0, 1 of 4 arrived", "{lines:?}");
+        assert_eq!(lines.len(), 4, "the finished PE is not listed: {lines:?}");
     }
 
     #[test]

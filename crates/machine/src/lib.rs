@@ -2,8 +2,8 @@
 //!
 //! This crate is the hardware substrate for the CAF-over-OpenSHMEM
 //! reproduction. It stands in for the physical clusters used in the paper
-//! (Stampede, Titan, Cray XC30): processing elements (PEs) are OS threads,
-//! each node has a NIC that is a shared, serializing resource, and every PE
+//! (Stampede, Titan, Cray XC30): processing elements (PEs) are OS threads (or
+//! fibers on one thread, under the NIC arbiter — see `launch`), each node has a NIC that is a shared, serializing resource, and every PE
 //! carries a **virtual clock** measured in nanoseconds.
 //!
 //! Two things happen on every remote operation:
@@ -23,6 +23,8 @@
 //! The crate deliberately knows nothing about OpenSHMEM or CAF; it exposes
 //! heaps, clocks, NICs, barriers and a SPMD launcher. Communication-library
 //! semantics live in `pgas-conduit` and above.
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod critdiff;
@@ -54,7 +56,9 @@ pub use knobs::{
     with_forced_plan, with_forced_stream, with_forced_tracing, with_forced_workers, Knobs,
     ResolvedKnobs,
 };
-pub use launch::{run, run_with_result, NicSnapshot, RequestLog, SimError, SimOutcome};
+pub use launch::{
+    run, run_with_result, EngineStats, NicSnapshot, RequestLog, SimError, SimOutcome,
+};
 pub use machine::{Machine, PeId};
 pub use metrics::{
     HistogramEntry, MetricsRegistry, MetricsSnapshot, WindowCounterEntry, WindowEntry,

@@ -766,12 +766,18 @@ impl Machine {
     /// [`Self::arb_unblocked`].
     fn arb_grantable(&self, arb: &ArbiterState, start: u64, pe: PeId) -> bool {
         fence(Ordering::SeqCst);
-        (0..self.num_pes()).all(|q| {
-            q == pe
-                || arb.finished[q].load(Ordering::Acquire)
-                || arb.quiescent[q].load(Ordering::Acquire)
-                || arb.parked_flags[q].load(Ordering::Acquire)
-                || self.clock(q) > start
+        self.arb_blocker(arb, start, pe).is_none()
+    }
+
+    /// The first PE that could still issue a request earlier than `pe`'s
+    /// parked `start`, if any (see [`Self::arb_grantable`]).
+    fn arb_blocker(&self, arb: &ArbiterState, start: u64, pe: PeId) -> Option<PeId> {
+        (0..self.num_pes()).find(|&q| {
+            q != pe
+                && !arb.finished[q].load(Ordering::Acquire)
+                && !arb.quiescent[q].load(Ordering::Acquire)
+                && !arb.parked_flags[q].load(Ordering::Acquire)
+                && self.clock(q) <= start
         })
     }
 
@@ -800,7 +806,6 @@ impl Machine {
 
     /// Grants on this machine that only a backstop expiry discovered (see
     /// [`ArbiterState::backstop_grants`]); 0 without an arbiter.
-    #[cfg(test)]
     pub(crate) fn arb_backstop_grants(&self) -> u64 {
         self.arbiter.as_ref().map_or(0, |arb| arb.backstop_grants.load(Ordering::Relaxed))
     }
@@ -933,6 +938,62 @@ impl Machine {
         if let Some(s) = &self.sched {
             s.interrupt();
         }
+    }
+
+    /// Why the job cannot go on, when it cannot: one line per PE that has not
+    /// finished, saying what it is blocked in, and the lowest such PE.
+    /// Meaningful when no PE is running — the fiber engine calls it from its
+    /// scheduler, with every PE parked. `None` without an arbiter, whose
+    /// flags it reads.
+    pub(crate) fn stall_report(&self) -> Option<(PeId, String)> {
+        let arb = self.arbiter.as_ref()?;
+        let parked = arb.parked.lock();
+        let min = parked.first().copied();
+        let barrier_line = |name: &str, b: &ClockBarrier| {
+            let (round, arrived, expected) = b.pending()?;
+            Some(format!("barrier({name}) round {round}, {arrived} of {expected} arrived"))
+        };
+        let subsets = self.subset_barriers.lock();
+        let mut lines = Vec::new();
+        for pe in (0..self.num_pes()).filter(|&pe| !arb.finished[pe].load(Ordering::Acquire)) {
+            let at = self.clock(pe);
+            let what = if let Some(key) = parked.iter().find(|key| key.1 == pe) {
+                let behind = match min {
+                    Some(min) if min != *key => format!("behind the key of PE {}", min.1),
+                    _ => match self.arb_blocker(arb, key.0, pe) {
+                        Some(q) => {
+                            format!("PE {q} at {} ns could still issue earlier", self.clock(q))
+                        }
+                        None => "grantable".to_string(),
+                    },
+                };
+                format!("NIC turn (start {} ns, pe {}, ctx {}): {behind}", key.0, key.1, key.2)
+            } else if arb.in_wait_on[pe].load(Ordering::Acquire) {
+                "wait_on: its predicate is false and no PE that could change that can run"
+                    .to_string()
+            } else if arb.quiescent[pe].load(Ordering::Acquire) {
+                let mut pending: Vec<String> = subsets
+                    .iter()
+                    .filter(|(group, _)| group.binary_search(&pe).is_ok())
+                    .filter_map(|(group, b)| barrier_line(&format!("{group:?}"), b))
+                    .collect();
+                pending.sort();
+                pending.extend(barrier_line("all", &self.global_barrier));
+                pending.join(" / ")
+            } else {
+                "ready, waiting for a worker slot".to_string()
+            };
+            lines.push((pe, format!("PE {pe} at {at} ns: {what}")));
+        }
+        const SHOWN: usize = 32;
+        let (first, blocked) = (lines.first()?.0, lines.len());
+        let mut shown: Vec<String> = lines.into_iter().take(SHOWN).map(|(_, line)| line).collect();
+        if blocked > SHOWN {
+            shown.push(format!("… and {} more", blocked - SHOWN));
+        }
+        let head =
+            format!("deadlock: no PE can run and none of the {blocked} unfinished can be woken");
+        Some((first, format!("{head}\n  {}", shown.join("\n  "))))
     }
 
     // ---- barriers -------------------------------------------------------
@@ -1102,6 +1163,17 @@ impl<'m> Pe<'m> {
     pub fn compute_ops(&self, n: u64) -> u64 {
         self.machine.compute_ops(self.id, n)
     }
+
+    /// Let the job's other PEs run before this one goes on: the one call for
+    /// a host-side spin (a lock's backoff loop) to make between attempts.
+    /// On the fiber engine it requeues this PE behind every runnable one —
+    /// `std::thread::yield_now` there would give the whole engine's carrier
+    /// to the OS and the lock's holder nothing; on the thread engine it is
+    /// `std::thread::yield_now`. Moves no virtual clock.
+    #[inline]
+    pub fn yield_now(&self) {
+        parking_lot::fiber::yield_now();
+    }
 }
 
 impl std::fmt::Debug for Pe<'_> {
@@ -1166,37 +1238,31 @@ mod tests {
         });
     }
 
+    /// A contended arbiter workload: tied NIC reservations, a ring handoff
+    /// through `wait_on` (PE k waits for word k, then releases PE k+1), a
+    /// barrier.
+    fn contended_job(pe: Pe<'_>) -> u64 {
+        let m = pe.machine();
+        let me = pe.id();
+        let word = |p: PeId| m.heap(p).atomic64(0);
+        let r = m.nic_turn(me, 100, || m.nic(0).reserve_tx(100, 10, 1).end);
+        m.lift_clock(me, r);
+        if me != 0 {
+            m.wait_on(me, || word(me).load(Ordering::Acquire) == 1);
+        }
+        if me + 1 < pe.n() {
+            m.apply_and_notify(me + 1, || word(me + 1).store(1, Ordering::Release));
+        }
+        m.barrier_all(me, 5.0)
+    }
+
     #[test]
     fn pooled_scheduler_outcomes_match_legacy() {
-        // A contended arbiter workload (tied NIC reservations, barriers,
-        // wait_on handoffs) must produce bit-identical outcomes for every
+        // `contended_job` must produce bit-identical outcomes for every
         // worker count — the tentpole invariant.
         let run_with = |w: usize| {
-            crate::launch::run(generic_smp(4).with_deterministic_nic().with_workers(w), |pe| {
-                let m = pe.machine();
-                let me = pe.id();
-                let r = m.nic_turn(me, 100, || m.nic(0).reserve_tx(100, 10, 1).end);
-                m.lift_clock(me, r);
-                // Ring handoff through wait_on: PE k waits for word k, then
-                // releases PE k+1.
-                if me == 0 {
-                    m.apply_and_notify(1, || {
-                        m.heap(1).atomic64(0).store(1, std::sync::atomic::Ordering::Release)
-                    });
-                } else {
-                    m.wait_on(me, || {
-                        m.heap(me).atomic64(0).load(std::sync::atomic::Ordering::Acquire) == 1
-                    });
-                    if me + 1 < pe.n() {
-                        m.apply_and_notify(me + 1, || {
-                            m.heap(me + 1)
-                                .atomic64(0)
-                                .store(1, std::sync::atomic::Ordering::Release)
-                        });
-                    }
-                }
-                m.barrier_all(me, 5.0)
-            })
+            let cfg = generic_smp(4).with_deterministic_nic().with_workers(w);
+            crate::launch::run(cfg, contended_job)
         };
         let legacy = run_with(0);
         for w in [1, 2, 3] {
@@ -1207,68 +1273,204 @@ mod tests {
         }
     }
 
+    /// The job shape of `contended_job`, three rounds arranged so that each
+    /// kind of arbiter wake is some minimum's last one. Round 1: the last PE
+    /// sleeps in `wait_on` below the others' tied start (quiescence). Round 2
+    /// starts below the clock the barrier before it releases at (a barrier's
+    /// crossing). Round 3 starts above every clock: tied turns (parking, then
+    /// un-parking), while the last PE takes none and just lifts its clock
+    /// past the start (crossing).
+    fn three_round_job(pe: Pe<'_>) -> u64 {
+        let m = pe.machine();
+        let (me, n) = (pe.id(), pe.n());
+        let word = |p: PeId| m.heap(p).atomic64(0);
+        let await_ring = |round| m.wait_on(me, || word(me).load(Ordering::Acquire) == round);
+        for (round, start) in [(1, 1000), (2, 2000), (3, 5000)] {
+            let sleeps_first = round == 1 && me == n - 1;
+            if sleeps_first {
+                await_ring(round);
+            }
+            if round == 3 && me == n - 1 {
+                m.lift_clock(me, start + 1);
+            } else {
+                let r = m.nic_turn(me, start, || m.nic(0).reserve_tx(start, 10, 1).end);
+                m.lift_clock(me, r);
+            }
+            if me != 0 && !sleeps_first {
+                await_ring(round);
+            }
+            if me + 1 < n {
+                m.apply_and_notify(me + 1, || word(me + 1).store(round, Ordering::Release));
+            }
+            m.barrier_all(me, 1500.0);
+        }
+        m.clock(me)
+    }
+
     #[test]
     fn arbiter_wakes_are_never_left_to_the_backstop() {
-        // The job shape of `pooled_scheduler_outcomes_match_legacy` at eight
-        // PEs, three rounds arranged so that each kind of wake is some
-        // minimum's last one. Round 1: the last PE sleeps in `wait_on` below
-        // the others' tied start (quiescence). Round 2 starts below the clock
-        // the barrier before it releases at (a barrier's crossing). Round 3
-        // starts above every clock: tied turns (parking, then un-parking),
-        // while the last PE takes none and just lifts its clock past the
-        // start (crossing). Every wake a parked PE is owed is sent under its
-        // mutex, so no grant is left for a backstop tick to find — in 50
-        // runs, alternating the ambient worker count and a pool of two.
+        // Every wake a parked PE of `three_round_job` is owed is sent under
+        // its mutex, so no grant is left for a backstop tick to find and no
+        // fiber's timed wait runs out — in 50 runs, alternating the ambient
+        // worker count and a pool of two.
         let job = |workers: Option<usize>| {
             let cfg = generic_smp(8).with_deterministic_nic();
             let cfg = match workers {
                 Some(w) => cfg.with_workers(w),
                 None => cfg,
             };
-            let out = crate::launch::run(cfg, |pe| {
-                let m = pe.machine();
-                let (me, n) = (pe.id(), pe.n());
-                let word = |p: PeId| m.heap(p).atomic64(0);
-                let await_ring =
-                    |round| m.wait_on(me, || word(me).load(Ordering::Acquire) == round);
-                for (round, start) in [(1, 1000), (2, 2000), (3, 5000)] {
-                    let sleeps_first = round == 1 && me == n - 1;
-                    if sleeps_first {
-                        await_ring(round);
-                    }
-                    if round == 3 && me == n - 1 {
-                        m.lift_clock(me, start + 1);
-                    } else {
-                        let r = m.nic_turn(me, start, || m.nic(0).reserve_tx(start, 10, 1).end);
-                        m.lift_clock(me, r);
-                    }
-                    if me != 0 && !sleeps_first {
-                        await_ring(round);
-                    }
-                    if me + 1 < n {
-                        m.apply_and_notify(me + 1, || word(me + 1).store(round, Ordering::Release));
-                    }
-                    m.barrier_all(me, 1500.0);
-                }
-                // No turn is taken after the last barrier: the count is final.
-                (m.clock(me), m.arb_backstop_grants())
-            });
-            let backstop_grants = out.results[0].1;
-            let results: Vec<u64> = out.results.iter().map(|r| r.0).collect();
-            ((results, out.clocks, out.nics), backstop_grants)
+            let out = crate::launch::run(cfg, three_round_job);
+            let unsent = out.engine.backstop_grants + out.engine.timed_wait_expiries;
+            ((out.results, out.clocks, out.nics), unsent)
         };
         let (reference, _) = job(None);
         assert_eq!(reference.0[0], 5000 + 7 * 10 + 1500, "seven tied turns, in series");
         for run in 0..50 {
-            // An expiry can land between a sender publishing its change and
-            // taking the mutex to send the wake; that counts, but it does not
-            // repeat. A hole in the wake rules does.
+            // On threads an expiry can land between a sender publishing its
+            // change and taking the mutex to send the wake; that counts, but
+            // it does not repeat. A hole in the wake rules does.
             let clean = (0..3).any(|_| {
-                let (outcome, backstop_grants) = job((run % 2 == 1).then_some(2));
+                let (outcome, unsent) = job((run % 2 == 1).then_some(2));
                 assert_eq!(outcome, reference, "run {run}");
-                backstop_grants == 0
+                unsent == 0
             });
             assert!(clean, "run {run}: three attempts in a row needed the backstop");
+        }
+    }
+
+    // ---- one protocol, two substrates ------------------------------------
+
+    use crate::launch::{run_on, Engine, SimOutcome};
+
+    /// Everything of an outcome that describes the simulated machine; what
+    /// is left out (`engine`, `knobs`' sources) describes the host.
+    fn modelled<R: Clone + PartialEq + std::fmt::Debug>(
+        out: &SimOutcome<R>,
+    ) -> impl PartialEq + std::fmt::Debug {
+        (
+            out.results.clone(),
+            out.clocks.clone(),
+            out.stats,
+            out.nics.clone(),
+            out.metrics.clone(),
+            out.fault_events.clone(),
+            out.failed_pes.clone(),
+        )
+    }
+
+    /// Run `job` on the thread engine and on fibers and require the two
+    /// outcomes to be equal; returns the fiber run's.
+    fn same_on_both_engines<R: Clone + PartialEq + std::fmt::Debug + Send>(
+        cfg: MachineConfig,
+        job: impl Fn(Pe<'_>) -> R + Send + Sync + Copy,
+    ) -> SimOutcome<R> {
+        let threads = run_on(Engine::Threads, cfg.clone(), job).expect("thread engine");
+        assert_eq!(threads.engine.os_threads, cfg.total_pes());
+        let fibers = run_on(Engine::Fibers, cfg, job).expect("fiber engine");
+        assert_eq!(fibers.engine.os_threads, 1);
+        assert!(fibers.engine.fiber_switches > 0);
+        assert_eq!(modelled(&fibers), modelled(&threads));
+        fibers
+    }
+
+    #[test]
+    fn engines_agree_on_the_contended_job_for_every_worker_count() {
+        if !parking_lot::fiber::SUPPORTED {
+            return;
+        }
+        for w in [0, 1, 2, 3] {
+            let cfg = generic_smp(4).with_deterministic_nic().with_metrics(true).with_workers(w);
+            same_on_both_engines(cfg, contended_job);
+        }
+    }
+
+    #[test]
+    fn engines_agree_on_the_three_round_job_and_fibers_need_no_expiry() {
+        if !parking_lot::fiber::SUPPORTED {
+            return;
+        }
+        for w in [0, 2] {
+            let cfg = generic_smp(8).with_deterministic_nic().with_metrics(true).with_workers(w);
+            let fibers = same_on_both_engines(cfg, three_round_job);
+            assert_eq!(fibers.engine.timed_wait_expiries, 0, "{w} workers");
+            assert_eq!(fibers.engine.backstop_grants, 0, "{w} workers");
+        }
+    }
+
+    /// A token goes round the ring three times; each holder takes a NIC turn
+    /// and hands on through `wait_on`. A PE that finds its predecessor dead
+    /// takes the token over at the plan's deadline plus a detection timeout —
+    /// both pure functions of the plan, so the hand-over is the same on every
+    /// host schedule.
+    fn failing_ring_job(pe: Pe<'_>) -> (u64, u64) {
+        const DETECT_NS: u64 = 10_000;
+        let m = pe.machine();
+        let (me, n) = (pe.id(), pe.n());
+        let prev = (me + n - 1) % n;
+        let word = |p: PeId| m.heap(p).atomic64(0);
+        let mut held = 0;
+        for lap in 1..=3u64 {
+            if !(lap == 1 && me == 0) {
+                let token = if me == 0 { lap - 1 } else { lap };
+                m.wait_on(me, || word(me).load(Ordering::Acquire) >= token || m.pe_failed(prev));
+                if word(me).load(Ordering::Acquire) >= token {
+                    m.lift_clock(me, m.heap(me).max_stamp(0, 8));
+                } else {
+                    m.lift_clock(me, m.pe_deadline(prev).expect("prev died on plan") + DETECT_NS);
+                }
+            }
+            if m.pe_failed(me) {
+                break;
+            }
+            held += 1;
+            let start = m.clock(me);
+            let end = m.nic_turn(me, start, || m.nic(0).reserve_tx(start, 400, 64).end);
+            m.lift_clock(me, end);
+            m.advance(me, 250.0);
+            if m.pe_failed(me) {
+                break; // died holding the token: it is never handed on
+            }
+            let (next, at) = ((me + 1) % n, m.clock(me));
+            m.apply_and_notify(next, || {
+                word(next).store(lap, Ordering::Release);
+                m.heap(next).stamp_range(0, 8, at);
+            });
+        }
+        (held, m.barrier_all(me, 100.0))
+    }
+
+    #[test]
+    fn engines_agree_on_a_handoff_ring_that_loses_a_pe() {
+        if !parking_lot::fiber::SUPPORTED {
+            return;
+        }
+        use crate::fault::FaultPlan;
+        // PE 2 dies in its second lap, holding the token.
+        let plan = FaultPlan::new(3).with_pe_failure(2, 4_000);
+        let cfg = generic_smp(4).with_deterministic_nic().with_metrics(true).with_faults(plan);
+        let out = same_on_both_engines(cfg, failing_ring_job);
+        assert_eq!(out.failed_pes, vec![2]);
+        assert_eq!(out.fault_events.len(), 1);
+        let held: Vec<u64> = out.results.iter().map(|r| r.0).collect();
+        assert_eq!(held, vec![3, 3, 2, 3], "the dead PE held the token twice, the others thrice");
+    }
+
+    #[test]
+    fn a_panic_mid_turn_is_the_same_error_on_both_engines() {
+        if !parking_lot::fiber::SUPPORTED {
+            return;
+        }
+        let job = |pe: Pe<'_>| {
+            let m = pe.machine();
+            if pe.id() == 1 {
+                m.nic_turn(1, 50, || panic!("boom mid-turn"));
+            }
+            m.barrier_all(pe.id(), 0.0)
+        };
+        for engine in [Engine::Threads, Engine::Fibers] {
+            let err = run_on(engine, generic_smp(4).with_deterministic_nic(), job)
+                .expect_err("PE 1 panics");
+            assert_eq!((err.pe, err.message.as_str()), (1, "boom mid-turn"), "{engine:?}");
         }
     }
 

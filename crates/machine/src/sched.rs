@@ -1,10 +1,9 @@
-//! Bounded worker-pool scheduler: multiplex many PE threads onto few
-//! runnable slots, admitting in virtual-time order.
+//! Bounded worker-pool scheduler: multiplex many PEs onto few runnable
+//! slots, admitting in virtual-time order.
 //!
-//! The machine spawns one OS thread per PE (an arbitrary `Fn(Pe) -> R`
-//! closure cannot be suspended mid-blocking-wait without stack switching),
-//! but with a worker limit `W` at most `W` of those threads are *runnable*
-//! at any instant. Every other thread is either blocked in a rendezvous
+//! Every PE has a thread or a fiber of its own (see `crate::launch`), but
+//! with a worker limit `W` at most `W` of them are *runnable* at any
+//! instant. Every other PE is either blocked in a rendezvous
 //! (barrier, `wait_on`, a parked NIC-arbiter request) — where it holds no
 //! slot — or parked in the ready queue waiting for one.
 //!

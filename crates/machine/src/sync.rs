@@ -1,8 +1,9 @@
 //! Rendezvous primitives that combine *real* thread synchronization with
 //! *virtual* clock agreement.
 //!
-//! A machine barrier does two jobs at once: it blocks the participating OS
-//! threads until all have arrived (real synchronization, so programs are
+//! A machine barrier does two jobs at once: it blocks the participating PEs
+//! (threads or fibers: every wait here is a `parking_lot` shim `Condvar`
+//! wait, which parks either) until all have arrived (real synchronization, so programs are
 //! actually correct), and it advances every participant's virtual clock to
 //! `max(arrival clocks) + cost`, where the cost is supplied by the caller
 //! (the communication layer knows what a dissemination barrier costs on its
@@ -21,7 +22,8 @@ use std::time::Duration;
 /// are notified under the mutex their wait holds — the parked keys by name,
 /// when they become the minimum — so no wake can be lost; the timeout only
 /// bounds the damage of a protocol hole and lets poison be noticed, and can
-/// be lazy without adding latency to any handoff. At thousands of parked PEs
+/// be lazy without adding latency to any handoff. (For PE fibers a timeout
+/// is an order of expiry, not a duration: see `parking_lot::fiber`.) At thousands of parked PEs
 /// this is what keeps the wall-clock poll storm (waiters/tick) sublinear in
 /// simulation size.
 pub(crate) const WAIT_TICK_IDLE: Duration = Duration::from_millis(200);
@@ -163,6 +165,13 @@ impl ClockBarrier {
     /// failure.
     pub fn interrupt(&self) {
         self.cv.notify_all();
+    }
+
+    /// The round in progress, if somebody waits in it: `(round, arrived,
+    /// expected)`. For the stall report.
+    pub(crate) fn pending(&self) -> Option<(u64, usize, usize)> {
+        let inner = self.inner.lock();
+        (inner.count > 0).then_some((inner.generation, inner.count, inner.expected))
     }
 }
 

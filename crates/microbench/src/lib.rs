@@ -14,6 +14,8 @@
 //! [`report`] holds the series/panel/figure containers the reproduction
 //! binaries print and archive.
 
+#![forbid(unsafe_code)]
+
 pub mod caf_rma;
 pub mod lock_bench;
 pub mod report;

@@ -66,7 +66,7 @@ pub fn naive_spinlock_ms(
             while img.shmem().cswap(word, 0u64, me, 0) != 0 {
                 img.shmem().ctx().pe().advance(backoff);
                 backoff = (backoff * 2.0).min(20_000.0);
-                std::thread::yield_now();
+                img.shmem().ctx().pe().yield_now();
             }
             // Spin-wait accounting (see openshmem::lock::charge_spin_wait):
             // expected poll misalignment plus the implied NIC poll traffic.

@@ -23,6 +23,8 @@
 //! on any of the modeled communication substrates (Cray SHMEM, MVAPICH2-X
 //! SHMEM, GASNet, MPI-3) and any of the modeled machines.
 
+#![forbid(unsafe_code)]
+
 pub mod active_set;
 pub mod alloc;
 pub mod collectives;

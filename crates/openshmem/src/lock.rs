@@ -35,11 +35,11 @@ impl<'m> Shmem<'m> {
                 self.charge_spin_wait(start);
                 return;
             }
-            // Back off in virtual time; yield the OS thread so the holder
-            // can run.
+            // Back off in virtual time, and let the holder run (on whichever
+            // engine carries this PE).
             self.ctx().pe().advance(backoff);
             backoff = (backoff * 2.0).min(BACKOFF_MAX_NS);
-            std::thread::yield_now();
+            self.ctx().pe().yield_now();
         }
     }
 

@@ -46,7 +46,7 @@ fn main() {
                 std::hint::black_box((0..20_000u64).sum::<u64>());
                 results.put_elem(img, 1, &[t], value);
                 mine += 1;
-                std::thread::yield_now();
+                shmem.ctx().pe().yield_now();
             }
 
             // Everyone reports completion with an atomic increment; image 1

@@ -13,7 +13,22 @@
 //!   condvar, like parking_lot (`std::sync::Condvar` always issues the
 //!   `futex` wake), and `wait_for` reports a timeout only if nobody notified
 //!   the condvar meanwhile (`std` reports one whenever the time ran out).
+//! * [`fiber`] is not part of parking_lot at all: it runs closures as
+//!   stackful fibers on the calling thread, and a [`Condvar`] wait made from
+//!   one parks the fiber (a stack switch) instead of the thread (a `futex`).
+//!   The waiting protocols built on this crate run unchanged on either.
 
+#![deny(unsafe_code)]
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[allow(unsafe_code)]
+pub mod fiber;
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+#[path = "fiber_unsupported.rs"]
+pub mod fiber;
+
+use fiber::{Waiter, Wake};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,19 +57,24 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking. Unlike `std`, never returns a poison
     /// error — parking_lot locks do not poison.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = match self.inner.lock() {
+        self.guard(self.lock_inner())
+    }
+
+    fn lock_inner(&self) -> std::sync::MutexGuard<'_, T> {
+        match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
-        };
-        MutexGuard { inner: Some(guard) }
+        }
+    }
+
+    fn guard<'a>(&'a self, inner: std::sync::MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        MutexGuard { mutex: self, inner: Some(inner), expired: false }
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(std::sync::TryLockError::Poisoned(p)) => {
-                Some(MutexGuard { inner: Some(p.into_inner()) })
-            }
+            Ok(g) => Some(self.guard(g)),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(self.guard(p.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
     }
@@ -77,9 +97,16 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// Guard returned by [`Mutex::lock`]. Holds the std guard in an `Option`
-/// so [`Condvar`] methods can temporarily take it out to wait.
+/// so [`Condvar`] methods can temporarily take it out to wait, and knows its
+/// mutex so a fiber's wait — which unlocks by dropping the std guard — can
+/// lock again.
 pub struct MutexGuard<'a, T: ?Sized> {
+    mutex: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
+    /// The last wait this guard went through was a fiber's and expired. A
+    /// waiter that waits again with such a guard has not left its wait loop
+    /// since, which is how [`fiber`] tells a stalled job from a slow one.
+    expired: bool,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -116,7 +143,8 @@ impl WaitTimeoutResult {
 
 /// Condition variable mirroring `parking_lot::Condvar`.
 ///
-/// `sleepers` counts the threads inside `wait`/`wait_for`. It is raised
+/// `sleepers` counts the callers inside `wait`/`wait_for`: threads in its
+/// low half, fibers (see [`fiber`]) in its high half. It is raised
 /// while the caller still holds the mutex and lowered once the mutex is held
 /// again, so a notifier that changed the awaited state under that mutex
 /// either ran before the waiter's predicate check (the waiter sees the
@@ -131,12 +159,27 @@ impl WaitTimeoutResult {
 /// it was inside: a thread that was notified after its time was up but
 /// before it ran again was notified, not timed out (parking_lot decides the
 /// same way, by who removed the thread from the queue).
+///
+/// A waiting fiber queues itself in `parked` and switches to its scheduler;
+/// a notify moves queued fibers to their ready queue, oldest first, and a
+/// fiber's `wait_for` is told by the scheduler whether it was notified or
+/// expired. Fibers can share a condvar only with fibers of the same job:
+/// a thread beside them, or a fiber of another job, panics with a message.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
     sleepers: AtomicUsize,
     notifies: AtomicUsize,
+    parked: std::sync::Mutex<VecDeque<Waiter>>,
 }
+
+/// One sleeping fiber in [`Condvar::sleepers`]; threads count in units of 1.
+const FIBER: usize = 1 << (usize::BITS / 2);
+/// The half of [`Condvar::sleepers`] that counts threads.
+const THREADS: usize = FIBER - 1;
+
+const MIXED: &str = "a Condvar is shared between fibers and a thread; fibers can only share a \
+                     Condvar with fibers of the same job";
 
 impl Condvar {
     pub const fn new() -> Self {
@@ -144,12 +187,17 @@ impl Condvar {
             inner: std::sync::Condvar::new(),
             sleepers: AtomicUsize::new(0),
             notifies: AtomicUsize::new(0),
+            parked: std::sync::Mutex::new(VecDeque::new()),
         }
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        if let Some(me) = fiber::current() {
+            self.wait_parked(guard, me, None);
+            return;
+        }
         let inner = guard.inner.take().expect("guard present before wait");
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        self.count_thread();
         let inner = match self.inner.wait(inner) {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -163,9 +211,13 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
     ) -> WaitTimeoutResult {
+        if let Some(me) = fiber::current() {
+            let wake = self.wait_parked(guard, me, Some(timeout));
+            return WaitTimeoutResult { timed_out: wake == Wake::Expired };
+        }
         let inner = guard.inner.take().expect("guard present before wait");
         let notifies = self.notifies.load(Ordering::SeqCst);
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        self.count_thread();
         let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, r),
             Err(p) => p.into_inner(),
@@ -176,25 +228,100 @@ impl Condvar {
         WaitTimeoutResult { timed_out: result.timed_out() && unnotified }
     }
 
-    /// Wake one sleeper; `false` (and no syscall) when there is none.
-    pub fn notify_one(&self) -> bool {
-        if self.sleepers.load(Ordering::SeqCst) == 0 {
-            return false;
+    /// Count the calling thread as a sleeper (the caller holds the mutex).
+    fn count_thread(&self) {
+        if self.sleepers.fetch_add(1, Ordering::SeqCst) >= FIBER {
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            panic!("{MIXED}");
         }
-        self.notifies.fetch_add(1, Ordering::SeqCst);
-        self.inner.notify_one();
-        true
+    }
+
+    fn parked(&self) -> std::sync::MutexGuard<'_, VecDeque<Waiter>> {
+        match self.parked.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        }
+    }
+
+    /// `wait`/`wait_for` of a fiber: queue it, unlock, and give the carrier
+    /// to its scheduler until a notify or an expiry makes it runnable.
+    fn wait_parked<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        me: fiber::Parker<'_>,
+        timeout: Option<Duration>,
+    ) -> Wake {
+        let waiter = me.waiter();
+        let before = self.sleepers.fetch_add(FIBER, Ordering::SeqCst);
+        {
+            let mut parked = self.parked();
+            let alone =
+                before & THREADS == 0 && parked.front().is_none_or(|w| w.same_carrier(&waiter));
+            if !alone {
+                drop(parked);
+                self.sleepers.fetch_sub(FIBER, Ordering::SeqCst);
+                panic!("{MIXED}");
+            }
+            parked.push_back(waiter);
+        }
+        drop(guard.inner.take().expect("guard present before wait"));
+        let wake = me.park(timeout, !guard.expired);
+        if wake == Wake::Expired {
+            // A notify would have taken the entry out; an expiry leaves it.
+            self.parked().retain(|w| *w != waiter);
+        }
+        guard.inner = Some(guard.mutex.lock_inner());
+        guard.expired = wake == Wake::Expired;
+        self.sleepers.fetch_sub(FIBER, Ordering::SeqCst);
+        wake
+    }
+
+    /// Wake one sleeper; `false` (and no syscall) when there is none.
+    #[inline]
+    pub fn notify_one(&self) -> bool {
+        match self.sleepers.load(Ordering::SeqCst) {
+            0 => false,
+            sleepers => self.wake(sleepers, 1) != 0,
+        }
     }
 
     /// Wake every sleeper and return how many there were; `0` (and no
     /// syscall) when there is none.
+    #[inline]
     pub fn notify_all(&self) -> usize {
-        let sleepers = self.sleepers.load(Ordering::SeqCst);
-        if sleepers != 0 {
-            self.notifies.fetch_add(1, Ordering::SeqCst);
-            self.inner.notify_all();
+        match self.sleepers.load(Ordering::SeqCst) {
+            0 => 0,
+            sleepers => self.wake(sleepers, usize::MAX),
         }
-        sleepers
+    }
+
+    /// Wake up to `max` (one or all) of the `sleepers != 0` counted; returns
+    /// how many that was.
+    fn wake(&self, sleepers: usize, max: usize) -> usize {
+        self.notifies.fetch_add(1, Ordering::SeqCst);
+        if sleepers >= FIBER {
+            // Fibers already made runnable stay counted until they run, so
+            // the queue, not the count, says who is left to wake.
+            let mut parked = self.parked();
+            let Some(first) = parked.front() else { return 0 };
+            // Panics, before a queue is touched, if the caller is not the
+            // fibers' carrier.
+            let carrier = fiber::carrier_of(first);
+            let woken = parked.len().min(max);
+            parked.drain(..woken).for_each(|w| carrier.unpark(w));
+            woken
+        } else if max == 1 {
+            self.inner.notify_one();
+            1
+        } else {
+            self.inner.notify_all();
+            sleepers
+        }
+    }
+
+    #[cfg(test)]
+    fn thread_sleepers(&self) -> usize {
+        self.sleepers.load(Ordering::SeqCst) & THREADS
     }
 }
 

@@ -11,6 +11,8 @@
 //!   fully-qualified name, so failures reproduce exactly under
 //!   `cargo test` with no persistence files.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     use std::fmt;
 

@@ -9,6 +9,8 @@
 //! bit-compatible with the real crate; nothing in the workspace asserts
 //! exact values drawn from a seed, only determinism per seed.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Core entropy source: 64 random bits at a time.

@@ -1,5 +1,8 @@
 //! Workspace façade: re-exports the public API of the CAF-over-OpenSHMEM
 //! reproduction so examples and integration tests can use one crate.
+
+#![forbid(unsafe_code)]
+
 pub use caf;
 pub use caf_apps as apps;
 pub use openshmem;
