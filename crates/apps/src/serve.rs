@@ -521,7 +521,7 @@ pub fn run_serve_outcome(
                         let home = shard_map[shard];
                         // Clock-deterministic liveness probe: which
                         // requests get parked must reproduce bit-identically
-                        // under any worker count.
+                        // on any host schedule.
                         if img.image_dead_by_now(home) {
                             parked.push(Parked {
                                 id,

@@ -3,39 +3,35 @@
 //! decision branches on the virtual clock, and completions land in
 //! virtual-time windows — so for any drawn seed the same config must
 //! produce a bit-identical per-request log ([`RequestLog`]), windowed
-//! metrics snapshot and SLO report run to run AND across scheduler worker
-//! counts {1, 8} under the deterministic NIC. The property must also hold
-//! under a transient-drop fault plan (`drop1`): retries stretch latencies,
-//! but they stretch them identically for every worker count.
+//! metrics snapshot and SLO report run to run under the deterministic NIC.
+//! The property must also hold under a transient-drop fault plan (`drop1`):
+//! retries stretch latencies, but they stretch them identically every run.
 
 use caf::{Backend, SanitizerMode};
 use caf_apps::serve::{run_serve_outcome, ServeConfig, ServeResult};
 use caf_apps::DhtUpdateMode;
 use pgas_machine::metrics::MetricsSnapshot;
 use pgas_machine::{
-    with_forced_metrics, with_forced_mode, with_forced_plan, with_forced_tracing,
-    with_forced_workers, FaultPlan, Platform, RequestLog,
+    with_forced_metrics, with_forced_mode, with_forced_plan, with_forced_tracing, FaultPlan,
+    Platform, RequestLog,
 };
 use proptest::prelude::*;
 
-/// One traced open-loop run: eight workers + a spare, deterministic NIC,
-/// tracing and metrics pinned on, sanitizer pinned off.
+/// One open-loop run: eight workers + a spare, deterministic NIC, tracing
+/// pinned to `traced`, metrics pinned on, sanitizer pinned off.
 fn serving_run(
-    workers: usize,
+    traced: bool,
     cfg: ServeConfig,
     plan: FaultPlan,
 ) -> (ServeResult, Vec<RequestLog>, MetricsSnapshot, String) {
-    with_forced_tracing(true, || {
+    with_forced_tracing(traced, || {
         with_forced_metrics(true, || {
             with_forced_mode(SanitizerMode::Off, || {
-                with_forced_workers(workers, || {
-                    with_forced_plan(plan, || {
-                        let (r, out) =
-                            run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true);
-                        let log = out.request_log();
-                        let slo_json = r.slo.to_json().pretty();
-                        (r, log, out.metrics, slo_json)
-                    })
+                with_forced_plan(plan, || {
+                    let (r, out) = run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true);
+                    let log = out.request_log();
+                    let slo_json = r.slo.to_json().pretty();
+                    (r, log, out.metrics, slo_json)
                 })
             })
         })
@@ -65,31 +61,29 @@ proptest! {
         // is exactly the nondeterminism the MCS lock models on purpose.
         let cfg = small(seed, DhtUpdateMode::Am);
         let plan = FaultPlan::new(cfg.seed);
-        let (r1, l1, m1, s1) = serving_run(1, cfg, plan.clone());
-        let (r8, l8, m8, s8) = serving_run(8, cfg, plan.clone());
-        prop_assert_eq!(&l1, &l8, "worker count must be invisible in the request log");
-        prop_assert_eq!(&m1, &m8, "worker count must be invisible in the windowed metrics");
-        prop_assert_eq!(&s1, &s8, "worker count must be invisible in the SLO report");
-        prop_assert_eq!(r1.slo.windows, r8.slo.windows);
-        prop_assert_eq!(r1.slo.alerts, r8.slo.alerts);
-        prop_assert_eq!(r1.checksum, r8.checksum);
-        prop_assert_eq!(r1.completed, r8.completed);
-        // Tail attribution rides the same guarantee: per-window profiles,
-        // dominant causes and the seeded exemplar reservoirs (ids included)
-        // must be bit-identical across worker counts — the sampler's keyed
-        // order is offer-order independent by construction.
-        let (t1, t8) = (r1.tail.as_ref().unwrap(), r8.tail.as_ref().unwrap());
-        prop_assert_eq!(t1, t8, "tail attribution must be bit-identical across worker counts");
-        for (p1, p8) in t1.profiles.iter().zip(&t8.profiles) {
-            prop_assert_eq!(p1.dominant_cause(), p8.dominant_cause());
-            let ids1: Vec<u64> = p1.exemplars.iter().map(|e| e.id).collect();
-            let ids8: Vec<u64> = p8.exemplars.iter().map(|e| e.id).collect();
-            prop_assert_eq!(ids1, ids8, "exemplar ids must not see the worker count");
+        let (r1, l1, m1, s1) = serving_run(true, cfg, plan.clone());
+        for repeat in 2..=3 {
+            let (r, l, m, s) = serving_run(true, cfg, plan.clone());
+            prop_assert_eq!(&l1, &l, "run {} must reproduce the request log", repeat);
+            prop_assert_eq!(&m1, &m, "run {} must reproduce the windowed metrics", repeat);
+            prop_assert_eq!(&s1, &s, "run {} must reproduce the SLO report", repeat);
+            prop_assert_eq!(&r1.slo.windows, &r.slo.windows);
+            prop_assert_eq!(&r1.slo.alerts, &r.slo.alerts);
+            prop_assert_eq!(r1.checksum, r.checksum);
+            prop_assert_eq!(r1.completed, r.completed);
+            // Tail attribution rides the same guarantee: per-window profiles,
+            // dominant causes and the seeded exemplar reservoirs (ids
+            // included) must be bit-identical run to run — the sampler's
+            // keyed order is offer-order independent by construction.
+            let (t1, t) = (r1.tail.as_ref().unwrap(), r.tail.as_ref().unwrap());
+            prop_assert_eq!(t1, t, "run {} must reproduce the tail attribution", repeat);
+            for (p1, p) in t1.profiles.iter().zip(&t.profiles) {
+                prop_assert_eq!(p1.dominant_cause(), p.dominant_cause());
+                let ids1: Vec<u64> = p1.exemplars.iter().map(|e| e.id).collect();
+                let ids: Vec<u64> = p.exemplars.iter().map(|e| e.id).collect();
+                prop_assert_eq!(ids1, ids, "run {} must retain the same exemplar ids", repeat);
+            }
         }
-        let (_, l1b, m1b, s1b) = serving_run(1, cfg, plan);
-        prop_assert_eq!(&l1, &l1b, "same seed must reproduce bit-identically");
-        prop_assert_eq!(&m1, &m1b);
-        prop_assert_eq!(&s1, &s1b);
         // The log is complete: one entry per completed request, and the
         // decomposition always sums back to the end-to-end latency.
         prop_assert_eq!(l1.len() as u64, r1.completed + r1.drained);
@@ -112,21 +106,8 @@ proptest! {
         // differ.
         let cfg = small(seed, DhtUpdateMode::Am);
         let plan = FaultPlan::new(cfg.seed);
-        let (rt, _, mt, _) = serving_run(1, cfg, plan.clone());
-        let (ru, mu) = with_forced_tracing(false, || {
-            with_forced_metrics(true, || {
-                with_forced_mode(SanitizerMode::Off, || {
-                    with_forced_workers(1, || {
-                        with_forced_plan(plan, || {
-                            let (r, out) =
-                                run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true);
-                            let m = out.metrics;
-                            (r, m)
-                        })
-                    })
-                })
-            })
-        });
+        let (rt, _, mt, _) = serving_run(true, cfg, plan.clone());
+        let (ru, _, mu, _) = serving_run(false, cfg, plan);
         prop_assert_eq!(&mt, &mu, "tracing must move no virtual clock");
         prop_assert_eq!(rt.checksum, ru.checksum);
         prop_assert_eq!(rt.completed, ru.completed);
@@ -149,12 +130,12 @@ proptest! {
     fn serving_determinism_survives_transient_drops(seed in any::<u64>()) {
         let cfg = small(seed, DhtUpdateMode::Am);
         let plan = FaultPlan::transient_drops(0xFA01, 0.01);
-        let (r1, l1, m1, s1) = serving_run(1, cfg, plan.clone());
-        let (r8, l8, m8, s8) = serving_run(8, cfg, plan);
-        prop_assert_eq!(&l1, &l8, "drop retries must replay identically per worker count");
-        prop_assert_eq!(&m1, &m8);
-        prop_assert_eq!(&s1, &s8);
-        prop_assert_eq!(r1.checksum, r8.checksum);
-        prop_assert_eq!(r1.acked_sum, r8.acked_sum);
+        let (r1, l1, m1, s1) = serving_run(true, cfg, plan.clone());
+        let (r2, l2, m2, s2) = serving_run(true, cfg, plan);
+        prop_assert_eq!(&l1, &l2, "drop retries must replay identically run to run");
+        prop_assert_eq!(&m1, &m2);
+        prop_assert_eq!(&s1, &s2);
+        prop_assert_eq!(r1.checksum, r2.checksum);
+        prop_assert_eq!(r1.acked_sum, r2.acked_sum);
     }
 }

@@ -1,7 +1,7 @@
 //! Regenerates Figure 8 (lock microbenchmark on Titan).
 //! REPRO_QUICK=1 for a smoke run; REPRO_MAX_IMAGES caps the sweep
 //! (default 2048: the paper's 1024-image headline point plus one
-//! doubling, viable since PEs multiplex onto a bounded worker pool).
+//! doubling).
 
 fn main() {
     let quick = repro_bench::quick_from_env();

@@ -977,11 +977,6 @@ impl<'m> Ctx<'m> {
         if let Some(h) = self.pending.borrow().check_amo(dst, off) {
             self.flag_hazard(h);
         }
-        // A fetching atomic observes the last writer of the word — that is
-        // the happens-before edge lock handoffs are built on.
-        if op.is_fetching() {
-            m.san_sync_edge(self.pe.id(), dst, off);
-        }
         let mut detail = FlowDetail::default();
         let t =
             self.cost.amo(self.pe.id(), dst, op.is_fetching(), self.pe.now(), Some(&mut detail));
@@ -1001,6 +996,15 @@ impl<'m> Ctx<'m> {
                 // only observe this AMO after its quiescence was withdrawn,
                 // keeping the arbiter's view of the waiter conclusive.
                 m.apply_and_notify(dst, || {
+                    // A fetching atomic observes the last writer of the word
+                    // — that is the happens-before edge lock handoffs are
+                    // built on. Taken here, in the section that serializes
+                    // the word's atomics: earlier, a release that lands
+                    // between the edge and the fetch would be observed but
+                    // not joined.
+                    if op.is_fetching() {
+                        m.san_sync_edge(self.pe.id(), dst, off);
+                    }
                     let prior_stamp = m.heap(dst).max_stamp(off, 8);
                     let old = amo_word(m.heap(dst).atomic64(off), op);
                     m.heap(dst).stamp_range(off, 8, t.remote_complete);
@@ -1357,8 +1361,8 @@ impl<'m> Ctx<'m> {
         // it, ack it, or reply — without a timeout an `am_call` would block
         // forever. The test is the scheduled deadline against the virtual
         // instant the handler *would* execute, a pure function of the plan
-        // and this PE's clock, so detection is deterministic under any
-        // worker count. The sender pays the full retry chain of reply
+        // and this PE's clock, so detection is deterministic on any host
+        // schedule. The sender pays the full retry chain of reply
         // timeouts before concluding the target is gone.
         if m.pe_dead_at(dst, t.executed) {
             return Err(self.am_reply_timeout(dst));
@@ -1733,7 +1737,7 @@ impl<'m> Ctx<'m> {
         }
         let word = m.heap(me).atomic64(off);
         let mut seen = 0;
-        m.wait_on(me, || {
+        m.wait_on_word(me, off, || {
             seen = word.load(Ordering::Acquire);
             pred(seen)
         });

@@ -121,7 +121,7 @@ impl<'m> Image<'m> {
     /// and therefore races real time — this is a pure function of the fault
     /// plan and the caller's clock, the same predicate the conduit's
     /// dead-target gates use. Resilient kernels that branch on it make
-    /// bit-identical decisions under any worker count.
+    /// bit-identical decisions on any host schedule.
     pub fn image_dead_by_now(&self, image: ImageId) -> bool {
         self.machine().pe_dead_at(self.pe_of(image), self.shmem().ctx().pe().now())
     }

@@ -79,9 +79,9 @@ pub struct MachineConfig {
     /// Since such a run has one PE making progress at a time, it also runs
     /// the PEs as fibers on the launching thread (see `crate::launch`).
     pub deterministic_nic: bool,
-    /// This config's choices for the eight machine-wide knobs (sanitizer,
-    /// faults, trace, metrics, workers, aggregation, checksums, stream);
-    /// all `None` in the presets. `Machine::new` resolves them against the
+    /// This config's choices for the seven machine-wide knobs (sanitizer,
+    /// faults, trace, metrics, aggregation, checksums, stream); all `None`
+    /// in the presets. `Machine::new` resolves them against the
     /// thread-forced and environment layers (see `crate::knobs`).
     pub knobs: Knobs,
 }
@@ -110,13 +110,13 @@ impl MachineConfig {
         self
     }
 
-    // The eight knob builders. What counts as "no choice" is asymmetric, and
+    // The seven knob builders. What counts as "no choice" is asymmetric, and
     // this is the one place that says so: `false`/`Off` for the three
     // observers (trace, metrics, sanitizer) leaves the knob unset, because
     // the `PGAS_TRACE`/`PGAS_METRICS`/`PGAS_SANITIZER` CI jobs must reach
     // configs that spell out the off default, and only a `with_forced_*`
     // scope turns an observer off. For the other knobs every value —
-    // `with_workers(0)`, `with_aggregation(false)`, `with_checksums(false)`,
+    // `with_aggregation(false)`, `with_checksums(false)`,
     // `with_faults(FaultPlan::none())` — is an explicit choice that beats
     // the environment: timing-exact tests opt out of the env default with it.
 
@@ -162,15 +162,6 @@ impl MachineConfig {
     /// `deterministic_nic` field). Used by the benchmark probes.
     pub fn with_deterministic_nic(mut self) -> Self {
         self.deterministic_nic = true;
-        self
-    }
-
-    /// Bound runnable PEs to `n` worker slots, admitted in
-    /// `(virtual clock, pe)` order (see `crate::sched`); `0` means no
-    /// limit. Simulation outcomes are bit-identical for every
-    /// setting; the limit only bounds host-side concurrency.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.knobs.workers = Some(n);
         self
     }
 

@@ -1,9 +1,9 @@
 //! Machine-wide knobs: the one place a switch is read, overridden or resolved.
 //!
-//! Eight switches decide how a machine runs without being part of what it
-//! models: sanitizer mode, fault plan, tracing, metrics, worker-pool limit,
-//! conduit aggregation, payload checksums and the live snapshot stream. Each
-//! can be chosen in up to three layers, all of them one [`Knobs`] value:
+//! Seven switches decide how a machine runs without being part of what it
+//! models: sanitizer mode, fault plan, tracing, metrics, conduit aggregation,
+//! payload checksums and the live snapshot stream. Each can be chosen in up
+//! to three layers, all of them one [`Knobs`] value:
 //!
 //! 1. **forced** — a thread-scoped override (`with_forced_*`), for harnesses
 //!    that cannot reach the `MachineConfig` an app builds internally;
@@ -38,10 +38,6 @@ pub struct Knobs {
     pub trace: Option<bool>,
     /// Record per-op metrics (see `crate::metrics`).
     pub metrics: Option<bool>,
-    /// Worker-pool limit: at most this many PE threads runnable at once
-    /// (see `crate::sched`). `0`, or a limit covering every PE, is a choice
-    /// of one thread per PE.
-    pub workers: Option<usize>,
     /// Default for conduit small-op aggregation. The machine aggregates
     /// nothing itself; `pgas-conduit` reads the resolved value back.
     pub aggregation: Option<bool>,
@@ -76,8 +72,6 @@ pub struct ResolvedKnobs {
     pub faults: Resolved<Option<FaultPlan>>,
     pub trace: Resolved<bool>,
     pub metrics: Resolved<bool>,
-    /// `None` = one thread per PE, no scheduler state.
-    pub workers: Resolved<Option<usize>>,
     pub aggregation: Resolved<bool>,
     pub checksums: Resolved<bool>,
     pub stream: Resolved<Option<StreamConfig>>,
@@ -85,7 +79,7 @@ pub struct ResolvedKnobs {
 
 impl fmt::Display for ResolvedKnobs {
     /// One line, in the knobs' own input vocabulary:
-    /// `sanitizer=off(default) … trace=on(env) workers=2(forced) …`.
+    /// `sanitizer=off(default) … trace=on(env) aggregation=off(forced) …`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let flag = |on: bool| if on { "on" } else { "off" }.to_string();
         let lower = |v: &dyn fmt::Debug| format!("{v:?}").to_lowercase();
@@ -95,7 +89,6 @@ impl fmt::Display for ResolvedKnobs {
             ("faults", flag(self.faults.value.is_some()), self.faults.source),
             ("trace", flag(self.trace.value), self.trace.source),
             ("metrics", flag(self.metrics.value), self.metrics.source),
-            ("workers", self.workers.value.unwrap_or(0).to_string(), self.workers.source),
             ("aggregation", flag(self.aggregation.value), self.aggregation.source),
             ("checksums", flag(self.checksums.value), self.checksums.source),
             ("stream", stream.unwrap_or(flag(false)), self.stream.source),
@@ -121,10 +114,9 @@ fn pick<T: Clone, U>(
     Resolved { value: finish(value), source }
 }
 
-/// Fieldwise `forced.or(config).or(env)`, then the normalisations: a zero
-/// fault plan builds no fault state, and a worker limit of `0` or one that
-/// admits every PE at once is exactly one thread per PE.
-fn layered(forced: &Knobs, config: &Knobs, env: &Knobs, total_pes: usize) -> ResolvedKnobs {
+/// Fieldwise `forced.or(config).or(env)`, then the one normalisation: a zero
+/// fault plan builds no fault state.
+fn layered(forced: &Knobs, config: &Knobs, env: &Knobs) -> ResolvedKnobs {
     macro_rules! pick {
         ($knob:ident, $finish:expr) => {
             pick([&forced.$knob, &config.$knob, &env.$knob], $finish)
@@ -135,7 +127,6 @@ fn layered(forced: &Knobs, config: &Knobs, env: &Knobs, total_pes: usize) -> Res
         faults: pick!(faults, |plan| plan.filter(|p| !p.is_zero())),
         trace: pick!(trace, Option::unwrap_or_default),
         metrics: pick!(metrics, Option::unwrap_or_default),
-        workers: pick!(workers, |w| w.filter(|&w| w > 0 && w < total_pes)),
         aggregation: pick!(aggregation, Option::unwrap_or_default),
         checksums: pick!(checksums, Option::unwrap_or_default),
         stream: pick!(stream, |s| s),
@@ -145,7 +136,7 @@ fn layered(forced: &Knobs, config: &Knobs, env: &Knobs, total_pes: usize) -> Res
 impl Knobs {
     /// Resolve every knob for a machine built from `cfg` on this thread.
     pub fn resolve(cfg: &MachineConfig) -> ResolvedKnobs {
-        FORCED.with(|forced| layered(&forced.borrow(), &cfg.knobs, env(), cfg.total_pes()))
+        FORCED.with(|forced| layered(&forced.borrow(), &cfg.knobs, env()))
     }
 }
 
@@ -179,7 +170,6 @@ fn parse_env(lookup: impl Fn(&str) -> Option<String>, mut warn: impl FnMut(Strin
         faults: read!("PGAS_FAULT_PLAN", "off|none|drop1|drop5|flaky", FaultPlan::parse),
         trace: read!("PGAS_TRACE", flag, parse_flag),
         metrics: read!("PGAS_METRICS", flag, parse_flag),
-        workers: read!("PGAS_WORKERS", "a non-negative integer", |v: &str| v.trim().parse().ok()),
         aggregation: read!("PGAS_COALESCE", flag, parse_flag),
         checksums: read!("PGAS_CHECKSUM", flag, parse_flag),
         stream: None,
@@ -216,7 +206,7 @@ fn with_forced<R>(set: impl FnOnce(&mut Knobs), f: impl FnOnce() -> R) -> R {
     f()
 }
 
-// The eight scoped overrides. Each applies to every machine built *on this
+// The seven scoped overrides. Each applies to every machine built *on this
 // thread* inside `f`, beats both the config and the environment, and nests.
 
 /// Force the sanitizer mode.
@@ -234,10 +224,6 @@ pub fn with_forced_tracing<R>(on: bool, f: impl FnOnce() -> R) -> R {
 /// Force metrics recording on or off.
 pub fn with_forced_metrics<R>(on: bool, f: impl FnOnce() -> R) -> R {
     with_forced(|k| k.metrics = Some(on), f)
-}
-/// Force the worker-pool limit (`0` = one thread per PE).
-pub fn with_forced_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
-    with_forced(|k| k.workers = Some(workers), f)
 }
 /// Force conduit aggregation on or off; unlike the config/env default this
 /// also beats a per-context `CoalescePolicy` (see `pgas-conduit`).
@@ -270,7 +256,6 @@ mod tests {
             faults: Some(drops(0.01)),
             trace: Some(true),
             metrics: Some(true),
-            workers: Some(3),
             aggregation: Some(true),
             checksums: Some(true),
             stream: None,
@@ -287,7 +272,6 @@ mod tests {
             faults: Some(FaultPlan::none()),
             trace: Some(false),
             metrics: Some(false),
-            workers: Some(0),
             aggregation: Some(true),
             checksums: Some(true),
             stream: Some(StreamConfig::new(500, 8)),
@@ -297,60 +281,55 @@ mod tests {
             .with_faults(drops(0.25))
             .with_trace(true)
             .with_metrics(true)
-            .with_workers(2)
             .with_aggregation(false)
             .with_checksums(false)
             .with_stream(StreamConfig::new(1000, 8))
             .knobs;
         let (env, none) = (env_all_on(), Knobs::default());
         // One row per winning source, one `value(source)` cell per knob.
-        let row = |forced, config, env| layered(forced, config, env, 4).to_string();
+        let row = |forced, config, env| layered(forced, config, env).to_string();
         assert_eq!(
             row(&forced, &config, &env),
             "sanitizer=off(forced) faults=off(forced) trace=off(forced) metrics=off(forced) \
-             workers=0(forced) aggregation=on(forced) checksums=on(forced) stream=500ns(forced)"
+             aggregation=on(forced) checksums=on(forced) stream=500ns(forced)"
         );
         assert_eq!(
             row(&none, &config, &env),
             "sanitizer=panic(config) faults=on(config) trace=on(config) metrics=on(config) \
-             workers=2(config) aggregation=off(config) checksums=off(config) stream=1000ns(config)"
+             aggregation=off(config) checksums=off(config) stream=1000ns(config)"
         );
         assert_eq!(
             row(&none, &none, &env),
             "sanitizer=record(env) faults=on(env) trace=on(env) metrics=on(env) \
-             workers=3(env) aggregation=on(env) checksums=on(env) stream=off(default)"
+             aggregation=on(env) checksums=on(env) stream=off(default)"
         );
         assert_eq!(
             row(&none, &none, &none),
             "sanitizer=off(default) faults=off(default) trace=off(default) metrics=off(default) \
-             workers=0(default) aggregation=off(default) checksums=off(default) stream=off(default)"
+             aggregation=off(default) checksums=off(default) stream=off(default)"
         );
-        // The plan is the winning layer's, and a pool that admits every PE
-        // at once is one thread per PE.
-        assert_eq!(layered(&none, &config, &env, 4).faults.value, Some(drops(0.25)));
-        assert_eq!(layered(&none, &none, &env, 4).faults.value, Some(drops(0.01)));
-        let covering = layered(&none, &config, &env, 2).workers;
-        assert_eq!(covering, Resolved { value: None, source: Source::Config });
+        // The plan is the winning layer's.
+        assert_eq!(layered(&none, &config, &env).faults.value, Some(drops(0.25)));
+        assert_eq!(layered(&none, &none, &env).faults.value, Some(drops(0.01)));
     }
 
     #[test]
     fn config_builders_encode_which_values_are_a_choice() {
         // Off/false is "no choice" for the three observers — the environment
-        // still switches them on — and an explicit choice for the other four.
+        // still switches them on — and an explicit choice for the other three.
         let config = generic_smp(4)
             .with_trace(true)
             .with_trace(false)
             .with_metrics(false)
             .with_sanitizer(Off)
-            .with_workers(0)
             .with_aggregation(false)
             .with_checksums(false)
             .with_faults(FaultPlan::none())
             .knobs;
         assert_eq!(
-            layered(&Knobs::default(), &config, &env_all_on(), 4).to_string(),
+            layered(&Knobs::default(), &config, &env_all_on()).to_string(),
             "sanitizer=record(env) faults=off(config) trace=on(env) metrics=on(env) \
-             workers=0(config) aggregation=off(config) checksums=off(config) stream=off(default)"
+             aggregation=off(config) checksums=off(config) stream=off(default)"
         );
     }
 
@@ -360,7 +339,7 @@ mod tests {
         // they are normally unset -> all defaults; in each PGAS_* CI job this
         // asserts the variable reaches a preset machine with no code changes.
         let now = parse_env(|var| std::env::var(var).ok(), |_| ());
-        let want = layered(&Knobs::default(), &Knobs::default(), &now, 4);
+        let want = layered(&Knobs::default(), &Knobs::default(), &now);
         assert_eq!(Knobs::resolve(&generic_smp(4)).to_string(), want.to_string());
     }
 
@@ -376,28 +355,27 @@ mod tests {
                 ("PGAS_FAULT_PLAN", "drop1"),
                 ("PGAS_TRACE", "YES"),
                 ("PGAS_METRICS", "0"),
-                ("PGAS_WORKERS", " 2 "),
                 ("PGAS_COALESCE", "on"),
                 ("PGAS_CHECKSUM", "false"),
             ]),
             |w| warnings.push(w),
         );
         assert_eq!((good.sanitizer, good.faults), (Some(Record), FaultPlan::parse("drop1")));
-        assert_eq!((good.trace, good.metrics, good.workers), (Some(true), Some(false), Some(2)));
+        assert_eq!((good.trace, good.metrics), (Some(true), Some(false)));
         assert_eq!((good.aggregation, good.checksums), (Some(true), Some(false)));
         assert!(good.stream.is_none() && warnings.is_empty(), "{warnings:?}");
 
         let bad = parse_env(
-            vars(&[("PGAS_TRACE", "ture"), ("PGAS_WORKERS", "two"), ("PGAS_SANITIZER", "tsan")]),
+            vars(&[("PGAS_TRACE", "ture"), ("PGAS_METRICS", "2"), ("PGAS_SANITIZER", "tsan")]),
             |w| warnings.push(w),
         );
-        assert_eq!((bad.trace, bad.workers, bad.sanitizer), (None, None, None), "still ignored");
+        assert_eq!((bad.trace, bad.metrics, bad.sanitizer), (None, None, None), "still ignored");
         assert_eq!(
             warnings,
             [
                 "warning: ignoring PGAS_SANITIZER=\"tsan\" (expected off|record|panic)",
                 "warning: ignoring PGAS_TRACE=\"ture\" (expected 1|true|on|yes or 0|false|off|no)",
-                "warning: ignoring PGAS_WORKERS=\"two\" (expected a non-negative integer)",
+                "warning: ignoring PGAS_METRICS=\"2\" (expected 1|true|on|yes or 0|false|off|no)",
             ]
         );
     }
@@ -405,20 +383,20 @@ mod tests {
     #[test]
     fn forced_scopes_nest_and_restore_on_unwind() {
         let seen =
-            || FORCED.with(|c| (c.borrow().trace, c.borrow().workers, c.borrow().stream.is_some()));
+            || FORCED.with(|c| (c.borrow().trace, c.borrow().metrics, c.borrow().stream.is_some()));
         assert_eq!(seen(), (None, None, false));
         with_forced_tracing(true, || {
-            with_forced_workers(2, || {
-                with_forced_tracing(false, || assert_eq!(seen(), (Some(false), Some(2), false)));
-                assert_eq!(seen(), (Some(true), Some(2), false));
+            with_forced_metrics(true, || {
+                with_forced_tracing(false, || assert_eq!(seen(), (Some(false), Some(true), false)));
+                assert_eq!(seen(), (Some(true), Some(true), false));
                 let unwound = std::panic::catch_unwind(|| {
                     with_forced_stream(StreamConfig::new(500, 8), || {
-                        assert_eq!(seen(), (Some(true), Some(2), true));
+                        assert_eq!(seen(), (Some(true), Some(true), true));
                         panic!("boom")
                     })
                 });
                 assert!(unwound.is_err());
-                assert_eq!(seen(), (Some(true), Some(2), false), "unwind restores");
+                assert_eq!(seen(), (Some(true), Some(true), false), "unwind restores");
             });
             assert_eq!(seen(), (Some(true), None, false));
         });

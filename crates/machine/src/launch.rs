@@ -6,13 +6,6 @@
 //! launching thread (`parking_lot::fiber`), where a blocked PE is a parked
 //! stack and a handoff a stack switch; every other machine — and every
 //! target without the fiber switch — spawns one OS thread per PE.
-//!
-//! Under a worker limit (`MachineConfig::with_workers` / `PGAS_WORKERS`,
-//! see `crate::sched`) the threads still all spawn, but at most `W` are
-//! runnable at once: each PE is admitted in `(virtual clock, pe)` order
-//! and yields its slot at every blocking point. Outcomes are bit-identical
-//! for every worker count; the limit only bounds host-side concurrency so
-//! paper-scale jobs (thousands of PEs) fit the host.
 
 use crate::config::MachineConfig;
 use crate::critpath::CriticalPathReport;
@@ -84,7 +77,7 @@ pub struct SimOutcome<R> {
     /// Platform name the job ran on.
     pub machine: String,
     /// Every knob the run was under, and which layer set it; renders on one
-    /// line (`trace=on(env) workers=2(forced) …`).
+    /// line (`trace=on(env) aggregation=off(forced) …`).
     pub knobs: ResolvedKnobs,
     /// What the run cost the host's scheduler.
     pub engine: EngineStats,
@@ -288,12 +281,9 @@ fn pe_body<F, R>(machine: &Machine, f: &F, id: PeId) -> std::thread::Result<R>
 where
     F: Fn(Pe<'_>) -> R,
 {
-    // Under a worker limit a fresh PE first waits for a slot (ready at clock
-    // 0); legacy mode starts at once.
-    machine.sched_acquire(id);
     let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(Pe::new(id, machine))));
     // A finished PE is permanently quiescent for the NIC arbiter — stragglers
-    // must not wait on its clock — and gives up its worker slot.
+    // must not wait on its clock.
     machine.pe_finished(id);
     if out.is_err() {
         // Unblock everyone else before reporting.
@@ -505,14 +495,20 @@ mod tests {
         use std::sync::atomic::Ordering;
         let began = std::time::Instant::now();
         // PEs 0 and 1 each wait for a flag only the other would set — after
-        // its own wait. PE 2 waits for them in a barrier; PE 3 is done.
+        // its own wait; PE 0 names the word it polls. PE 2 waits for them in
+        // a barrier; PE 3 is done.
         let err = run_with_result(generic_smp(4).with_deterministic_nic(), |pe| {
             let (m, me) = (pe.machine(), pe.id());
-            let flag = |p: usize| m.heap(p).atomic64(0);
+            let flag = |p: usize| m.heap(p).atomic64(0x40);
+            let set = || flag(me).load(Ordering::Acquire) == 1;
             match me {
                 0 | 1 => {
                     m.advance(me, 100.0 * (me + 1) as f64);
-                    m.wait_on(me, || flag(me).load(Ordering::Acquire) == 1);
+                    if me == 0 {
+                        m.wait_on_word(me, 0x40, set);
+                    } else {
+                        m.wait_on(me, set);
+                    }
                     m.apply_and_notify(1 - me, || flag(1 - me).store(1, Ordering::Release));
                 }
                 2 => {
@@ -533,8 +529,9 @@ mod tests {
             lines[0].starts_with("deadlock:") && lines[0].contains("3 unfinished"),
             "{lines:?}"
         );
-        assert!(lines[1].starts_with("PE 0 at 100 ns: wait_on"), "{lines:?}");
-        assert!(lines[2].starts_with("PE 1 at 200 ns: wait_on"), "{lines:?}");
+        let polled = "PE 0 at 100 ns: wait_on(word at offset 0x40 of PE 0): predicate false";
+        assert!(lines[1].starts_with(polled), "{lines:?}");
+        assert!(lines[2].starts_with("PE 1 at 200 ns: wait_on: predicate false"), "{lines:?}");
         assert_eq!(lines[3], "PE 2 at 0 ns: barrier(all) round 0, 1 of 4 arrived", "{lines:?}");
         assert_eq!(lines.len(), 4, "the finished PE is not listed: {lines:?}");
     }

@@ -39,7 +39,6 @@ pub mod metrics;
 pub mod nic;
 pub mod platforms;
 pub mod sanitizer;
-pub mod sched;
 pub mod slo;
 pub mod stats;
 pub mod stream;
@@ -53,8 +52,7 @@ pub use critpath::{critical_path, CriticalPathReport, PathCategory, PathSegment}
 pub use fault::{DegradedWindow, FaultKind, FaultPlan, PeFailure, RetryPolicy};
 pub use knobs::{
     with_forced_aggregation, with_forced_checksums, with_forced_metrics, with_forced_mode,
-    with_forced_plan, with_forced_stream, with_forced_tracing, with_forced_workers, Knobs,
-    ResolvedKnobs,
+    with_forced_plan, with_forced_stream, with_forced_tracing, Knobs, ResolvedKnobs,
 };
 pub use launch::{
     run, run_with_result, EngineStats, NicSnapshot, RequestLog, SimError, SimOutcome,

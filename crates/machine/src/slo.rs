@@ -15,8 +15,8 @@
 //!
 //! Everything here is integer arithmetic over the deterministic window
 //! series (burn rates are fixed-point, ×1000), so two runs with identical
-//! virtual behaviour — including runs under different `PGAS_WORKERS` pool
-//! sizes — produce bit-identical reports.
+//! virtual behaviour — repeated runs, on either engine — produce
+//! bit-identical reports.
 
 use crate::json::Json;
 use crate::metrics::{bucket_bound, MetricsSnapshot, WindowEntry};

@@ -16,25 +16,24 @@ use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-/// Backstop period for every waiter but a queue's designated minimum:
-/// barrier and `wait_until` waiters, and non-minimum keys in the NIC
-/// arbiter's parking lot and in the worker pool's ready queue. All of them
-/// are notified under the mutex their wait holds — the parked keys by name,
-/// when they become the minimum — so no wake can be lost; the timeout only
-/// bounds the damage of a protocol hole and lets poison be noticed, and can
-/// be lazy without adding latency to any handoff. (For PE fibers a timeout
-/// is an order of expiry, not a duration: see `parking_lot::fiber`.) At thousands of parked PEs
-/// this is what keeps the wall-clock poll storm (waiters/tick) sublinear in
+/// Backstop period for every waiter but the NIC arbiter's designated
+/// minimum: barrier and `wait_until` waiters, and non-minimum keys in the
+/// arbiter's parking lot. All of them are notified under the mutex their
+/// wait holds — the parked keys by name, when they become the minimum — so
+/// no wake can be lost; the timeout only bounds the damage of a protocol
+/// hole and lets poison be noticed, and can be lazy without adding latency
+/// to any handoff. (For PE fibers a timeout is an order of expiry, not a
+/// duration: see `parking_lot::fiber`.) At thousands of parked PEs this is
+/// what keeps the wall-clock poll storm (waiters/tick) sublinear in
 /// simulation size.
 pub(crate) const WAIT_TICK_IDLE: Duration = Duration::from_millis(200);
 
-/// Backstop period for the *designated minimum* waiter in the NIC arbiter
-/// and the worker-pool ready queue. Its wakes, too, are all sent under its
-/// queue's mutex (see `ArbiterState` for who sends the arbiter's), so a
-/// healthy run never takes this timeout either; it is short because the
-/// minimum stalls the whole grant/admission chain, so a hole would cost
-/// 1 ms per step instead of 200. Exactly one thread per queue waits at this
-/// rate, so the short tick adds no storm.
+/// Backstop period for the *designated minimum* waiter in the NIC arbiter.
+/// Its wakes, too, are all sent under the parking lot's mutex (see
+/// `ArbiterState` for who sends them), so a healthy run never takes this
+/// timeout either; it is short because the minimum stalls the whole grant
+/// chain, so a hole would cost 1 ms per step instead of 200. Exactly one
+/// thread waits at this rate, so the short tick adds no storm.
 pub(crate) const WAIT_TICK_MIN: Duration = Duration::from_millis(1);
 
 /// Shared poison flag: set when any PE panics.
@@ -176,48 +175,24 @@ impl ClockBarrier {
 }
 
 /// Per-PE notification cell used by `wait_until`-style operations: remote
-/// writers bump the generation after touching a PE's heap; waiters re-check
-/// their predicate on every bump (or timeout tick).
+/// writers notify after touching a PE's heap; waiters re-check their
+/// predicate, under the lock, on every notify (or timeout tick).
 #[derive(Debug, Default)]
 pub struct NotifyCell {
-    gen: Mutex<u64>,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
 impl NotifyCell {
     /// Signal that the associated PE's memory may have changed.
     pub fn notify(&self) {
-        let mut g = self.gen.lock();
-        *g = g.wrapping_add(1);
-        self.cv.notify_all();
-    }
-
-    /// Block until `pred()` is true. The predicate is evaluated under no
-    /// lock; the generation counter only bounds how long we sleep between
-    /// re-checks.
-    pub fn wait_until(&self, poison: &Poison, mut pred: impl FnMut() -> bool) {
-        loop {
-            if pred() {
-                return;
-            }
-            poison.check();
-            let mut g = self.gen.lock();
-            let seen = *g;
-            // Re-check with the lock held so a notify between our check and
-            // our sleep is not lost.
-            if pred() {
-                return;
-            }
-            if *g == seen {
-                self.cv.wait_for(&mut g, WAIT_TICK_IDLE);
-            }
-        }
+        self.notify_applying(|| ());
     }
 
     /// Run `f` (a write that this cell's waiters observe through their
-    /// predicates) under the generation lock, then wake the waiters.
+    /// predicates) under the cell's lock, then wake the waiters.
     ///
-    /// With [`Self::wait_until_guarded`] on the waiting side, this makes the
+    /// With [`Self::wait_until`] on the waiting side, this makes the
     /// write and its visibility one critical section: a waiter can only see
     /// the write's effects *after* everything `f` did — including, for the
     /// NIC arbiter, clearing the waiter's quiescent flag — and conversely a
@@ -227,26 +202,26 @@ impl NotifyCell {
     /// grant check in that window orders reservations differently than a run
     /// where the waiter woke first.
     pub fn notify_applying<R>(&self, f: impl FnOnce() -> R) -> R {
-        let mut g = self.gen.lock();
+        let _g = self.lock.lock();
         let out = f();
-        *g = g.wrapping_add(1);
         self.cv.notify_all();
         out
     }
 
-    /// [`Self::wait_until`] with hooks run under the generation lock:
-    /// `on_sleep` immediately before every sleep (assert quiescence) and
-    /// `on_exit` before returning (withdraw it). Predicates are only checked
-    /// under the lock, so a [`Self::notify_applying`] writer's effects and
-    /// its hook are observed atomically.
-    pub fn wait_until_guarded(
+    /// Block until `pred()` is true, with hooks run under the cell's
+    /// lock: `on_sleep` immediately before every sleep (assert quiescence)
+    /// and `on_exit` before returning (withdraw it). Predicates are only
+    /// checked under the lock, so a [`Self::notify_applying`] writer's
+    /// effects — the write, its stamp, its sanitizer record, its hook — are
+    /// observed all or none.
+    pub fn wait_until(
         &self,
         poison: &Poison,
         mut pred: impl FnMut() -> bool,
         mut on_sleep: impl FnMut(),
         on_exit: impl FnOnce(),
     ) {
-        let mut g = self.gen.lock();
+        let mut g = self.lock.lock();
         loop {
             if pred() {
                 on_exit();
@@ -372,7 +347,7 @@ mod tests {
         let poison = Arc::new(Poison::default());
         let (c2, f2, p2) = (cell.clone(), flag.clone(), poison.clone());
         let t = std::thread::spawn(move || {
-            c2.wait_until(&p2, || f2.load(Ordering::Acquire) == 7);
+            c2.wait_until(&p2, || f2.load(Ordering::Acquire) == 7, || (), || ());
         });
         std::thread::sleep(Duration::from_millis(10));
         flag.store(7, Ordering::Release);
@@ -381,10 +356,33 @@ mod tests {
     }
 
     #[test]
+    fn a_waiter_sees_all_or_none_of_an_applying_write() {
+        // The writer publishes a value and, 20 ms later in the same section,
+        // its record (what the sanitizer's edge reads). A waiter arriving in
+        // between must not get past the value alone.
+        let cell = Arc::new(NotifyCell::default());
+        let (value, record) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let (c2, v2, r2) = (cell.clone(), value.clone(), record.clone());
+        let writer = std::thread::spawn(move || {
+            c2.notify_applying(|| {
+                v2.store(1, Ordering::Release);
+                std::thread::sleep(Duration::from_millis(20));
+                r2.store(1, Ordering::Release);
+            })
+        });
+        while value.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        cell.wait_until(&Poison::default(), || value.load(Ordering::Acquire) == 1, || (), || ());
+        assert_eq!(record.load(Ordering::Acquire), 1, "the value was seen before its record");
+        writer.join().unwrap();
+    }
+
+    #[test]
     fn wait_until_with_true_predicate_returns_immediately() {
         let cell = NotifyCell::default();
         let poison = Poison::default();
-        cell.wait_until(&poison, || true);
+        cell.wait_until(&poison, || true, || (), || ());
     }
 
     #[test]
@@ -393,6 +391,6 @@ mod tests {
         let cell = NotifyCell::default();
         let poison = Poison::default();
         poison.poison();
-        cell.wait_until(&poison, || false);
+        cell.wait_until(&poison, || false, || (), || ());
     }
 }

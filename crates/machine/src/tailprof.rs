@@ -21,8 +21,8 @@
 //! [`TailSampler`]. The sampler is a deterministic virtual-time tail
 //! reservoir: it keys on `(latency, mix(seed ^ id), id)`, a total order over
 //! requests, so the retained set is a pure function of the run's virtual
-//! behaviour and the configured seed — bit-identical across `PGAS_WORKERS`
-//! pool sizes, like every other digest in the tree.
+//! behaviour and the configured seed — bit-identical across repeated runs
+//! and both engines, like every other digest in the tree.
 //!
 //! [`TailAttribution::annotate`] folds the profiles back into an
 //! [`SloReport`]: every window gains its dominant cause and every fast/slow
@@ -270,7 +270,7 @@ pub struct Exemplar {
 /// seeded mix breaks latency ties without favouring low request ids, and the
 /// id itself makes the order total. Because the key is a pure function of
 /// `(seed, id, latency)`, the retained set is independent of offer order —
-/// and therefore of the host worker count.
+/// and therefore of the host schedule.
 #[derive(Debug, Clone)]
 pub struct TailSampler {
     k: usize,

@@ -89,8 +89,8 @@ pub fn naive_spinlock_ms(
 }
 
 /// Image counts of Figure 8's x axis, capped for test-time sanity. Runs to
-/// the paper's 1024 headline point and one doubling beyond (2048) now that
-/// the pooled PE scheduler makes thousand-image jobs routine.
+/// the paper's 1024 headline point and one doubling beyond (2048): targeted
+/// wakes make thousand-image jobs routine.
 pub fn image_sweep(max: usize) -> Vec<usize> {
     [2usize, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]
         .into_iter()
@@ -138,9 +138,15 @@ mod tests {
 
     #[test]
     fn mcs_beats_naive_spinlock_under_contention() {
-        let mcs = LockBench { acquires: 5, ..LockBench::new(Platform::Titan, Backend::Shmem, 24) }
-            .run_ms();
-        let naive = naive_spinlock_ms(Platform::Titan, Backend::Shmem, 24, 5);
+        // Timing-exact: a 1.5x gap on a clean wire that an inherited drop
+        // plan narrows to nothing (0.95x–2.4x under `PGAS_FAULT_PLAN=drop1`),
+        // so pin faults off. The Cray and GASNet comparisons above keep 1.6x
+        // and 6x under drop1 and stay unpinned.
+        let (mcs, naive) = pgas_machine::with_forced_plan(pgas_machine::FaultPlan::none(), || {
+            let mcs =
+                LockBench { acquires: 5, ..LockBench::new(Platform::Titan, Backend::Shmem, 24) };
+            (mcs.run_ms(), naive_spinlock_ms(Platform::Titan, Backend::Shmem, 24, 5))
+        });
         assert!(naive > mcs, "naive {naive:.2}ms vs MCS {mcs:.2}ms");
     }
 

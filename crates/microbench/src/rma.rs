@@ -196,17 +196,12 @@ mod tests {
     #[test]
     fn contention_reduces_per_pair_bandwidth() {
         // The per-pair split of FCFS queueing delay is emergent from
-        // free-running PE threads; a worker limit (the PGAS_WORKERS CI job)
-        // changes the interleaving and hence the split, so pin legacy
-        // unbounded mode — the same opt-out timing-exact tests use against
-        // the env fault plan. Digest-stable contention lives in the
-        // deterministic-NIC bench probes, not here.
-        pgas_machine::with_forced_workers(0, || {
-            let one = bench(1).put_bandwidth_mbs(256 * 1024);
-            let sixteen = bench(16).put_bandwidth_mbs(256 * 1024);
-            let ratio = one / sixteen;
-            assert!(ratio > 8.0 && ratio < 32.0, "16-pair contention ratio {ratio}");
-        });
+        // free-running PE threads, hence the wide band. Digest-stable
+        // contention lives in the deterministic-NIC bench probes, not here.
+        let one = bench(1).put_bandwidth_mbs(256 * 1024);
+        let sixteen = bench(16).put_bandwidth_mbs(256 * 1024);
+        let ratio = one / sixteen;
+        assert!(ratio > 8.0 && ratio < 32.0, "16-pair contention ratio {ratio}");
     }
 
     #[test]

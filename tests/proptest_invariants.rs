@@ -137,77 +137,69 @@ proptest! {
     }
 }
 
-// ---------- pooled-scheduler determinism -------------------------------------
+// ---------- repeat-run determinism -------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Tentpole invariant: multiplexing PEs onto a bounded worker pool is
-    /// pure scheduling. On a contended fig3-style workload — half the PEs
-    /// streaming non-blocking puts across the node boundary, racing AMOs on
-    /// a shared counter, and a consumer side blocked in `wait_until` — every
-    /// worker count must reproduce the legacy thread-per-PE run bit for bit:
-    /// same run digest, same metrics snapshot, same critical path.
+    /// An arbitrated run is a pure function of its inputs. On a contended
+    /// fig3-style workload — half the PEs streaming non-blocking puts across
+    /// the node boundary, racing AMOs on a shared counter, and a consumer
+    /// side blocked in `wait_until` — every repeat must reproduce the first
+    /// run bit for bit: same run digest, same metrics snapshot, same
+    /// critical path.
     #[test]
-    fn worker_pool_size_never_changes_the_simulation(
+    fn repeated_runs_never_change_the_simulation(
         payload_pow in 10usize..16,
         reps in 1usize..5,
     ) {
         use pgas_conduit::ctx::AmoOp;
         use pgas_conduit::{ConduitProfile, Ctx, CtxOptions};
         use pgas_machine::critdiff::RunDigest;
-        use pgas_machine::{
-            stampede, with_forced_metrics, with_forced_tracing, with_forced_workers, FaultPlan,
-        };
+        use pgas_machine::{stampede, with_forced_metrics, with_forced_tracing, FaultPlan};
 
-        let run_once = |workers: usize| {
-            with_forced_workers(workers, || {
-                with_forced_tracing(true, || {
-                    with_forced_metrics(true, || {
-                        let payload = 1usize << payload_pow;
-                        let mcfg = stampede(2, 8)
-                            .with_heap_bytes(1 << 18)
-                            .with_faults(FaultPlan::none())
-                            .with_deterministic_nic();
-                        pgas_machine::run(mcfg, move |pe| {
-                            let ctx =
-                                Ctx::new(pe, ConduitProfile::mvapich_shmem(), CtxOptions::default());
-                            let n = pe.n();
-                            ctx.barrier_all();
-                            if pe.id() < n / 2 {
-                                let dst = pe.id() + n / 2;
-                                let data = vec![1u8; payload];
-                                for _ in 0..reps {
-                                    ctx.put_nbi(dst, 64, &data);
-                                }
-                                ctx.quiet();
-                                ctx.amo(dst, 0, AmoOp::Add(1));
-                            } else {
-                                ctx.wait_until(0, |v| v == 1);
+        let run_once = || {
+            with_forced_tracing(true, || {
+                with_forced_metrics(true, || {
+                    let payload = 1usize << payload_pow;
+                    let mcfg = stampede(2, 8)
+                        .with_heap_bytes(1 << 18)
+                        .with_faults(FaultPlan::none())
+                        .with_deterministic_nic();
+                    pgas_machine::run(mcfg, move |pe| {
+                        let ctx =
+                            Ctx::new(pe, ConduitProfile::mvapich_shmem(), CtxOptions::default());
+                        let n = pe.n();
+                        ctx.barrier_all();
+                        if pe.id() < n / 2 {
+                            let dst = pe.id() + n / 2;
+                            let data = vec![1u8; payload];
+                            for _ in 0..reps {
+                                ctx.put_nbi(dst, 64, &data);
                             }
-                            ctx.barrier_all();
-                        })
+                            ctx.quiet();
+                            ctx.amo(dst, 0, AmoOp::Add(1));
+                        } else {
+                            ctx.wait_until(0, |v| v == 1);
+                        }
+                        ctx.barrier_all();
                     })
                 })
             })
         };
-        let legacy = run_once(0);
-        let legacy_digest = RunDigest::from_run(&legacy.critical_path(), &legacy.metrics);
-        // 16 == num_pes on stampede(2, 8); 8 and 2 force real multiplexing.
-        for workers in [1usize, 2, 8, 16] {
-            let pooled = run_once(workers);
+        let first = run_once();
+        let first_digest = RunDigest::from_run(&first.critical_path(), &first.metrics);
+        for repeat in 1..3 {
+            let again = run_once();
+            prop_assert_eq!(&again.metrics, &first.metrics, "metrics diverged in repeat {}", repeat);
             prop_assert_eq!(
-                &pooled.metrics, &legacy.metrics,
-                "metrics diverged under {} workers", workers
+                again.critical_path(), first.critical_path(),
+                "critical path diverged in repeat {}", repeat
             );
             prop_assert_eq!(
-                pooled.critical_path(), legacy.critical_path(),
-                "critical path diverged under {} workers", workers
-            );
-            prop_assert_eq!(
-                RunDigest::from_run(&pooled.critical_path(), &pooled.metrics),
-                legacy_digest.clone(),
-                "digest diverged under {} workers", workers
+                RunDigest::from_run(&again.critical_path(), &again.metrics),
+                first_digest.clone(),
+                "digest diverged in repeat {}", repeat
             );
         }
     }

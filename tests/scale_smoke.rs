@@ -1,27 +1,24 @@
-//! Paper-scale smoke runs: the pooled scheduler, the targeted-wake parking
-//! discipline and the fiber engine exist so sweeps at 1024/2048 images (and
-//! beyond) are routine. This file guards that an order of magnitude past the
-//! figures.
+//! Paper-scale smoke runs: the targeted-wake parking discipline and the
+//! fiber engine exist so sweeps at 1024/2048 images (and beyond) are
+//! routine. This file guards that an order of magnitude past the figures.
 //!
-//! The runs are *smoke* tests — they assert liveness (no deadlock, no slot
-//! leak at thousands of PEs), delivery (every put arrives), and the per-PE
+//! The runs are *smoke* tests — they assert liveness (no deadlock at
+//! thousands of PEs), delivery (every put arrives), and the per-PE
 //! results — not timing. Stacks are trimmed well below the 512 KiB
 //! platform default so the virtual-memory footprint stays modest
 //! (10k × 128 KiB ≈ 1.2 GiB reserved, mostly never touched).
 //!
-//! `SMOKE_NODES` / `SMOKE_WORKERS` override the scale for ad-hoc probing.
+//! `SMOKE_NODES` overrides the scale for ad-hoc probing.
 
-use pgas_machine::{run, stampede, with_forced_mode, with_forced_workers, SanitizerMode};
+use pgas_machine::{run, stampede, with_forced_mode, SanitizerMode};
 
-/// Ring exchange at `nodes × 16` PEs under a forced worker limit: PE i puts
-/// its id+1 into PE (i+1) % n, waits on its own cell, and barriers — every
-/// PE is both source and sink, and every PE transits every yield point
-/// (ready queue, NIC arbiter parking, `wait_until`, barrier).
-fn ring_smoke(default_nodes: usize, default_workers: usize) {
+/// Ring exchange at `nodes × 16` PEs: PE i puts its id+1 into PE (i+1) % n,
+/// waits on its own cell, and barriers — every PE is both source and sink,
+/// and every PE transits every blocking point (NIC arbiter parking,
+/// `wait_until`, barrier).
+fn ring_smoke(default_nodes: usize) {
     let nodes: usize =
         std::env::var("SMOKE_NODES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_nodes);
-    let workers: usize =
-        std::env::var("SMOKE_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(default_workers);
     const CORES: usize = 16;
     let n = nodes * CORES;
 
@@ -34,8 +31,7 @@ fn ring_smoke(default_nodes: usize, default_workers: usize) {
     // per barrier — n² row joins, 4 m 40 s of CPU at 2496 PEs, which the
     // thread engine used to spread over the host's cores and the arbiter's
     // one carrier cannot.
-    let run_smoke = |f| with_forced_mode(SanitizerMode::Off, || with_forced_workers(workers, f));
-    let out = run_smoke(|| {
+    let out = with_forced_mode(SanitizerMode::Off, || {
         run(mcfg, |pe| {
             use pgas_conduit::{ConduitProfile, Ctx, CtxOptions};
             let ctx = Ctx::new(pe, ConduitProfile::mvapich_shmem(), CtxOptions::default());
@@ -56,17 +52,17 @@ fn ring_smoke(default_nodes: usize, default_workers: usize) {
     }
 }
 
-/// Tier-1 guard: 2496 PEs on 8 workers — past the largest figure sweep
-/// point, quick enough for every test run.
+/// Tier-1 guard: 2496 PEs — past the largest figure sweep point, quick
+/// enough for every test run.
 #[test]
-fn pooled_smoke_past_figure_scale() {
-    ring_smoke(156, 8);
+fn smoke_past_figure_scale() {
+    ring_smoke(156);
 }
 
-/// The 10k-PE smoke run (625 nodes × 16 cores on 8 workers): 10 000 fibers
+/// The 10k-PE smoke run (625 nodes × 16 cores): 10 000 fibers
 /// on one carrier, under a second in a debug build (it was 40 s of thread
 /// spawns and futex handoffs in release).
 #[test]
 fn ten_thousand_pes_smoke() {
-    ring_smoke(625, 8);
+    ring_smoke(625);
 }
