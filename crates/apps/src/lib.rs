@@ -27,8 +27,8 @@ pub use heat::{parallel_heat, serial_heat, HeatConfig};
 pub use himeno::{run_himeno, run_himeno_outcome, serial_gosa, HimenoConfig, HimenoResult};
 pub use histogram::{run_histogram, serial_histogram, HistogramConfig, HistogramMethod};
 pub use serve::{
-    expected_write_sum, run_serve, run_serve_outcome, EpochStat, ReqSpec, RequestGen, ServeConfig,
-    ServeImageOut, ServeResult, Zipf,
+    expected_write_sum, global_arrivals, run_serve, run_serve_outcome, EpochStat, ReqSpec,
+    RequestGen, ServeConfig, ServeImageOut, ServeResult, Zipf,
 };
 pub use stencil2d::{parallel_stencil, parallel_stencil_with_stats, serial_stencil, StencilConfig};
 pub use transpose::{parallel_transpose, serial_transpose, TransposeConfig};

@@ -41,6 +41,7 @@ use pgas_machine::Platform;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::dht::DhtUpdateMode;
 
@@ -215,12 +216,8 @@ impl Zipf {
 pub struct RequestGen {
     /// Per-image draws: Zipfian key + read/write Bernoulli.
     rng: SmallRng,
-    /// The shared global arrival stream — same seed on every image.
-    arrivals: SmallRng,
+    arrivals: Arrivals,
     zipf: Zipf,
-    clock_ns: f64,
-    /// Mean gap of the *global* stream: `mean_gap_ns / workers`.
-    global_gap_ns: f64,
     read_fraction: f64,
     /// Global gaps to consume before this image's next event: `image` for
     /// the first request (event index `image - 1`), `workers` after.
@@ -228,18 +225,77 @@ pub struct RequestGen {
     stride: usize,
 }
 
+/// The shared global arrival stream — same seed on every image, mean gap
+/// `mean_gap_ns / workers`.
+struct ArrivalStream {
+    rng: SmallRng,
+    clock_ns: f64,
+    gap_ns: f64,
+}
+
+impl ArrivalStream {
+    fn new(cfg: &ServeConfig, workers: usize) -> ArrivalStream {
+        ArrivalStream {
+            rng: SmallRng::seed_from_u64(cfg.seed.wrapping_mul(0xA076_1D64_78BD_642F)),
+            clock_ns: 0.0,
+            gap_ns: cfg.mean_gap_ns / workers.max(1) as f64,
+        }
+    }
+
+    /// Consume `gaps` exponential gaps; the arrival clock they lead to.
+    fn skip(&mut self, gaps: usize) -> u64 {
+        for _ in 0..gaps {
+            self.clock_ns += -self.gap_ns * (1.0 - self.rng.gen::<f64>()).ln();
+        }
+        self.clock_ns as u64
+    }
+}
+
+/// Where a [`RequestGen`] reads the global stream from.
+enum Arrivals {
+    /// Its own copy, drawn as it goes: `workers` gaps per request.
+    Drawn(ArrivalStream),
+    /// The run's [`global_arrivals`] table, `at` gaps consumed so far.
+    Shared { clocks: Arc<[u64]>, at: usize },
+}
+
+/// The global arrival stream of a whole run, drawn once: element `k` is the
+/// arrival clock after `k` gaps, for every gap `workers` images admitting
+/// `cfg.requests_per_image` requests each consume. The same RNG and the same
+/// order of `f64` additions as a self-contained [`RequestGen`], so every
+/// clock is bit-identical to the one each image would draw for itself.
+pub fn global_arrivals(cfg: &ServeConfig, workers: usize) -> Arc<[u64]> {
+    let mut stream = ArrivalStream::new(cfg, workers);
+    let gaps = workers.max(1) * cfg.requests_per_image;
+    std::iter::once(0).chain((0..gaps).map(|_| stream.skip(1))).collect()
+}
+
 impl RequestGen {
     pub fn new(cfg: &ServeConfig, image: usize, workers: usize) -> RequestGen {
         let w = workers.max(1);
         RequestGen {
             rng: SmallRng::seed_from_u64(cfg.seed ^ (image as u64).wrapping_mul(0x9E37_79B9)),
-            arrivals: SmallRng::seed_from_u64(cfg.seed.wrapping_mul(0xA076_1D64_78BD_642F)),
+            arrivals: Arrivals::Drawn(ArrivalStream::new(cfg, w)),
             zipf: Zipf::new(cfg.keyspace, cfg.zipf_exponent),
-            clock_ns: 0.0,
-            global_gap_ns: cfg.mean_gap_ns / w as f64,
             read_fraction: cfg.read_fraction,
             pending: image.min(w),
             stride: w,
+        }
+    }
+
+    /// [`RequestGen::new`] striding through `clocks` =
+    /// [`global_arrivals`]`(cfg, workers)` instead of re-drawing the global
+    /// stream: the same requests for `workers` fewer `ln()` each. Good for
+    /// `cfg.requests_per_image` requests, the table's extent.
+    pub fn sharing(
+        cfg: &ServeConfig,
+        image: usize,
+        workers: usize,
+        clocks: Arc<[u64]>,
+    ) -> RequestGen {
+        RequestGen {
+            arrivals: Arrivals::Shared { clocks, at: 0 },
+            ..RequestGen::new(cfg, image, workers)
         }
     }
 
@@ -247,13 +303,17 @@ impl RequestGen {
     /// exponential-gap stream, Zipfian key, Bernoulli read/write. Draw
     /// order within each RNG is part of the determinism contract.
     pub fn next_req(&mut self) -> ReqSpec {
-        for _ in 0..self.pending {
-            self.clock_ns += -self.global_gap_ns * (1.0 - self.arrivals.gen::<f64>()).ln();
-        }
+        let arrival_ns = match &mut self.arrivals {
+            Arrivals::Drawn(stream) => stream.skip(self.pending),
+            Arrivals::Shared { clocks, at } => {
+                *at += self.pending;
+                clocks[*at]
+            }
+        };
         self.pending = self.stride;
         let key = self.zipf.sample(&mut self.rng);
         let write = self.rng.gen::<f64>() >= self.read_fraction;
-        ReqSpec { arrival_ns: self.clock_ns as u64, key, write }
+        ReqSpec { arrival_ns, key, write }
     }
 }
 
@@ -420,6 +480,8 @@ pub fn run_serve_outcome(
         mcfg = mcfg.with_deterministic_nic();
     }
     let caf_cfg = CafConfig::new(backend, platform).with_nonsym_bytes(4096);
+    // One arrival stream per run: every image strides through this table.
+    let arrivals = global_arrivals(&cfg, images - 1);
     let out = run_caf(mcfg, caf_cfg, move |img| {
         let n = img.num_images();
         let w = n - 1; // fixed shard count = initial worker count
@@ -474,7 +536,7 @@ pub fn run_serve_outcome(
         };
         let mut team = img.form_team(if me <= w { WORKER_TEAM } else { SPARE_TEAM });
         let mut shard_map: Vec<usize> = (1..=w).collect();
-        let mut gen = RequestGen::new(&cfg, me, w);
+        let mut gen = RequestGen::sharing(&cfg, me, w, arrivals.clone());
         let mut o = ServeImageOut { detect_epoch: u64::MAX, ..Default::default() };
         let mut recs: Vec<Rec> = Vec::new();
         let mut parked: Vec<Parked> = Vec::new();
@@ -852,6 +914,30 @@ mod tests {
             "empirical mean gap {mean:.0} tracks the configured {}",
             cfg.mean_gap_ns
         );
+    }
+
+    #[test]
+    fn shared_arrival_table_yields_the_standalone_stream() {
+        // The write sums are the ones the self-contained generator gave
+        // before the table existed.
+        for (seed, write_sum) in [(0x5E21, 0x1e471), (7, 0x1b4e4), (11, 0x1f0ce)] {
+            let cfg = ServeConfig { seed, ..small() };
+            let clocks = global_arrivals(&cfg, 8);
+            assert_eq!(clocks.len(), 8 * cfg.requests_per_image + 1);
+            // Every worker, and the spare (image 9) the run also builds one for.
+            for image in 1..=9 {
+                let mut alone = RequestGen::new(&cfg, image, 8);
+                let mut shared = RequestGen::sharing(&cfg, image, 8, clocks.clone());
+                let quota = if image <= 8 { cfg.requests_per_image } else { 0 };
+                for k in 0..quota {
+                    assert_eq!(shared.next_req(), alone.next_req(), "image {image} request {k}");
+                }
+            }
+            assert_eq!(expected_write_sum(8, &cfg), write_sum, "seed {seed}");
+        }
+        // Nothing to admit, nothing drawn: the table is its origin alone.
+        let idle = ServeConfig { requests_per_image: 0, ..small() };
+        assert_eq!(&*global_arrivals(&idle, 8), &[0]);
     }
 
     #[test]

@@ -318,6 +318,76 @@ fn himeno_sweep() {
     report("himeno_sweep_S_1image", None, "ns/cell", ns / cells, iters);
 }
 
+/// The metrics registry as `serve_mixed` drives it: one PE's record paths,
+/// and the end-of-run snapshot of 32 PEs x 2000 requests over 1600 windows.
+fn metrics_registry() {
+    use pgas_machine::stats::StatsSnapshot;
+    use pgas_machine::MetricsRegistry;
+    let reg = MetricsRegistry::new(true, 2);
+    bench("metrics_count", None, || reg.count(0, "put", Some(1), std::hint::black_box(1)));
+    // The conduit's five series for one op: kind counter, op_bytes, latency,
+    // nic_queue_ns, team_op.
+    let mut t = 0u64;
+    bench("metrics_record_op", None, || {
+        t += 1;
+        reg.record_op(0, Some(1), "put", 8, "put_ns", std::hint::black_box(700 + t % 64), 40, 3);
+    });
+
+    // One image's share of a run: a completion every 7.9 us into 10 us
+    // windows, 2000 of them into a fresh registry (a window log grows with
+    // every call, so the registry is rebuilt rather than fed forever).
+    const REQS: u64 = 2000;
+    let feed = |reg: &MetricsRegistry, pe: usize| {
+        for k in 0..REQS {
+            let t = k * 7_900 + pe as u64 * 250;
+            reg.observe_windowed(pe, "serve_latency_ns", None, t, 3_000 + (k * 37) % 9_000);
+        }
+    };
+    let (ns, iters) = time(|| {
+        let reg = MetricsRegistry::new_windowed(true, 1, 10_000);
+        feed(&reg, 0);
+        std::hint::black_box(&reg);
+    });
+    report("metrics_observe_windowed", None, "ns/call", ns / REQS as f64, iters);
+
+    let reg = MetricsRegistry::new_windowed(true, 32, 10_000);
+    for pe in 0..32 {
+        feed(&reg, pe);
+        for k in 0..REQS {
+            let t = k * 7_900 + pe as u64 * 250;
+            reg.observe_windowed(pe, "serve_queue_ns", None, t, (k * 13) % 2_000);
+            reg.count_windowed(pe, "serve_requests", None, t, 1);
+            reg.record_op(pe, Some(k as usize % 2), "get", 8, "get_ns", 1_500 + k % 900, k % 3, 7);
+        }
+    }
+    bench("metrics_snapshot_32pe_1600win", None, || {
+        std::hint::black_box(reg.snapshot(StatsSnapshot::default()));
+    });
+}
+
+/// Drawing `serve_mixed`'s whole schedule the way a run does — the arrival
+/// table once, then 31 workers striding through it — per request.
+fn serve_request_gen() {
+    use caf_apps::{global_arrivals, RequestGen, ServeConfig};
+    let cfg = ServeConfig { keyspace: 1_000_000, requests_per_image: 2000, ..Default::default() };
+    let (ns, iters) = time(|| {
+        let clocks = global_arrivals(&cfg, 31);
+        for image in 1..=31 {
+            let mut gen = RequestGen::sharing(&cfg, image, 31, clocks.clone());
+            for _ in 0..cfg.requests_per_image {
+                std::hint::black_box(gen.next_req());
+            }
+        }
+    });
+    report(
+        "serve_request_gen_31w",
+        None,
+        "ns/req",
+        ns / (31 * cfg.requests_per_image) as f64,
+        iters,
+    );
+}
+
 fn tiny_simulation() {
     use caf::{run_caf, Backend, CafConfig};
     use pgas_machine::{generic_smp, Platform};
@@ -342,5 +412,7 @@ fn main() {
     section_enumeration();
     section_transfers();
     himeno_sweep();
+    metrics_registry();
+    serve_request_gen();
     tiny_simulation();
 }

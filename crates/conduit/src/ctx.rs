@@ -408,23 +408,21 @@ impl<'m> Ctx<'m> {
         }
         let metrics = m.metrics();
         if metrics.enabled() {
-            let me = self.pe.id();
-            let peer_node = peer.map(|p| m.node_of(p));
-            metrics.count(me, kind.label(), peer_node, 1);
-            if bytes > 0 {
-                metrics.count(me, "op_bytes", peer_node, bytes as u64);
-            }
-            metrics.observe(me, latency_metric(kind), peer_node, end.saturating_sub(begin));
-            if detail.queue_ns > 0 {
-                metrics.observe(me, "nic_queue_ns", peer_node, detail.queue_ns);
-            }
-            // Per-team breakdown rides in the counter's second dimension
-            // (team id instead of peer node). Absent entirely when no team
+            // One shard lock for the op's up-to-five series. The per-team
+            // breakdown rides in `team_op`'s second dimension (team id
+            // instead of peer node) and is absent entirely when no team
             // scope is active, so team-free runs keep their exact metric
             // snapshots.
-            if team != 0 {
-                metrics.count(me, "team_op", Some(team as usize), 1);
-            }
+            metrics.record_op(
+                self.pe.id(),
+                peer.map(|p| m.node_of(p)),
+                kind.label(),
+                bytes as u64,
+                latency_metric(kind),
+                end.saturating_sub(begin),
+                detail.queue_ns,
+                team,
+            );
         }
     }
 

@@ -2,10 +2,28 @@
 //! PE × op-kind × peer-node.
 //!
 //! Every layer of the stack (conduit, openshmem, caf) feeds this registry on
-//! each operation when metrics are enabled. The registry is sharded per PE so
-//! the hot path never takes a contended lock: each PE writes only its own
-//! shard, and shards are merged into a deterministic [`MetricsSnapshot`] when
-//! the simulation finishes. The snapshot also absorbs the global
+//! each operation when metrics are enabled. The registry is sharded per PE —
+//! each PE writes only its own shard — and a shard is flat: one vector per
+//! series kind, a histogram's buckets a dense array. A record is an index,
+//! not a search: an open-addressed table beside each vector maps the
+//! *identity* of the `&'static str` name (address, length) plus peer to the
+//! series' position. Text is compared only the first time an address is
+//! seen, so two literals with equal text still share a series. Nothing is
+//! allocated until a shard records something.
+//!
+//! The hot path is: lock the shard, probe, bump a vector element. An
+//! operation that feeds several series locks **once** for all of them
+//! ([`MetricsRegistry::record_op`]). The lock stays an (uncontended) mutex:
+//! PEs of the thread engine run concurrently, and `stream_sample` reads
+//! every shard from whichever PE crosses the cadence boundary.
+//!
+//! The windowed feeds keep no histogram per window: a shard appends
+//! `(window, value)` to a per-name log, and [`MetricsRegistry::snapshot`] /
+//! [`MetricsRegistry::live_window_series`] fold each name's samples — one
+//! sort by window, one scratch histogram — into [`WindowEntry`]s.
+//!
+//! Shards are merged into a deterministic [`MetricsSnapshot`] when the
+//! simulation finishes. The snapshot also absorbs the global
 //! [`StatsSnapshot`](crate::stats::StatsSnapshot) counters (faults, retries,
 //! lock repairs, plan decisions), so a run's entire quantitative story is one
 //! queryable value on `SimOutcome`, exportable as JSON or Prometheus text.
@@ -38,18 +56,18 @@ pub const HISTOGRAM_BUCKETS: usize = 4 + 61 * (1 << SUB_BUCKET_BITS) as usize;
 /// compile time, which keeps the hot path allocation-free.
 pub type MetricKey = (&'static str, Option<usize>);
 
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default)]
 struct Histogram {
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
-    /// Sparse log2 buckets: `bucket_index -> (count, exact value sum)`,
-    /// sorted by index. Carrying the exact per-bucket sum alongside the
-    /// count bounds the error of interpolated percentile estimates: the
-    /// bucket's true mean anchors the interpolation, instead of reading
-    /// values off the bucket edge.
-    buckets: BTreeMap<u8, (u64, u64)>,
+    /// Dense log-linear buckets: element `i` is bucket `i`'s `(count, exact
+    /// value sum)`, the vector grown to the highest bucket seen. Carrying the
+    /// exact per-bucket sum alongside the count bounds the error of
+    /// interpolated percentile estimates: the bucket's true mean anchors the
+    /// interpolation, instead of reading values off the bucket edge.
+    buckets: Vec<(u64, u64)>,
 }
 
 impl Histogram {
@@ -63,40 +81,30 @@ impl Histogram {
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
-        let slot = self.buckets.entry(bucket_of(v)).or_insert((0, 0));
+        let b = bucket_of(v) as usize;
+        if b >= self.buckets.len() {
+            self.buckets.resize(b + 1, (0, 0));
+        }
+        let slot = &mut self.buckets[b];
         slot.0 += 1;
         slot.1 = slot.1.saturating_add(v);
     }
 
-    /// Fold `other` into `self` (used when merging per-PE window shards).
-    fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (&i, &(c, s)) in &other.buckets {
-            let slot = self.buckets.entry(i).or_insert((0, 0));
-            slot.0 += c;
-            slot.1 = slot.1.saturating_add(s);
-        }
+    /// The non-empty buckets as `(bucket_index, count, exact value sum)`
+    /// triples in index order — the form snapshots carry.
+    fn sparse(&self) -> Vec<(u8, u64, u64)> {
+        let filled = self.buckets.iter().enumerate().filter(|(_, b)| b.0 > 0);
+        filled.map(|(i, &(c, s))| (i as u8, c, s)).collect()
     }
 }
 
-/// Interpolated percentile over sparse log2 buckets carrying exact per-bucket
-/// `(count, sum)`. The estimate is linear interpolation across the containing
-/// bucket's `[lo, hi]` range, shifted so the bucket's centre of mass sits at
-/// the bucket's *exact* mean (`sum / count`) rather than its midpoint, then
-/// clamped back into the bucket — so the error is bounded by the containing
-/// bucket's width, and is exactly zero when the bucket holds one value or
-/// many copies of the same value.
+/// Interpolated percentile over sparse log-linear buckets carrying exact
+/// per-bucket `(count, sum)`. The estimate is linear interpolation across the
+/// containing bucket's `[lo, hi]` range, shifted so the bucket's centre of
+/// mass sits at the bucket's *exact* mean (`sum / count`) rather than its
+/// midpoint, then clamped back into the bucket — so the error is bounded by
+/// the containing bucket's width, and is exactly zero when the bucket holds
+/// one value or many copies of the same value.
 fn percentile_impl<'a>(
     count: u64,
     min: u64,
@@ -157,27 +165,124 @@ pub(crate) fn bucket_bound(i: u8) -> u64 {
     (1u64 << k) + ((m + 1) << (k - SUB_BUCKET_BITS))
 }
 
+/// One kind of series on one PE: the values in order of first use, and an
+/// open-addressed index (linear probing, power-of-two size, at most half
+/// full) from a key's identity — the name's address and length, not its
+/// text, plus the peer — to its position. Allocates nothing until first use.
+#[derive(Debug, Default)]
+struct Series<T> {
+    items: Vec<(MetricKey, T)>,
+    index: Vec<Option<(MetricKey, u32)>>,
+    indexed: usize,
+}
+
+impl<T: Default> Series<T> {
+    /// Where `(name, peer)` is in the index, or the empty slot where it
+    /// belongs. The index must not be empty.
+    fn probe(&self, (name, peer): MetricKey) -> usize {
+        let p = peer.map_or(0, |p| p.wrapping_add(1));
+        let mixed =
+            (name.as_ptr() as usize ^ name.len().rotate_left(24) ^ p.rotate_left(40)) as u64;
+        let mask = self.index.len() - 1;
+        let mut i = (mixed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        while self.index[i].is_some_and(|((n, p), _)| !std::ptr::eq(n, name) || p != peer) {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The value of series `(name, peer)`, created on first use.
+    fn entry(&mut self, name: &'static str, peer: Option<usize>) -> &mut T {
+        if !self.index.is_empty() {
+            if let Some((_, at)) = self.index[self.probe((name, peer))] {
+                return &mut self.items[at as usize].1;
+            }
+        }
+        self.admit((name, peer))
+    }
+
+    /// First sight of this address: find the series by content (another
+    /// literal with the same text may have created it) or append it, then
+    /// remember the address.
+    #[cold]
+    fn admit(&mut self, key: MetricKey) -> &mut T {
+        let at = self.items.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+            self.items.push((key, T::default()));
+            self.items.len() - 1
+        });
+        if (self.indexed + 1) * 2 > self.index.len() {
+            let grown = vec![None; (self.index.len() * 2).max(8)];
+            for slot in std::mem::replace(&mut self.index, grown).into_iter().flatten() {
+                let i = self.probe(slot.0);
+                self.index[i] = Some(slot);
+            }
+        }
+        let i = self.probe(key);
+        self.index[i] = Some((key, at as u32));
+        self.indexed += 1;
+        &mut self.items[at].1
+    }
+
+    /// The series in key order — the order snapshots list them in.
+    fn sorted(&self) -> Vec<&(MetricKey, T)> {
+        let mut refs: Vec<_> = self.items.iter().collect();
+        refs.sort_unstable_by_key(|e| e.0);
+        refs
+    }
+}
+
+/// One PE's series. Empty (no allocation) until the PE records something.
 #[derive(Debug, Default)]
 struct Shard {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, u64>,
-    histograms: BTreeMap<MetricKey, Histogram>,
-    /// Windowed histogram series: `(name, virtual-time window index)` →
-    /// histogram of the values whose timestamps fell in that window. The
-    /// peer dimension is dropped — a window series is a time series of the
-    /// whole machine, not a per-link view.
-    windows: BTreeMap<(&'static str, u64), Histogram>,
-    /// Windowed counter series (throughput-over-time).
-    window_counters: BTreeMap<(&'static str, u64), u64>,
+    counters: Series<u64>,
+    gauges: Series<u64>,
+    histograms: Series<Histogram>,
+    /// Windowed histogram feeds: per name, the `(window, value)` samples in
+    /// arrival order. The peer dimension is dropped — a window series is a
+    /// time series of the whole machine, not a per-link view.
+    windows: Series<Vec<(u64, u64)>>,
+    /// Windowed counter feeds (throughput-over-time): per name, `(window,
+    /// n)` in arrival order, a repeat of the last window added in place.
+    window_counters: Series<Vec<(u64, u64)>>,
+}
+
+/// Fold one name's `(window, value)` samples, gathered from every shard,
+/// into one [`WindowEntry`] per window in window order.
+fn fold_windows(
+    name: &'static str,
+    window_ns: u64,
+    samples: &mut [(u64, u64)],
+) -> Vec<WindowEntry> {
+    let mut out = Vec::new();
+    // Each shard's samples arrive nearly in window order, so the stable
+    // sort merges a few long runs.
+    samples.sort_by_key(|s| s.0);
+    let mut h = Histogram::default();
+    for run in samples.chunk_by(|a, b| a.0 == b.0) {
+        run.iter().for_each(|s| h.observe(s.1));
+        out.push(WindowEntry {
+            name,
+            window: run[0].0,
+            start_ns: run[0].0 * window_ns,
+            count: h.count,
+            sum: h.sum,
+            min: h.min,
+            max: h.max,
+            buckets: h.sparse(),
+        });
+        h.count = 0;
+        h.sum = 0;
+        h.buckets.fill((0, 0));
+    }
+    out
 }
 
 /// Per-PE sharded metrics registry. See the module docs for the big picture.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     enabled: bool,
-    /// Width of one virtual-time window in ns; `0` disables the windowed
-    /// series entirely (the default), keeping snapshots bit-identical with
-    /// pre-windowing builds.
+    /// Width of one virtual-time window in ns; `0` (the default) disables
+    /// the windowed series entirely.
     window_ns: u64,
     shards: Vec<Mutex<Shard>>,
 }
@@ -215,31 +320,60 @@ impl MetricsRegistry {
     /// Add `n` to the counter `name` on `pe`'s shard, keyed by `peer_node`.
     #[inline]
     pub fn count(&self, pe: usize, name: &'static str, peer_node: Option<usize>, n: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            *self.shards[pe].lock().counters.entry(name, peer_node) += n;
         }
-        let mut shard = self.shards[pe].lock();
-        *shard.counters.entry((name, peer_node)).or_insert(0) += n;
     }
 
     /// Set the gauge `name` on `pe`'s shard (last write wins).
     #[inline]
     pub fn gauge_set(&self, pe: usize, name: &'static str, peer_node: Option<usize>, v: u64) {
-        if !self.enabled {
-            return;
+        if self.enabled {
+            *self.shards[pe].lock().gauges.entry(name, peer_node) = v;
         }
-        let mut shard = self.shards[pe].lock();
-        shard.gauges.insert((name, peer_node), v);
     }
 
-    /// Record `v` into the log2-bucketed histogram `name` on `pe`'s shard.
+    /// Record `v` into the log-bucketed histogram `name` on `pe`'s shard.
     #[inline]
     pub fn observe(&self, pe: usize, name: &'static str, peer_node: Option<usize>, v: u64) {
+        if self.enabled {
+            self.shards[pe].lock().histograms.entry(name, peer_node).observe(v);
+        }
+    }
+
+    /// Everything one conduit operation feeds, under one taking of `pe`'s
+    /// shard lock: the op-kind counter `op`, `op_bytes` (when `bytes > 0`),
+    /// `latency_ns` into the histogram `latency` and `nic_queue_ns` (when
+    /// `queue_ns > 0`), all keyed by `peer_node`; and, inside a team scope
+    /// (`team != 0`), `team_op` with the team id in the peer dimension.
+    #[inline]
+    #[allow(clippy::too_many_arguments)] // one op's five series and their values
+    pub fn record_op(
+        &self,
+        pe: usize,
+        peer_node: Option<usize>,
+        op: &'static str,
+        bytes: u64,
+        latency: &'static str,
+        latency_ns: u64,
+        queue_ns: u64,
+        team: u32,
+    ) {
         if !self.enabled {
             return;
         }
         let mut shard = self.shards[pe].lock();
-        shard.histograms.entry((name, peer_node)).or_default().observe(v);
+        *shard.counters.entry(op, peer_node) += 1;
+        if bytes > 0 {
+            *shard.counters.entry("op_bytes", peer_node) += bytes;
+        }
+        shard.histograms.entry(latency, peer_node).observe(latency_ns);
+        if queue_ns > 0 {
+            shard.histograms.entry("nic_queue_ns", peer_node).observe(queue_ns);
+        }
+        if team != 0 {
+            *shard.counters.entry("team_op", Some(team as usize)) += 1;
+        }
     }
 
     /// Record `v` into the histogram `name` *and*, when windowing is
@@ -259,9 +393,9 @@ impl MetricsRegistry {
             return;
         }
         let mut shard = self.shards[pe].lock();
-        shard.histograms.entry((name, peer_node)).or_default().observe(v);
+        shard.histograms.entry(name, peer_node).observe(v);
         if let Some(w) = t_ns.checked_div(self.window_ns) {
-            shard.windows.entry((name, w)).or_default().observe(v);
+            shard.windows.entry(name, None).push((w, v));
         }
     }
 
@@ -280,9 +414,13 @@ impl MetricsRegistry {
             return;
         }
         let mut shard = self.shards[pe].lock();
-        *shard.counters.entry((name, peer_node)).or_insert(0) += n;
+        *shard.counters.entry(name, peer_node) += n;
         if let Some(w) = t_ns.checked_div(self.window_ns) {
-            *shard.window_counters.entry((name, w)).or_insert(0) += n;
+            let log = shard.window_counters.entry(name, None);
+            match log.last_mut() {
+                Some(last) if last.0 == w => last.1 += n,
+                _ => log.push((w, n)),
+            }
         }
     }
 
@@ -294,8 +432,7 @@ impl MetricsRegistry {
     pub fn live_counter_totals(&self) -> Vec<(&'static str, u64)> {
         let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
         for shard in &self.shards {
-            let shard = shard.lock();
-            for (&(name, _), &value) in &shard.counters {
+            for &((name, _), value) in &shard.lock().counters.items {
                 *totals.entry(name).or_insert(0) += value;
             }
         }
@@ -307,22 +444,15 @@ impl MetricsRegistry {
     /// `pgas_top -- serve`. Read-only: sampling mid-run perturbs nothing and
     /// moves no virtual clock.
     pub fn live_window_series(&self, name: &'static str) -> Vec<WindowEntry> {
-        if !self.enabled || self.window_ns == 0 {
-            return Vec::new();
-        }
-        let mut merged: BTreeMap<u64, Histogram> = BTreeMap::new();
+        let mut samples = Vec::new();
         for shard in &self.shards {
-            let shard = shard.lock();
-            for (&(n, w), h) in &shard.windows {
-                if n == name {
-                    merged.entry(w).or_default().merge(h);
+            for ((n, _), log) in &shard.lock().windows.items {
+                if *n == name {
+                    samples.extend_from_slice(log);
                 }
             }
         }
-        merged
-            .into_iter()
-            .map(|(w, h)| WindowEntry::from_histogram(name, w, self.window_ns, &h))
-            .collect()
+        fold_windows(name, self.window_ns, &mut samples)
     }
 
     /// Merge every shard into a deterministic snapshot, folding in the
@@ -331,48 +461,51 @@ impl MetricsRegistry {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
-        let mut wmap: BTreeMap<(&'static str, u64), Histogram> = BTreeMap::new();
-        let mut wcounters: BTreeMap<(&'static str, u64), u64> = BTreeMap::new();
+        let mut wsamples: BTreeMap<&'static str, Vec<(u64, u64)>> = BTreeMap::new();
+        let mut wcounts: BTreeMap<&'static str, Vec<(u64, u64)>> = BTreeMap::new();
         for (pe, shard) in self.shards.iter().enumerate() {
             let shard = shard.lock();
-            for (&(name, peer_node), &value) in &shard.counters {
+            for &((name, peer_node), value) in shard.counters.sorted() {
                 counters.push(MetricEntry { name, pe, peer_node, value });
             }
-            for (&(name, peer_node), &value) in &shard.gauges {
+            for &((name, peer_node), value) in shard.gauges.sorted() {
                 gauges.push(MetricEntry { name, pe, peer_node, value });
             }
-            for (&(name, peer_node), h) in &shard.histograms {
+            for ((name, peer_node), h) in shard.histograms.sorted() {
                 histograms.push(HistogramEntry {
                     name,
                     pe,
-                    peer_node,
+                    peer_node: *peer_node,
                     count: h.count,
                     sum: h.sum,
                     min: h.min,
                     max: h.max,
-                    buckets: h.buckets.iter().map(|(&i, &(c, s))| (i, c, s)).collect(),
+                    buckets: h.sparse(),
                 });
             }
-            for (&key, h) in &shard.windows {
-                wmap.entry(key).or_default().merge(h);
+            for ((name, _), log) in &shard.windows.items {
+                wsamples.entry(name).or_default().extend_from_slice(log);
             }
-            for (&key, &v) in &shard.window_counters {
-                *wcounters.entry(key).or_insert(0) += v;
+            for ((name, _), log) in &shard.window_counters.items {
+                wcounts.entry(name).or_default().extend_from_slice(log);
             }
         }
-        let windows = wmap
-            .into_iter()
-            .map(|((name, w), h)| WindowEntry::from_histogram(name, w, self.window_ns, &h))
-            .collect();
-        let window_counters = wcounters
-            .into_iter()
-            .map(|((name, window), value)| WindowCounterEntry {
-                name,
-                window,
-                start_ns: window * self.window_ns,
-                value,
-            })
-            .collect();
+        let mut windows = Vec::new();
+        for (name, mut samples) in wsamples {
+            windows.extend(fold_windows(name, self.window_ns, &mut samples));
+        }
+        let mut window_counters = Vec::new();
+        for (name, mut log) in wcounts {
+            log.sort_by_key(|e| e.0);
+            for run in log.chunk_by(|a, b| a.0 == b.0) {
+                window_counters.push(WindowCounterEntry {
+                    name,
+                    window: run[0].0,
+                    start_ns: run[0].0 * self.window_ns,
+                    value: run.iter().map(|e| e.1).sum(),
+                });
+            }
+        }
         MetricsSnapshot {
             enabled: self.enabled,
             window_ns: self.window_ns,
@@ -395,7 +528,7 @@ pub struct MetricEntry {
     pub value: u64,
 }
 
-/// One histogram in a snapshot, with sparse log2 buckets.
+/// One histogram in a snapshot, with its non-empty log-linear buckets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramEntry {
     pub name: &'static str,
@@ -406,7 +539,7 @@ pub struct HistogramEntry {
     pub min: u64,
     pub max: u64,
     /// `(bucket_index, count, exact value sum)` triples, sorted by index.
-    /// Bucket `i` covers values `<= 2^i`.
+    /// Bounds are log-linear: 1..=4, then `2^SUB_BUCKET_BITS` per octave.
     pub buckets: Vec<(u8, u64, u64)>,
 }
 
@@ -437,19 +570,6 @@ pub struct WindowEntry {
 }
 
 impl WindowEntry {
-    fn from_histogram(name: &'static str, window: u64, window_ns: u64, h: &Histogram) -> Self {
-        WindowEntry {
-            name,
-            window,
-            start_ns: window * window_ns,
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
-            buckets: h.buckets.iter().map(|(&i, &(c, s))| (i, c, s)).collect(),
-        }
-    }
-
     /// Interpolated percentile estimate (`q` in `[0, 1]`) with error bounded
     /// by the containing bucket's width — see [`percentile_impl`].
     pub fn percentile(&self, q: f64) -> u64 {
@@ -764,6 +884,225 @@ fn stats_json(s: &StatsSnapshot) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The registry as first written — one ordered map per series kind,
+    /// every observed value kept — as the reference for the flat storage.
+    #[derive(Default)]
+    struct Model {
+        window_ns: u64,
+        counters: BTreeMap<(usize, MetricKey), u64>,
+        gauges: BTreeMap<(usize, MetricKey), u64>,
+        histograms: BTreeMap<(usize, MetricKey), Vec<u64>>,
+        windows: BTreeMap<(&'static str, u64), Vec<u64>>,
+        window_counters: BTreeMap<(&'static str, u64), u64>,
+    }
+
+    /// The histogram of `values`, one map entry a bucket; nobody's yet.
+    fn summary(values: &[u64]) -> HistogramEntry {
+        let mut buckets: BTreeMap<u8, (u64, u64)> = BTreeMap::new();
+        for &v in values {
+            let b = buckets.entry(bucket_of(v)).or_default();
+            *b = (b.0 + 1, b.1.saturating_add(v));
+        }
+        HistogramEntry {
+            name: "",
+            pe: 0,
+            peer_node: None,
+            count: values.len() as u64,
+            sum: values.iter().fold(0, |s, &v| s.saturating_add(v)),
+            min: *values.iter().min().unwrap(),
+            max: *values.iter().max().unwrap(),
+            buckets: buckets.into_iter().map(|(i, (c, s))| (i, c, s)).collect(),
+        }
+    }
+
+    impl Model {
+        fn snapshot(&self) -> MetricsSnapshot {
+            let entry = |(&(pe, (name, peer_node)), &value): (&(usize, MetricKey), &u64)| {
+                MetricEntry { name, pe, peer_node, value }
+            };
+            let mut snap = MetricsSnapshot {
+                enabled: true,
+                window_ns: self.window_ns,
+                counters: self.counters.iter().map(entry).collect(),
+                gauges: self.gauges.iter().map(entry).collect(),
+                ..Default::default()
+            };
+            for (&(pe, (name, peer_node)), values) in &self.histograms {
+                snap.histograms.push(HistogramEntry { name, pe, peer_node, ..summary(values) });
+            }
+            for (&(name, window), values) in &self.windows {
+                let HistogramEntry { count, sum, min, max, buckets, .. } = summary(values);
+                let start_ns = window * self.window_ns;
+                snap.windows.push(WindowEntry {
+                    name,
+                    window,
+                    start_ns,
+                    count,
+                    sum,
+                    min,
+                    max,
+                    buckets,
+                });
+            }
+            for (&(name, window), &value) in &self.window_counters {
+                let start_ns = window * self.window_ns;
+                snap.window_counters.push(WindowCounterEntry { name, window, start_ns, value });
+            }
+            snap
+        }
+    }
+
+    /// A second `"put_ns"`, at an address of its own (on the heap: the
+    /// compiler may fold equal constants, statics included, into one).
+    fn twin() -> &'static str {
+        static TWIN: std::sync::OnceLock<&'static str> = std::sync::OnceLock::new();
+        TWIN.get_or_init(|| String::from("put_ns").leak())
+    }
+
+    fn names() -> [&'static str; 13] {
+        [
+            "put",
+            "get",
+            "amo",
+            "put_ns",
+            "get_ns",
+            "amo_ns",
+            "barrier",
+            "collective_ns",
+            "compute_ns",
+            "serve_latency_ns",
+            "serve_requests",
+            "lock_poll",
+            twin(),
+        ]
+    }
+
+    /// One call of the feed against the registry and against the model.
+    fn apply(reg: &MetricsRegistry, model: &mut Model, call: (u8, usize, usize, usize, u64, u64)) {
+        let (kind, pe, name, peer, t, v) = call;
+        let (name, peer) = (names()[name], peer.checked_sub(1));
+        // Counters add without saturating: keep their totals far from 2^64.
+        let n = v >> 24;
+        let window = t.checked_div(model.window_ns);
+        match kind {
+            0 => {
+                reg.count(pe, name, peer, n);
+                *model.counters.entry((pe, (name, peer))).or_default() += n;
+            }
+            1 => {
+                reg.gauge_set(pe, name, peer, v);
+                model.gauges.insert((pe, (name, peer)), v);
+            }
+            2 => {
+                reg.observe(pe, name, peer, v);
+                model.histograms.entry((pe, (name, peer))).or_default().push(v);
+            }
+            3 => {
+                reg.observe_windowed(pe, name, peer, t, v);
+                model.histograms.entry((pe, (name, peer))).or_default().push(v);
+                if let Some(w) = window {
+                    model.windows.entry((name, w)).or_default().push(v);
+                }
+            }
+            4 => {
+                reg.count_windowed(pe, name, peer, t, n);
+                *model.counters.entry((pe, (name, peer))).or_default() += n;
+                if let Some(w) = window {
+                    *model.window_counters.entry((name, w)).or_default() += n;
+                }
+            }
+            _ => {
+                // The conduit's shape, every optional series sometimes absent.
+                let (bytes, queue_ns, team) = (t % 3 * 8, v % 2 * t, (t % 4) as u32);
+                reg.record_op(pe, peer, name, bytes, "put_ns", v, queue_ns, team);
+                *model.counters.entry((pe, (name, peer))).or_default() += 1;
+                if bytes > 0 {
+                    *model.counters.entry((pe, ("op_bytes", peer))).or_default() += bytes;
+                }
+                model.histograms.entry((pe, ("put_ns", peer))).or_default().push(v);
+                if queue_ns > 0 {
+                    model
+                        .histograms
+                        .entry((pe, ("nic_queue_ns", peer)))
+                        .or_default()
+                        .push(queue_ns);
+                }
+                if team != 0 {
+                    let key = (pe, ("team_op", Some(team as usize)));
+                    *model.counters.entry(key).or_default() += 1;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        // The larger count is CI's `--release` run of this module.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 256 }))]
+
+        #[test]
+        fn flat_storage_matches_the_ordered_map_model(
+            window_ns in prop_oneof![0u64..1, 1u64..2, 1000u64..1001],
+            feed in prop::collection::vec(
+                (
+                    0u8..6,
+                    0usize..2,
+                    0usize..13,
+                    0usize..8,
+                    // Mostly a few windows revisited out of order; sometimes anywhere.
+                    prop_oneof![0u64..5_000, 0u64..5_000, any::<u64>()],
+                    // Small values, and ones two of which saturate a sum.
+                    prop_oneof![0u64..100_000, any::<u64>()],
+                ),
+                0..500,
+            ),
+        ) {
+            let reg = MetricsRegistry::new_windowed(true, 2, window_ns);
+            let mut model = Model { window_ns, ..Default::default() };
+            for (i, &call) in feed.iter().enumerate() {
+                apply(&reg, &mut model, call);
+                // Three looks mid-feed: the live view is the snapshot's.
+                if (i + 1) % (feed.len() / 3).max(1) == 0 {
+                    let snap = reg.snapshot(StatsSnapshot::default());
+                    for name in names() {
+                        let live = reg.live_window_series(name);
+                        prop_assert!(live.iter().eq(snap.window_series(name)), "{name} at {i}");
+                    }
+                }
+            }
+            let (snap, want) = (reg.snapshot(StatsSnapshot::default()), model.snapshot());
+            prop_assert_eq!(&snap, &want);
+            prop_assert_eq!(snap.to_prometheus(), want.to_prometheus());
+            prop_assert_eq!(snap.to_json().pretty(), want.to_json().pretty());
+            // Long feeds outgrow a shard's first index more than once.
+            let grown = reg.shards.iter().any(|s| s.lock().counters.index.len() > 32);
+            prop_assert!(feed.len() < 400 || grown, "no index growth in {} calls", feed.len());
+        }
+    }
+
+    #[test]
+    fn equal_text_at_two_addresses_is_one_series() {
+        let (a, b) = ("put_ns", twin());
+        assert!(a == b && !std::ptr::eq(a, b), "same text, two addresses");
+        let reg = MetricsRegistry::new_windowed(true, 1, 1000);
+        reg.observe(0, a, Some(1), 10);
+        reg.observe(0, b, Some(1), 30);
+        reg.count_windowed(0, b, None, 500, 1);
+        reg.count_windowed(0, a, None, 700, 2);
+        // The same address at another length is another name.
+        reg.count(0, &a[..3], None, 9);
+        reg.observe_windowed(0, a, None, 100, 5);
+        reg.observe_windowed(0, b, None, 200, 7);
+        let snap = reg.snapshot(StatsSnapshot::default());
+        assert_eq!(snap.histograms.len(), 2, "one per peer, not one per address");
+        assert_eq!(snap.histogram_totals("put_ns"), (4, 52));
+        assert_eq!(snap.counters.len(), 2);
+        assert_eq!((snap.counter_total("put"), snap.counter_total("put_ns")), (9, 3));
+        assert_eq!(snap.windows.len(), 1);
+        assert_eq!(snap.window_counters.len(), 1);
+        assert_eq!(reg.live_window_series(b), snap.windows);
+    }
 
     #[test]
     fn bucket_indices_are_log_linear() {
@@ -810,6 +1149,28 @@ mod tests {
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
+        assert!(reg.shards.is_empty(), "a disabled registry holds no state at all");
+    }
+
+    #[test]
+    fn enabled_registry_allocates_on_first_use() {
+        let reg = MetricsRegistry::new_windowed(true, 4, 1000);
+        let unallocated = |s: &Shard| {
+            let (c, g, h) = (&s.counters, &s.gauges, &s.histograms);
+            let (w, wc) = (&s.windows, &s.window_counters);
+            c.items.capacity() + g.items.capacity() + h.items.capacity() == 0
+                && c.index.capacity() + g.index.capacity() + h.index.capacity() == 0
+                && w.items.capacity() + wc.items.capacity() == 0
+                && w.index.capacity() + wc.index.capacity() == 0
+        };
+        assert!(reg.shards.iter().all(|s| unallocated(&s.lock())));
+        reg.observe_windowed(2, "serve_latency_ns", None, 10, 1 << 40);
+        for (pe, shard) in reg.shards.iter().enumerate() {
+            assert_eq!(unallocated(&shard.lock()), pe != 2, "only PE 2 recorded");
+        }
+        // A histogram's dense buckets reach its highest value, not all 248.
+        let shard = reg.shards[2].lock();
+        assert_eq!(shard.histograms.items[0].1.buckets.len(), bucket_of(1 << 40) as usize + 1);
     }
 
     #[test]
