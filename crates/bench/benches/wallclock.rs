@@ -117,17 +117,44 @@ fn machine_idle_paths() {
         });
     }
 
+    let nic = pgas_machine::nic::Nic::new();
+    let mut t = 0u64;
+    bench("nic_reserve_tx", None, || {
+        t += 10;
+        std::hint::black_box(nic.reserve_tx(t, 10, 8));
+    });
+
     // Arbiter on, one active PE: PE 1 returns at once, PE 0 takes every turn
     // unopposed (the shape of the benchmark's `ladder_pair`).
     pgas_machine::run(generic_smp(2).with_heap_bytes(1 << 12).with_deterministic_nic(), |pe| {
         if pe.id() == 0 {
             let m = pe.machine();
+            let mut t = m.clock(0);
+            bench("lift_clock_launched", None, || {
+                t += 10;
+                std::hint::black_box(m.lift_clock(0, t));
+            });
             bench("nic_turn_uncontended", None, || {
                 let start = m.clock(0);
                 let slot = m.nic_turn(0, start, || m.nic(0).reserve_tx(start, 10, 8));
                 m.lift_clock(0, slot.end);
             });
         }
+    });
+
+    // The same with 31 PEs waiting in a barrier: what the grant check costs
+    // per PE it has to rule out (`dht_locked` and `serve_mixed` run 32).
+    pgas_machine::run(generic_smp(32).with_heap_bytes(1 << 12).with_deterministic_nic(), |pe| {
+        let (m, me) = (pe.machine(), pe.id());
+        m.barrier_all(me, 0.0);
+        if me == 0 {
+            bench("nic_turn_uncontended_32pe", None, || {
+                let start = m.clock(0);
+                let slot = m.nic_turn(0, start, || m.nic(0).reserve_tx(start, 10, 8));
+                m.lift_clock(0, slot.end);
+            });
+        }
+        m.barrier_all(me, 0.0);
     });
 }
 

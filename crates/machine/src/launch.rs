@@ -317,7 +317,7 @@ where
     F: Fn(Pe<'_>) -> R + Send + Sync,
     R: Send,
 {
-    let machine: Arc<Machine> = Machine::new(cfg);
+    let machine: Arc<Machine> = Machine::new_on(cfg, engine == Engine::Fibers);
     let n = machine.num_pes();
     let name = machine.config().name.clone();
     let stack = machine.config().stack_bytes;

@@ -65,9 +65,11 @@ impl StreamState {
 /// split bit-for-bit). The arbiter restores determinism by granting whole
 /// reservation sequences in `(virtual start, pe)` order: a request parks,
 /// and is granted once it is the minimum parked key and every other PE
-/// provably cannot issue an earlier one — its clock is already past `start`
-/// (clocks are monotone), it is parked itself (comparable by key), or it is
-/// quiescent (blocked in a barrier/`wait_on`, or finished its program).
+/// provably cannot issue an earlier one — its *horizon*, the earliest
+/// virtual time at which it could still issue a request, is past `start`.
+/// A PE's horizon is its clock while it can run (clocks are monotone) and
+/// `u64::MAX` while it is parked itself (comparable by key), quiescent
+/// (blocked in a barrier/`wait_on`) or finished.
 ///
 /// The quiescent rule is conservative for barrier waits — a PE blocked in a
 /// barrier cannot be released while the granted PE is still parked short of
@@ -101,13 +103,17 @@ impl StreamState {
 /// (e.g. through [`Machine::apply_and_notify`]) while holding `parked` —
 /// which is why a granted turn runs its reservation with `parked` dropped.
 struct ArbiterState {
+    /// Every PE runs as a fiber on one carrier thread ([`Machine::new_on`]),
+    /// so nothing preempts a PE between two waits: what the uncontested
+    /// grant of [`Machine::nic_turn_ctx`] and the fence-free handshake need.
+    one_carrier: bool,
     /// Parked requests, at most one per PE, ordered by `(start, pe, ctx)`:
     /// the context channel id is part of the key, so ops issued on
     /// different per-context NIC channels park as distinct requests (a PE
     /// still parks at most one at a time — its thread is sequential — so
     /// the cross-PE grant order is decided by `(start, pe)` exactly as
     /// before; the ctx component is attribution, not tie-breaking).
-    parked: Mutex<BTreeSet<(u64, PeId, u32)>>,
+    parked: Mutex<BTreeSet<TurnKey>>,
     /// One condvar per PE (all guarded by the `parked` mutex): only the
     /// holder of the *minimum* parked key can ever be granted, so wakes
     /// target exactly that thread instead of broadcasting to every parked
@@ -125,11 +131,15 @@ struct ArbiterState {
     /// in a long while, an expiry lands between a sender publishing its
     /// change and taking the mutex to send the wake.
     backstop_grants: AtomicU64,
-    /// Mirror of "is this PE parked", updated under the `parked` mutex:
-    /// lets the grant check ask in O(1) instead of scanning the set.
-    parked_flags: Vec<AtomicBool>,
-    /// PEs that cannot issue a NIC request until externally unblocked.
-    quiescent: Vec<AtomicBool>,
+    /// Per PE, the earliest virtual time at which it could still issue a NIC
+    /// request; the grant check is `horizon[q] <= start` over this one array.
+    /// The PE's clock while it can run, stored beside every clock store.
+    /// `u64::MAX` from when it parks a key (under `parked`), arrives at a
+    /// barrier, sleeps in `wait_on` (under its notify lock) or finishes; its
+    /// clock again when it removes its key, leaves `wait_on` or has that
+    /// quiescence withdrawn by [`Machine::apply_and_notify`] (same locks),
+    /// or a barrier's completing arrival releases it (under the barrier lock).
+    horizon: Vec<AtomicU64>,
     /// Non-zero for PEs whose quiescence comes from `wait_on` (as opposed to
     /// a barrier): a write published through [`Machine::apply_and_notify`]
     /// may satisfy their predicate, so it must withdraw their quiescence in
@@ -138,17 +148,21 @@ struct ArbiterState {
     /// writes. The value names what is polled, for the stall report:
     /// `offset + 1` of the word in the PE's own heap, or [`UNNAMED_WAIT`].
     in_wait_on: Vec<AtomicUsize>,
-    /// PEs whose program closure has returned — permanently unable to issue
-    /// NIC requests. A separate flag (rather than `quiescent`) because a
-    /// later barrier round's completing arrival clears every `quiescent`
-    /// flag, including one belonging to a PE that died early and already
-    /// exited; survivors' parked turns would then wait forever on a thread
-    /// that no longer exists.
+    /// PEs whose program closure has returned. A separate, cold flag: a
+    /// `u64::MAX` horizon alone cannot tell the stall report "gone for good"
+    /// from "waiting in a barrier". (Nothing resurrects a finished PE's
+    /// horizon: a barrier release skips the dead, [`Machine::arb_release`].)
     finished: Vec<AtomicBool>,
+    /// Turns that went through the parking lot.
+    #[cfg(test)]
+    parked_turns: AtomicU64,
 }
 
 /// `in_wait_on` value of a `wait_on` whose predicate names no word.
 const UNNAMED_WAIT: usize = usize::MAX;
+
+/// A parked NIC request: `(start, pe, ctx)`.
+type TurnKey = (u64, PeId, u32);
 
 /// The simulated machine. Shared (via reference) by every PE thread.
 pub struct Machine {
@@ -178,6 +192,13 @@ pub struct Machine {
 impl Machine {
     /// Build a machine from a validated configuration.
     pub fn new(cfg: MachineConfig) -> Arc<Machine> {
+        Machine::new_on(cfg, false)
+    }
+
+    /// [`Self::new`] for the launcher, which knows what will run the PEs:
+    /// `one_carrier` promises that every call into this machine comes from a
+    /// fiber of one `parking_lot::fiber::run` on the launching thread.
+    pub(crate) fn new_on(cfg: MachineConfig, one_carrier: bool) -> Arc<Machine> {
         cfg.validate().expect("invalid machine configuration");
         let n = cfg.total_pes();
         let knobs = Knobs::resolve(&cfg);
@@ -187,14 +208,16 @@ impl Machine {
         });
         let stream = knobs.stream.value.clone().map(StreamState::new);
         let arbiter = cfg.deterministic_nic.then(|| ArbiterState {
+            one_carrier,
             parked: Mutex::new(BTreeSet::new()),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
             min_start: AtomicU64::new(u64::MAX),
             backstop_grants: AtomicU64::new(0),
-            parked_flags: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            quiescent: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            horizon: (0..n).map(|_| AtomicU64::new(0)).collect(),
             in_wait_on: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             finished: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            #[cfg(test)]
+            parked_turns: AtomicU64::new(0),
         });
         Arc::new(Machine {
             faults,
@@ -595,8 +618,33 @@ impl Machine {
     /// the conduit context id the request belongs to (0 = the default
     /// context). The channel id rides in the parked key, so grants —
     /// and the spans they order — attribute to the issuing context.
+    ///
+    /// **The uncontested grant.** On one carrier, a request whose `start` is
+    /// strictly below every parked key's, unpoisoned and with no blocker,
+    /// *is* the grant [`Self::nic_turn_parked`] would reach at the first
+    /// check of its loop, so `f` runs here and the parking lot is not
+    /// touched. It is the same turn, not merely the same answer, because:
+    /// (1) one carrier ⇒ nothing preempts a PE between two `Condvar` waits
+    /// (DESIGN.md, "Yield points"), so the check and `f()` are one step to
+    /// every other PE; (2) no turn closure in the tree waits or moves the
+    /// caller's clock (`cost.rs`, `ctx.rs` ×4, the benchmark's ladder), so
+    /// when `f` returns the minimum the caller was below is still blocked by
+    /// it and the wake a remover owes would tell it nothing; (3) a
+    /// granted-but-unparked PE blocks every later key through its own
+    /// horizon exactly as its parked key did, until its clock crosses them
+    /// and [`Self::arb_unblocked`] wakes them. A tie, a smaller parked key, a
+    /// blocker or poison parks; so does every turn on threads and on a
+    /// machine driven by hand.
     pub fn nic_turn_ctx<R>(&self, pe: PeId, ctx: u32, start: u64, f: impl FnOnce() -> R) -> R {
         let Some(arb) = &self.arbiter else { return f() };
+        if arb.one_carrier
+            && start < arb.min_start.load(Ordering::Acquire)
+            && !self.poison.is_poisoned()
+            && Self::arb_blocker(arb, start, pe).is_none()
+        {
+            debug_assert!(parking_lot::fiber::is_fiber(), "one_carrier promised PE fibers");
+            return f();
+        }
         self.nic_turn_parked(arb, pe, ctx, start, f)
     }
 
@@ -609,11 +657,13 @@ impl Machine {
         f: impl FnOnce() -> R,
     ) -> R {
         debug_assert!(start < u64::MAX, "u64::MAX is the nothing-parked value of min_start");
+        #[cfg(test)]
+        arb.parked_turns.fetch_add(1, Ordering::Relaxed);
         let key = (start, pe, ctx);
         let mut parked = arb.parked.lock();
         let inserted = parked.insert(key);
         debug_assert!(inserted, "a PE parks at most one NIC request at a time");
-        arb.parked_flags[pe].store(true, Ordering::Release);
+        arb.horizon[pe].store(u64::MAX, Ordering::Release);
         Self::arb_cache_min(arb, &parked);
         // Parking makes this PE "comparable by key": if it was blocking the
         // minimum (and isn't the minimum itself), that can complete the
@@ -625,16 +675,13 @@ impl Machine {
         let mut backstop_expired = false;
         loop {
             if self.poison.is_poisoned() {
-                parked.remove(&key);
-                arb.parked_flags[pe].store(false, Ordering::Release);
-                Self::arb_cache_min(arb, &parked);
-                Self::arb_wake_min(arb, &parked);
+                self.arb_unpark(arb, &mut parked, key);
                 drop(parked);
                 self.poison.check(); // panics
                 unreachable!("poison.check() panics when poisoned");
             }
             let min = *parked.first().expect("own key is parked");
-            if min == key && self.arb_grantable(arb, start, pe) {
+            if min == key && Self::arb_grantable(arb, start, pe) {
                 if backstop_expired {
                     arb.backstop_grants.fetch_add(1, Ordering::Relaxed);
                 }
@@ -655,23 +702,26 @@ impl Machine {
         // a `NotifyCell.lock`, which orders before `parked`.
         drop(parked);
         let out = f();
-        let mut parked = arb.parked.lock();
-        parked.remove(&key);
-        arb.parked_flags[pe].store(false, Ordering::Release);
-        Self::arb_cache_min(arb, &parked);
-        // Whoever is the minimum now has not evaluated its grant condition
-        // as the minimum yet. (Often this PE, no longer parked, still blocks
-        // it until its next crossing and the wake is early; withholding it
-        // then measured slower end to end on `serve_mixed` — CHANGES.md,
-        // PR 13.)
-        Self::arb_wake_min(arb, &parked);
-        drop(parked);
+        self.arb_unpark(arb, &mut arb.parked.lock(), key);
         out
+    }
+
+    /// Take `key` (the calling PE's) out of the locked set: the PE can run
+    /// again, so its horizon is its clock. Whoever is the minimum now has not
+    /// evaluated its grant condition as the minimum yet and is woken.
+    /// (Often this PE, no longer parked, still blocks it until its next
+    /// crossing and the wake is early; withholding it then measured slower
+    /// end to end on `serve_mixed` — CHANGES.md, PR 13.)
+    fn arb_unpark(&self, arb: &ArbiterState, parked: &mut BTreeSet<TurnKey>, key: TurnKey) {
+        parked.remove(&key);
+        arb.horizon[key.1].store(self.clock(key.1), Ordering::Release);
+        Self::arb_cache_min(arb, parked);
+        Self::arb_wake_min(arb, parked);
     }
 
     /// Refresh the cached minimum start. Call with the `parked` mutex held,
     /// after every insert/remove.
-    fn arb_cache_min(arb: &ArbiterState, parked: &BTreeSet<(u64, PeId, u32)>) {
+    fn arb_cache_min(arb: &ArbiterState, parked: &BTreeSet<TurnKey>) {
         let min_start = parked.first().map_or(u64::MAX, |&(start, _, _)| start);
         arb.min_start.store(min_start, Ordering::Release);
     }
@@ -680,7 +730,7 @@ impl Machine {
     /// set: the target is read from it, and because the minimum checks its
     /// grant condition and goes to sleep under the same mutex, the wake
     /// reaches it asleep or before its next check — never in between.
-    fn arb_wake_min(arb: &ArbiterState, parked: &BTreeSet<(u64, PeId, u32)>) {
+    fn arb_wake_min(arb: &ArbiterState, parked: &BTreeSet<TurnKey>) {
         if let Some(&(_, min_pe, _)) = parked.first() {
             arb.cvs[min_pe].notify_all();
         }
@@ -694,62 +744,74 @@ impl Machine {
     /// One half of a Dekker handshake with [`Self::arb_grantable`]. Here:
     /// publish the change (the caller's store) → `SeqCst` fence → load
     /// `min_start`. There: `min_start` stored under the mutex → `SeqCst`
-    /// fence → load the other PEs' clocks and flags. So either this load sees
+    /// fence → load the other PEs' horizons. So either this load sees
     /// the minimum and the wake goes out under the mutex, or the minimum's
     /// check sees the change. A stale `min_start` belongs to a key that has
     /// since been granted or displaced; a displaced key is woken by the
-    /// remover when it is the minimum again, and checks afresh.
+    /// remover when it is the minimum again, and checks afresh. (On one
+    /// carrier both sides skip the fence: the handshake needs two threads.)
     #[inline]
     fn arb_unblocked(arb: &ArbiterState, lo: u64, hi: u64) {
-        fence(Ordering::SeqCst);
+        if !arb.one_carrier {
+            fence(Ordering::SeqCst);
+        }
         let min_start = arb.min_start.load(Ordering::Acquire);
         if lo <= min_start && min_start < hi {
             Self::arb_wake_min(arb, &arb.parked.lock());
         }
     }
 
-    /// Grant condition for a parked minimum `(start, pe)`: every other PE is
-    /// quiescent, parked itself (its key is larger — ours is the minimum), or
-    /// already strictly past `start` (clocks are monotone, so it can never
-    /// issue an earlier request). Call with the `parked` mutex held; the
-    /// fence is the minimum's half of the handshake in
+    /// Grant condition for a parked minimum `(start, pe)`: no other PE could
+    /// still issue a request at or before `start`. Call with the `parked`
+    /// mutex held; the fence is the minimum's half of the handshake in
     /// [`Self::arb_unblocked`].
-    fn arb_grantable(&self, arb: &ArbiterState, start: u64, pe: PeId) -> bool {
-        fence(Ordering::SeqCst);
-        self.arb_blocker(arb, start, pe).is_none()
+    fn arb_grantable(arb: &ArbiterState, start: u64, pe: PeId) -> bool {
+        if !arb.one_carrier {
+            fence(Ordering::SeqCst);
+        }
+        Self::arb_blocker(arb, start, pe).is_none()
     }
 
-    /// The first PE that could still issue a request earlier than `pe`'s
-    /// parked `start`, if any (see [`Self::arb_grantable`]).
-    fn arb_blocker(&self, arb: &ArbiterState, start: u64, pe: PeId) -> Option<PeId> {
-        (0..self.num_pes()).find(|&q| {
-            q != pe
-                && !arb.finished[q].load(Ordering::Acquire)
-                && !arb.quiescent[q].load(Ordering::Acquire)
-                && !arb.parked_flags[q].load(Ordering::Acquire)
-                && self.clock(q) <= start
-        })
-    }
-
-    /// Mark `pe` unable to issue NIC requests until externally unblocked
-    /// (entering a barrier or `wait_on`, or finishing its program closure),
-    /// or able again. No-op without an arbiter.
+    /// The first PE other than `pe` that could still issue a request at or
+    /// before `start`, if any: it can run (is not quiescent, parked or
+    /// finished) and its monotone clock is not strictly past `start`.
     #[inline]
-    pub(crate) fn arb_set_quiescent(&self, pe: PeId, quiescent: bool) {
+    fn arb_blocker(arb: &ArbiterState, start: u64, pe: PeId) -> Option<PeId> {
+        let blocks = |(q, h): (PeId, &AtomicU64)| h.load(Ordering::Acquire) <= start && q != pe;
+        arb.horizon.iter().enumerate().position(blocks)
+    }
+
+    /// Mark `pe` unable to issue NIC requests until externally unblocked:
+    /// it enters a barrier, or its program closure finished. No-op without
+    /// an arbiter.
+    #[inline]
+    fn arb_quiesce(&self, pe: PeId) {
         if let Some(arb) = &self.arbiter {
-            arb.quiescent[pe].store(quiescent, Ordering::Release);
-            if quiescent {
-                Self::arb_unblocked(arb, self.clock(pe), u64::MAX);
-            }
+            arb.horizon[pe].store(u64::MAX, Ordering::Release);
+            Self::arb_unblocked(arb, self.clock(pe), u64::MAX);
         }
     }
 
-    /// `pe`'s clock moved from `prev` to `next`: wake the arbiter's minimum
-    /// if the move crossed its start. One branch when no arbiter; a fence
-    /// and a load when the move crossed nothing.
+    /// A barrier's completing arrival, under the barrier lock, *before* the
+    /// waiters wake: a released-but-unscheduled PE must not look quiescent,
+    /// or reservations could be granted out of virtual-time order. A member
+    /// that died left the group instead of arriving — it may be parked in a
+    /// turn, asleep in `wait_on` or gone — and its horizon says so already.
+    fn arb_release(&self, group: impl Iterator<Item = PeId>) {
+        let Some(arb) = &self.arbiter else { return };
+        for q in group.filter(|&q| !self.pe_failed(q)) {
+            arb.horizon[q].store(self.clock(q), Ordering::Release);
+        }
+    }
+
+    /// `pe`, running, moved its clock from `prev` to `next`: that is its
+    /// horizon now, and the arbiter's minimum is woken if the move crossed
+    /// its start. One branch when no arbiter; a store and a load (and, off
+    /// the carrier, a fence) when the move crossed nothing.
     #[inline]
-    fn arb_clock_moved(&self, prev: u64, next: u64) {
+    fn arb_clock_moved(&self, pe: PeId, prev: u64, next: u64) {
         if let Some(arb) = &self.arbiter {
+            arb.horizon[pe].store(next, Ordering::Release);
             Self::arb_unblocked(arb, prev, next);
         }
     }
@@ -766,7 +828,7 @@ impl Machine {
         if let Some(arb) = &self.arbiter {
             arb.finished[pe].store(true, Ordering::Release);
         }
-        self.arb_set_quiescent(pe, true);
+        self.arb_quiesce(pe);
     }
 
     // ---- virtual clocks ------------------------------------------------
@@ -787,7 +849,7 @@ impl Machine {
         self.pes[pe].clock.store(next, Ordering::Release);
         self.poll_failure(pe, next);
         self.stream_tick(next);
-        self.arb_clock_moved(prev, next);
+        self.arb_clock_moved(pe, prev, next);
         next
     }
 
@@ -799,7 +861,7 @@ impl Machine {
         self.pes[pe].clock.store(next, Ordering::Release);
         self.poll_failure(pe, next);
         self.stream_tick(next);
-        self.arb_clock_moved(prev, next);
+        self.arb_clock_moved(pe, prev, next);
         next
     }
 
@@ -827,7 +889,7 @@ impl Machine {
             let out = f();
             if let Some(arb) = &self.arbiter {
                 if arb.in_wait_on[pe].load(Ordering::Acquire) != 0 {
-                    arb.quiescent[pe].store(false, Ordering::Release);
+                    arb.horizon[pe].store(self.clock(pe), Ordering::Release);
                 }
             }
             out
@@ -862,13 +924,13 @@ impl Machine {
             || {
                 let Some(arb) = arb else { return };
                 arb.in_wait_on[pe].store(name, Ordering::Release);
-                arb.quiescent[pe].store(true, Ordering::Release);
+                arb.horizon[pe].store(u64::MAX, Ordering::Release);
                 // Runs under `pe`'s notify lock (lock order notify → parked).
                 Self::arb_unblocked(arb, self.clock(pe), u64::MAX);
             },
             || {
                 let Some(arb) = arb else { return };
-                arb.quiescent[pe].store(false, Ordering::Release);
+                arb.horizon[pe].store(self.clock(pe), Ordering::Release);
                 arb.in_wait_on[pe].store(0, Ordering::Release);
             },
         );
@@ -896,7 +958,10 @@ impl Machine {
     /// finished, saying what it is blocked in, and the lowest such PE.
     /// Meaningful when no PE is running — the fiber engine calls it from its
     /// scheduler, with every PE parked. `None` without an arbiter, whose
-    /// flags it reads.
+    /// state it reads: a PE with a key in the set is in a turn, one with
+    /// `in_wait_on` set polls, any other whose horizon is `u64::MAX` waits in
+    /// a barrier, and one that could run but does not is blocked in
+    /// something of the program's own.
     pub(crate) fn stall_report(&self) -> Option<(PeId, String)> {
         let arb = self.arbiter.as_ref()?;
         let parked = arb.parked.lock();
@@ -912,7 +977,7 @@ impl Machine {
             let what = if let Some(key) = parked.iter().find(|key| key.1 == pe) {
                 let behind = match min {
                     Some(min) if min != *key => format!("behind the key of PE {}", min.1),
-                    _ => match self.arb_blocker(arb, key.0, pe) {
+                    _ => match Self::arb_blocker(arb, key.0, pe) {
                         Some(q) => {
                             format!("PE {q} at {} ns could still issue earlier", self.clock(q))
                         }
@@ -926,7 +991,7 @@ impl Machine {
                     _ => format!("(word at offset {:#x} of PE {pe})", name - 1),
                 };
                 format!("wait_on{word}: predicate false and no PE that could change that can run")
-            } else if arb.quiescent[pe].load(Ordering::Acquire) {
+            } else if arb.horizon[pe].load(Ordering::Acquire) == u64::MAX {
                 let mut pending: Vec<String> = subsets
                     .iter()
                     .filter(|(group, _)| group.binary_search(&pe).is_ok())
@@ -964,23 +1029,15 @@ impl Machine {
             return self.clock(pe);
         }
         Stats::bump(&self.stats.barriers);
-        self.arb_set_quiescent(pe, true);
-        // The completing arrival clears every participant's quiescent flag
-        // *before* the waiters wake: a released-but-unscheduled PE must not
-        // look quiescent to the NIC arbiter, or reservations could be granted
-        // out of virtual-time order.
+        self.arb_quiesce(pe);
         let prev = self.clock(pe);
-        let max = self.global_barrier.arrive_with(prev, &self.poison, || {
-            for q in 0..self.num_pes() {
-                self.arb_set_quiescent(q, false);
-            }
-        });
+        let release = || self.arb_release(0..self.num_pes());
+        let max = self.global_barrier.arrive_with(prev, &self.poison, release);
         let t = max + extra_ns.round() as u64;
         self.pes[pe].clock.store(t, Ordering::Release);
-        self.arb_set_quiescent(pe, false);
+        self.arb_clock_moved(pe, prev, t);
         self.sanitizer.barrier_join(pe, 0..self.num_pes(), t);
         self.stream_tick(t);
-        self.arb_clock_moved(prev, t);
         t
     }
 
@@ -1011,20 +1068,15 @@ impl Machine {
                 })
                 .clone()
         };
-        self.arb_set_quiescent(pe, true);
-        // See barrier_all: release clears the group's quiescent flags.
+        self.arb_quiesce(pe);
         let prev = self.clock(pe);
-        let max = barrier.arrive_with(prev, &self.poison, || {
-            for &q in group {
-                self.arb_set_quiescent(q, false);
-            }
-        });
+        let release = || self.arb_release(group.iter().copied());
+        let max = barrier.arrive_with(prev, &self.poison, release);
         let t = max + extra_ns.round() as u64;
         self.pes[pe].clock.store(t, Ordering::Release);
-        self.arb_set_quiescent(pe, false);
+        self.arb_clock_moved(pe, prev, t);
         self.sanitizer.barrier_join(pe, group.iter().copied(), t);
         self.stream_tick(t);
-        self.arb_clock_moved(prev, t);
         t
     }
 
@@ -1248,7 +1300,7 @@ mod tests {
 
     // ---- one protocol, two substrates ------------------------------------
 
-    use crate::launch::{run_on, Engine, SimOutcome};
+    use crate::launch::{run_on, Engine, NicSnapshot, SimOutcome};
 
     /// Everything of an outcome that describes the simulated machine; what
     /// is left out (`engine`, `knobs`' sources) describes the host.
@@ -1376,6 +1428,221 @@ mod tests {
                 .expect_err("PE 1 panics");
             assert_eq!((err.pe, err.message.as_str()), (1, "boom mid-turn"), "{engine:?}");
         }
+    }
+
+    // ---- random programs against a sequential reference -------------------
+
+    /// One step of a PE's program in [`Spmd`].
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Advance(u64),
+        /// A NIC turn `gap` ns from now: one reservation of `occ` ns on the
+        /// TX or RX lane of NIC 0; `lift` takes the clock to its end.
+        Turn {
+            gap: u64,
+            occ: u64,
+            rx: bool,
+            lift: bool,
+        },
+        /// Wait for the chain's token of `round` (stamped word 0 of the own
+        /// heap), and take the clock to its stamp.
+        Await(u64),
+        /// Hand the token of `round` to the next PE, stamped with the clock.
+        Signal(u64),
+        Barrier(u64),
+    }
+
+    /// A deadlock-free SPMD program drawn from a seed: phases of per-PE step
+    /// sequences, each closed by a barrier; in some phases a token goes down
+    /// the PEs in order (`wait_on` / `apply_and_notify`). Gaps are drawn from
+    /// a few values, so starts tie on purpose — after every barrier at least.
+    struct Spmd(Vec<Vec<Step>>);
+
+    impl Spmd {
+        fn draw(n: usize, seed: u64) -> Spmd {
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut below = move |bound: u64| rng.gen_range(0..bound);
+            let mut pes = vec![Vec::new(); n];
+            for round in 1..=2 + below(4) {
+                let (chain, extra) = (below(2) == 0, [0, 7, 1500][below(3) as usize]);
+                for (pe, steps) in pes.iter_mut().enumerate() {
+                    let mut local: Vec<Step> = (0..below(6))
+                        .map(|_| match below(4) {
+                            0 => Step::Advance([1, 10, 250][below(3) as usize]),
+                            _ => Step::Turn {
+                                gap: [0, 0, 5, 10, 100][below(5) as usize],
+                                occ: 1 + below(40),
+                                rx: below(3) == 0,
+                                lift: below(4) != 0,
+                            },
+                        })
+                        .collect();
+                    if chain {
+                        let at = below(local.len() as u64 + 1) as usize;
+                        let after = at + below((local.len() - at) as u64 + 1) as usize;
+                        if pe + 1 < n {
+                            local.insert(after, Step::Signal(round));
+                        }
+                        if pe > 0 {
+                            local.insert(at, Step::Await(round));
+                        }
+                    }
+                    steps.extend(local);
+                    steps.push(Step::Barrier(extra));
+                }
+            }
+            Spmd(pes)
+        }
+
+        /// The program as a PE runs it: every reservation it was granted.
+        fn run(&self, pe: Pe<'_>) -> Vec<(u64, u64)> {
+            let (m, me) = (pe.machine(), pe.id());
+            let word = |p: PeId| m.heap(p).atomic64(0);
+            let mut slots = Vec::new();
+            for &step in &self.0[me] {
+                match step {
+                    Step::Advance(ns) => drop(m.advance(me, ns as f64)),
+                    Step::Turn { gap, occ, rx, lift } => {
+                        let start = m.clock(me) + gap;
+                        let lane = if rx { crate::nic::Lane::Rx } else { crate::nic::Lane::Tx };
+                        let r = m.nic_turn(me, start, || m.nic(0).reserve(lane, start, occ, 8));
+                        slots.push((r.begin, r.end));
+                        if lift {
+                            m.lift_clock(me, r.end);
+                        }
+                    }
+                    Step::Await(round) => {
+                        m.wait_on(me, || word(me).load(Ordering::Acquire) >= round);
+                        m.lift_clock(me, m.heap(me).max_stamp(0, 8));
+                    }
+                    Step::Signal(round) => {
+                        let at = m.clock(me);
+                        m.apply_and_notify(me + 1, || {
+                            word(me + 1).store(round, Ordering::Release);
+                            m.heap(me + 1).stamp_range(0, 8, at);
+                        });
+                    }
+                    Step::Barrier(extra) => drop(m.barrier_all(me, extra as f64)),
+                }
+            }
+            slots
+        }
+
+        /// What the arbiter must make of the program, one PE at a time: run
+        /// everybody as far as they get without a turn, then grant the least
+        /// `(start, pe)` — or, with none asked for, release the barrier.
+        /// Returns every PE's reservations and final clock.
+        fn reference(&self) -> (Vec<Vec<(u64, u64)>>, Vec<u64>) {
+            let n = self.0.len();
+            let (mut pc, mut clock, mut slots) = (vec![0; n], vec![0u64; n], vec![Vec::new(); n]);
+            let (mut token, mut frontier) = (vec![(0u64, 0u64); n], [0u64; 2]);
+            loop {
+                // Ascending: a token only ever goes to the next PE up.
+                for pe in 0..n {
+                    while let Some(&step) = self.0[pe].get(pc[pe]) {
+                        match step {
+                            Step::Advance(ns) => clock[pe] += ns,
+                            Step::Await(round) if token[pe].0 >= round => {
+                                clock[pe] = clock[pe].max(token[pe].1)
+                            }
+                            Step::Signal(round) => token[pe + 1] = (round, clock[pe]),
+                            _ => break,
+                        }
+                        pc[pe] += 1;
+                    }
+                }
+                let asks = (0..n).filter_map(|pe| match self.0[pe].get(pc[pe]) {
+                    Some(&Step::Turn { gap, occ, rx, lift }) => {
+                        Some((clock[pe] + gap, pe, occ, rx, lift))
+                    }
+                    _ => None,
+                });
+                if let Some((start, pe, occ, rx, lift)) = asks.min() {
+                    let begin = frontier[rx as usize].max(start);
+                    frontier[rx as usize] = begin + occ;
+                    slots[pe].push((begin, begin + occ));
+                    clock[pe] = if lift { clock[pe].max(begin + occ) } else { clock[pe] };
+                    pc[pe] += 1;
+                } else if let Some(&Step::Barrier(extra)) = self.0[0].get(pc[0]) {
+                    let release = clock.iter().max().unwrap() + extra;
+                    clock.fill(release);
+                    pc.iter_mut().for_each(|pc| *pc += 1);
+                } else {
+                    return (slots, clock);
+                }
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        // The larger count is CI's `--release` run of this crate.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 256 }))]
+
+        #[test]
+        fn engines_agree_with_a_sequential_reference_on_random_programs(
+            n in 2usize..9,
+            seed in any::<u64>(),
+        ) {
+            if !parking_lot::fiber::SUPPORTED {
+                return Ok(());
+            }
+            let program = Spmd::draw(n, seed);
+            let cfg = generic_smp(n).with_heap_bytes(1 << 12).with_deterministic_nic();
+            let fibers = same_on_both_engines(cfg, |pe| program.run(pe));
+            let (slots, clocks) = program.reference();
+            prop_assert_eq!(&fibers.results, &slots);
+            prop_assert_eq!(&fibers.clocks, &clocks);
+            let turns = slots.iter().map(Vec::len).sum::<usize>() as u64;
+            let busy_ns = slots.iter().flatten().map(|(begin, end)| end - begin).sum();
+            let want = NicSnapshot { messages: turns, bytes: turns * 8, busy_ns };
+            prop_assert_eq!(&fibers.nics, &vec![want]);
+            prop_assert_eq!(fibers.engine.timed_wait_expiries, 0);
+            prop_assert_eq!(fibers.engine.backstop_grants, 0);
+        }
+    }
+
+    #[test]
+    fn an_uncontested_turn_never_parks_and_a_contested_one_does() {
+        if !parking_lot::fiber::SUPPORTED {
+            return;
+        }
+        let parked_turns =
+            |m: &Machine| m.arbiter.as_ref().unwrap().parked_turns.load(Ordering::Relaxed);
+        let cfg = generic_smp(2).with_heap_bytes(1 << 12).with_deterministic_nic();
+        // One active PE: PE 1 sits in the second barrier through all of them.
+        let out = run_on(Engine::Fibers, cfg.clone(), |pe| {
+            let (m, me) = (pe.machine(), pe.id());
+            m.barrier_all(me, 0.0);
+            for _ in 0..if me == 0 { 10_000 } else { 0 } {
+                let start = m.clock(0);
+                let slot = m.nic_turn(0, start, || m.nic(0).reserve_tx(start, 10, 8));
+                m.lift_clock(0, slot.end);
+            }
+            m.barrier_all(me, 0.0);
+            parked_turns(m)
+        });
+        let out = out.expect("one active PE");
+        assert_eq!(out.nics[0].messages, 10_000);
+        assert_eq!(out.results, vec![0, 0], "an uncontested turn took the parking lot");
+        // Two PEs ask for the same instant: the tie goes through the set.
+        let out = run_on(Engine::Fibers, cfg.clone(), |pe| {
+            let (m, me) = (pe.machine(), pe.id());
+            m.barrier_all(me, 0.0);
+            let slot = m.nic_turn(me, 100, || m.nic(0).reserve_tx(100, 10, 8));
+            m.barrier_all(me, 0.0);
+            (slot.begin, parked_turns(m))
+        });
+        let out = out.expect("tied starts");
+        assert_eq!((out.results[0].0, out.results[1].0), (100, 110));
+        assert!(out.results[0].1 >= 1, "a tie was granted without parking");
+        // A machine driven by hand parks every turn, contested or not.
+        let m = Machine::new(cfg);
+        m.pe_finished(1);
+        assert_eq!(m.nic_turn(0, 50, || 7), 7);
+        assert_eq!(parked_turns(&m), 1);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! 6 and 7 of the paper measure.
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which direction of the full-duplex link a reservation occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,14 +38,21 @@ pub struct Reservation {
     pub end: u64,
 }
 
+/// One direction of a NIC: its frontier and its traffic totals, all moved by
+/// a reservation under the one lock it takes.
+#[derive(Debug, Default)]
+struct LaneState {
+    busy_until: u64,
+    messages: u64,
+    bytes: u64,
+    busy_ns: u64,
+}
+
 /// One node's NIC.
 #[derive(Debug, Default)]
 pub struct Nic {
-    tx_busy_until: Mutex<u64>,
-    rx_busy_until: Mutex<u64>,
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    busy_ns: AtomicU64,
+    tx: Mutex<LaneState>,
+    rx: Mutex<LaneState>,
 }
 
 impl Nic {
@@ -56,18 +62,16 @@ impl Nic {
 
     /// Reserve `occupancy_ns` on `lane` no earlier than `start`.
     pub fn reserve(&self, lane: Lane, start: u64, occupancy_ns: u64, bytes: usize) -> Reservation {
-        let lane_busy = match lane {
-            Lane::Tx => &self.tx_busy_until,
-            Lane::Rx => &self.rx_busy_until,
+        let mut lane = match lane {
+            Lane::Tx => self.tx.lock(),
+            Lane::Rx => self.rx.lock(),
         };
-        let mut busy = lane_busy.lock();
-        let begin = (*busy).max(start);
+        let begin = lane.busy_until.max(start);
         let end = begin + occupancy_ns;
-        *busy = end;
-        drop(busy);
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.busy_ns.fetch_add(occupancy_ns, Ordering::Relaxed);
+        lane.busy_until = end;
+        lane.messages += 1;
+        lane.bytes += bytes as u64;
+        lane.busy_ns += occupancy_ns;
         Reservation { begin, end }
     }
 
@@ -83,19 +87,19 @@ impl Nic {
 
     /// Number of messages that crossed this NIC (both lanes).
     pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
+        self.tx.lock().messages + self.rx.lock().messages
     }
 
     /// Total bytes that crossed this NIC (both lanes; a message between two
     /// nodes is counted once per endpoint, so whole-machine sums count each
     /// transfer twice — once at each NIC it occupied).
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.tx.lock().bytes + self.rx.lock().bytes
     }
 
     /// Total virtual ns the NIC's lanes spent occupied.
     pub fn busy_ns(&self) -> u64 {
-        self.busy_ns.load(Ordering::Relaxed)
+        self.tx.lock().busy_ns + self.rx.lock().busy_ns
     }
 }
 
@@ -145,6 +149,40 @@ mod tests {
         assert_eq!(nic.messages(), 2);
         assert_eq!(nic.bytes(), 300);
         assert_eq!(nic.busy_ns(), 30);
+    }
+
+    #[test]
+    fn concurrent_reservations_on_one_lane_tile_it_exactly() {
+        // The default engine's concurrency, which the arbiter workloads never
+        // exercise: 8 threads reserve on one lane at once. Every request
+        // starts at 0, so the lane never idles and the reservations must tile
+        // [0, Σ occupancy) with no overlap and no gap.
+        const THREADS: u64 = 8;
+        const EACH: u64 = 10_000;
+        let nic = Nic::new();
+        let occupancy = |thread: u64, i: u64| 1 + (thread * 7 + i * 13) % 29;
+        let mut slots: Vec<Reservation> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let nic = &nic;
+                    scope.spawn(move || {
+                        (0..EACH)
+                            .map(|i| nic.reserve_tx(0, occupancy(thread, i), 8))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("reserver panicked")).collect()
+        });
+        let total: u64 = (0..THREADS).flat_map(|t| (0..EACH).map(move |i| occupancy(t, i))).sum();
+        assert_eq!(nic.messages(), THREADS * EACH);
+        assert_eq!(nic.bytes(), THREADS * EACH * 8);
+        assert_eq!(nic.busy_ns(), total);
+        slots.sort_by_key(|r| r.begin);
+        assert_eq!(slots[0].begin, 0);
+        assert!(slots.windows(2).all(|w| w[0].end == w[1].begin), "a gap or an overlap");
+        assert_eq!(slots.last().unwrap().end, total, "final frontier = Σ occupancy");
+        assert_eq!(nic.reserve_rx(0, 1, 0).begin, 0, "the other lane saw none of it");
     }
 
     #[test]

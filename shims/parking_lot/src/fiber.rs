@@ -384,6 +384,11 @@ pub fn yield_now() {
     }
 }
 
+/// Is the caller running as a fiber of some [`run`]?
+pub fn is_fiber() -> bool {
+    current().is_some()
+}
+
 /// The fiber the caller is running as, if it is one.
 pub(crate) fn current<'a>() -> Option<Parker<'a>> {
     let rt = runtime()?;

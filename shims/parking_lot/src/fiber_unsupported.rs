@@ -29,6 +29,10 @@ pub fn yield_now() {
     std::thread::yield_now();
 }
 
+pub fn is_fiber() -> bool {
+    false
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Wake {
     Notified,
