@@ -2,8 +2,9 @@
 //! The arrival schedule is fixed before the run starts, every admission
 //! decision branches on the virtual clock, and completions land in
 //! virtual-time windows — so for any drawn seed the same config must
-//! produce a bit-identical per-request log ([`RequestLog`]), windowed
-//! metrics snapshot and SLO report run to run under the deterministic NIC.
+//! produce bit-identical per-request latency paths (`SimOutcome::req_paths`,
+//! each tiling its latency exactly), windowed metrics snapshot and SLO
+//! report run to run under the deterministic NIC.
 //! The property must also hold under a transient-drop fault plan (`drop1`):
 //! retries stretch latencies, but they stretch them identically every run.
 
@@ -13,7 +14,7 @@ use caf_apps::DhtUpdateMode;
 use pgas_machine::metrics::MetricsSnapshot;
 use pgas_machine::{
     with_forced_metrics, with_forced_mode, with_forced_plan, with_forced_tracing, FaultPlan,
-    Platform, RequestLog,
+    Platform, ReqPathReport,
 };
 use proptest::prelude::*;
 
@@ -23,15 +24,15 @@ fn serving_run(
     traced: bool,
     cfg: ServeConfig,
     plan: FaultPlan,
-) -> (ServeResult, Vec<RequestLog>, MetricsSnapshot, String) {
+) -> (ServeResult, Vec<ReqPathReport>, MetricsSnapshot, String) {
     with_forced_tracing(traced, || {
         with_forced_metrics(true, || {
             with_forced_mode(SanitizerMode::Off, || {
                 with_forced_plan(plan, || {
                     let (r, out) = run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true);
-                    let log = out.request_log();
+                    let paths = out.req_paths();
                     let slo_json = r.slo.to_json().pretty();
-                    (r, log, out.metrics, slo_json)
+                    (r, paths, out.metrics, slo_json)
                 })
             })
         })
@@ -51,6 +52,14 @@ fn small(seed: u64, mode: DhtUpdateMode) -> ServeConfig {
     }
 }
 
+/// Every phase vector sums to its request's end-to-end latency, ns for ns.
+fn tiles_exactly(paths: &[ReqPathReport]) -> Result<(), TestCaseError> {
+    for p in paths {
+        prop_assert_eq!(p.phase_ns.iter().sum::<u64>(), p.total_ns(), "{:?}", p);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -64,7 +73,7 @@ proptest! {
         let (r1, l1, m1, s1) = serving_run(true, cfg, plan.clone());
         for repeat in 2..=3 {
             let (r, l, m, s) = serving_run(true, cfg, plan.clone());
-            prop_assert_eq!(&l1, &l, "run {} must reproduce the request log", repeat);
+            prop_assert_eq!(&l1, &l, "run {} must reproduce the request paths", repeat);
             prop_assert_eq!(&m1, &m, "run {} must reproduce the windowed metrics", repeat);
             prop_assert_eq!(&s1, &s, "run {} must reproduce the SLO report", repeat);
             prop_assert_eq!(&r1.slo.windows, &r.slo.windows);
@@ -84,16 +93,9 @@ proptest! {
                 prop_assert_eq!(ids1, ids, "run {} must retain the same exemplar ids", repeat);
             }
         }
-        // The log is complete: one entry per completed request, and the
-        // decomposition always sums back to the end-to-end latency.
+        // One path per completed request, each tiling its latency exactly.
         prop_assert_eq!(l1.len() as u64, r1.completed + r1.drained);
-        for req in &l1 {
-            prop_assert_eq!(
-                req.queue_wait_ns + req.wire_ns + req.nic_contention_ns
-                    + req.fault_delay_ns + req.service_ns,
-                req.total_ns()
-            );
-        }
+        tiles_exactly(&l1)?;
     }
 
     #[test]
@@ -133,6 +135,7 @@ proptest! {
         let (r1, l1, m1, s1) = serving_run(true, cfg, plan.clone());
         let (r2, l2, m2, s2) = serving_run(true, cfg, plan);
         prop_assert_eq!(&l1, &l2, "drop retries must replay identically run to run");
+        tiles_exactly(&l1)?;
         prop_assert_eq!(&m1, &m2);
         prop_assert_eq!(&s1, &s2);
         prop_assert_eq!(r1.checksum, r2.checksum);

@@ -16,7 +16,7 @@ use caf_apps::{run_himeno_outcome, HimenoConfig};
 use pgas_conduit::ConduitProfile;
 use pgas_machine::critdiff::RunDigest;
 use pgas_machine::json::Json;
-use pgas_machine::tailprof::{ReqPathReport, REQ_PHASES};
+use pgas_machine::tailprof::{phase_totals, requests_json, ReqPathReport};
 use pgas_machine::{
     with_forced_metrics, with_forced_tracing, CriticalPathReport, MetricsSnapshot, Platform,
     ResolvedKnobs,
@@ -49,29 +49,10 @@ impl ProbeOutcome {
     /// tail evidence when the probe's app marks requests).
     pub fn sidecar_json(&self) -> Json {
         let mut j = self.report.to_sidecar_json();
-        if !self.req_paths.is_empty() {
-            let mut phase_ns = [0u64; 6];
-            for p in &self.req_paths {
-                for (acc, ns) in phase_ns.iter_mut().zip(p.phase_ns) {
-                    *acc += ns;
-                }
-            }
-            let requests = Json::Object(vec![
-                ("count".to_string(), Json::uint(self.req_paths.len())),
-                (
-                    "phase_ns".to_string(),
-                    Json::Object(
-                        REQ_PHASES
-                            .iter()
-                            .zip(phase_ns)
-                            .map(|(ph, ns)| (ph.label().to_string(), Json::uint(ns as usize)))
-                            .collect(),
-                    ),
-                ),
-            ]);
-            if let Json::Object(fields) = &mut j {
-                fields.push(("requests".to_string(), requests));
-            }
+        if let (Json::Object(fields), false) = (&mut j, self.req_paths.is_empty()) {
+            let phase_ns = phase_totals(self.req_paths.iter().map(|p| p.phase_ns));
+            let requests = requests_json(self.req_paths.len() as u64, &phase_ns);
+            fields.push(("requests".to_string(), requests));
         }
         j
     }

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use crate::critpath::{CriticalPathReport, PathCategory, CATEGORIES};
 use crate::json::Json;
 use crate::metrics::MetricsSnapshot;
-use crate::tailprof::{ReqPathReport, ReqPhase, REQ_PHASES};
+use crate::tailprof::{phase_totals, requests_json, ReqPathReport, ReqPhase, REQ_PHASES};
 
 /// Histogram series worth baselining: every op-kind latency series the
 /// conduit records, plus queue wait, payload sizes and the planner's
@@ -109,26 +109,17 @@ impl RunDigest {
         metrics: &MetricsSnapshot,
         requests: &[ReqPathReport],
     ) -> RunDigest {
-        let mut category_ns = [0u64; 5];
         let mut by_pe: BTreeMap<(usize, PathCategory), u64> = BTreeMap::new();
         for seg in &report.segments {
-            let idx = CATEGORIES.iter().position(|&c| c == seg.category).unwrap();
-            category_ns[idx] += seg.duration_ns();
             *by_pe.entry((seg.pe, seg.category)).or_insert(0) += seg.duration_ns();
-        }
-        let mut req_phase_ns = [0u64; 6];
-        for r in requests {
-            for (slot, v) in req_phase_ns.iter_mut().zip(r.phase_ns) {
-                *slot += v;
-            }
         }
         RunDigest {
             makespan_ns: report.makespan_ns,
-            category_ns,
+            category_ns: report.totals_ns().map(|(_, ns)| ns),
             by_pe: by_pe.into_iter().map(|((pe, c), ns)| (pe, c, ns)).collect(),
             metrics: digest_metrics(metrics),
             req_count: requests.len() as u64,
-            req_phase_ns,
+            req_phase_ns: phase_totals(requests.iter().map(|r| r.phase_ns)),
         }
     }
 
@@ -172,18 +163,8 @@ impl RunDigest {
         // Only serving runs carry the request block, so baselines of
         // request-free figures stay byte-identical with the old format.
         if self.req_count > 0 {
-            let phases = REQ_PHASES
-                .iter()
-                .zip(self.req_phase_ns)
-                .map(|(p, ns)| (p.label().to_string(), Json::uint(ns as usize)))
-                .collect();
-            fields.push((
-                "requests".to_string(),
-                Json::Object(vec![
-                    ("count".to_string(), Json::uint(self.req_count as usize)),
-                    ("phase_ns".to_string(), Json::Object(phases)),
-                ]),
-            ));
+            let requests = requests_json(self.req_count, &self.req_phase_ns);
+            fields.push(("requests".to_string(), requests));
         }
         Json::Object(fields)
     }

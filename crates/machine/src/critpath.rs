@@ -19,8 +19,10 @@
 //! and splits that flow's queue time out as NIC contention. The emitted
 //! segments tile `[0, makespan]` exactly — by construction the category
 //! totals sum to the run's total virtual time, which is the invariant the
-//! acceptance tests check.
+//! acceptance tests check. The same walk, without the hop, tiles every
+//! served request's latency ([`crate::tailprof::req_paths`]).
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use crate::json::Json;
@@ -127,29 +129,42 @@ impl CriticalPathReport {
 
     /// JSON export (stable field order).
     pub fn to_json(&self) -> Json {
+        self.json(self.segments.iter().map(|s| (s, None)), None)
+    }
+
+    /// The serializer behind both exports: makespan, totals, the raw
+    /// segment count (sidecars only), then the segments — each with the
+    /// count of raw segments it merged, when it merged any.
+    fn json<'s>(
+        &self,
+        segments: impl Iterator<Item = (&'s PathSegment, Option<u64>)>,
+        raw_segments: Option<usize>,
+    ) -> Json {
         let totals = self
             .totals_ns()
             .iter()
             .map(|&(c, ns)| (c.label().to_string(), Json::uint(ns as usize)))
             .collect();
-        let segments = self
-            .segments
-            .iter()
-            .map(|s| {
-                Json::Object(vec![
+        let segments = segments
+            .map(|(s, count)| {
+                let mut fields = vec![
                     ("pe".to_string(), Json::uint(s.pe)),
                     ("category".to_string(), Json::str(s.category.label())),
                     ("begin_ns".to_string(), Json::uint(s.begin as usize)),
                     ("end_ns".to_string(), Json::uint(s.end as usize)),
                     ("what".to_string(), Json::str(s.what)),
-                ])
+                ];
+                fields.extend(count.map(|n| ("count".to_string(), Json::uint(n as usize))));
+                Json::Object(fields)
             })
             .collect();
-        Json::Object(vec![
+        let mut fields = vec![
             ("makespan_ns".to_string(), Json::uint(self.makespan_ns as usize)),
             ("totals_ns".to_string(), Json::Object(totals)),
-            ("segments".to_string(), Json::Array(segments)),
-        ])
+        ];
+        fields.extend(raw_segments.map(|n| ("raw_segments".to_string(), Json::uint(n))));
+        fields.push(("segments".to_string(), Json::Array(segments)));
+        Json::Object(fields)
     }
 
     /// Runs of consecutive segments on the same PE with the same category,
@@ -181,42 +196,137 @@ impl CriticalPathReport {
     /// carries the count of raw segments it merged, and the `what` of the
     /// first). `raw_segments` preserves the pre-merge count.
     pub fn to_sidecar_json(&self) -> Json {
-        let totals = self
-            .totals_ns()
-            .iter()
-            .map(|&(c, ns)| (c.label().to_string(), Json::uint(ns as usize)))
-            .collect();
-        let segments = self
-            .merged_segments()
-            .iter()
-            .map(|(s, count)| {
-                Json::Object(vec![
-                    ("pe".to_string(), Json::uint(s.pe)),
-                    ("category".to_string(), Json::str(s.category.label())),
-                    ("begin_ns".to_string(), Json::uint(s.begin as usize)),
-                    ("end_ns".to_string(), Json::uint(s.end as usize)),
-                    ("what".to_string(), Json::str(s.what)),
-                    ("count".to_string(), Json::uint(*count as usize)),
-                ])
-            })
-            .collect();
-        Json::Object(vec![
-            ("makespan_ns".to_string(), Json::uint(self.makespan_ns as usize)),
-            ("totals_ns".to_string(), Json::Object(totals)),
-            ("raw_segments".to_string(), Json::uint(self.segments.len())),
-            ("segments".to_string(), Json::Array(segments)),
-        ])
+        let merged = self.merged_segments();
+        self.json(merged.iter().map(|(s, count)| (s, Some(*count))), Some(self.segments.len()))
     }
 }
 
-struct PeSpans {
-    /// Sorted by `(begin, id)`.
-    spans: Vec<Span>,
-    /// `prefix_max_end[i]` = max end over `spans[0..=i]`.
-    prefix_max_end: Vec<u64>,
+/// One walk's spans, sorted by `(begin, id)`, beside the running maximum of
+/// their ends: enough to find what owns `[·, cursor)` by binary search.
+pub(crate) struct SpanIndex<'a> {
+    spans: Vec<&'a Span>,
+    max_end: Vec<u64>,
 }
 
-/// Extract the critical path from a run's spans and final clocks.
+impl<'a> SpanIndex<'a> {
+    pub(crate) fn new(mut spans: Vec<&'a Span>) -> SpanIndex<'a> {
+        spans.sort_by_key(|s| (s.begin, s.id));
+        let max_end = spans
+            .iter()
+            .scan(0, |m, s| {
+                *m = s.end.max(*m);
+                Some(*m)
+            })
+            .collect();
+        SpanIndex { spans, max_end }
+    }
+
+    /// The innermost span owning `[·, cursor)`: the latest-beginning span
+    /// that begins before `cursor` and reaches it (children begin after
+    /// their parents, so the first hit is the innermost). `Err(t)` when no
+    /// span does: everything before `cursor` had ended by `t`.
+    fn owner(&self, cursor: u64) -> Result<&'a Span, u64> {
+        match self.spans.partition_point(|s| s.begin < cursor).checked_sub(1) {
+            None => Err(0),
+            Some(i) if self.max_end[i] < cursor => Err(self.max_end[i]),
+            Some(mut i) => {
+                while self.spans[i].end < cursor {
+                    i -= 1;
+                }
+                Ok(self.spans[i])
+            }
+        }
+    }
+}
+
+/// `(pe, remote_end) → queue_ns` of every transfer with a remote side: the
+/// flows a quiet pairs with (ctx stores the completion a quiet waited on in
+/// its `remote_end`).
+pub(crate) type FlowIndex = BTreeMap<(usize, u64), u64>;
+
+pub(crate) fn flow_index(spans: &[Span]) -> FlowIndex {
+    spans
+        .iter()
+        .filter(|s| matches!(s.kind, SpanKind::Put | SpanKind::Get | SpanKind::Amo))
+        .filter(|s| s.remote_end > 0)
+        .map(|s| ((s.pe, s.remote_end), s.queue_ns))
+        .collect()
+}
+
+/// The charge rule: `[a, b)` of span `s` as positioned slices, latest first
+/// (an empty one where the piece does not split). A transfer queues behind
+/// earlier traffic before it occupies the lanes, so its queue share sits at
+/// the start of the span; a quiet bounded by a known flow splits the same
+/// way by that flow's queue share.
+fn charge(s: &Span, a: u64, b: u64, flows: &FlowIndex) -> [(PathCategory, u64, u64); 2] {
+    let split =
+        |nic_end| [(PathCategory::Wire, nic_end, b), (PathCategory::NicContention, a, nic_end)];
+    let whole = |category| [(category, a, b), (category, a, a)];
+    match s.kind {
+        SpanKind::Put | SpanKind::Get | SpanKind::Amo => {
+            split(s.begin.saturating_add(s.queue_ns).clamp(a, b))
+        }
+        SpanKind::Quiet => match flows.get(&(s.pe, s.remote_end)) {
+            Some(&queue) => split(a + queue.min(b - a)),
+            // Unpaired: a completion target inside the slice means the wire
+            // was still moving bytes; otherwise it was a pure stall.
+            None if s.remote_end > a => whole(PathCategory::Wire),
+            None => whole(PathCategory::Synchronization),
+        },
+        // A collective owns only what no child span covers (flag polls,
+        // internal bookkeeping).
+        SpanKind::Barrier | SpanKind::WaitUntil | SpanKind::Collective => {
+            whole(PathCategory::Synchronization)
+        }
+        SpanKind::Retry | SpanKind::Fault => whole(PathCategory::FaultDelay),
+        SpanKind::Compute => whole(PathCategory::Compute),
+    }
+}
+
+/// The backward walk. From `cursor` on `indices[at]` down to `floor`, each
+/// piece goes to whatever owns `[·, cursor)`: the innermost span, through
+/// [`charge`], or `Compute` "idle" where no span covers. `hop` sees every
+/// owning span first; `Some((next, t))` charges it `[t, cursor)` and moves
+/// the walk to `indices[next]` at `t`. Segments come out latest first, with
+/// `pe` the position in `indices`.
+pub(crate) fn walk_back(
+    indices: &[SpanIndex],
+    mut at: usize,
+    floor: u64,
+    mut cursor: u64,
+    flows: &FlowIndex,
+    mut hop: impl FnMut(&Span, u64) -> Option<(usize, u64)>,
+    mut emit: impl FnMut(PathSegment),
+) {
+    while cursor > floor {
+        let mut piece = |category, begin, end, what| {
+            if end > begin {
+                emit(PathSegment { pe: at, category, begin, end, what });
+            }
+        };
+        let (next, from) = match indices[at].owner(cursor) {
+            Err(idle_from) => {
+                let from = idle_from.max(floor);
+                piece(PathCategory::Compute, from, cursor, "idle");
+                (at, from)
+            }
+            Ok(s) => {
+                let (next, from) = hop(s, cursor).unwrap_or((at, s.begin.max(floor)));
+                for (category, begin, end) in charge(s, from, cursor, flows) {
+                    piece(category, begin, end, s.kind.label());
+                }
+                (next, from)
+            }
+        };
+        at = next;
+        cursor = from;
+    }
+}
+
+/// Extract the critical path from a run's spans and final clocks: the
+/// backward walk over each PE's spans on `[0, makespan]`, starting on the
+/// PE that finished last, plus one rule of its own — a barrier hops to its
+/// last arriver, the PE that actually gated it.
 ///
 /// With tracing disabled (no spans) the whole makespan is attributed to
 /// compute on the last-finishing PE — the profiler degrades gracefully
@@ -224,214 +334,28 @@ struct PeSpans {
 pub fn critical_path(spans: &[Span], clocks: &[u64]) -> CriticalPathReport {
     let makespan = clocks.iter().copied().max().unwrap_or(0);
     if makespan == 0 {
-        return CriticalPathReport { makespan_ns: 0, segments: Vec::new() };
+        return CriticalPathReport::default();
     }
-    let num_pes = clocks.len();
-    let mut per_pe: Vec<Vec<Span>> = vec![Vec::new(); num_pes];
-    // Barrier end time -> arrivals (begin, pe), for last-arriver hops.
-    let mut barrier_arrivals: BTreeMap<u64, Vec<(u64, usize)>> = BTreeMap::new();
-    // (pe, remote_end) -> flow span index info for quiet pairing.
-    let mut flows: BTreeMap<(usize, u64), Span> = BTreeMap::new();
-    for s in spans {
-        if s.pe >= num_pes {
-            continue;
-        }
-        per_pe[s.pe].push(*s);
+    let mut per_pe: Vec<Vec<&Span>> = vec![Vec::new(); clocks.len()];
+    // Barrier end time -> its last arriver: latest begin, lowest PE on ties.
+    let mut last_arrival: BTreeMap<u64, (u64, Reverse<usize>)> = BTreeMap::new();
+    for s in spans.iter().filter(|s| s.pe < clocks.len()) {
+        per_pe[s.pe].push(s);
         if s.kind == SpanKind::Barrier {
-            barrier_arrivals.entry(s.end).or_default().push((s.begin, s.pe));
-        }
-        if matches!(s.kind, SpanKind::Put | SpanKind::Get | SpanKind::Amo) && s.remote_end > 0 {
-            flows.insert((s.pe, s.remote_end), *s);
+            let last = last_arrival.entry(s.end).or_insert((s.begin, Reverse(s.pe)));
+            *last = (*last).max((s.begin, Reverse(s.pe)));
         }
     }
-    let per_pe: Vec<PeSpans> = per_pe
-        .into_iter()
-        .map(|mut spans| {
-            spans.sort_by_key(|s| (s.begin, s.id));
-            let mut prefix_max_end = Vec::with_capacity(spans.len());
-            let mut m = 0u64;
-            for s in &spans {
-                m = m.max(s.end);
-                prefix_max_end.push(m);
-            }
-            PeSpans { spans, prefix_max_end }
-        })
-        .collect();
-
-    // Start on the PE that finished last (lowest index wins ties).
-    let mut pe = clocks.iter().position(|&c| c == makespan).unwrap_or(0);
-    let mut cursor = makespan;
-    let mut segments: Vec<PathSegment> = Vec::new();
-    let push = |segments: &mut Vec<PathSegment>,
-                pe: usize,
-                category: PathCategory,
-                begin: u64,
-                end: u64,
-                what: &'static str| {
-        if end > begin {
-            segments.push(PathSegment { pe, category, begin, end, what });
-        }
+    let per_pe: Vec<SpanIndex> = per_pe.into_iter().map(SpanIndex::new).collect();
+    let hop = |s: &Span, cursor: u64| {
+        let &(begin, Reverse(pe)) =
+            last_arrival.get(&s.end).filter(|_| s.kind == SpanKind::Barrier)?;
+        (begin < cursor).then_some((pe, begin))
     };
-
-    while cursor > 0 {
-        let buf = &per_pe[pe];
-        // Last span on this PE beginning strictly before the cursor.
-        let idx = buf.spans.partition_point(|s| s.begin < cursor);
-        if idx == 0 {
-            // Nothing earlier: the PE ran (or sat) from time 0.
-            push(&mut segments, pe, PathCategory::Compute, 0, cursor, "idle");
-            cursor = 0;
-            continue;
-        }
-        let idx = idx - 1;
-        if buf.prefix_max_end[idx] < cursor {
-            // Gap between the last op and the cursor: the PE was computing.
-            let prev_end = buf.prefix_max_end[idx];
-            push(&mut segments, pe, PathCategory::Compute, prev_end, cursor, "idle");
-            cursor = prev_end;
-            continue;
-        }
-        // Innermost span covering the cursor: scan back for the latest begin
-        // whose end reaches the cursor (children begin after parents, so the
-        // first hit is the innermost).
-        let mut i = idx;
-        while buf.spans[i].end < cursor {
-            i -= 1;
-        }
-        let s = buf.spans[i];
-        let seg_begin = s.begin;
-        match s.kind {
-            SpanKind::Barrier => {
-                // The barrier was gated by its last arriver; hop to it.
-                let arrivals = barrier_arrivals.get(&s.end);
-                let last = arrivals
-                    .and_then(|a| {
-                        a.iter().copied().max_by_key(|&(begin, pe)| (begin, usize::MAX - pe))
-                    })
-                    .unwrap_or((seg_begin, pe));
-                if last.0 < cursor {
-                    push(
-                        &mut segments,
-                        pe,
-                        PathCategory::Synchronization,
-                        last.0,
-                        cursor,
-                        s.kind.label(),
-                    );
-                    pe = last.1;
-                    cursor = last.0;
-                } else {
-                    push(
-                        &mut segments,
-                        pe,
-                        PathCategory::Synchronization,
-                        seg_begin,
-                        cursor,
-                        s.kind.label(),
-                    );
-                    cursor = seg_begin;
-                }
-            }
-            SpanKind::Quiet => {
-                // Pair with the flow whose remote completion bounded the
-                // quiet (ctx stores that target in the span's remote_end).
-                let flow = flows.get(&(s.pe, s.remote_end));
-                let len = cursor - seg_begin;
-                match flow {
-                    Some(f) => {
-                        // Segments accumulate newest-first; push the later
-                        // (wire) slice before the earlier (queue) slice.
-                        let nic = f.queue_ns.min(len);
-                        push(
-                            &mut segments,
-                            pe,
-                            PathCategory::Wire,
-                            seg_begin + nic,
-                            cursor,
-                            "quiet",
-                        );
-                        push(
-                            &mut segments,
-                            pe,
-                            PathCategory::NicContention,
-                            seg_begin,
-                            seg_begin + nic,
-                            "quiet",
-                        );
-                    }
-                    None => {
-                        let cat = if s.remote_end > seg_begin {
-                            PathCategory::Wire
-                        } else {
-                            PathCategory::Synchronization
-                        };
-                        push(&mut segments, pe, cat, seg_begin, cursor, "quiet");
-                    }
-                }
-                cursor = seg_begin;
-            }
-            SpanKind::WaitUntil => {
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::Synchronization,
-                    seg_begin,
-                    cursor,
-                    s.kind.label(),
-                );
-                cursor = seg_begin;
-            }
-            SpanKind::Put | SpanKind::Get | SpanKind::Amo => {
-                let len = cursor - seg_begin;
-                let nic = s.queue_ns.min(len);
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::Wire,
-                    seg_begin + nic,
-                    cursor,
-                    s.kind.label(),
-                );
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::NicContention,
-                    seg_begin,
-                    seg_begin + nic,
-                    s.kind.label(),
-                );
-                cursor = seg_begin;
-            }
-            SpanKind::Retry | SpanKind::Fault => {
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::FaultDelay,
-                    seg_begin,
-                    cursor,
-                    s.kind.label(),
-                );
-                cursor = seg_begin;
-            }
-            SpanKind::Compute => {
-                push(&mut segments, pe, PathCategory::Compute, seg_begin, cursor, s.kind.label());
-                cursor = seg_begin;
-            }
-            SpanKind::Collective => {
-                // Only reached for collective time not covered by a child
-                // span (flag polls, internal bookkeeping): synchronization.
-                push(
-                    &mut segments,
-                    pe,
-                    PathCategory::Synchronization,
-                    seg_begin,
-                    cursor,
-                    s.kind.label(),
-                );
-                cursor = seg_begin;
-            }
-        }
-    }
+    // Lowest index wins ties for the PE that finished last.
+    let last = clocks.iter().position(|&c| c == makespan).unwrap_or(0);
+    let mut segments = Vec::new();
+    walk_back(&per_pe, last, 0, makespan, &flow_index(spans), hop, |seg| segments.push(seg));
     segments.reverse();
     CriticalPathReport { makespan_ns: makespan, segments }
 }

@@ -83,89 +83,10 @@ pub struct SimOutcome<R> {
     pub engine: EngineStats,
 }
 
-/// One served request's end-to-end latency, decomposed along the same
-/// categories as the critical-path profiler. Built by
-/// [`SimOutcome::request_log`] from the request lifecycle records and the
-/// spans stamped with the request's id:
-///
-/// - `queue_wait_ns` — open-loop admission to service start (the request sat
-///   behind earlier work on its PE);
-/// - `wire_ns` — NIC lane occupancy of the request's ops (span service time);
-/// - `nic_contention_ns` — time those ops waited behind other traffic;
-/// - `fault_delay_ns` — retry/backoff charged to the request under a fault
-///   plan;
-/// - `service_ns` — the remainder of begin→end: local compute and blocking
-///   synchronization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestLog {
-    pub id: u64,
-    pub pe: usize,
-    pub arrival_ns: u64,
-    pub begin_ns: u64,
-    pub end_ns: u64,
-    pub queue_wait_ns: u64,
-    pub wire_ns: u64,
-    pub nic_contention_ns: u64,
-    pub fault_delay_ns: u64,
-    pub service_ns: u64,
-}
-
-impl RequestLog {
-    /// End-to-end latency: arrival to completion, queueing included.
-    pub fn total_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.arrival_ns)
-    }
-}
-
 impl<R> SimOutcome<R> {
     /// Virtual makespan of the job: the latest final clock, ns.
     pub fn makespan_ns(&self) -> u64 {
         self.clocks.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Fold the trace back into per-request latency decompositions (see
-    /// [`RequestLog`]). Empty unless the run was traced and the workload
-    /// marked requests; sorted by `(pe, id)` like
-    /// [`SimOutcome::requests`].
-    pub fn request_log(&self) -> Vec<RequestLog> {
-        use std::collections::BTreeMap;
-        // req id -> (wire, nic contention, fault delay) summed over the
-        // request's tagged spans.
-        let mut acc: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
-        for s in &self.trace {
-            if s.req == 0 {
-                continue;
-            }
-            let slot = acc.entry(s.req).or_insert((0, 0, 0));
-            slot.0 += s.service_ns;
-            slot.1 += s.queue_ns;
-            if s.kind == crate::trace::SpanKind::Retry {
-                slot.2 += s.end.saturating_sub(s.begin);
-            }
-        }
-        self.requests
-            .iter()
-            .map(|r| {
-                let (wire_ns, nic_contention_ns, fault_delay_ns) =
-                    acc.get(&r.id).copied().unwrap_or((0, 0, 0));
-                let busy = r.end_ns.saturating_sub(r.begin_ns);
-                RequestLog {
-                    id: r.id,
-                    pe: r.pe,
-                    arrival_ns: r.arrival_ns,
-                    begin_ns: r.begin_ns,
-                    end_ns: r.end_ns,
-                    queue_wait_ns: r.begin_ns.saturating_sub(r.arrival_ns),
-                    wire_ns,
-                    nic_contention_ns,
-                    fault_delay_ns,
-                    service_ns: busy
-                        .saturating_sub(wire_ns)
-                        .saturating_sub(nic_contention_ns)
-                        .saturating_sub(fault_delay_ns),
-                }
-            })
-            .collect()
     }
 
     /// Extract the critical path from the recorded trace: the blocking chain
@@ -564,38 +485,33 @@ mod tests {
     }
 
     #[test]
-    fn request_log_decomposes_end_to_end_latency() {
+    fn req_paths_tile_a_transfer_shorter_than_its_queue_plus_service() {
         use crate::trace::{Span, SpanKind};
         let out = crate::with_forced_tracing(true, || {
             run(generic_smp(2), |pe| {
                 if pe.id() == 0 {
                     let t = pe.machine().tracer();
-                    let req = 1u64;
-                    t.begin_request(0, req, 100, 150);
-                    let mut s = Span::op(0, SpanKind::Put, 150, 450, Some(1), 64);
-                    s.queue_ns = 50;
-                    s.service_ns = 200;
-                    t.record(s);
-                    t.record(Span::op(0, SpanKind::Retry, 450, 500, Some(1), 0));
+                    t.begin_request(0, 1, 100, 150);
+                    // 100 ns on the issuing PE, but 80 queued + 120 on the
+                    // wire: the rest of the flow overlaps the quiet after it.
+                    let mut put = Span::op(0, SpanKind::Put, 150, 250, Some(1), 64);
+                    (put.queue_ns, put.service_ns, put.remote_end) = (80, 120, 500);
+                    t.record(put);
+                    let mut quiet = Span::op(0, SpanKind::Quiet, 250, 500, None, 0);
+                    quiet.remote_end = 500;
+                    t.record(quiet);
+                    t.record(Span::op(0, SpanKind::Retry, 500, 550, Some(1), 0));
                     t.end_request(0, 600);
                 }
             })
         });
-        assert_eq!(out.requests.len(), 1);
-        let log = out.request_log();
-        assert_eq!(log.len(), 1);
-        let r = &log[0];
-        assert_eq!(r.queue_wait_ns, 50, "arrival 100, service began 150");
-        assert_eq!(r.wire_ns, 200);
-        assert_eq!(r.nic_contention_ns, 50);
-        assert_eq!(r.fault_delay_ns, 50);
-        assert_eq!(r.service_ns, 450 - 200 - 50 - 50, "remainder of begin..end");
-        assert_eq!(r.total_ns(), 500);
-        assert_eq!(
-            r.queue_wait_ns + r.wire_ns + r.nic_contention_ns + r.fault_delay_ns + r.service_ns,
-            r.total_ns(),
-            "decomposition sums to the end-to-end latency"
-        );
+        let paths = out.req_paths();
+        assert_eq!(paths.len(), 1);
+        // Queued from 100 to 150; the put's queue share opens both the put
+        // and the quiet it bounded; 550..600 is untraced handler code.
+        let [queue, wire, nic, sync, fault, handler] = paths[0].phase_ns;
+        assert_eq!((queue, wire, nic, sync, fault, handler), (50, 20 + 170, 80 + 80, 0, 50, 50));
+        assert_eq!(paths[0].total_ns(), 500, "the six phases tile the latency exactly");
     }
 
     #[test]

@@ -54,9 +54,7 @@ pub use knobs::{
     with_forced_aggregation, with_forced_checksums, with_forced_metrics, with_forced_mode,
     with_forced_plan, with_forced_stream, with_forced_tracing, Knobs, ResolvedKnobs,
 };
-pub use launch::{
-    run, run_with_result, EngineStats, NicSnapshot, RequestLog, SimError, SimOutcome,
-};
+pub use launch::{run, run_with_result, EngineStats, NicSnapshot, SimError, SimOutcome};
 pub use machine::{Machine, PeId};
 pub use metrics::{
     HistogramEntry, MetricsRegistry, MetricsSnapshot, WindowCounterEntry, WindowEntry,

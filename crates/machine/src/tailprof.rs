@@ -2,8 +2,8 @@
 //!
 //! [`crate::critpath`] explains a run's *makespan*; [`crate::slo`] says which
 //! windows violated an objective. This module closes the loop from a
-//! burn-rate alert back to the requests that caused it: it generalizes the
-//! critical-path walk so it runs *per request id* (spans carry request ids —
+//! burn-rate alert back to the requests that caused it: it runs the
+//! critical-path walk *per request id* (spans carry request ids —
 //! see [`crate::trace::Tracer::begin_request`]) and tiles every request's
 //! end-to-end latency into six phases:
 //!
@@ -28,9 +28,10 @@
 //! [`SloReport`]: every window gains its dominant cause and every fast/slow
 //! burn alert carries the worst exemplars of the trailing span that fired it.
 
+use crate::critpath::{flow_index, walk_back, PathCategory, SpanIndex};
 use crate::json::Json;
 use crate::slo::SloReport;
-use crate::trace::{ReqRecord, Span, SpanKind};
+use crate::trace::{ReqRecord, Span};
 use std::collections::BTreeMap;
 
 /// Default exemplar count retained per window (the `k` in "k worst").
@@ -102,136 +103,43 @@ impl ReqPathReport {
     /// The phase this request spent the most time in (ties break in
     /// [`REQ_PHASES`] order).
     pub fn dominant_phase(&self) -> ReqPhase {
-        let mut best = 0usize;
-        for (i, &v) in self.phase_ns.iter().enumerate() {
-            if v > self.phase_ns[best] {
-                best = i;
-            }
-        }
-        REQ_PHASES[best]
+        dominant(&self.phase_ns)
     }
 }
 
-/// Charge the segment `[a, b)` of span `s` to phases. `flow_queue` is the
-/// queue-wait of the flow a paired quiet was bounded by, when known.
-fn charge(phase_ns: &mut [u64; 6], s: &Span, a: u64, b: u64, flow_queue: Option<u64>) {
-    let len = b.saturating_sub(a);
-    if len == 0 {
-        return;
-    }
-    let overlap = |lo: u64, hi: u64| -> u64 { hi.min(b).saturating_sub(lo.max(a)) };
-    match s.kind {
-        SpanKind::Put | SpanKind::Get | SpanKind::Amo => {
-            // The op queues behind earlier traffic first, then occupies the
-            // lanes: the queue portion sits at the start of the span.
-            let nic = overlap(s.begin, s.begin.saturating_add(s.queue_ns));
-            phase_ns[ReqPhase::NicContention as usize] += nic;
-            phase_ns[ReqPhase::Wire as usize] += len - nic;
-        }
-        SpanKind::Quiet => match flow_queue {
-            // Bounded by a known flow: its queue share is contention, the
-            // rest of the stall is the wire finishing the transfer.
-            Some(q) => {
-                let nic = q.min(len);
-                phase_ns[ReqPhase::NicContention as usize] += nic;
-                phase_ns[ReqPhase::Wire as usize] += len - nic;
-            }
-            None => {
-                // Unpaired: a completion target inside the segment means the
-                // wire was still moving bytes; otherwise it was a pure stall.
-                if s.remote_end > a {
-                    phase_ns[ReqPhase::Wire as usize] += len;
-                } else {
-                    phase_ns[ReqPhase::Synchronization as usize] += len;
-                }
-            }
-        },
-        SpanKind::Barrier | SpanKind::WaitUntil | SpanKind::Collective => {
-            phase_ns[ReqPhase::Synchronization as usize] += len;
-        }
-        SpanKind::Retry | SpanKind::Fault => {
-            phase_ns[ReqPhase::FaultDelay as usize] += len;
-        }
-        SpanKind::Compute => {
-            phase_ns[ReqPhase::HandlerCompute as usize] += len;
-        }
-    }
+/// The phase holding the most time; ties break in [`REQ_PHASES`] order.
+fn dominant(phase_ns: &[u64; 6]) -> ReqPhase {
+    REQ_PHASES[(0..6).fold(0, |best, i| if phase_ns[i] > phase_ns[best] { i } else { best })]
 }
 
-/// Tile `[begin, end)` by walking this request's spans backward from the
-/// end, always attributing to the innermost span covering the cursor — the
-/// same mechanics as [`crate::critpath::critical_path`]'s per-PE walk,
-/// restricted to one request. Gaps (the PE running untraced handler code)
-/// are handler-compute.
-fn tile_request(
-    phase_ns: &mut [u64; 6],
-    spans: &[&Span],
-    begin: u64,
-    end: u64,
-    flows: &BTreeMap<(usize, u64), u64>,
-) {
-    // `spans` is sorted by (begin, id); prefix max of ends finds gaps.
-    let mut prefix_max_end = Vec::with_capacity(spans.len());
-    let mut running = 0u64;
-    for s in spans {
-        running = running.max(s.end);
-        prefix_max_end.push(running);
-    }
-    let mut cursor = end;
-    while cursor > begin {
-        let k = spans.partition_point(|s| s.begin < cursor);
-        if k == 0 {
-            phase_ns[ReqPhase::HandlerCompute as usize] += cursor - begin;
-            break;
-        }
-        if prefix_max_end[k - 1] < cursor {
-            // Nothing covers (cursor-ε): the PE was running handler code.
-            let to = prefix_max_end[k - 1].max(begin);
-            phase_ns[ReqPhase::HandlerCompute as usize] += cursor - to;
-            cursor = to;
-            continue;
-        }
-        // Innermost cover: the latest-beginning span still open at `cursor`.
-        let mut i = k - 1;
-        while spans[i].end < cursor {
-            i -= 1;
-        }
-        let s = spans[i];
-        let seg_begin = s.begin.max(begin);
-        let flow_queue = match s.kind {
-            SpanKind::Quiet => flows.get(&(s.pe, s.remote_end)).copied(),
-            _ => None,
-        };
-        charge(phase_ns, s, seg_begin, cursor, flow_queue);
-        cursor = seg_begin;
+/// The walk's categories as request phases: the serving PE's own time is
+/// handler compute.
+fn phase_of(c: PathCategory) -> ReqPhase {
+    match c {
+        PathCategory::Compute => ReqPhase::HandlerCompute,
+        PathCategory::Wire => ReqPhase::Wire,
+        PathCategory::NicContention => ReqPhase::NicContention,
+        PathCategory::Synchronization => ReqPhase::Synchronization,
+        PathCategory::FaultDelay => ReqPhase::FaultDelay,
     }
 }
 
 /// Walk the span graph per request id and emit one [`ReqPathReport`] per
-/// request, in the deterministic `(pe, id)` order of `requests`. Every
-/// report tiles its latency exactly: `phase_ns` sums to `total_ns()`.
+/// request, in the deterministic `(pe, id)` order of `requests`. Each is
+/// the critical path's backward walk (`critpath::walk_back`) over the
+/// request's own spans on `[begin, end]` — no hops, gaps are handler
+/// compute — behind the `queue_wait` of its arrival. Every report tiles
+/// its latency exactly: `phase_ns` sums to `total_ns()`.
 pub fn req_paths(spans: &[Span], requests: &[ReqRecord]) -> Vec<ReqPathReport> {
-    // Group the tagged spans by request id once (sorted by (req, begin, id)),
-    // and index flows by (pe, completion instant) so paired quiet stalls can
-    // be split into contention vs. wire like the global critical path does.
-    let mut tagged: Vec<&Span> = spans.iter().filter(|s| s.req != 0).collect();
-    tagged.sort_by_key(|s| (s.req, s.begin, s.id));
-    let mut groups: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
-    let mut i = 0usize;
-    while i < tagged.len() {
-        let req = tagged[i].req;
-        let start = i;
-        while i < tagged.len() && tagged[i].req == req {
-            i += 1;
-        }
-        groups.insert(req, (start, i));
+    let mut tagged: BTreeMap<u64, Vec<&Span>> = BTreeMap::new();
+    for s in spans.iter().filter(|s| s.req != 0) {
+        tagged.entry(s.req).or_default().push(s);
     }
-    let mut flows: BTreeMap<(usize, u64), u64> = BTreeMap::new();
-    for s in spans {
-        if s.peer.is_some() && s.remote_end > 0 {
-            flows.insert((s.pe, s.remote_end), s.queue_ns);
-        }
-    }
+    let tagged: BTreeMap<u64, SpanIndex> =
+        tagged.into_iter().map(|(req, spans)| (req, SpanIndex::new(spans))).collect();
+    // Flows from the whole run: a quiet may wait on a transfer it did not issue.
+    let flows = flow_index(spans);
+    let untraced = SpanIndex::new(Vec::new());
     requests
         .iter()
         .map(|r| {
@@ -239,10 +147,16 @@ pub fn req_paths(spans: &[Span], requests: &[ReqRecord]) -> Vec<ReqPathReport> {
             phase_ns[ReqPhase::QueueWait as usize] = r.begin_ns.saturating_sub(r.arrival_ns);
             let begin = r.begin_ns.max(r.arrival_ns);
             let end = r.end_ns.max(begin);
-            match groups.get(&r.id) {
-                Some(&(lo, hi)) => tile_request(&mut phase_ns, &tagged[lo..hi], begin, end, &flows),
-                None => phase_ns[ReqPhase::HandlerCompute as usize] += end - begin,
-            }
+            let index = tagged.get(&r.id).unwrap_or(&untraced);
+            walk_back(
+                std::slice::from_ref(index),
+                0,
+                begin,
+                end,
+                &flows,
+                |_, _| None,
+                |seg| phase_ns[phase_of(seg.category) as usize] += seg.duration_ns(),
+            );
             ReqPathReport {
                 id: r.id,
                 pe: r.pe,
@@ -253,6 +167,38 @@ pub fn req_paths(spans: &[Span], requests: &[ReqRecord]) -> Vec<ReqPathReport> {
             }
         })
         .collect()
+}
+
+/// Element-wise sum of phase vectors (in [`REQ_PHASES`] order), e.g. of
+/// every report's `phase_ns`.
+pub fn phase_totals(phases: impl IntoIterator<Item = [u64; 6]>) -> [u64; 6] {
+    let mut totals = [0u64; 6];
+    for phase_ns in phases {
+        for (slot, v) in totals.iter_mut().zip(phase_ns) {
+            *slot += v;
+        }
+    }
+    totals
+}
+
+/// Phase durations as one JSON object keyed by phase label.
+fn phase_json(phase_ns: &[u64; 6]) -> Json {
+    Json::Object(
+        REQ_PHASES
+            .iter()
+            .zip(phase_ns)
+            .map(|(p, &v)| (p.label().to_string(), Json::uint(v as usize)))
+            .collect(),
+    )
+}
+
+/// The `{count, phase_ns}` request block that run digests and figure
+/// sidecars carry.
+pub fn requests_json(count: u64, phase_ns: &[u64; 6]) -> Json {
+    Json::Object(vec![
+        ("count".to_string(), Json::uint(count as usize)),
+        ("phase_ns".to_string(), phase_json(phase_ns)),
+    ])
 }
 
 /// One retained worst-case request.
@@ -336,16 +282,7 @@ impl TailProfile {
     /// The phase dominating the slow requests' time, or `None` when the
     /// window has no violations. Ties break in [`REQ_PHASES`] order.
     pub fn dominant_cause(&self) -> Option<ReqPhase> {
-        if self.slow == 0 {
-            return None;
-        }
-        let mut best = 0usize;
-        for (i, &v) in self.slow_phase_ns.iter().enumerate() {
-            if v > self.slow_phase_ns[best] {
-                best = i;
-            }
-        }
-        Some(REQ_PHASES[best])
+        (self.slow > 0).then(|| dominant(&self.slow_phase_ns))
     }
 }
 
@@ -433,12 +370,7 @@ impl TailAttribution {
     /// Run-wide slow-request phase totals, largest first — the "top tail
     /// causes" panel.
     pub fn top_causes(&self) -> Vec<(ReqPhase, u64)> {
-        let mut totals = [0u64; 6];
-        for p in &self.profiles {
-            for (slot, v) in totals.iter_mut().zip(p.slow_phase_ns) {
-                *slot += v;
-            }
-        }
+        let totals = phase_totals(self.profiles.iter().map(|p| p.slow_phase_ns));
         let mut out: Vec<(ReqPhase, u64)> =
             REQ_PHASES.into_iter().zip(totals).filter(|&(_, v)| v > 0).collect();
         out.sort_by_key(|&(p, v)| (std::cmp::Reverse(v), p));
@@ -483,15 +415,6 @@ impl TailAttribution {
 
     /// JSON export (stable field order).
     pub fn to_json(&self) -> Json {
-        let phase_obj = |phase_ns: &[u64; 6]| {
-            Json::Object(
-                REQ_PHASES
-                    .iter()
-                    .zip(phase_ns)
-                    .map(|(p, &v)| (p.label().to_string(), Json::uint(v as usize)))
-                    .collect(),
-            )
-        };
         let profiles = self
             .profiles
             .iter()
@@ -520,8 +443,8 @@ impl TailAttribution {
                             None => Json::Null,
                         },
                     ),
-                    ("slow_phase_ns".to_string(), phase_obj(&p.slow_phase_ns)),
-                    ("fast_phase_ns".to_string(), phase_obj(&p.fast_phase_ns)),
+                    ("slow_phase_ns".to_string(), phase_json(&p.slow_phase_ns)),
+                    ("fast_phase_ns".to_string(), phase_json(&p.fast_phase_ns)),
                     ("exemplars".to_string(), Json::Array(exemplars)),
                 ])
             })
@@ -574,7 +497,9 @@ impl TailAttribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
+    use crate::critpath::critical_path;
+    use crate::trace::{SpanKind, Tracer};
+    use proptest::prelude::*;
 
     fn op(pe: usize, kind: SpanKind, begin: u64, end: u64, queue: u64, service: u64) -> Span {
         let mut s = Span::op(pe, kind, begin, end, Some(1), 64);
@@ -757,5 +682,106 @@ mod tests {
         let mut again = spec.evaluate(&reg.snapshot(StatsSnapshot::default()));
         tail.annotate(&mut again);
         assert_eq!(report, again);
+    }
+
+    /// One drawn top-level op of a PE timeline: kind, idle gap before it,
+    /// length, queue share, and children if a collective.
+    type Op = (usize, u64, u64, u64, u64);
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec((0usize..10, 0u64..50, 1u64..300, 0u64..400, 0u64..3), 0..12)
+    }
+
+    /// Lay each PE's ops out back to back after their gaps, its clock `tail`
+    /// ns past the last; op `i` of PE `pe` and its children carry request id
+    /// `req(pe, i)`. Barriers end on a 128 ns grid, so arrivals on different
+    /// PEs share an end and the walk hops; a quiet waits on the landing of
+    /// its PE's last transfer (an odd queue draw misses it by 1 ns, leaving
+    /// the quiet unpaired); a collective nests alternating puts and waits.
+    fn lay_out(pes: &[(Vec<Op>, u64)], req: impl Fn(usize, usize) -> u64) -> (Vec<Span>, Vec<u64>) {
+        use SpanKind::*;
+        const KINDS: [SpanKind; 10] =
+            [Put, Get, Amo, Quiet, Barrier, WaitUntil, Compute, Collective, Retry, Fault];
+        let (mut spans, mut clocks) = (Vec::new(), Vec::new());
+        for (pe, (ops, tail)) in pes.iter().enumerate() {
+            let (mut t, mut landing) = (0, 0);
+            for (i, &(k, gap, len, queue, children)) in ops.iter().enumerate() {
+                let (kind, begin) = (KINDS[k], t + gap);
+                t = if kind == Barrier { (begin + len).next_multiple_of(128) } else { begin + len };
+                let remote_end = match kind {
+                    Put | Get | Amo => t + queue % 64,
+                    Quiet => landing + queue % 2,
+                    _ => 0,
+                };
+                landing = if matches!(kind, Put | Get | Amo) { remote_end } else { landing };
+                let at = |part| begin + part * len / (2 * children + 1);
+                let nested = (0..children)
+                    .filter(|_| kind == Collective)
+                    .map(|c| ([Put, WaitUntil][c as usize % 2], at(2 * c + 1), at(2 * c + 2), 0));
+                for (kind, begin, end, remote_end) in
+                    [(kind, begin, t, remote_end)].into_iter().chain(nested)
+                {
+                    let mut s = Span::op(pe, kind, begin, end, Some((pe + 1) % pes.len()), 8);
+                    s.id = ((pe as u64) << 32) | (spans.len() as u64 + 1);
+                    (s.queue_ns, s.remote_end, s.req) = (queue, remote_end, req(pe, i));
+                    spans.push(s);
+                }
+            }
+            clocks.push(t + tail);
+        }
+        (spans, clocks)
+    }
+
+    /// One record per request id in `spans`, served from a few ns after its
+    /// first span begins (so spans reach back past `begin`) to a few ns
+    /// after its last ends, having arrived up to 96 ns before that.
+    fn records(spans: &[Span]) -> Vec<ReqRecord> {
+        let mut bounds: BTreeMap<u64, (usize, u64, u64)> = BTreeMap::new();
+        for s in spans.iter().filter(|s| s.req != 0) {
+            let b = bounds.entry(s.req).or_insert((s.pe, s.begin, s.end));
+            (b.1, b.2) = (b.1.min(s.begin), b.2.max(s.end));
+        }
+        bounds
+            .into_iter()
+            .map(|(id, (pe, first, last))| {
+                let begin_ns = (first + id % 7).min(last);
+                let (arrival_ns, end_ns) = (begin_ns.saturating_sub(id % 97), last + id % 5);
+                ReqRecord { id, pe, arrival_ns, begin_ns, end_ns, ..Default::default() }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 256 }))]
+
+        #[test]
+        fn both_walks_tile_their_windows(pes in prop::collection::vec((ops(), 0u64..100), 1..5)) {
+            // Every third op runs outside any request.
+            let req = |pe, i| if i % 3 == 2 { 0 } else { ((pe as u64) << 32) | (i as u64 + 1) };
+            let (spans, clocks) = lay_out(&pes, req);
+            let report = critical_path(&spans, &clocks);
+            let mut t = 0;
+            for seg in &report.segments {
+                prop_assert!(seg.begin == t && seg.end > t, "gap or overlap at {}: {:?}", t, seg);
+                t = seg.end;
+            }
+            prop_assert_eq!(t, report.makespan_ns);
+            for r in req_paths(&spans, &records(&spans)) {
+                prop_assert_eq!(r.phase_ns.iter().sum::<u64>(), r.total_ns(), "{:?}", r);
+            }
+        }
+
+        /// The identity the shared walk rests on: a request that spans a
+        /// one-PE run, every span stamped, is that run's critical path.
+        #[test]
+        fn a_request_spanning_a_one_pe_run_is_its_critical_path(pe in (ops(), 0u64..100)) {
+            let (spans, clocks) = lay_out(&[pe], |_, _| 1);
+            let whole = ReqRecord { id: 1, end_ns: clocks[0], ..Default::default() };
+            let phase_ns = req_paths(&spans, &[whole])[0].phase_ns;
+            prop_assert_eq!(phase_ns[ReqPhase::QueueWait as usize], 0);
+            for (c, ns) in critical_path(&spans, &clocks).totals_ns() {
+                prop_assert_eq!(phase_ns[phase_of(c) as usize], ns, "{}", c.label());
+            }
+        }
     }
 }

@@ -134,7 +134,7 @@ impl Span {
 /// started serving it, and when it completed. The gap between arrival and
 /// begin is real queueing delay — the generator admits by the virtual clock,
 /// not by completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReqRecord {
     /// Request id, `pe << 32 | seq` by convention (seq starts at 1).
     pub id: u64,
