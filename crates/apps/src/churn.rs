@@ -179,7 +179,7 @@ pub fn run_churn(
     images: usize,
     cfg: ChurnConfig,
 ) -> ChurnResult {
-    run_churn_outcome(platform, backend, images, cfg, false).0
+    run_churn_outcome(platform, backend, images, cfg).0
 }
 
 /// [`run_churn`] exposing the raw simulation outcome, for traced probes.
@@ -188,16 +188,12 @@ pub fn run_churn_outcome(
     backend: Backend,
     images: usize,
     cfg: ChurnConfig,
-    deterministic_nic: bool,
 ) -> (ChurnResult, pgas_machine::SimOutcome<ImageOut>) {
     assert!(images >= 3, "churn needs at least two workers and a spare");
     let cores = 16.min(images);
     let nodes = images.div_ceil(cores);
     let heap = (cfg.slots_per_shard * 8 + (1 << 16)).next_power_of_two();
-    let mut mcfg = platform.config(nodes, cores).with_heap_bytes(heap);
-    if deterministic_nic {
-        mcfg = mcfg.with_deterministic_nic();
-    }
+    let mcfg = platform.config(nodes, cores).with_heap_bytes(heap);
     let caf_cfg = CafConfig::new(backend, platform).with_nonsym_bytes(4096);
     let out = run_caf(mcfg, caf_cfg, move |img| {
         let n = img.num_images();
@@ -505,14 +501,14 @@ mod tests {
 
     #[test]
     fn recovery_cycle_is_deterministic_across_repeated_runs() {
-        // The deterministic NIC pins the arbitration order (like every other
-        // reproducibility suite); the claim under test is that the host
-        // schedule then has no way to leak into the recovery timeline.
+        // The NIC arbiter pins the grant order; the claim under test is that
+        // the host schedule then has no way to leak into the recovery
+        // timeline.
         let cfg = ChurnConfig::default();
         let det = || {
             with_forced_aggregation(true, || {
                 with_forced_plan(failure_plan(&cfg), || {
-                    run_churn_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true).0
+                    run_churn(Platform::Titan, Backend::Shmem, 9, cfg)
                 })
             })
         };
@@ -575,7 +571,7 @@ mod tests {
         let (r, out) = with_forced_tracing(true, || {
             with_forced_aggregation(true, || {
                 with_forced_plan(failure_plan(&cfg), || {
-                    run_churn_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true)
+                    run_churn_outcome(Platform::Titan, Backend::Shmem, 9, cfg)
                 })
             })
         });

@@ -111,26 +111,23 @@ pub fn expected_checksum(images: usize, cfg: &DhtConfig) -> u64 {
 
 /// Run the DHT benchmark on `images` images.
 pub fn run_dht(platform: Platform, backend: Backend, images: usize, cfg: DhtConfig) -> DhtResult {
-    run_dht_outcome(platform, backend, images, cfg, false).0
+    run_dht_outcome(platform, backend, images, cfg, true).0
 }
 
-/// [`run_dht`] exposing the raw simulation outcome, for traced probes.
-/// `deterministic_nic` pins the NIC grant order so a probe digest is
-/// bit-identical run to run.
+/// [`run_dht`] exposing the raw simulation outcome, for traced probes. The
+/// `bool` is ignored: it once opted into the NIC arbiter, which every run
+/// now has.
 pub fn run_dht_outcome(
     platform: Platform,
     backend: Backend,
     images: usize,
     cfg: DhtConfig,
-    deterministic_nic: bool,
+    _deterministic_nic: bool,
 ) -> (DhtResult, pgas_machine::SimOutcome<(u64, u64, u64, u64)>) {
     let cores = 16.min(images);
     let nodes = images.div_ceil(cores);
     let heap = (cfg.slots_per_image * 8 + (1 << 16)).next_power_of_two();
-    let mut mcfg = platform.config(nodes, cores).with_heap_bytes(heap);
-    if deterministic_nic {
-        mcfg = mcfg.with_deterministic_nic();
-    }
+    let mcfg = platform.config(nodes, cores).with_heap_bytes(heap);
     let caf_cfg = CafConfig::new(backend, platform).with_nonsym_bytes(4096);
     let out = run_caf(mcfg, caf_cfg, move |img| {
         let n = img.num_images();
@@ -278,11 +275,9 @@ mod tests {
 
     #[test]
     fn more_locks_reduce_contention() {
-        // Deterministic NIC: lock-queue order, and with it both virtual
-        // times, are a function of the configuration alone.
-        let time = |cfg: DhtConfig| {
-            run_dht_outcome(Platform::Titan, Backend::Shmem, 8, cfg, true).0.time_ms
-        };
+        // Lock-queue order, and with it both virtual times, are a function
+        // of the configuration alone.
+        let time = |cfg: DhtConfig| run_dht(Platform::Titan, Backend::Shmem, 8, cfg).time_ms;
         let coarse = time(small());
         let fine = time(DhtConfig { locks_per_image: 8, ..small() });
         assert!(fine < coarse, "fine {fine:.2}ms vs coarse {coarse:.2}ms");

@@ -453,32 +453,31 @@ pub fn run_serve(
     images: usize,
     cfg: ServeConfig,
 ) -> ServeResult {
-    run_serve_outcome(platform, backend, images, cfg, false).0
+    run_serve_outcome(platform, backend, images, cfg, true).0
 }
 
 /// [`run_serve`] exposing the raw simulation outcome, for traced probes and
 /// the determinism suite. Metrics (with the configured window) are enabled
-/// unconditionally — windowed telemetry is the point of this workload.
+/// unconditionally — windowed telemetry is the point of this workload. The
+/// `bool` is ignored: it once opted into the NIC arbiter, which every run
+/// now has.
 pub fn run_serve_outcome(
     platform: Platform,
     backend: Backend,
     images: usize,
     cfg: ServeConfig,
-    deterministic_nic: bool,
+    _deterministic_nic: bool,
 ) -> (ServeResult, pgas_machine::SimOutcome<ServeImageOut>) {
     assert!(images >= 3, "serving needs at least two workers and a spare");
     assert!(cfg.epochs >= 1, "serving needs at least one epoch");
     let cores = 16.min(images);
     let nodes = images.div_ceil(cores);
     let heap = (cfg.slots_per_shard * 8 + (1 << 16)).next_power_of_two();
-    let mut mcfg = platform
+    let mcfg = platform
         .config(nodes, cores)
         .with_heap_bytes(heap)
         .with_metrics(true)
         .with_metrics_window(cfg.window_ns);
-    if deterministic_nic {
-        mcfg = mcfg.with_deterministic_nic();
-    }
     let caf_cfg = CafConfig::new(backend, platform).with_nonsym_bytes(4096);
     // One arrival stream per run: every image strides through this table.
     let arrivals = global_arrivals(&cfg, images - 1);
@@ -861,14 +860,9 @@ mod tests {
         FaultPlan::new(cfg.seed).with_pe_failure(4, 12_000)
     }
 
-    /// On the virtual-time NIC arbiter: these tests compare latencies and
-    /// tails across runs, which the host-racy NIC of [`run_serve`] only
-    /// repeats up to reservation order.
     fn run(plan: FaultPlan, cfg: ServeConfig) -> ServeResult {
         with_forced_aggregation(true, || {
-            with_forced_plan(plan, || {
-                run_serve_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true).0
-            })
+            with_forced_plan(plan, || run_serve(Platform::Titan, Backend::Shmem, 9, cfg))
         })
     }
 

@@ -4,7 +4,7 @@
 //! virtual-time windows — so for any drawn seed the same config must
 //! produce bit-identical per-request latency paths (`SimOutcome::req_paths`,
 //! each tiling its latency exactly), windowed metrics snapshot and SLO
-//! report run to run under the deterministic NIC.
+//! report run to run.
 //! The property must also hold under a transient-drop fault plan (`drop1`):
 //! retries stretch latencies, but they stretch them identically every run.
 
@@ -18,8 +18,8 @@ use pgas_machine::{
 };
 use proptest::prelude::*;
 
-/// One open-loop run: eight workers + a spare, deterministic NIC, tracing
-/// pinned to `traced`, metrics pinned on, sanitizer pinned off.
+/// One open-loop run: eight workers + a spare, tracing pinned to `traced`,
+/// metrics pinned on, sanitizer pinned off.
 fn serving_run(
     traced: bool,
     cfg: ServeConfig,

@@ -105,17 +105,12 @@ fn machine_idle_paths() {
         m.apply_and_notify(1, || word.fetch_add(1, std::sync::atomic::Ordering::AcqRel));
     });
 
-    for (name, cfg) in [
-        ("lift_clock_arbiter_off", generic_smp(2)),
-        ("lift_clock_arbiter_on", generic_smp(2).with_deterministic_nic()),
-    ] {
-        let m = Machine::new(cfg.with_heap_bytes(1 << 12));
-        let mut t = 0u64;
-        bench(name, None, || {
-            t += 10;
-            std::hint::black_box(m.lift_clock(0, t));
-        });
-    }
+    // By hand, so without the arbiter; `lift_clock_launched` is the row with.
+    let mut t = 0u64;
+    bench("lift_clock_arbiter_off", None, || {
+        t += 10;
+        std::hint::black_box(m.lift_clock(0, t));
+    });
 
     let nic = pgas_machine::nic::Nic::new();
     let mut t = 0u64;
@@ -124,9 +119,9 @@ fn machine_idle_paths() {
         std::hint::black_box(nic.reserve_tx(t, 10, 8));
     });
 
-    // Arbiter on, one active PE: PE 1 returns at once, PE 0 takes every turn
+    // Launched, one active PE: PE 1 returns at once, PE 0 takes every turn
     // unopposed (the shape of the benchmark's `ladder_pair`).
-    pgas_machine::run(generic_smp(2).with_heap_bytes(1 << 12).with_deterministic_nic(), |pe| {
+    pgas_machine::run(generic_smp(2).with_heap_bytes(1 << 12), |pe| {
         if pe.id() == 0 {
             let m = pe.machine();
             let mut t = m.clock(0);
@@ -144,7 +139,7 @@ fn machine_idle_paths() {
 
     // The same with 31 PEs waiting in a barrier: what the grant check costs
     // per PE it has to rule out (`dht_locked` and `serve_mixed` run 32).
-    pgas_machine::run(generic_smp(32).with_heap_bytes(1 << 12).with_deterministic_nic(), |pe| {
+    pgas_machine::run(generic_smp(32).with_heap_bytes(1 << 12), |pe| {
         let (m, me) = (pe.machine(), pe.id());
         m.barrier_all(me, 0.0);
         if me == 0 {
@@ -193,7 +188,7 @@ fn arbiter_engine() {
     // and every turn moves its taker 10 ns on, so each grant waits for the
     // other PE to park behind it — one handoff per turn.
     const TURNS: u64 = 20_000;
-    let cfg = generic_smp(2).with_heap_bytes(1 << 12).with_deterministic_nic();
+    let cfg = generic_smp(2).with_heap_bytes(1 << 12);
     let out = pgas_machine::run(cfg.clone(), |pe| {
         let (m, me) = (pe.machine(), pe.id());
         m.barrier_all(me, 0.0);
@@ -230,7 +225,7 @@ fn arbiter_engine() {
     report("wait_on_handoff_2pe", None, "ns/handoff", out.results[0], 2 * ROUNDS);
 
     // A job's fixed cost: build the machine, start every PE, join.
-    let cfg = generic_smp(32).with_heap_bytes(1 << 12).with_deterministic_nic();
+    let cfg = generic_smp(32).with_heap_bytes(1 << 12);
     bench("launch_32pe_arbiter", None, || {
         assert_eq!(pgas_machine::run(cfg.clone(), |pe| pe.id()).results.len(), 32);
     });
@@ -238,7 +233,7 @@ fn arbiter_engine() {
     let cfg = stampede(625, 16).with_heap_bytes(1 << 12).with_stack_bytes(1 << 17);
     let start = Instant::now();
     for _ in 0..LAUNCHES {
-        let out = pgas_machine::run(cfg.clone().with_deterministic_nic(), |pe| pe.id());
+        let out = pgas_machine::run(cfg.clone(), |pe| pe.id());
         assert_eq!(out.results.len(), 10_000);
     }
     let ns = start.elapsed().as_nanos() as f64 / LAUNCHES as f64;

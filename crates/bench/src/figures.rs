@@ -325,18 +325,16 @@ pub fn fig10_himeno(quick: bool, max_images: usize) -> Figure {
 /// pre-failure rate (`ChurnResult::recovery_ratio ≥ 0.9` is the acceptance
 /// bar). Panel (b) is the availability series: serving images per round,
 /// dipping from 8 to 7 in the detection round and returning to 8 once the
-/// spare serves. Both runs are pinned (deterministic NIC, forced plan and
-/// aggregation, fixed seed), so the figure JSON is bit-stable; quick mode
-/// changes nothing because the run is already anchor-sized.
+/// spare serves. Both runs are pinned (forced plan and aggregation, fixed
+/// seed), so the figure JSON is bit-stable; quick mode changes nothing
+/// because the run is already anchor-sized.
 pub fn availability_churn(_quick: bool) -> Figure {
-    use caf_apps::{run_churn_outcome, ChurnConfig, ChurnResult};
+    use caf_apps::{run_churn, ChurnConfig, ChurnResult};
     use pgas_machine::{with_forced_aggregation, with_forced_plan, FaultPlan};
     let cfg = ChurnConfig::default();
     let run = |plan: FaultPlan| -> ChurnResult {
         with_forced_aggregation(true, || {
-            with_forced_plan(plan, || {
-                run_churn_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true).0
-            })
+            with_forced_plan(plan, || run_churn(Platform::Titan, Backend::Shmem, 9, cfg))
         })
     };
     let healthy = run(FaultPlan::new(cfg.seed));
@@ -388,9 +386,9 @@ pub fn availability_churn(_quick: bool) -> Figure {
 /// burn fires in the outage window and clears after recovery. Panel (c)
 /// is completed requests per window: the victim's generation share
 /// vanishes at the death and the drain backfills the detection window.
-/// Both runs are pinned (deterministic NIC, forced plan + aggregation,
-/// fixed seed), so the figure JSON is bit-stable. Quick mode runs the
-/// probe-sized 9-image scenario instead.
+/// Both runs are pinned (forced plan + aggregation, fixed seed), so the
+/// figure JSON is bit-stable. Quick mode runs the probe-sized 9-image
+/// scenario instead.
 pub fn serving_slo(quick: bool) -> Figure {
     use caf_apps::serve::{run_serve_outcome, ServeConfig, ServeResult};
     use caf_apps::DhtUpdateMode;

@@ -83,7 +83,7 @@ pub fn put_pairs_probe(platform: Platform, pairs: usize, bytes: usize) -> ProbeO
     // The 16-pair variant contends hard for both nodes' NIC lanes; the
     // virtual-time arbiter keeps the grant order (and so the digest)
     // bit-identical run to run.
-    let mcfg = platform.config(2, pairs).with_heap_bytes(heap).with_deterministic_nic();
+    let mcfg = platform.config(2, pairs).with_heap_bytes(heap);
     probe(|| {
         pgas_machine::run(mcfg, move |pe| {
             let ctx = Ctx::new(pe, profile, CtxOptions::default());
@@ -105,7 +105,7 @@ pub fn put_pairs_probe(platform: Platform, pairs: usize, bytes: usize) -> ProbeO
 /// Probe for the strided-section figures: a 2-D strided put between nodes.
 pub fn strided_probe(platform: Platform) -> ProbeOutcome {
     use caf::{run_caf, CafConfig, DimRange, Section};
-    let mcfg = platform.config(2, 1).with_heap_bytes(1 << 17).with_deterministic_nic();
+    let mcfg = platform.config(2, 1).with_heap_bytes(1 << 17);
     let ccfg = CafConfig::new(Backend::Shmem, platform).with_strided(StridedAlgorithm::TwoDim);
     probe(|| {
         run_caf(mcfg, ccfg, |img| {
@@ -131,7 +131,7 @@ pub fn lock_probe(platform: Platform, images: usize) -> ProbeOutcome {
     use caf::{run_caf, CafConfig};
     let cores = 16.min(images);
     let nodes = images.div_ceil(cores);
-    let mcfg = platform.config(nodes, cores).with_heap_bytes(1 << 16).with_deterministic_nic();
+    let mcfg = platform.config(nodes, cores).with_heap_bytes(1 << 16);
     let ccfg = CafConfig::new(Backend::Shmem, platform).with_nonsym_bytes(4096);
     probe(|| {
         run_caf(mcfg, ccfg, |img| {
@@ -169,7 +169,7 @@ pub fn dht_throughput_probe(images: usize) -> ProbeOutcome {
 /// Probe for the availability-under-churn figure: nine images (eight
 /// workers plus a spare) running the full recovery cycle — a scheduled
 /// worker death mid-run, team re-formation that admits the spare, shard
-/// redistribution and journal replay — under the deterministic NIC.
+/// redistribution and journal replay.
 /// Aggregation *and* payload checksums are forced on internally, so the
 /// digest is independent of both the `PGAS_COALESCE` and `PGAS_CHECKSUM`
 /// environments: the plain, `test-aggregated` and `test-recovery` CI jobs
@@ -188,7 +188,7 @@ pub fn availability_churn_probe() -> ProbeOutcome {
         with_forced_aggregation(true, || {
             with_forced_checksums(true, || {
                 with_forced_plan(plan, || {
-                    run_churn_outcome(Platform::Titan, Backend::Shmem, 9, cfg, true).1
+                    run_churn_outcome(Platform::Titan, Backend::Shmem, 9, cfg).1
                 })
             })
         })

@@ -244,7 +244,6 @@ fn machine(platform: Platform) -> MachineConfig {
         .with_heap_bytes(1 << 18)
         .with_faults(FaultPlan::none())
         .with_aggregation(false)
-        .with_deterministic_nic()
 }
 
 fn observe<T: Scalar>(
@@ -382,8 +381,7 @@ fn racing_reports(path: Path) -> Vec<HazardReport> {
         .with_heap_bytes(1 << 18)
         .with_sanitizer(SanitizerMode::Record)
         .with_faults(FaultPlan::none())
-        .with_aggregation(false)
-        .with_deterministic_nic();
+        .with_aggregation(false);
     let caf = CafConfig::new(Backend::Shmem, Platform::Titan).with_aggregation(CoalescePolicy::Off);
     let out = run_caf(cfg, caf, move |img| {
         let shmem = img.shmem();

@@ -29,7 +29,6 @@ fn formation_cycle(deadline: u64) -> pgas_machine::SimOutcome<Option<Vec<usize>>
     let mcfg = Platform::Titan
         .config(2, 4)
         .with_heap_bytes(1 << 18)
-        .with_deterministic_nic()
         .with_faults(FaultPlan::new(0xF0B1).with_pe_failure(2, deadline));
     let ccfg = CafConfig::new(Backend::Shmem, Platform::Titan);
     let out = run_caf(mcfg, ccfg, |img| {

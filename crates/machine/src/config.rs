@@ -71,14 +71,6 @@ pub struct MachineConfig {
     /// deterministic percentile-over-time / throughput-over-time series.
     /// Only meaningful when metrics are enabled.
     pub metrics_window_ns: u64,
-    /// Grant NIC reservations in virtual-time order `(start, pe)` instead of
-    /// real-thread arrival order. Off by default: it serializes contended
-    /// reservations in *real* time, and it assumes a workload whose real
-    /// blocking waits are barriers/`wait_on` (true of the benchmark probes).
-    /// Regression probes enable it so contended runs digest bit-identically.
-    /// Since such a run has one PE making progress at a time, it also runs
-    /// the PEs as fibers on the launching thread (see `crate::launch`).
-    pub deterministic_nic: bool,
     /// This config's choices for the seven machine-wide knobs (sanitizer,
     /// faults, trace, metrics, aggregation, checksums, stream); all `None`
     /// in the presets. `Machine::new` resolves them against the
@@ -158,10 +150,10 @@ impl MachineConfig {
         self
     }
 
-    /// Order contended NIC reservations by virtual time (see the
-    /// `deterministic_nic` field). Used by the benchmark probes.
-    pub fn with_deterministic_nic(mut self) -> Self {
-        self.deterministic_nic = true;
+    /// No-op, kept for callers written when the virtual-time NIC arbiter was
+    /// opt-in: every launched machine is arbitrated now (see
+    /// `crate::launch`), whatever its config says.
+    pub fn with_deterministic_nic(self) -> Self {
         self
     }
 

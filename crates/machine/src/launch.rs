@@ -1,11 +1,11 @@
 //! SPMD launcher: run the program closure once per PE, propagate panics
 //! without deadlocking the rest of the job.
 //!
-//! Two substrates run the same PE body (DESIGN.md, "Execution engines"): a
-//! machine under the virtual-time NIC arbiter runs its PEs as fibers on the
-//! launching thread (`parking_lot::fiber`), where a blocked PE is a parked
-//! stack and a handoff a stack switch; every other machine — and every
-//! target without the fiber switch — spawns one OS thread per PE.
+//! Every launched machine runs under the virtual-time NIC arbiter. Two
+//! substrates run the same PE body (DESIGN.md, "Execution engines"): where
+//! the fiber switch exists, the PEs are fibers on the launching thread
+//! (`parking_lot::fiber`), a blocked PE a parked stack and a handoff a stack
+//! switch; every other target spawns one OS thread per PE.
 
 use crate::config::MachineConfig;
 use crate::critpath::CriticalPathReport;
@@ -183,13 +183,12 @@ pub(crate) enum Engine {
 }
 
 impl Engine {
-    /// Fibers exactly where cooperative switching is safe and pays: under
-    /// the NIC arbiter, which never grants a turn to a PE whose clock has
-    /// passed a runnable PE's (a poller parks before it can starve anyone)
-    /// and whose grant chain is a handoff per step. The host-racy default
-    /// engine keeps threads: its PEs really do run in parallel.
-    fn of(cfg: &MachineConfig) -> Engine {
-        if cfg.deterministic_nic && parking_lot::fiber::SUPPORTED {
+    /// Fibers wherever the switch exists. Cooperative switching is safe
+    /// under the NIC arbiter, which never grants a turn to a PE whose clock
+    /// has passed a runnable PE's (a poller parks before it can starve
+    /// anyone), and pays because its grant chain is a handoff per step.
+    fn of() -> Engine {
+        if parking_lot::fiber::SUPPORTED {
             Engine::Fibers
         } else {
             Engine::Threads
@@ -224,7 +223,7 @@ where
     F: Fn(Pe<'_>) -> R + Send + Sync,
     R: Send,
 {
-    run_on(Engine::of(&cfg), cfg, f)
+    run_on(Engine::of(), cfg, f)
 }
 
 /// [`run_with_result`] on a given engine: the engine-equivalence tests'
@@ -238,7 +237,7 @@ where
     F: Fn(Pe<'_>) -> R + Send + Sync,
     R: Send,
 {
-    let machine: Arc<Machine> = Machine::new_on(cfg, engine == Engine::Fibers);
+    let machine: Arc<Machine> = Machine::new_on(cfg, Some(engine == Engine::Fibers));
     let n = machine.num_pes();
     let name = machine.config().name.clone();
     let stack = machine.config().stack_bytes;
@@ -418,7 +417,7 @@ mod tests {
         // PEs 0 and 1 each wait for a flag only the other would set — after
         // its own wait; PE 0 names the word it polls. PE 2 waits for them in
         // a barrier; PE 3 is done.
-        let err = run_with_result(generic_smp(4).with_deterministic_nic(), |pe| {
+        let err = run_with_result(generic_smp(4), |pe| {
             let (m, me) = (pe.machine(), pe.id());
             let flag = |p: usize| m.heap(p).atomic64(0x40);
             let set = || flag(me).load(Ordering::Acquire) == 1;

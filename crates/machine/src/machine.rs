@@ -55,14 +55,12 @@ impl StreamState {
     }
 }
 
-/// Virtual-time NIC arbiter (built only under
-/// [`MachineConfig::with_deterministic_nic`]).
+/// Virtual-time NIC arbiter of every launched machine ([`Machine::new_on`]).
 ///
 /// [`Nic::reserve`] grants lane occupancy first-come-first-served in *real*
 /// time, so when several PEs contend with overlapping virtual windows the
-/// per-PE split of queueing delay depends on host scheduling (the makespan
-/// and lane totals stay invariant, but `bench regress` digests compare the
-/// split bit-for-bit). The arbiter restores determinism by granting whole
+/// per-PE split of queueing delay would follow host scheduling. The arbiter
+/// makes it a pure function of the program by granting whole
 /// reservation sequences in `(virtual start, pe)` order: a request parks,
 /// and is granted once it is the minimum parked key and every other PE
 /// provably cannot issue an earlier one — its *horizon*, the earliest
@@ -182,23 +180,27 @@ pub struct Machine {
     /// Live streaming snapshot channel; `None` unless configured, so the
     /// common path costs one branch per clock movement.
     stream: Option<StreamState>,
-    /// Virtual-time NIC arbiter; `None` unless `deterministic_nic` is set,
-    /// so the common path costs one branch per reservation and clock move.
+    /// Virtual-time NIC arbiter; `None` on a machine driven by hand
+    /// ([`Machine::new`]), `Some` on every launched one.
     arbiter: Option<ArbiterState>,
     /// Every knob as resolved on the launching thread at build time.
     knobs: ResolvedKnobs,
 }
 
 impl Machine {
-    /// Build a machine from a validated configuration.
+    /// Build a machine from a validated configuration, to be driven by hand:
+    /// one caller moves every PE, so it has no NIC arbiter — whose grant
+    /// waits for every other PE to run or park, which none here ever does —
+    /// and [`Self::nic_turn`] is a passthrough.
     pub fn new(cfg: MachineConfig) -> Arc<Machine> {
-        Machine::new_on(cfg, false)
+        Machine::new_on(cfg, None)
     }
 
-    /// [`Self::new`] for the launcher, which knows what will run the PEs:
-    /// `one_carrier` promises that every call into this machine comes from a
-    /// fiber of one `parking_lot::fiber::run` on the launching thread.
-    pub(crate) fn new_on(cfg: MachineConfig, one_carrier: bool) -> Arc<Machine> {
+    /// [`Self::new`], or with `Some(one_carrier)` the launcher's machine: it
+    /// runs every PE and so always arbitrates. `one_carrier` promises that
+    /// every call into this machine comes from a fiber of one
+    /// `parking_lot::fiber::run` on the launching thread.
+    pub(crate) fn new_on(cfg: MachineConfig, one_carrier: Option<bool>) -> Arc<Machine> {
         cfg.validate().expect("invalid machine configuration");
         let n = cfg.total_pes();
         let knobs = Knobs::resolve(&cfg);
@@ -207,7 +209,7 @@ impl Machine {
             FaultState::new(plan, n)
         });
         let stream = knobs.stream.value.clone().map(StreamState::new);
-        let arbiter = cfg.deterministic_nic.then(|| ArbiterState {
+        let arbiter = one_carrier.map(|one_carrier| ArbiterState {
             one_carrier,
             parked: Mutex::new(BTreeSet::new()),
             cvs: (0..n).map(|_| Condvar::new()).collect(),
@@ -598,15 +600,9 @@ impl Machine {
 
     // ---- deterministic NIC arbitration ----------------------------------
 
-    /// Is the virtual-time NIC arbiter active?
-    #[inline]
-    pub fn deterministic_nic(&self) -> bool {
-        self.arbiter.is_some()
-    }
-
     /// Run `f` (a NIC reservation sequence on behalf of `pe`, requesting no
     /// earlier than virtual time `start`) under the arbiter's virtual-time
-    /// ordering. Without an arbiter this is exactly `f()`.
+    /// ordering. On a machine driven by hand this is exactly `f()`.
     ///
     /// The caller must be the thread running `pe`, and `f` must not block on
     /// other PEs (it only touches NIC lane frontiers).
@@ -633,8 +629,7 @@ impl Machine {
     /// granted-but-unparked PE blocks every later key through its own
     /// horizon exactly as its parked key did, until its clock crosses them
     /// and [`Self::arb_unblocked`] wakes them. A tie, a smaller parked key, a
-    /// blocker or poison parks; so does every turn on threads and on a
-    /// machine driven by hand.
+    /// blocker or poison parks; so does every turn on threads.
     pub fn nic_turn_ctx<R>(&self, pe: PeId, ctx: u32, start: u64, f: impl FnOnce() -> R) -> R {
         let Some(arb) = &self.arbiter else { return f() };
         if arb.one_carrier
@@ -877,13 +872,12 @@ impl Machine {
     /// Apply `f` — a write to `pe`'s heap that `wait_on` predicates may
     /// observe — and wake `pe`'s waiters, as one critical section.
     ///
-    /// Under the deterministic NIC arbiter this additionally withdraws
-    /// `pe`'s `wait_on` quiescence in the same section: the moment the write
-    /// is observable, `pe` no longer counts as "provably unable to issue a
-    /// NIC request", closing the wake-latency window in which an arbiter
-    /// grant could order reservations by host scheduling. Without an arbiter
-    /// this is just `f` followed by [`Self::notify_pe`] under the notify
-    /// lock.
+    /// On a launched machine this additionally withdraws `pe`'s `wait_on`
+    /// quiescence in the same section: the moment the write is observable,
+    /// `pe` no longer counts as "provably unable to issue a NIC request",
+    /// closing the wake-latency window in which an arbiter grant could order
+    /// reservations by host scheduling. On a machine driven by hand this is
+    /// just `f` followed by [`Self::notify_pe`] under the notify lock.
     pub fn apply_and_notify<R>(&self, pe: PeId, f: impl FnOnce() -> R) -> R {
         self.pes[pe].notify.notify_applying(|| {
             let out = f();
@@ -957,8 +951,8 @@ impl Machine {
     /// Why the job cannot go on, when it cannot: one line per PE that has not
     /// finished, saying what it is blocked in, and the lowest such PE.
     /// Meaningful when no PE is running — the fiber engine calls it from its
-    /// scheduler, with every PE parked. `None` without an arbiter, whose
-    /// state it reads: a PE with a key in the set is in a turn, one with
+    /// scheduler, with every PE parked. `None` on a machine driven by hand:
+    /// it reads the arbiter's state. A PE with a key in the set is in a turn, one with
     /// `in_wait_on` set polls, any other whose horizon is `u64::MAX` waits in
     /// a barrier, and one that could run but does not is blocked in
     /// something of the program's own.
@@ -1192,17 +1186,18 @@ mod tests {
 
     #[test]
     fn nic_turn_is_a_passthrough_without_the_arbiter() {
+        // A machine driven by hand has none.
         let m = Machine::new(generic_smp(2));
-        assert!(!m.deterministic_nic());
+        assert!(m.arbiter.is_none());
         assert_eq!(m.nic_turn(0, 50, || 7), 7);
     }
 
     #[test]
     fn nic_arbiter_grants_tied_reservations_in_pe_order() {
         // Four PEs race for the same lane with identical virtual start
-        // times: real-thread arrival order must not matter — slots go out
-        // strictly by PE id.
-        let out = crate::launch::run(generic_smp(4).with_deterministic_nic(), |pe| {
+        // times on a plain launched machine: which PE gets there first must
+        // not matter — slots go out strictly by PE id.
+        let out = crate::launch::run(generic_smp(4), |pe| {
             let m = pe.machine();
             m.nic_turn(pe.id(), 100, || m.nic(0).reserve_tx(100, 10, 1).begin)
         });
@@ -1213,7 +1208,7 @@ mod tests {
     fn nic_arbiter_grants_by_virtual_start_before_pe_id() {
         // PE 0 asks for the lane at t=200, PE 1 at t=100: the later virtual
         // request loses even if its thread gets there first.
-        let out = crate::launch::run(generic_smp(2).with_deterministic_nic(), |pe| {
+        let out = crate::launch::run(generic_smp(2), |pe| {
             let m = pe.machine();
             let start = if pe.id() == 0 { 200 } else { 100 };
             m.nic_turn(pe.id(), start, || m.nic(0).reserve_tx(start, 10, 1).begin)
@@ -1279,7 +1274,7 @@ mod tests {
         // its mutex, so no grant is left for a backstop tick to find and no
         // fiber's timed wait runs out — in 50 runs.
         let job = || {
-            let out = crate::launch::run(generic_smp(8).with_deterministic_nic(), three_round_job);
+            let out = crate::launch::run(generic_smp(8), three_round_job);
             let unsent = out.engine.backstop_grants + out.engine.timed_wait_expiries;
             ((out.results, out.clocks, out.nics), unsent)
         };
@@ -1338,7 +1333,7 @@ mod tests {
         if !parking_lot::fiber::SUPPORTED {
             return;
         }
-        let cfg = generic_smp(4).with_deterministic_nic().with_metrics(true);
+        let cfg = generic_smp(4).with_metrics(true);
         same_on_both_engines(cfg, contended_job);
     }
 
@@ -1347,7 +1342,7 @@ mod tests {
         if !parking_lot::fiber::SUPPORTED {
             return;
         }
-        let cfg = generic_smp(8).with_deterministic_nic().with_metrics(true);
+        let cfg = generic_smp(8).with_metrics(true);
         let fibers = same_on_both_engines(cfg, three_round_job);
         assert_eq!(fibers.engine.timed_wait_expiries, 0);
         assert_eq!(fibers.engine.backstop_grants, 0);
@@ -1403,7 +1398,7 @@ mod tests {
         use crate::fault::FaultPlan;
         // PE 2 dies in its second lap, holding the token.
         let plan = FaultPlan::new(3).with_pe_failure(2, 4_000);
-        let cfg = generic_smp(4).with_deterministic_nic().with_metrics(true).with_faults(plan);
+        let cfg = generic_smp(4).with_metrics(true).with_faults(plan);
         let out = same_on_both_engines(cfg, failing_ring_job);
         assert_eq!(out.failed_pes, vec![2]);
         assert_eq!(out.fault_events.len(), 1);
@@ -1424,8 +1419,7 @@ mod tests {
             m.barrier_all(pe.id(), 0.0)
         };
         for engine in [Engine::Threads, Engine::Fibers] {
-            let err = run_on(engine, generic_smp(4).with_deterministic_nic(), job)
-                .expect_err("PE 1 panics");
+            let err = run_on(engine, generic_smp(4), job).expect_err("PE 1 panics");
             assert_eq!((err.pe, err.message.as_str()), (1, "boom mid-turn"), "{engine:?}");
         }
     }
@@ -1590,7 +1584,7 @@ mod tests {
                 return Ok(());
             }
             let program = Spmd::draw(n, seed);
-            let cfg = generic_smp(n).with_heap_bytes(1 << 12).with_deterministic_nic();
+            let cfg = generic_smp(n).with_heap_bytes(1 << 12);
             let fibers = same_on_both_engines(cfg, |pe| program.run(pe));
             let (slots, clocks) = program.reference();
             prop_assert_eq!(&fibers.results, &slots);
@@ -1611,7 +1605,7 @@ mod tests {
         }
         let parked_turns =
             |m: &Machine| m.arbiter.as_ref().unwrap().parked_turns.load(Ordering::Relaxed);
-        let cfg = generic_smp(2).with_heap_bytes(1 << 12).with_deterministic_nic();
+        let cfg = generic_smp(2).with_heap_bytes(1 << 12);
         // One active PE: PE 1 sits in the second barrier through all of them.
         let out = run_on(Engine::Fibers, cfg.clone(), |pe| {
             let (m, me) = (pe.machine(), pe.id());
@@ -1628,7 +1622,7 @@ mod tests {
         assert_eq!(out.nics[0].messages, 10_000);
         assert_eq!(out.results, vec![0, 0], "an uncontested turn took the parking lot");
         // Two PEs ask for the same instant: the tie goes through the set.
-        let out = run_on(Engine::Fibers, cfg.clone(), |pe| {
+        let out = run_on(Engine::Fibers, cfg, |pe| {
             let (m, me) = (pe.machine(), pe.id());
             m.barrier_all(me, 0.0);
             let slot = m.nic_turn(me, 100, || m.nic(0).reserve_tx(100, 10, 8));
@@ -1638,11 +1632,6 @@ mod tests {
         let out = out.expect("tied starts");
         assert_eq!((out.results[0].0, out.results[1].0), (100, 110));
         assert!(out.results[0].1 >= 1, "a tie was granted without parking");
-        // A machine driven by hand parks every turn, contested or not.
-        let m = Machine::new(cfg);
-        m.pe_finished(1);
-        assert_eq!(m.nic_turn(0, 50, || 7), 7);
-        assert_eq!(parked_turns(&m), 1);
     }
 
     #[test]

@@ -153,8 +153,8 @@ mod tests {
 
     #[test]
     fn concurrent_reservations_on_one_lane_tile_it_exactly() {
-        // The default engine's concurrency, which the arbiter workloads never
-        // exercise: 8 threads reserve on one lane at once. Every request
+        // A `Nic` is `Sync` on its own, whatever the arbiter above it
+        // serializes: 8 threads reserve on one lane at once. Every request
         // starts at 0, so the lane never idles and the reservations must tile
         // [0, Σ occupancy) with no overlap and no gap.
         const THREADS: u64 = 8;

@@ -77,7 +77,6 @@ pub fn stampede(nodes: usize, cores_per_node: usize) -> MachineConfig {
         compute: ComputeParams { core_gflops: 2.0, local_op_ns: 1.0 },
         stack_bytes: DEFAULT_STACK,
         metrics_window_ns: 0,
-        deterministic_nic: false,
         knobs: Knobs::default(),
     }
 }
@@ -99,7 +98,6 @@ pub fn titan(nodes: usize, cores_per_node: usize) -> MachineConfig {
         compute: ComputeParams { core_gflops: 1.2, local_op_ns: 1.2 },
         stack_bytes: DEFAULT_STACK,
         metrics_window_ns: 0,
-        deterministic_nic: false,
         knobs: Knobs::default(),
     }
 }
@@ -121,7 +119,6 @@ pub fn cray_xc30(nodes: usize, cores_per_node: usize) -> MachineConfig {
         compute: ComputeParams { core_gflops: 2.0, local_op_ns: 1.0 },
         stack_bytes: DEFAULT_STACK,
         metrics_window_ns: 0,
-        deterministic_nic: false,
         knobs: Knobs::default(),
     }
 }
@@ -143,7 +140,6 @@ pub fn generic_smp(cores: usize) -> MachineConfig {
         compute: ComputeParams { core_gflops: 2.5, local_op_ns: 0.8 },
         stack_bytes: DEFAULT_STACK,
         metrics_window_ns: 0,
-        deterministic_nic: false,
         knobs: Knobs::default(),
     }
 }

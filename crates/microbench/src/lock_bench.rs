@@ -138,15 +138,9 @@ mod tests {
 
     #[test]
     fn mcs_beats_naive_spinlock_under_contention() {
-        // Timing-exact: a 1.5x gap on a clean wire that an inherited drop
-        // plan narrows to nothing (0.95x–2.4x under `PGAS_FAULT_PLAN=drop1`),
-        // so pin faults off. The Cray and GASNet comparisons above keep 1.6x
-        // and 6x under drop1 and stay unpinned.
-        let (mcs, naive) = pgas_machine::with_forced_plan(pgas_machine::FaultPlan::none(), || {
-            let mcs =
-                LockBench { acquires: 5, ..LockBench::new(Platform::Titan, Backend::Shmem, 24) };
-            (mcs.run_ms(), naive_spinlock_ms(Platform::Titan, Backend::Shmem, 24, 5))
-        });
+        let mcs = LockBench { acquires: 5, ..LockBench::new(Platform::Titan, Backend::Shmem, 24) };
+        let (mcs, naive) =
+            (mcs.run_ms(), naive_spinlock_ms(Platform::Titan, Backend::Shmem, 24, 5));
         assert!(naive > mcs, "naive {naive:.2}ms vs MCS {mcs:.2}ms");
     }
 

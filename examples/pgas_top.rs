@@ -124,7 +124,7 @@ fn churn_top() {
             with_forced_aggregation(true, || {
                 with_forced_plan(
                     FaultPlan::new(cfg.seed).with_pe_failure(victim_pe, deadline),
-                    || run_churn_outcome(Platform::Titan, Backend::Shmem, images, cfg, true),
+                    || run_churn_outcome(Platform::Titan, Backend::Shmem, images, cfg),
                 )
             })
         })

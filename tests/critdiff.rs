@@ -22,7 +22,7 @@ use pgas_machine::{
 /// plan is always explicit (config beats the `PGAS_FAULT_PLAN` environment
 /// default) so the baseline digest is stable even under the CI fault job.
 fn digest_with(profile: ConduitProfile, plan: FaultPlan) -> RunDigest {
-    let mcfg = stampede(2, 8).with_heap_bytes(1 << 18).with_faults(plan).with_deterministic_nic();
+    let mcfg = stampede(2, 8).with_heap_bytes(1 << 18).with_faults(plan);
     let out = with_forced_tracing(true, || {
         with_forced_metrics(true, || {
             pgas_machine::run(mcfg, move |pe| {

@@ -28,10 +28,9 @@ const SERVING_FIXTURE: &str =
 /// A deterministic, race-free workload touching every op kind the metrics
 /// registry accounts: puts, gets, locks (uncontended instances), sync_all
 /// and a reduction. Every remotely accessed word has a single accessing
-/// image and the layout is one PE per node, so virtual clocks — and
-/// therefore every latency histogram — are independent of host scheduling
-/// (multi-PE nodes arbitrate same-instant NIC reservations in host order,
-/// which would make a byte-exact golden impossible).
+/// image, and the NIC arbiter grants same-instant reservations in
+/// `(start, pe)` order, so virtual clocks — and therefore every latency
+/// histogram — are independent of host scheduling.
 fn workload() -> pgas_machine::SimOutcome<i64> {
     // Pin coalescing off for the same reason as the zero fault plan: the
     // golden fixture records the *direct* op path's metrics, and an ambient
@@ -95,7 +94,7 @@ fn prometheus_export_matches_golden_fixture() {
 /// The open-loop serving scenario behind the `serving_slo` figure's probe:
 /// 9 images on one Titan node, Am-mode writes, worker PE 4 dying at 12 µs.
 /// Every env-sensitive layer is forced (aggregation, checksums, fault plan,
-/// metrics) and the NIC arbiter is deterministic, so the export — including
+/// metrics), so the export — including
 /// the virtual-time *windowed* series the SLO report is computed from — is
 /// byte-stable on any machine and under any CI job's ambient knobs.
 fn serving_workload() -> pgas_machine::SimOutcome<caf_apps::serve::ServeImageOut> {

@@ -162,10 +162,8 @@ proptest! {
             with_forced_tracing(true, || {
                 with_forced_metrics(true, || {
                     let payload = 1usize << payload_pow;
-                    let mcfg = stampede(2, 8)
-                        .with_heap_bytes(1 << 18)
-                        .with_faults(FaultPlan::none())
-                        .with_deterministic_nic();
+                    let mcfg =
+                        stampede(2, 8).with_heap_bytes(1 << 18).with_faults(FaultPlan::none());
                     pgas_machine::run(mcfg, move |pe| {
                         let ctx =
                             Ctx::new(pe, ConduitProfile::mvapich_shmem(), CtxOptions::default());
@@ -203,6 +201,41 @@ proptest! {
             );
         }
     }
+}
+
+/// The paper's figures are pure functions too: each figure's entry point,
+/// run twice on its default configuration with nothing pinned, returns the
+/// same value and leaves the same simulated machine behind — clocks, stats,
+/// NIC totals, metrics. All three contend for a lock, a word or a NIC lane
+/// at overlapping virtual times, two Titan or Stampede nodes apart.
+#[test]
+fn paper_figure_entry_points_repeat_exactly() {
+    use caf_apps::{run_dht_outcome, run_himeno_outcome, DhtConfig, HimenoConfig};
+    use pgas_microbench::LockBench;
+
+    fn twice(what: &str, run: impl Fn() -> String) {
+        assert!(run() == run(), "{what}: two runs of one configuration differ");
+    }
+    fn modelled<R: std::fmt::Debug>(out: &pgas_machine::SimOutcome<R>) -> String {
+        format!("{:?}", (&out.results, &out.clocks, out.stats, &out.nics, &out.metrics))
+    }
+    twice("Fig. 8", || format!("{}", LockBench::new(Platform::Titan, Backend::Shmem, 32).run_ms()));
+    twice("Fig. 9", || {
+        let (r, out) =
+            run_dht_outcome(Platform::Titan, Backend::Shmem, 32, DhtConfig::default(), false);
+        format!("{r:?} {}", modelled(&out))
+    });
+    twice("Fig. 10", || {
+        let naive = Some(StridedAlgorithm::Naive);
+        let (r, out) = run_himeno_outcome(
+            Platform::Stampede,
+            Backend::Shmem,
+            naive,
+            31,
+            HimenoConfig::size_xs(),
+        );
+        format!("{r:?} {}", modelled(&out))
+    });
 }
 
 // ---------- strided algorithms move identical bytes --------------------------

@@ -22,10 +22,7 @@ fn ring_smoke(default_nodes: usize) {
     const CORES: usize = 16;
     let n = nodes * CORES;
 
-    let mcfg = stampede(nodes, CORES)
-        .with_heap_bytes(1 << 12)
-        .with_stack_bytes(1 << 17)
-        .with_deterministic_nic();
+    let mcfg = stampede(nodes, CORES).with_heap_bytes(1 << 12).with_stack_bytes(1 << 17);
     // The sanitizer is pinned off whatever `PGAS_SANITIZER` says: this is a
     // liveness smoke, and `Sanitizer::barrier_join` joins n rows per member
     // per barrier — n² row joins, 4 m 40 s of CPU at 2496 PEs, which the
