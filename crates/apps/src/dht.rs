@@ -286,15 +286,12 @@ mod tests {
     #[test]
     fn lock_handoffs_under_the_arbiter_are_woken_not_timed_out() {
         // One lock per image, eight images queueing on it: a run made of
-        // handoffs. On the fiber engine every one is a notify — no PE's timed
-        // wait runs out and no arbiter grant is left to a backstop tick.
+        // handoffs, every one an unpark. There is no timeout to fall back
+        // on: a wake owed and never sent stalls the job, and the run returns
+        // an error instead of `Ok` (`run_dht_outcome` panics on one).
         let (r, out) = run_dht_outcome(Platform::Titan, Backend::Shmem, 8, small(), true);
         assert_eq!(r.checksum, expected_checksum(8, &small()));
-        if out.engine.os_threads == 1 {
-            assert!(out.engine.fiber_switches > 0);
-            assert_eq!(out.engine.timed_wait_expiries, 0);
-            assert_eq!(out.engine.backstop_grants, 0);
-        }
+        assert!(out.engine.fiber_switches > 0);
     }
 
     #[test]

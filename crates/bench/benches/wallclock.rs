@@ -94,11 +94,6 @@ fn heap_stamps() {
 /// with: what every operation pays when there is no contention.
 fn machine_idle_paths() {
     use pgas_machine::{generic_smp, Machine};
-    let cv = parking_lot::Condvar::new();
-    bench("condvar_notify_no_waiter", None, || {
-        std::hint::black_box(cv.notify_all());
-    });
-
     let m = Machine::new(generic_smp(2).with_heap_bytes(1 << 12));
     let word = m.heap(1).atomic64(0);
     bench("apply_and_notify_idle", None, || {
@@ -179,7 +174,7 @@ fn arbiter_engine() {
         const YIELDS: u64 = 1_000_000;
         let body = |_| (0..YIELDS).for_each(|_| parking_lot::fiber::yield_now());
         let start = Instant::now();
-        parking_lot::fiber::run(2, 64 << 10, body, || unreachable!("yielders never stall"));
+        parking_lot::fiber::run(2, 64 << 10, body, || unreachable!("yielders never idle"));
         let ns = start.elapsed().as_nanos() as f64 / YIELDS as f64;
         report("fiber_switch_round_trip", None, "ns/iter", ns, YIELDS);
     }
@@ -223,6 +218,24 @@ fn arbiter_engine() {
         start.elapsed().as_nanos() as f64 / (2 * ROUNDS) as f64
     });
     report("wait_on_handoff_2pe", None, "ns/handoff", out.results[0], 2 * ROUNDS);
+
+    // 32 PEs asking for the same instant every round: each turn parks, and
+    // the carrier's idle point grants the least key — one park and one grant
+    // per turn, the chain `dht_locked`'s lock handoffs are made of.
+    const CHAIN_ROUNDS: u64 = 1000;
+    let out = pgas_machine::run(generic_smp(32).with_heap_bytes(1 << 12), |pe| {
+        let (m, me) = (pe.machine(), pe.id());
+        m.barrier_all(me, 0.0);
+        let start = Instant::now();
+        for round in 1..=CHAIN_ROUNDS {
+            let t = round * 1000;
+            m.lift_clock(me, t);
+            m.nic_turn(me, t, || m.nic(0).reserve_tx(t, 1, 8));
+        }
+        m.barrier_all(me, 0.0);
+        start.elapsed().as_nanos() as f64 / (32 * CHAIN_ROUNDS) as f64
+    });
+    report("grant_chain_32pe", None, "ns/turn", out.results[0], 32 * CHAIN_ROUNDS);
 
     // A job's fixed cost: build the machine, start every PE, join.
     let cfg = generic_smp(32).with_heap_bytes(1 << 12);

@@ -488,6 +488,9 @@ impl<'m> Ctx<'m> {
         let max = m.fault_plan().map_or(u32::MAX, |p| p.retry.max_attempts);
         let me = self.pe.id();
         let stats = m.stats();
+        // The payload's digest, hashed at most once per transfer however
+        // many attempts it takes (submit has usually hashed it already).
+        let mut digest = self.inflight_crc.get();
         for attempt in 1..=max {
             let Some(kind) = m.fault_draw(me) else {
                 return Ok(());
@@ -502,12 +505,10 @@ impl<'m> Ctx<'m> {
             let mut label = kind.label();
             if kind == pgas_machine::FaultKind::Corrupt && self.checksums {
                 if let Some(data) = payload.filter(|d| !d.is_empty()) {
-                    let expect =
-                        self.inflight_crc.get().unwrap_or_else(|| crate::integrity::crc32(data));
+                    let expect = *digest.get_or_insert_with(|| crate::integrity::crc32(data));
                     let mut wire = data.to_vec();
                     let flip = (attempt as usize - 1) % wire.len();
                     wire[flip] ^= 0xFF;
-                    debug_assert_ne!(crate::integrity::crc32(&wire), expect);
                     if crate::integrity::crc32(&wire) != expect {
                         Stats::bump(&stats.payload_corrupt);
                         verified_corrupt = true;
@@ -557,12 +558,13 @@ impl<'m> Ctx<'m> {
 
     /// Receive-side half of end-to-end verification: with checksums on,
     /// read the just-applied range back from the target heap and check its
-    /// CRC32 against the payload's. Runs inside the target's apply section
-    /// (no concurrent applies can interleave) and charges no virtual time.
-    /// A mismatch here would mean the *simulator* corrupted data in flight
-    /// — injected corruption never reaches this point, the gate catches
-    /// and retries it — so it is a hard failure, not a typed error.
-    fn verify_applied(&self, dst: PeId, off: usize, data: &[u8]) {
+    /// CRC32 against the payload's — `digest` when the caller has it, else
+    /// hashed here. Runs inside the target's apply section (no concurrent
+    /// applies can interleave) and charges no virtual time. A mismatch here
+    /// would mean the *simulator* corrupted data in flight — injected
+    /// corruption never reaches this point, the gate catches and retries it
+    /// — so it is a hard failure, not a typed error.
+    fn verify_applied(&self, dst: PeId, off: usize, data: &[u8], digest: Option<u32>) {
         if !self.checksums || data.is_empty() {
             return;
         }
@@ -570,7 +572,7 @@ impl<'m> Ctx<'m> {
         self.machine().heap(dst).read_bytes(off, &mut back);
         assert_eq!(
             crate::integrity::crc32(&back),
-            crate::integrity::crc32(data),
+            digest.unwrap_or_else(|| crate::integrity::crc32(data)),
             "end-to-end CRC32 mismatch applying {} bytes at PE {dst} offset {off}",
             data.len()
         );
@@ -801,7 +803,7 @@ impl<'m> Ctx<'m> {
                 m.apply_and_notify(op.dst, || match &op.payload {
                     StagedPayload::Put(data) => {
                         m.heap(op.dst).write_bytes(op.off, data);
-                        self.verify_applied(op.dst, op.off, data);
+                        self.verify_applied(op.dst, op.off, data, None);
                         m.heap(op.dst).stamp_range(op.off, data.len(), t.remote_complete);
                         m.san_record_write(
                             op.dst,
@@ -890,7 +892,8 @@ impl<'m> Ctx<'m> {
         // under the arbiter.
         m.apply_and_notify(dst, || {
             m.heap(dst).write_bytes(dst_off, src);
-            self.verify_applied(dst, dst_off, src);
+            // Submit hashed exactly these bytes.
+            self.verify_applied(dst, dst_off, src, self.inflight_crc.get());
             m.heap(dst).stamp_range(dst_off, src.len(), t.remote_complete);
             m.san_record_write(
                 dst,

@@ -1,11 +1,12 @@
 //! SPMD launcher: run the program closure once per PE, propagate panics
 //! without deadlocking the rest of the job.
 //!
-//! Every launched machine runs under the virtual-time NIC arbiter. Two
-//! substrates run the same PE body (DESIGN.md, "Execution engines"): where
-//! the fiber switch exists, the PEs are fibers on the launching thread
-//! (`parking_lot::fiber`), a blocked PE a parked stack and a handoff a stack
-//! switch; every other target spawns one OS thread per PE.
+//! Every launched machine runs under the virtual-time NIC arbiter, its PEs
+//! as fibers of one carrier of which exactly one runs at a time (DESIGN.md,
+//! "Execution engines"): where the fiber switch exists, stackful fibers on
+//! the launching thread (`parking_lot::fiber`), a blocked PE a parked stack
+//! and a handoff a stack switch; on every other target the baton carrier
+//! (`parking_lot::baton`), one OS thread per PE passing a baton.
 
 use crate::config::MachineConfig;
 use crate::critpath::CriticalPathReport;
@@ -30,16 +31,11 @@ pub struct NicSnapshot {
 /// and are equal whichever engine ran it).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// OS threads that ran PE bodies: the PE count on the thread engine, 1
-    /// (the launching thread) on fibers.
+    /// OS threads that ran PE bodies: 1 (the launching thread) on fibers,
+    /// the PE count on the baton carrier.
     pub os_threads: usize,
-    /// Times a PE fiber was given the carrier (0 on the thread engine).
+    /// Times a PE was given the carrier.
     pub fiber_switches: u64,
-    /// Timed waits of PE fibers that ran out, i.e. wakes that were owed and
-    /// not sent (0 on the thread engine, where the kernel keeps no count).
-    pub timed_wait_expiries: u64,
-    /// NIC-arbiter grants that only a backstop expiry discovered.
-    pub backstop_grants: u64,
 }
 
 /// Everything a finished simulation reports.
@@ -173,13 +169,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// What runs the PE bodies of a job.
+/// What carries the PE fibers of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Engine {
-    /// One OS thread per PE.
-    Threads,
-    /// One fiber per PE, all on the launching thread.
+    /// Stackful fibers on the launching thread.
     Fibers,
+    /// One OS thread per PE, passing a baton.
+    Baton,
 }
 
 impl Engine {
@@ -191,12 +187,12 @@ impl Engine {
         if parking_lot::fiber::SUPPORTED {
             Engine::Fibers
         } else {
-            Engine::Threads
+            Engine::Baton
         }
     }
 }
 
-/// One PE's whole life, on either engine.
+/// One PE's whole life, on either carrier.
 fn pe_body<F, R>(machine: &Machine, f: &F, id: PeId) -> std::thread::Result<R>
 where
     F: Fn(Pe<'_>) -> R,
@@ -237,54 +233,37 @@ where
     F: Fn(Pe<'_>) -> R + Send + Sync,
     R: Send,
 {
-    let machine: Arc<Machine> = Machine::new_on(cfg, Some(engine == Engine::Fibers));
+    parking_lot::fiber::keep_freed_memory();
+    let machine: Arc<Machine> = Machine::new_on(cfg, true);
     let n = machine.num_pes();
     let name = machine.config().name.clone();
     let stack = machine.config().stack_bytes;
-    let mut engine_stats = EngineStats::default();
 
-    let ended: Vec<std::thread::Result<R>> = match engine {
-        Engine::Threads => std::thread::scope(|scope| {
-            engine_stats.os_threads = n;
-            let handles: Vec<_> = (0..n)
-                .map(|id| {
-                    let (machine, f) = (&machine, &f);
-                    std::thread::Builder::new()
-                        .name(format!("pe-{id}"))
-                        .stack_size(stack)
-                        .spawn_scoped(scope, move || pe_body(machine, f, id))
-                        .expect("failed to spawn PE thread")
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().and_then(|out| out)).collect()
-        }),
-        Engine::Fibers => {
-            // No fiber can run again: say why, then bring the job down the
-            // way a panic does, so every wait unwinds through its poison
-            // check.
-            let mut deadlock = None;
-            let (ended, ran) = parking_lot::fiber::run(
-                n,
-                stack,
-                |id| pe_body(&machine, &f, id),
-                || {
-                    if deadlock.is_none() {
-                        deadlock = machine.stall_report();
-                    }
-                    machine.poison().poison();
-                    machine.interrupt_all();
-                },
-            );
-            if let Some((pe, message)) = deadlock {
-                return Err(SimError { pe, message });
-            }
-            engine_stats.os_threads = 1;
-            engine_stats.fiber_switches = ran.switches;
-            engine_stats.timed_wait_expiries = ran.expiries;
-            ended.into_iter().map(|out| out.and_then(|out| out)).collect()
+    // The carrier's idle point: grant the least parked NIC turn, or — no PE
+    // can ever run again — say why, then bring the job down the way a panic
+    // does, so every wait unwinds through its poison check.
+    let mut deadlock = None;
+    let body = |id| pe_body(&machine, &f, id);
+    let on_idle = || {
+        if machine.grant_idle() {
+            return true;
         }
+        if deadlock.is_none() {
+            deadlock = machine.stall_report();
+        }
+        machine.poison().poison();
+        machine.interrupt_all()
     };
-    engine_stats.backstop_grants = machine.arb_backstop_grants();
+    let (ended, ran) = match engine {
+        Engine::Fibers => parking_lot::fiber::run(n, stack, body, on_idle),
+        Engine::Baton => parking_lot::baton::run(n, stack, body, on_idle),
+    };
+    let os_threads = if engine == Engine::Fibers && parking_lot::fiber::SUPPORTED { 1 } else { n };
+    if let Some((pe, message)) = deadlock {
+        return Err(SimError { pe, message });
+    }
+    let engine_stats = EngineStats { os_threads, fiber_switches: ran.switches };
+    let ended = ended.into_iter().map(|out| out.and_then(|out| out));
     let slots: Vec<Result<R, SimError>> = ended
         .into_iter()
         .enumerate()
@@ -454,6 +433,62 @@ mod tests {
         assert!(lines[2].starts_with("PE 1 at 200 ns: wait_on: predicate false"), "{lines:?}");
         assert_eq!(lines[3], "PE 2 at 0 ns: barrier(all) round 0, 1 of 4 arrived", "{lines:?}");
         assert_eq!(lines.len(), 4, "the finished PE is not listed: {lines:?}");
+    }
+
+    #[test]
+    fn a_write_without_a_notify_is_a_stall_naming_the_word() {
+        use std::sync::atomic::Ordering;
+        // PE 0 waits for its word; PE 1 stores to it behind the machine's
+        // back — no `apply_and_notify`, so no wake — and finishes. Nothing
+        // can ever unpark PE 0: an error at once, on either carrier.
+        for engine in [Engine::Fibers, Engine::Baton] {
+            let began = std::time::Instant::now();
+            let err = run_on(engine, generic_smp(2), |pe| {
+                let (m, me) = (pe.machine(), pe.id());
+                let word = m.heap(0).atomic64(0x80);
+                if me == 0 {
+                    m.wait_on_word(0, 0x80, || word.load(Ordering::Acquire) == 1);
+                } else {
+                    word.store(1, Ordering::Release);
+                }
+            })
+            .unwrap_err();
+            let took = began.elapsed();
+            assert!(took < std::time::Duration::from_millis(500), "{engine:?} took {took:?}");
+            assert_eq!(err.pe, 0, "{engine:?}");
+            let polled = "PE 0 at 0 ns: wait_on(word at offset 0x80 of PE 0): predicate false";
+            assert!(err.message.contains(polled), "{engine:?}: {}", err.message);
+        }
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn back_to_back_launches_reuse_their_memory() {
+        // Minor faults of the calling thread: field 10 of its stat line.
+        fn minor_faults() -> usize {
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+            let fields = &stat[stat.rfind(')').unwrap() + 2..];
+            fields.split(' ').nth(7).unwrap().parse().unwrap()
+        }
+        const HEAP: usize = 512 << 10;
+        let cfg = generic_smp(32).with_heap_bytes(HEAP);
+        // Words and stamps, every page written (zeroed at build, then by the
+        // PE).
+        let heap_pages = 32 * 2 * HEAP / 4096;
+        let launch = || {
+            let before = minor_faults();
+            run(cfg.clone(), |pe| {
+                let heap = pe.machine().heap(pe.id());
+                (0..HEAP).step_by(4096).for_each(|off| heap.write_bytes(off, &[1]));
+            });
+            minor_faults() - before
+        };
+        launch();
+        launch();
+        for _ in 0..2 {
+            let faults = launch();
+            assert!(faults < heap_pages / 10, "{faults} minor faults for {heap_pages} heap pages");
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@ use crate::stats::{FaultEvent, Stats};
 use crate::stream::{SnapshotRing, StreamConfig, StreamSample};
 use crate::sync::{ClockBarrier, NotifyCell, Poison};
 use crate::trace::{Span, SpanKind, Tracer};
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use parking_lot::{fiber, Mutex};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Index of a processing element, `0..total_pes`.
@@ -60,84 +61,57 @@ impl StreamState {
 /// [`Nic::reserve`] grants lane occupancy first-come-first-served in *real*
 /// time, so when several PEs contend with overlapping virtual windows the
 /// per-PE split of queueing delay would follow host scheduling. The arbiter
-/// makes it a pure function of the program by granting whole
-/// reservation sequences in `(virtual start, pe)` order: a request parks,
-/// and is granted once it is the minimum parked key and every other PE
-/// provably cannot issue an earlier one — its *horizon*, the earliest
-/// virtual time at which it could still issue a request, is past `start`.
-/// A PE's horizon is its clock while it can run (clocks are monotone) and
-/// `u64::MAX` while it is parked itself (comparable by key), quiescent
-/// (blocked in a barrier/`wait_on`) or finished.
+/// makes it a pure function of the program by granting whole reservation
+/// sequences in `(virtual start, pe)` order: a request is granted once it is
+/// the least request held or still possible — no other PE could still issue
+/// an earlier one. What a PE could still issue is its *horizon*: its clock
+/// while it can run (clocks are monotone), its key's start while it has a
+/// request parked, `u64::MAX` while it is quiescent (blocked in a
+/// barrier/`wait_on`) or finished.
+///
+/// **The scheduler grants.** Every PE is a fiber of one carrier, and only
+/// the PE that runs can move anything. A request that no horizon precedes
+/// is granted at once ([`Machine::nic_turn_ctx`]); any other parks its key
+/// and its fiber. When no fiber can run, every unfinished PE is parked in a
+/// turn, a `wait_on` or a barrier, so nothing can precede the least parked
+/// key any more, and the carrier's idle point grants it: one unpark
+/// ([`Machine::grant_idle`]). Waiting for the idle point cannot let a
+/// smaller key in: a runnable PE at or below the key's start would block the
+/// grant anyway, and one past it can only park later keys. Nobody wakes a
+/// parked key but the grant, so there is no wake to lose.
 ///
 /// The quiescent rule is conservative for barrier waits — a PE blocked in a
 /// barrier cannot be released while the granted PE is still parked short of
 /// it — and airtight for `wait_on` waits: a write that may satisfy a
 /// waiter's predicate is published through [`Machine::apply_and_notify`],
-/// which withdraws the waiter's quiescence in the same critical section as
-/// the write, so no grant check can ever see "write landed, waiter still
-/// quiescent" (which would tie-break reservation order on wake latency).
-/// The residual caveat is predicates that turn true *without* a notifying
-/// write — e.g. `pe_failed` flips during a fault plan — where wake latency
-/// can still tie-break; fault-plan runs should not claim deterministic
-/// digests.
+/// which gives the waiter its horizon back in the same critical section as
+/// the write. The residual caveat is predicates that turn true *without* a
+/// notifying write — e.g. `pe_failed` flips during a fault plan.
 ///
-/// **Who wakes the minimum.** Only the minimum key's holder can be granted,
-/// and its grant check reads state other PEs change without touching the
-/// arbiter, so those PEs wake it — exactly when they stop blocking it:
-/// a clock movement that *crosses* its start (`prev <= start < next`), and
-/// parking, going quiescent or finishing while `clock <= start`. Adding a
-/// blocker (un-quiescing, removing one's own key) wakes nobody. A key that
-/// becomes the minimum because a smaller one was removed is woken by the
-/// remover. Every wake is sent with the `parked` mutex held to the set's
-/// actual minimum, and the grant check runs under that mutex, so a wake
-/// finds its target either asleep or yet to check — it cannot be lost, and
-/// the minimum's timed wait is a backstop a healthy run never needs
-/// (`backstop_grants` counts the times it was). Whether to take the mutex at
-/// all is decided from `min_start` by a Dekker handshake, see
-/// [`Machine::arb_unblocked`].
-///
-/// **Lock order:** `NotifyCell.lock` → `parked`. `wait_on`'s sleep hook wakes
-/// the minimum while holding the waiter's cell; nothing may take a cell
-/// (e.g. through [`Machine::apply_and_notify`]) while holding `parked` —
-/// which is why a granted turn runs its reservation with `parked` dropped.
+/// **Orderings.** Every field is read and written only by the one PE that
+/// runs, or by the carrier's idle point while none does. On the baton
+/// carrier consecutive holders are different OS threads, and the handoff
+/// goes through the baton's mutex, whose release/acquire orders everything
+/// before it; so the atomics here are `Relaxed` (they are atomics only to
+/// keep the machine `Sync` without `unsafe`).
 struct ArbiterState {
-    /// Every PE runs as a fiber on one carrier thread ([`Machine::new_on`]),
-    /// so nothing preempts a PE between two waits: what the uncontested
-    /// grant of [`Machine::nic_turn_ctx`] and the fence-free handshake need.
-    one_carrier: bool,
-    /// Parked requests, at most one per PE, ordered by `(start, pe, ctx)`:
-    /// the context channel id is part of the key, so ops issued on
-    /// different per-context NIC channels park as distinct requests (a PE
-    /// still parks at most one at a time — its thread is sequential — so
-    /// the cross-PE grant order is decided by `(start, pe)` exactly as
-    /// before; the ctx component is attribution, not tie-breaking).
-    parked: Mutex<BTreeSet<TurnKey>>,
-    /// One condvar per PE (all guarded by the `parked` mutex): only the
-    /// holder of the *minimum* parked key can ever be granted, so wakes
-    /// target exactly that thread instead of broadcasting to every parked
-    /// PE — at 1024+ images a shared-condvar broadcast per clock movement
-    /// is a thundering herd that dominates wall time.
-    cvs: Vec<Condvar>,
-    /// `start` of the minimum parked key (`u64::MAX` when nothing is
-    /// parked), stored under the `parked` mutex on every insert/remove.
-    /// PEs read it lock-free to decide whether what they just did unblocked
-    /// the minimum; the wake itself never trusts it (it re-reads the set).
-    min_start: AtomicU64,
-    /// Grants that a backstop expiry discovered: a parked PE's timed wait ran
-    /// out unnotified and the re-check granted, i.e. the wake it was owed had
-    /// not come. Stays 0 unless the wake rules above have a hole — or, once
-    /// in a long while, an expiry lands between a sender publishing its
-    /// change and taking the mutex to send the wake.
-    backstop_grants: AtomicU64,
-    /// Per PE, the earliest virtual time at which it could still issue a NIC
-    /// request; the grant check is `horizon[q] <= start` over this one array.
-    /// The PE's clock while it can run, stored beside every clock store.
-    /// `u64::MAX` from when it parks a key (under `parked`), arrives at a
-    /// barrier, sleeps in `wait_on` (under its notify lock) or finishes; its
-    /// clock again when it removes its key, leaves `wait_on` or has that
-    /// quiescence withdrawn by [`Machine::apply_and_notify`] (same locks),
-    /// or a barrier's completing arrival releases it (under the barrier lock).
+    /// Parked requests, at most one per PE, least `(start, pe, ctx)` first:
+    /// the context channel id is part of the key, so ops issued on different
+    /// per-context NIC channels park as distinct requests (a PE still parks
+    /// at most one at a time, so the grant order is decided by `(start, pe)`;
+    /// the ctx component is attribution, not tie-breaking).
+    parked: Mutex<BinaryHeap<Reverse<TurnKey>>>,
+    /// Per PE, the earliest virtual time at which it holds or could still
+    /// issue a NIC request (see above); the grant check is over this one
+    /// array. Stored beside every clock store, on parking and on the grant;
+    /// `u64::MAX` from when it arrives at a barrier, sleeps in `wait_on`
+    /// (under its notify lock) or finishes; its clock again when it leaves
+    /// `wait_on` or has that quiescence withdrawn by
+    /// [`Machine::apply_and_notify`] (same lock), or a barrier's completing
+    /// arrival releases it.
     horizon: Vec<AtomicU64>,
+    /// PEs with a key in `parked`. Set on parking, cleared by the grant.
+    in_turn: Vec<AtomicBool>,
     /// Non-zero for PEs whose quiescence comes from `wait_on` (as opposed to
     /// a barrier): a write published through [`Machine::apply_and_notify`]
     /// may satisfy their predicate, so it must withdraw their quiescence in
@@ -193,14 +167,12 @@ impl Machine {
     /// waits for every other PE to run or park, which none here ever does —
     /// and [`Self::nic_turn`] is a passthrough.
     pub fn new(cfg: MachineConfig) -> Arc<Machine> {
-        Machine::new_on(cfg, None)
+        Machine::new_on(cfg, false)
     }
 
-    /// [`Self::new`], or with `Some(one_carrier)` the launcher's machine: it
-    /// runs every PE and so always arbitrates. `one_carrier` promises that
-    /// every call into this machine comes from a fiber of one
-    /// `parking_lot::fiber::run` on the launching thread.
-    pub(crate) fn new_on(cfg: MachineConfig, one_carrier: Option<bool>) -> Arc<Machine> {
+    /// [`Self::new`], or with `launched` the launcher's machine: it runs
+    /// every PE as a fiber of one carrier, and so always arbitrates.
+    pub(crate) fn new_on(cfg: MachineConfig, launched: bool) -> Arc<Machine> {
         cfg.validate().expect("invalid machine configuration");
         let n = cfg.total_pes();
         let knobs = Knobs::resolve(&cfg);
@@ -209,13 +181,10 @@ impl Machine {
             FaultState::new(plan, n)
         });
         let stream = knobs.stream.value.clone().map(StreamState::new);
-        let arbiter = one_carrier.map(|one_carrier| ArbiterState {
-            one_carrier,
-            parked: Mutex::new(BTreeSet::new()),
-            cvs: (0..n).map(|_| Condvar::new()).collect(),
-            min_start: AtomicU64::new(u64::MAX),
-            backstop_grants: AtomicU64::new(0),
+        let arbiter = launched.then(|| ArbiterState {
+            parked: Mutex::new(BinaryHeap::new()),
             horizon: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            in_turn: (0..n).map(|_| AtomicBool::new(false)).collect(),
             in_wait_on: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             finished: (0..n).map(|_| AtomicBool::new(false)).collect(),
             #[cfg(test)]
@@ -511,9 +480,7 @@ impl Machine {
             }
         }
         drop(subsets);
-        for p in &self.pes {
-            p.notify.notify();
-        }
+        self.interrupt_all();
     }
 
     /// Check `pe` against its scheduled death instant at clock value `now`.
@@ -615,165 +582,65 @@ impl Machine {
     /// context). The channel id rides in the parked key, so grants —
     /// and the spans they order — attribute to the issuing context.
     ///
-    /// **The uncontested grant.** On one carrier, a request whose `start` is
-    /// strictly below every parked key's, unpoisoned and with no blocker,
-    /// *is* the grant [`Self::nic_turn_parked`] would reach at the first
-    /// check of its loop, so `f` runs here and the parking lot is not
-    /// touched. It is the same turn, not merely the same answer, because:
-    /// (1) one carrier ⇒ nothing preempts a PE between two `Condvar` waits
-    /// (DESIGN.md, "Yield points"), so the check and `f()` are one step to
-    /// every other PE; (2) no turn closure in the tree waits or moves the
-    /// caller's clock (`cost.rs`, `ctx.rs` ×4, the benchmark's ladder), so
-    /// when `f` returns the minimum the caller was below is still blocked by
-    /// it and the wake a remover owes would tell it nothing; (3) a
-    /// granted-but-unparked PE blocks every later key through its own
-    /// horizon exactly as its parked key did, until its clock crosses them
-    /// and [`Self::arb_unblocked`] wakes them. A tie, a smaller parked key, a
-    /// blocker or poison parks; so does every turn on threads.
+    /// A request that no other PE's horizon precedes, unpoisoned, is granted
+    /// here: `f` runs at once and the parking lot is not touched. Nothing
+    /// else can run between the check and `f` (one carrier, and no turn
+    /// closure in the tree waits or moves the caller's clock: `cost.rs`,
+    /// `ctx.rs` ×4, the benchmark's ladder). Any other request parks until
+    /// the idle point grants it (`Self::grant_idle`).
     pub fn nic_turn_ctx<R>(&self, pe: PeId, ctx: u32, start: u64, f: impl FnOnce() -> R) -> R {
         let Some(arb) = &self.arbiter else { return f() };
-        if arb.one_carrier
-            && start < arb.min_start.load(Ordering::Acquire)
-            && !self.poison.is_poisoned()
-            && Self::arb_blocker(arb, start, pe).is_none()
-        {
-            debug_assert!(parking_lot::fiber::is_fiber(), "one_carrier promised PE fibers");
+        if !self.poison.is_poisoned() && Self::arb_blocker(arb, start, pe).is_none() {
+            debug_assert!(fiber::is_fiber(), "a launched machine runs its PEs as fibers");
             return f();
         }
-        self.nic_turn_parked(arb, pe, ctx, start, f)
-    }
-
-    fn nic_turn_parked<R>(
-        &self,
-        arb: &ArbiterState,
-        pe: PeId,
-        ctx: u32,
-        start: u64,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        debug_assert!(start < u64::MAX, "u64::MAX is the nothing-parked value of min_start");
         #[cfg(test)]
         arb.parked_turns.fetch_add(1, Ordering::Relaxed);
-        let key = (start, pe, ctx);
-        let mut parked = arb.parked.lock();
-        let inserted = parked.insert(key);
-        debug_assert!(inserted, "a PE parks at most one NIC request at a time");
-        arb.horizon[pe].store(u64::MAX, Ordering::Release);
-        Self::arb_cache_min(arb, &parked);
-        // Parking makes this PE "comparable by key": if it was blocking the
-        // minimum (and isn't the minimum itself), that can complete the
-        // minimum's grant condition.
-        let min = *parked.first().expect("own key is parked");
-        if min != key && self.clock(pe) <= min.0 {
-            arb.cvs[min.1].notify_all();
-        }
-        let mut backstop_expired = false;
-        loop {
+        arb.parked.lock().push(Reverse((start, pe, ctx)));
+        arb.in_turn[pe].store(true, Ordering::Relaxed);
+        arb.horizon[pe].store(start, Ordering::Relaxed);
+        while arb.in_turn[pe].load(Ordering::Relaxed) {
             if self.poison.is_poisoned() {
-                self.arb_unpark(arb, &mut parked, key);
-                drop(parked);
+                arb.parked.lock().retain(|&Reverse(key)| key.1 != pe);
+                arb.in_turn[pe].store(false, Ordering::Relaxed);
+                arb.horizon[pe].store(self.clock(pe), Ordering::Relaxed);
                 self.poison.check(); // panics
-                unreachable!("poison.check() panics when poisoned");
             }
-            let min = *parked.first().expect("own key is parked");
-            if min == key && Self::arb_grantable(arb, start, pe) {
-                if backstop_expired {
-                    arb.backstop_grants.fetch_add(1, Ordering::Relaxed);
-                }
-                break;
-            }
-            // Every wake this thread is owed — on becoming the minimum, and
-            // as the minimum whenever a blocker goes away — is sent under
-            // the mutex held here, so none can be missed; the timeout only
-            // bounds the damage if that protocol ever has a hole (and lets
-            // poison be noticed). The minimum's is short because it stalls
-            // the whole grant chain.
-            let tick =
-                if min == key { crate::sync::WAIT_TICK_MIN } else { crate::sync::WAIT_TICK_IDLE };
-            backstop_expired = arb.cvs[pe].wait_for(&mut parked, tick).timed_out();
+            fiber::park();
         }
-        // Keep the key parked while reserving: it blocks every later key, so
-        // grants are mutually exclusive without a separate lock. `f` may take
-        // a `NotifyCell.lock`, which orders before `parked`.
+        f()
+    }
+
+    /// The carrier's idle point: no PE can run, so grant the least parked
+    /// key unless some PE could still issue an earlier request — the grant
+    /// is one unpark. Whether a PE was made runnable; `false` with nothing
+    /// grantable, which on the idle point means the job is stalled.
+    pub(crate) fn grant_idle(&self) -> bool {
+        let Some(arb) = &self.arbiter else { return false };
+        let mut parked = arb.parked.lock();
+        let Some(&Reverse((start, pe, _))) = parked.peek() else { return false };
+        if Self::arb_blocker(arb, start, pe).is_some() {
+            return false;
+        }
+        parked.pop();
         drop(parked);
-        let out = f();
-        self.arb_unpark(arb, &mut arb.parked.lock(), key);
-        out
+        arb.horizon[pe].store(self.clock(pe), Ordering::Relaxed);
+        arb.in_turn[pe].store(false, Ordering::Relaxed);
+        fiber::unpark(pe)
     }
 
-    /// Take `key` (the calling PE's) out of the locked set: the PE can run
-    /// again, so its horizon is its clock. Whoever is the minimum now has not
-    /// evaluated its grant condition as the minimum yet and is woken.
-    /// (Often this PE, no longer parked, still blocks it until its next
-    /// crossing and the wake is early; withholding it then measured slower
-    /// end to end on `serve_mixed` — CHANGES.md, PR 13.)
-    fn arb_unpark(&self, arb: &ArbiterState, parked: &mut BTreeSet<TurnKey>, key: TurnKey) {
-        parked.remove(&key);
-        arb.horizon[key.1].store(self.clock(key.1), Ordering::Release);
-        Self::arb_cache_min(arb, parked);
-        Self::arb_wake_min(arb, parked);
-    }
-
-    /// Refresh the cached minimum start. Call with the `parked` mutex held,
-    /// after every insert/remove.
-    fn arb_cache_min(arb: &ArbiterState, parked: &BTreeSet<TurnKey>) {
-        let min_start = parked.first().map_or(u64::MAX, |&(start, _, _)| start);
-        arb.min_start.store(min_start, Ordering::Release);
-    }
-
-    /// Wake the holder of the minimum parked key, if any. Takes the locked
-    /// set: the target is read from it, and because the minimum checks its
-    /// grant condition and goes to sleep under the same mutex, the wake
-    /// reaches it asleep or before its next check — never in between.
-    fn arb_wake_min(arb: &ArbiterState, parked: &BTreeSet<TurnKey>) {
-        if let Some(&(_, min_pe, _)) = parked.first() {
-            arb.cvs[min_pe].notify_all();
-        }
-    }
-
-    /// The calling PE just stopped blocking every parked start in
-    /// `[lo, hi)` — its clock moved from `lo` to `hi`, or it went quiescent
-    /// or finished at clock `lo` (`hi = u64::MAX`). Wake the minimum if its
-    /// start is one of them.
-    ///
-    /// One half of a Dekker handshake with [`Self::arb_grantable`]. Here:
-    /// publish the change (the caller's store) → `SeqCst` fence → load
-    /// `min_start`. There: `min_start` stored under the mutex → `SeqCst`
-    /// fence → load the other PEs' horizons. So either this load sees
-    /// the minimum and the wake goes out under the mutex, or the minimum's
-    /// check sees the change. A stale `min_start` belongs to a key that has
-    /// since been granted or displaced; a displaced key is woken by the
-    /// remover when it is the minimum again, and checks afresh. (On one
-    /// carrier both sides skip the fence: the handshake needs two threads.)
-    #[inline]
-    fn arb_unblocked(arb: &ArbiterState, lo: u64, hi: u64) {
-        if !arb.one_carrier {
-            fence(Ordering::SeqCst);
-        }
-        let min_start = arb.min_start.load(Ordering::Acquire);
-        if lo <= min_start && min_start < hi {
-            Self::arb_wake_min(arb, &arb.parked.lock());
-        }
-    }
-
-    /// Grant condition for a parked minimum `(start, pe)`: no other PE could
-    /// still issue a request at or before `start`. Call with the `parked`
-    /// mutex held; the fence is the minimum's half of the handshake in
-    /// [`Self::arb_unblocked`].
-    fn arb_grantable(arb: &ArbiterState, start: u64, pe: PeId) -> bool {
-        if !arb.one_carrier {
-            fence(Ordering::SeqCst);
-        }
-        Self::arb_blocker(arb, start, pe).is_none()
-    }
-
-    /// The first PE other than `pe` that could still issue a request at or
-    /// before `start`, if any: it can run (is not quiescent, parked or
-    /// finished) and its monotone clock is not strictly past `start`.
+    /// The first PE other than `pe` that holds or could still issue a
+    /// request before `(start, pe)`, if any: its horizon is at or before
+    /// `start`, unless that is a parked key tied with `start` and of a later
+    /// PE (which `(start, pe)` precedes).
     #[inline]
     fn arb_blocker(arb: &ArbiterState, start: u64, pe: PeId) -> Option<PeId> {
-        let blocks = |(q, h): (PeId, &AtomicU64)| h.load(Ordering::Acquire) <= start && q != pe;
-        arb.horizon.iter().enumerate().position(blocks)
+        arb.horizon.iter().enumerate().position(|(q, h)| {
+            let h = h.load(Ordering::Relaxed);
+            h <= start
+                && q != pe
+                && (h < start || q < pe || !arb.in_turn[q].load(Ordering::Relaxed))
+        })
     }
 
     /// Mark `pe` unable to issue NIC requests until externally unblocked:
@@ -782,46 +649,36 @@ impl Machine {
     #[inline]
     fn arb_quiesce(&self, pe: PeId) {
         if let Some(arb) = &self.arbiter {
-            arb.horizon[pe].store(u64::MAX, Ordering::Release);
-            Self::arb_unblocked(arb, self.clock(pe), u64::MAX);
+            arb.horizon[pe].store(u64::MAX, Ordering::Relaxed);
         }
     }
 
-    /// A barrier's completing arrival, under the barrier lock, *before* the
-    /// waiters wake: a released-but-unscheduled PE must not look quiescent,
-    /// or reservations could be granted out of virtual-time order. A member
+    /// A barrier's completing arrival, *before* the waiters are unparked: a
+    /// released PE that has not run yet must not look quiescent, or
+    /// reservations could be granted out of virtual-time order. A member
     /// that died left the group instead of arriving — it may be parked in a
     /// turn, asleep in `wait_on` or gone — and its horizon says so already.
     fn arb_release(&self, group: impl Iterator<Item = PeId>) {
         let Some(arb) = &self.arbiter else { return };
         for q in group.filter(|&q| !self.pe_failed(q)) {
-            arb.horizon[q].store(self.clock(q), Ordering::Release);
+            arb.horizon[q].store(self.clock(q), Ordering::Relaxed);
         }
     }
 
-    /// `pe`, running, moved its clock from `prev` to `next`: that is its
-    /// horizon now, and the arbiter's minimum is woken if the move crossed
-    /// its start. One branch when no arbiter; a store and a load (and, off
-    /// the carrier, a fence) when the move crossed nothing.
+    /// `pe`, running, moved its clock to `next`: that is its horizon now.
+    /// One branch when no arbiter, a store with one.
     #[inline]
-    fn arb_clock_moved(&self, pe: PeId, prev: u64, next: u64) {
+    fn arb_clock_moved(&self, pe: PeId, next: u64) {
         if let Some(arb) = &self.arbiter {
-            arb.horizon[pe].store(next, Ordering::Release);
-            Self::arb_unblocked(arb, prev, next);
+            arb.horizon[pe].store(next, Ordering::Relaxed);
         }
-    }
-
-    /// Grants on this machine that only a backstop expiry discovered (see
-    /// [`ArbiterState::backstop_grants`]); 0 without an arbiter.
-    pub(crate) fn arb_backstop_grants(&self) -> u64 {
-        self.arbiter.as_ref().map_or(0, |arb| arb.backstop_grants.load(Ordering::Relaxed))
     }
 
     /// Mark `pe`'s program closure finished (launcher hook): permanently
     /// quiescent for NIC arbitration.
     pub(crate) fn pe_finished(&self, pe: PeId) {
         if let Some(arb) = &self.arbiter {
-            arb.finished[pe].store(true, Ordering::Release);
+            arb.finished[pe].store(true, Ordering::Relaxed);
         }
         self.arb_quiesce(pe);
     }
@@ -844,7 +701,7 @@ impl Machine {
         self.pes[pe].clock.store(next, Ordering::Release);
         self.poll_failure(pe, next);
         self.stream_tick(next);
-        self.arb_clock_moved(pe, prev, next);
+        self.arb_clock_moved(pe, next);
         next
     }
 
@@ -856,7 +713,7 @@ impl Machine {
         self.pes[pe].clock.store(next, Ordering::Release);
         self.poll_failure(pe, next);
         self.stream_tick(next);
-        self.arb_clock_moved(pe, prev, next);
+        self.arb_clock_moved(pe, next);
         next
     }
 
@@ -882,8 +739,8 @@ impl Machine {
         self.pes[pe].notify.notify_applying(|| {
             let out = f();
             if let Some(arb) = &self.arbiter {
-                if arb.in_wait_on[pe].load(Ordering::Acquire) != 0 {
-                    arb.horizon[pe].store(self.clock(pe), Ordering::Release);
+                if arb.in_wait_on[pe].load(Ordering::Relaxed) != 0 {
+                    arb.horizon[pe].store(self.clock(pe), Ordering::Relaxed);
                 }
             }
             out
@@ -908,7 +765,7 @@ impl Machine {
         // The predicate only runs under the notify lock, so the waiter sees
         // all or none of a write published through `apply_and_notify` (value,
         // stamp, sanitizer record). Under the arbiter, quiescence is asserted
-        // there right before every sleep and withdrawn there on exit: a
+        // there right before every park and withdrawn there on exit: a
         // waiter is flagged quiescent only while no satisfying write has
         // been observed.
         let arb = self.arbiter.as_ref();
@@ -917,58 +774,46 @@ impl Machine {
             pred,
             || {
                 let Some(arb) = arb else { return };
-                arb.in_wait_on[pe].store(name, Ordering::Release);
-                arb.horizon[pe].store(u64::MAX, Ordering::Release);
-                // Runs under `pe`'s notify lock (lock order notify → parked).
-                Self::arb_unblocked(arb, self.clock(pe), u64::MAX);
+                arb.in_wait_on[pe].store(name, Ordering::Relaxed);
+                arb.horizon[pe].store(u64::MAX, Ordering::Relaxed);
             },
             || {
                 let Some(arb) = arb else { return };
-                arb.horizon[pe].store(self.clock(pe), Ordering::Release);
-                arb.in_wait_on[pe].store(0, Ordering::Release);
+                arb.horizon[pe].store(self.clock(pe), Ordering::Relaxed);
+                arb.in_wait_on[pe].store(0, Ordering::Relaxed);
             },
         );
     }
 
-    /// Interrupt all waiting threads so they observe poison.
-    pub fn interrupt_all(&self) {
-        self.global_barrier.interrupt();
-        for pe in &self.pes {
-            pe.notify.interrupt();
-        }
-        for (_, b) in self.subset_barriers.lock().iter() {
-            b.interrupt();
-        }
-        if let Some(arb) = &self.arbiter {
-            // Poison propagation must reach every parked PE, not just the
-            // minimum-key holder.
-            for cv in &arb.cvs {
-                cv.notify_all();
-            }
-        }
+    /// Unpark every parked PE of a launched machine, so that it re-reads its
+    /// predicate and the poison flag; whether any was parked. (A PE parked
+    /// in a NIC turn parks again unless poisoned: only the idle point grants
+    /// it.) A machine driven by hand has no parked PE.
+    pub fn interrupt_all(&self) -> bool {
+        self.arbiter.is_some() && (0..self.num_pes()).fold(false, |any, pe| fiber::unpark(pe) | any)
     }
 
     /// Why the job cannot go on, when it cannot: one line per PE that has not
     /// finished, saying what it is blocked in, and the lowest such PE.
-    /// Meaningful when no PE is running — the fiber engine calls it from its
-    /// scheduler, with every PE parked. `None` on a machine driven by hand:
-    /// it reads the arbiter's state. A PE with a key in the set is in a turn, one with
-    /// `in_wait_on` set polls, any other whose horizon is `u64::MAX` waits in
-    /// a barrier, and one that could run but does not is blocked in
-    /// something of the program's own.
+    /// Meaningful when no PE is running — the launcher calls it from the
+    /// carrier's idle point, with every PE parked. `None` on a machine driven
+    /// by hand: it reads the arbiter's state. A PE with a key in the set is in
+    /// a turn, one with `in_wait_on` set polls, any other whose horizon is
+    /// `u64::MAX` waits in a barrier, and one that could run but does not is
+    /// blocked in something of the program's own.
     pub(crate) fn stall_report(&self) -> Option<(PeId, String)> {
         let arb = self.arbiter.as_ref()?;
         let parked = arb.parked.lock();
-        let min = parked.first().copied();
+        let min = parked.peek().map(|&Reverse(key)| key);
         let barrier_line = |name: &str, b: &ClockBarrier| {
             let (round, arrived, expected) = b.pending()?;
             Some(format!("barrier({name}) round {round}, {arrived} of {expected} arrived"))
         };
         let subsets = self.subset_barriers.lock();
         let mut lines = Vec::new();
-        for pe in (0..self.num_pes()).filter(|&pe| !arb.finished[pe].load(Ordering::Acquire)) {
+        for pe in (0..self.num_pes()).filter(|&pe| !arb.finished[pe].load(Ordering::Relaxed)) {
             let at = self.clock(pe);
-            let what = if let Some(key) = parked.iter().find(|key| key.1 == pe) {
+            let what = if let Some(Reverse(key)) = parked.iter().find(|key| key.0 .1 == pe) {
                 let behind = match min {
                     Some(min) if min != *key => format!("behind the key of PE {}", min.1),
                     _ => match Self::arb_blocker(arb, key.0, pe) {
@@ -979,13 +824,13 @@ impl Machine {
                     },
                 };
                 format!("NIC turn (start {} ns, pe {}, ctx {}): {behind}", key.0, key.1, key.2)
-            } else if let name @ 1.. = arb.in_wait_on[pe].load(Ordering::Acquire) {
+            } else if let name @ 1.. = arb.in_wait_on[pe].load(Ordering::Relaxed) {
                 let word = match name {
                     UNNAMED_WAIT => String::new(),
                     _ => format!("(word at offset {:#x} of PE {pe})", name - 1),
                 };
                 format!("wait_on{word}: predicate false and no PE that could change that can run")
-            } else if arb.horizon[pe].load(Ordering::Acquire) == u64::MAX {
+            } else if arb.horizon[pe].load(Ordering::Relaxed) == u64::MAX {
                 let mut pending: Vec<String> = subsets
                     .iter()
                     .filter(|(group, _)| group.binary_search(&pe).is_ok())
@@ -1029,7 +874,7 @@ impl Machine {
         let max = self.global_barrier.arrive_with(prev, &self.poison, release);
         let t = max + extra_ns.round() as u64;
         self.pes[pe].clock.store(t, Ordering::Release);
-        self.arb_clock_moved(pe, prev, t);
+        self.arb_clock_moved(pe, t);
         self.sanitizer.barrier_join(pe, 0..self.num_pes(), t);
         self.stream_tick(t);
         t
@@ -1068,7 +913,7 @@ impl Machine {
         let max = barrier.arrive_with(prev, &self.poison, release);
         let t = max + extra_ns.round() as u64;
         self.pes[pe].clock.store(t, Ordering::Release);
-        self.arb_clock_moved(pe, prev, t);
+        self.arb_clock_moved(pe, t);
         self.sanitizer.barrier_join(pe, group.iter().copied(), t);
         self.stream_tick(t);
         t
@@ -1163,10 +1008,9 @@ impl<'m> Pe<'m> {
 
     /// Let the job's other PEs run before this one goes on: the one call for
     /// a host-side spin (a lock's backoff loop) to make between attempts.
-    /// On the fiber engine it requeues this PE behind every runnable one —
-    /// `std::thread::yield_now` there would give the whole engine's carrier
-    /// to the OS and the lock's holder nothing; on the thread engine it is
-    /// `std::thread::yield_now`. Moves no virtual clock.
+    /// It requeues this PE behind every runnable one — `std::thread::
+    /// yield_now` would give the whole carrier to the OS and the lock's
+    /// holder nothing. Moves no virtual clock.
     #[inline]
     pub fn yield_now(&self) {
         parking_lot::fiber::yield_now();
@@ -1270,30 +1114,22 @@ mod tests {
 
     #[test]
     fn arbiter_wakes_are_never_left_to_the_backstop() {
-        // Every wake a parked PE of `three_round_job` is owed is sent under
-        // its mutex, so no grant is left for a backstop tick to find and no
-        // fiber's timed wait runs out — in 50 runs.
+        // There is no backstop: a wake a parked PE of `three_round_job` is
+        // owed and never sent would stall the job, which is an error. 50
+        // runs return `Ok` with the same outcome.
         let job = || {
-            let out = crate::launch::run(generic_smp(8), three_round_job);
-            let unsent = out.engine.backstop_grants + out.engine.timed_wait_expiries;
-            ((out.results, out.clocks, out.nics), unsent)
+            let out = crate::launch::run_with_result(generic_smp(8), three_round_job)
+                .expect("no wake is ever missing");
+            (out.results, out.clocks, out.nics)
         };
-        let (reference, _) = job();
+        let reference = job();
         assert_eq!(reference.0[0], 5000 + 7 * 10 + 1500, "seven tied turns, in series");
         for run in 0..50 {
-            // On threads an expiry can land between a sender publishing its
-            // change and taking the mutex to send the wake; that counts, but
-            // it does not repeat. A hole in the wake rules does.
-            let clean = (0..3).any(|_| {
-                let (outcome, unsent) = job();
-                assert_eq!(outcome, reference, "run {run}");
-                unsent == 0
-            });
-            assert!(clean, "run {run}: three attempts in a row needed the backstop");
+            assert_eq!(job(), reference, "run {run}");
         }
     }
 
-    // ---- one protocol, two substrates ------------------------------------
+    // ---- one protocol, two carriers --------------------------------------
 
     use crate::launch::{run_on, Engine, NicSnapshot, SimOutcome};
 
@@ -1313,39 +1149,33 @@ mod tests {
         )
     }
 
-    /// Run `job` on the thread engine and on fibers and require the two
-    /// outcomes to be equal; returns the fiber run's.
+    /// Run `job` on the baton carrier and on fibers and require the two
+    /// outcomes to be equal, each run returning `Ok` (a wake owed and never
+    /// sent is a stall); returns the fiber run's.
     fn same_on_both_engines<R: Clone + PartialEq + std::fmt::Debug + Send>(
         cfg: MachineConfig,
         job: impl Fn(Pe<'_>) -> R + Send + Sync + Copy,
     ) -> SimOutcome<R> {
-        let threads = run_on(Engine::Threads, cfg.clone(), job).expect("thread engine");
-        assert_eq!(threads.engine.os_threads, cfg.total_pes());
-        let fibers = run_on(Engine::Fibers, cfg, job).expect("fiber engine");
-        assert_eq!(fibers.engine.os_threads, 1);
-        assert!(fibers.engine.fiber_switches > 0);
-        assert_eq!(modelled(&fibers), modelled(&threads));
+        let n = cfg.total_pes();
+        let baton = run_on(Engine::Baton, cfg.clone(), job).expect("baton carrier");
+        assert_eq!(baton.engine.os_threads, n);
+        let fibers = run_on(Engine::Fibers, cfg, job).expect("fiber carrier");
+        assert_eq!(fibers.engine.os_threads, if parking_lot::fiber::SUPPORTED { 1 } else { n });
+        assert_eq!(fibers.engine.fiber_switches, baton.engine.fiber_switches, "one schedule");
+        assert_eq!(modelled(&fibers), modelled(&baton));
         fibers
     }
 
     #[test]
     fn engines_agree_on_the_contended_job() {
-        if !parking_lot::fiber::SUPPORTED {
-            return;
-        }
         let cfg = generic_smp(4).with_metrics(true);
         same_on_both_engines(cfg, contended_job);
     }
 
     #[test]
     fn engines_agree_on_the_three_round_job_and_fibers_need_no_expiry() {
-        if !parking_lot::fiber::SUPPORTED {
-            return;
-        }
         let cfg = generic_smp(8).with_metrics(true);
-        let fibers = same_on_both_engines(cfg, three_round_job);
-        assert_eq!(fibers.engine.timed_wait_expiries, 0);
-        assert_eq!(fibers.engine.backstop_grants, 0);
+        same_on_both_engines(cfg, three_round_job);
     }
 
     /// A token goes round the ring three times; each holder takes a NIC turn
@@ -1392,9 +1222,6 @@ mod tests {
 
     #[test]
     fn engines_agree_on_a_handoff_ring_that_loses_a_pe() {
-        if !parking_lot::fiber::SUPPORTED {
-            return;
-        }
         use crate::fault::FaultPlan;
         // PE 2 dies in its second lap, holding the token.
         let plan = FaultPlan::new(3).with_pe_failure(2, 4_000);
@@ -1408,9 +1235,6 @@ mod tests {
 
     #[test]
     fn a_panic_mid_turn_is_the_same_error_on_both_engines() {
-        if !parking_lot::fiber::SUPPORTED {
-            return;
-        }
         let job = |pe: Pe<'_>| {
             let m = pe.machine();
             if pe.id() == 1 {
@@ -1418,7 +1242,7 @@ mod tests {
             }
             m.barrier_all(pe.id(), 0.0)
         };
-        for engine in [Engine::Threads, Engine::Fibers] {
+        for engine in [Engine::Baton, Engine::Fibers] {
             let err = run_on(engine, generic_smp(4), job).expect_err("PE 1 panics");
             assert_eq!((err.pe, err.message.as_str()), (1, "boom mid-turn"), "{engine:?}");
         }
@@ -1580,9 +1404,6 @@ mod tests {
             n in 2usize..9,
             seed in any::<u64>(),
         ) {
-            if !parking_lot::fiber::SUPPORTED {
-                return Ok(());
-            }
             let program = Spmd::draw(n, seed);
             let cfg = generic_smp(n).with_heap_bytes(1 << 12);
             let fibers = same_on_both_engines(cfg, |pe| program.run(pe));
@@ -1593,16 +1414,11 @@ mod tests {
             let busy_ns = slots.iter().flatten().map(|(begin, end)| end - begin).sum();
             let want = NicSnapshot { messages: turns, bytes: turns * 8, busy_ns };
             prop_assert_eq!(&fibers.nics, &vec![want]);
-            prop_assert_eq!(fibers.engine.timed_wait_expiries, 0);
-            prop_assert_eq!(fibers.engine.backstop_grants, 0);
         }
     }
 
     #[test]
     fn an_uncontested_turn_never_parks_and_a_contested_one_does() {
-        if !parking_lot::fiber::SUPPORTED {
-            return;
-        }
         let parked_turns =
             |m: &Machine| m.arbiter.as_ref().unwrap().parked_turns.load(Ordering::Relaxed);
         let cfg = generic_smp(2).with_heap_bytes(1 << 12);

@@ -14,8 +14,9 @@
 //! The hot path is: lock the shard, probe, bump a vector element. An
 //! operation that feeds several series locks **once** for all of them
 //! ([`MetricsRegistry::record_op`]). The lock stays an (uncontended) mutex:
-//! PEs of the thread engine run concurrently, and `stream_sample` reads
-//! every shard from whichever PE crosses the cadence boundary.
+//! on the baton carrier PEs are OS threads (one at a time), and
+//! `stream_sample` reads every shard from whichever PE crosses the cadence
+//! boundary.
 //!
 //! The windowed feeds keep no histogram per window: a shard appends
 //! `(window, value)` to a per-name log, and [`MetricsRegistry::snapshot`] /

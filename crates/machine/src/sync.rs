@@ -1,40 +1,25 @@
-//! Rendezvous primitives that combine *real* thread synchronization with
-//! *virtual* clock agreement.
+//! Rendezvous primitives that combine *real* synchronization of the PE
+//! fibers with *virtual* clock agreement.
 //!
 //! A machine barrier does two jobs at once: it blocks the participating PEs
-//! (threads or fibers: every wait here is a `parking_lot` shim `Condvar`
-//! wait, which parks either) until all have arrived (real synchronization, so programs are
-//! actually correct), and it advances every participant's virtual clock to
+//! until all have arrived (real synchronization, so programs are actually
+//! correct), and it advances every participant's virtual clock to
 //! `max(arrival clocks) + cost`, where the cost is supplied by the caller
 //! (the communication layer knows what a dissemination barrier costs on its
 //! conduit).
 //!
-//! All waits are poison-aware: if any PE thread panics, the launcher poisons
-//! the machine and every blocked wait panics out instead of hanging.
+//! A blocked PE parks its fiber (`parking_lot::fiber::park`), and whoever
+//! changes what it waits for unparks it; there are no timeouts. So a wait
+//! must be made from a fiber of a launched job, and a wake that is owed and
+//! never sent leaves the job with nothing to run: a stall, which the
+//! launcher reports as an error.
+//!
+//! All waits are poison-aware: if any PE panics, the launcher poisons the
+//! machine and unparks every PE, and every blocked wait panics out instead
+//! of hanging.
 
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
-
-/// Backstop period for every waiter but the NIC arbiter's designated
-/// minimum: barrier and `wait_until` waiters, and non-minimum keys in the
-/// arbiter's parking lot. All of them are notified under the mutex their
-/// wait holds — the parked keys by name, when they become the minimum — so
-/// no wake can be lost; the timeout only bounds the damage of a protocol
-/// hole and lets poison be noticed, and can be lazy without adding latency
-/// to any handoff. (For PE fibers a timeout is an order of expiry, not a
-/// duration: see `parking_lot::fiber`.) At thousands of parked PEs this is
-/// what keeps the wall-clock poll storm (waiters/tick) sublinear in
-/// simulation size.
-pub(crate) const WAIT_TICK_IDLE: Duration = Duration::from_millis(200);
-
-/// Backstop period for the *designated minimum* waiter in the NIC arbiter.
-/// Its wakes, too, are all sent under the parking lot's mutex (see
-/// `ArbiterState` for who sends them), so a healthy run never takes this
-/// timeout either; it is short because the minimum stalls the whole grant
-/// chain, so a hole would cost 1 ms per step instead of 200. Exactly one
-/// thread waits at this rate, so the short tick adds no storm.
-pub(crate) const WAIT_TICK_MIN: Duration = Duration::from_millis(1);
+use parking_lot::{fiber, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Shared poison flag: set when any PE panics.
 #[derive(Debug, Default)]
@@ -59,6 +44,11 @@ impl Poison {
     }
 }
 
+/// The fiber a blocking wait parks: the caller's.
+fn me(what: &str) -> usize {
+    fiber::current().unwrap_or_else(|| panic!("{what} blocks a PE fiber of a launched job"))
+}
+
 #[derive(Debug)]
 struct BarrierInner {
     count: usize,
@@ -69,6 +59,8 @@ struct BarrierInner {
     /// Arrivals needed to complete a round. Starts at the group size and
     /// shrinks when a member permanently departs (PE failure).
     expected: usize,
+    /// The fibers parked in the current round.
+    waiters: Vec<usize>,
 }
 
 /// A reusable clock-combining barrier for a fixed group size.
@@ -79,7 +71,6 @@ struct BarrierInner {
 #[derive(Debug)]
 pub struct ClockBarrier {
     inner: Mutex<BarrierInner>,
-    cv: Condvar,
     n: usize,
 }
 
@@ -93,8 +84,8 @@ impl ClockBarrier {
                 max_clock: 0,
                 result: 0,
                 expected: n,
+                waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
             n,
         }
     }
@@ -104,15 +95,17 @@ impl ClockBarrier {
         self.n
     }
 
-    /// Complete the current round: publish the combined clock and wake the
-    /// waiters. Caller holds the lock and has checked `count == expected`.
-    fn finish_round(&self, inner: &mut BarrierInner) -> u64 {
+    /// Complete the current round: publish the combined clock and unpark
+    /// the waiters. Caller holds the lock and has checked `count == expected`.
+    fn finish_round(inner: &mut BarrierInner) -> u64 {
         let result = inner.max_clock;
         inner.result = result;
         inner.count = 0;
         inner.max_clock = 0;
         inner.generation = inner.generation.wrapping_add(1);
-        self.cv.notify_all();
+        for waiter in inner.waiters.drain(..) {
+            fiber::unpark(waiter);
+        }
         result
     }
 
@@ -123,13 +116,12 @@ impl ClockBarrier {
     }
 
     /// Like [`Self::arrive`], but the arrival that completes the round runs
-    /// `on_release` *while still holding the barrier lock, before waking the
-    /// waiters*. The NIC arbiter uses this to clear every participant's
-    /// quiescent flag atomically with the release: if each waiter cleared its
-    /// own flag after waking, a still-unscheduled waiter would look quiescent
-    /// to the arbiter while logically already released, and an out-of-order
-    /// reservation could be granted. (Rounds completed by [`Self::leave`]
-    /// skip the hook — PE failure already forfeits strict ordering.)
+    /// `on_release` *before unparking the waiters*. The NIC arbiter uses this
+    /// to give every participant its horizon back with the release: a
+    /// released waiter that has not run yet must not look quiescent to the
+    /// arbiter, or an out-of-order reservation could be granted. (Rounds
+    /// completed by [`Self::leave`] skip the hook — PE failure already
+    /// forfeits strict ordering.)
     pub fn arrive_with(&self, my_clock: u64, poison: &Poison, on_release: impl FnOnce()) -> u64 {
         let mut inner = self.inner.lock();
         inner.max_clock = inner.max_clock.max(my_clock);
@@ -137,14 +129,23 @@ impl ClockBarrier {
         debug_assert!(inner.count <= inner.expected, "more arrivals than live members");
         if inner.count == inner.expected {
             on_release();
-            self.finish_round(&mut inner)
-        } else {
-            let gen = inner.generation;
-            while inner.generation == gen {
-                poison.check();
-                self.cv.wait_for(&mut inner, WAIT_TICK_IDLE);
+            return Self::finish_round(&mut inner);
+        }
+        let (gen, me) = (inner.generation, me("a barrier"));
+        inner.waiters.push(me);
+        loop {
+            if inner.generation != gen {
+                return inner.result;
             }
-            inner.result
+            if poison.is_poisoned() {
+                inner.waiters.retain(|&w| w != me);
+                drop(inner);
+                poison.check();
+                unreachable!("poison.check() panics when poisoned");
+            }
+            drop(inner);
+            fiber::park();
+            inner = self.inner.lock();
         }
     }
 
@@ -156,14 +157,8 @@ impl ClockBarrier {
         assert!(inner.expected > 0, "leave() on an empty barrier group");
         inner.expected -= 1;
         if inner.count > 0 && inner.count == inner.expected {
-            self.finish_round(&mut inner);
+            Self::finish_round(&mut inner);
         }
-    }
-
-    /// Wake all waiters so they observe poison. Called by the launcher on
-    /// failure.
-    pub fn interrupt(&self) {
-        self.cv.notify_all();
     }
 
     /// The round in progress, if somebody waits in it: `(round, arrived,
@@ -175,12 +170,14 @@ impl ClockBarrier {
 }
 
 /// Per-PE notification cell used by `wait_until`-style operations: remote
-/// writers notify after touching a PE's heap; waiters re-check their
-/// predicate, under the lock, on every notify (or timeout tick).
+/// writers notify after touching a PE's heap; the waiter re-checks its
+/// predicate, under the lock, on every notify.
 #[derive(Debug, Default)]
 pub struct NotifyCell {
     lock: Mutex<()>,
-    cv: Condvar,
+    /// The fiber parked in [`Self::wait_until`], plus one; 0 when none.
+    /// Read and written under `lock` only, so `Relaxed`.
+    sleeper: AtomicUsize,
 }
 
 impl NotifyCell {
@@ -189,27 +186,28 @@ impl NotifyCell {
         self.notify_applying(|| ());
     }
 
-    /// Run `f` (a write that this cell's waiters observe through their
-    /// predicates) under the cell's lock, then wake the waiters.
+    /// Run `f` (a write that this cell's waiter observes through its
+    /// predicate) under the cell's lock, then unpark the waiter if it is
+    /// asleep here.
     ///
     /// With [`Self::wait_until`] on the waiting side, this makes the
     /// write and its visibility one critical section: a waiter can only see
     /// the write's effects *after* everything `f` did — including, for the
-    /// NIC arbiter, clearing the waiter's quiescent flag — and conversely a
-    /// waiter that declared itself asleep before `f` ran is woken. Without
-    /// this pairing a deterministic machine has a wake-latency hole: the
-    /// write lands, the waiter is still flagged quiescent, and an arbiter
-    /// grant check in that window orders reservations differently than a run
-    /// where the waiter woke first.
+    /// NIC arbiter, giving the waiter its horizon back — so an arbiter grant
+    /// can never see "write landed, waiter still quiescent". Writers that
+    /// are not fibers (a machine driven by hand from several threads) are
+    /// serialized by the same lock.
     pub fn notify_applying<R>(&self, f: impl FnOnce() -> R) -> R {
         let _g = self.lock.lock();
         let out = f();
-        self.cv.notify_all();
+        if let sleeper @ 1.. = self.sleeper.load(Ordering::Relaxed) {
+            fiber::unpark(sleeper - 1);
+        }
         out
     }
 
     /// Block until `pred()` is true, with hooks run under the cell's
-    /// lock: `on_sleep` immediately before every sleep (assert quiescence)
+    /// lock: `on_sleep` immediately before every park (assert quiescence)
     /// and `on_exit` before returning (withdraw it). Predicates are only
     /// checked under the lock, so a [`Self::notify_applying`] writer's
     /// effects — the write, its stamp, its sanitizer record, its hook — are
@@ -234,13 +232,12 @@ impl NotifyCell {
                 unreachable!("poison.check() panics when poisoned");
             }
             on_sleep();
-            self.cv.wait_for(&mut g, WAIT_TICK_IDLE);
+            self.sleeper.store(me("wait_until") + 1, Ordering::Relaxed);
+            drop(g);
+            fiber::park();
+            g = self.lock.lock();
+            self.sleeper.store(0, Ordering::Relaxed);
         }
-    }
-
-    /// Wake all waiters (used on poison).
-    pub fn interrupt(&self) {
-        self.cv.notify_all();
     }
 }
 
@@ -249,86 +246,79 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// `body(0..n)` as fibers of one carrier; their results.
+    fn on_fibers<T: Send>(
+        n: usize,
+        body: impl Fn(usize) -> T + Sync,
+    ) -> Vec<std::thread::Result<T>> {
+        fiber::run(n, 64 << 10, body, || false).0
+    }
+
+    fn yields(k: usize) {
+        (0..k).for_each(|_| fiber::yield_now());
+    }
 
     #[test]
     fn barrier_returns_max_clock() {
-        let b = Arc::new(ClockBarrier::new(4));
-        let poison = Arc::new(Poison::default());
-        let mut handles = Vec::new();
-        for (i, clock) in [10u64, 500, 30, 40].iter().enumerate() {
-            let b = b.clone();
-            let p = poison.clone();
-            let clock = *clock;
-            handles.push(std::thread::spawn(move || {
-                // Stagger arrivals a little.
-                std::thread::sleep(Duration::from_millis(5 * i as u64));
-                b.arrive(clock, &p)
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 500);
+        let (b, poison) = (ClockBarrier::new(4), Poison::default());
+        let out = on_fibers(4, |i| {
+            // Stagger arrivals a little.
+            yields(5 * i);
+            b.arrive([10u64, 500, 30, 40][i], &poison)
+        });
+        for r in out {
+            assert_eq!(r.unwrap(), 500);
         }
     }
 
     #[test]
     fn barrier_rounds_are_independent() {
-        let b = Arc::new(ClockBarrier::new(2));
-        let poison = Arc::new(Poison::default());
-        let b2 = b.clone();
-        let p2 = poison.clone();
-        let t = std::thread::spawn(move || {
-            let r1 = b2.arrive(100, &p2);
-            let r2 = b2.arrive(r1 + 1, &p2);
+        let (b, poison) = (ClockBarrier::new(2), Poison::default());
+        let out = on_fibers(2, |i| {
+            let r1 = b.arrive([50, 100][i], &poison);
+            let r2 = b.arrive([700, r1 + 1][i], &poison);
             (r1, r2)
         });
-        let r1 = b.arrive(50, &poison);
-        let r2 = b.arrive(700, &poison);
-        assert_eq!(r1, 100);
-        assert_eq!(r2, 700);
-        assert_eq!(t.join().unwrap(), (100, 700));
+        for r in out {
+            assert_eq!(r.unwrap(), (100, 700));
+        }
     }
 
     #[test]
     fn poisoned_barrier_does_not_hang() {
-        let b = Arc::new(ClockBarrier::new(2));
-        let poison = Arc::new(Poison::default());
-        let b2 = b.clone();
-        let p2 = poison.clone();
-        let t = std::thread::spawn(move || {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                b2.arrive(0, &p2);
-            }));
-            r.is_err()
+        let (b, poison) = (ClockBarrier::new(2), Poison::default());
+        let mut out = on_fibers(2, |i| {
+            if i == 0 {
+                b.arrive(0, &poison);
+            } else {
+                yields(3);
+                poison.poison();
+                assert!(fiber::unpark(0), "the waiter is parked in the barrier");
+            }
         });
-        std::thread::sleep(Duration::from_millis(30));
-        poison.poison();
-        b.interrupt();
-        assert!(t.join().unwrap(), "waiter should have panicked out of the barrier");
+        assert!(out.pop().unwrap().is_ok());
+        assert!(out.pop().unwrap().is_err(), "waiter should have panicked out of the barrier");
     }
 
     #[test]
     fn leave_completes_a_pending_round() {
         // Two of three arrive, then the third departs instead of arriving:
         // the waiters must complete the round among themselves.
-        let b = Arc::new(ClockBarrier::new(3));
-        let poison = Arc::new(Poison::default());
-        let mut handles = Vec::new();
-        for clock in [100u64, 250] {
-            let b = b.clone();
-            let p = poison.clone();
-            handles.push(std::thread::spawn(move || b.arrive(clock, &p)));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        b.leave();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 250);
-        }
-        // Subsequent rounds need only the two remaining members.
-        let b2 = b.clone();
-        let p2 = poison.clone();
-        let t = std::thread::spawn(move || b2.arrive(7, &p2));
-        assert_eq!(b.arrive(9, &poison), 9);
-        assert_eq!(t.join().unwrap(), 9);
+        let (b, poison) = (ClockBarrier::new(3), Poison::default());
+        let out = on_fibers(3, |i| {
+            if i == 2 {
+                yields(3);
+                b.leave();
+                return (0, 0);
+            }
+            let first = b.arrive([100, 250][i], &poison);
+            // Subsequent rounds need only the two remaining members.
+            (first, b.arrive([7, 9][i], &poison))
+        });
+        let out: Vec<_> = out.into_iter().map(Result::unwrap).collect();
+        assert_eq!(out, vec![(250, 9), (250, 9), (0, 0)]);
     }
 
     #[test]
@@ -342,24 +332,25 @@ mod tests {
 
     #[test]
     fn notify_cell_wakes_waiter() {
-        let cell = Arc::new(NotifyCell::default());
-        let flag = Arc::new(AtomicU64::new(0));
-        let poison = Arc::new(Poison::default());
-        let (c2, f2, p2) = (cell.clone(), flag.clone(), poison.clone());
-        let t = std::thread::spawn(move || {
-            c2.wait_until(&p2, || f2.load(Ordering::Acquire) == 7, || (), || ());
+        let (cell, flag, poison) = (NotifyCell::default(), AtomicU64::new(0), Poison::default());
+        let out = on_fibers(2, |i| {
+            if i == 0 {
+                cell.wait_until(&poison, || flag.load(Ordering::Acquire) == 7, || (), || ());
+            } else {
+                yields(3);
+                flag.store(7, Ordering::Release);
+                cell.notify();
+            }
         });
-        std::thread::sleep(Duration::from_millis(10));
-        flag.store(7, Ordering::Release);
-        cell.notify();
-        t.join().unwrap();
+        assert!(out.into_iter().all(|r| r.is_ok()));
     }
 
     #[test]
     fn a_waiter_sees_all_or_none_of_an_applying_write() {
         // The writer publishes a value and, 20 ms later in the same section,
         // its record (what the sanitizer's edge reads). A waiter arriving in
-        // between must not get past the value alone.
+        // between must not get past the value alone. (Two OS threads: on one
+        // carrier nothing runs inside another PE's section at all.)
         let cell = Arc::new(NotifyCell::default());
         let (value, record) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
         let (c2, v2, r2) = (cell.clone(), value.clone(), record.clone());

@@ -3,25 +3,20 @@
 //! [`run`] turns the calling thread into a *carrier*: it maps one stack per
 //! fiber, runs `body(0..n)` as fibers under a FIFO scheduler on the caller's
 //! own stack, and returns when all have finished. A fiber gives up the
-//! carrier only inside this crate: [`crate::Condvar::wait`] /
-//! [`crate::Condvar::wait_for`] park it until a notify (or an expiry, below),
-//! and [`yield_now`] requeues it behind the other runnable fibers. Nothing
-//! preempts a fiber, so code between two such calls runs atomically with
-//! respect to every other fiber of the job.
+//! carrier only in [`park`], until some fiber or the idle handler calls
+//! [`unpark`] on it, and in [`yield_now`], which requeues it behind the
+//! other runnable fibers. Nothing preempts a fiber, so code between two such
+//! calls runs atomically with respect to every other fiber of the job.
 //!
-//! **Timed waits are not real time.** With one carrier nothing can change
-//! while no fiber runs, so sleeping out a timeout would only burn host time.
-//! A `wait_for` records a deadline on a logical clock instead; when the ready
-//! queue runs dry the scheduler expires *every* timed waiter, earliest
-//! deadline first, and counts them ([`RunStats::expiries`]). A protocol that
-//! sends every wake it owes therefore shows 0 expiries.
+//! **The idle point.** Whenever no fiber is runnable the scheduler calls the
+//! job's `on_idle`, which says whether it made one runnable. Nothing can
+//! change while no fiber runs, so a `false` is final: the job is stalled,
+//! and `run` panics instead of hanging. (The machine grants its NIC turns
+//! here, and turns a stall into a report.)
 //!
-//! **Stalls are detected.** If one such sweep made no waiter leave its wait
-//! loop (each re-waited with the guard it woke up with, see
-//! [`Parker::park`]) and nobody finished, no fiber can ever run again. The
-//! scheduler then calls the job's `on_stall`, which must make one runnable
-//! (the machine poisons itself and interrupts every wait) — a hang becomes a
-//! report.
+//! Off a fiber carrier, every function here is the [`crate::baton`]
+//! carrier's: [`park`], [`unpark`], [`yield_now`] and [`current`] act on
+//! whichever of the two carries the calling thread.
 //!
 //! # The `unsafe` contract
 //!
@@ -47,19 +42,21 @@
 //!   `Cell`s and statement-scoped `RefCell` borrows, so no exclusive borrow
 //!   is alive when control moves to another stack.
 //! * **One thread.** The runtime is found through a thread-local, so only
-//!   the carrier can touch it. A [`Waiter`] is plain data and may be read by
-//!   another thread (it sits in a `Condvar`); acting on it there panics in
-//!   [`carrier_of`] before any queue is touched.
+//!   the carrier can touch it: [`unpark`] from another thread never reaches
+//!   this runtime's queue.
+//! * **The allocator policy.** [`keep_freed_memory`] calls glibc's `mallopt`
+//!   with two documented parameters, once per process.
 //!
 //! Every fiber shares the carrier's thread-locals; a nested [`run`] from
 //! inside a fiber runs its own scheduler on that fiber's stack and suspends
 //! the outer job until it returns.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::ffi::c_void;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+
+pub use crate::baton::RunStats;
 
 /// This target has the context switch; [`run`] works.
 pub const SUPPORTED: bool = true;
@@ -163,13 +160,6 @@ impl Drop for Stacks {
     }
 }
 
-/// Why a parked fiber runs again.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Wake {
-    Notified,
-    Expired,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum State {
     Ready,
@@ -182,21 +172,6 @@ struct Fiber {
     /// Saved stack pointer while the fiber is not running.
     sp: Cell<*mut u8>,
     state: Cell<State>,
-    wake: Cell<Wake>,
-    /// Key of this fiber in `Runtime::timed` while it is in a timed park.
-    deadline: Cell<Option<u64>>,
-}
-
-/// What one [`run`] did, for the caller's ledger.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Times a fiber was given the carrier.
-    pub switches: u64,
-    /// Timed waits that ran out (see the module docs): 0 in a run whose
-    /// every wake was sent.
-    pub expiries: u64,
-    /// Times the scheduler found the job stalled and called `on_stall`.
-    pub stalls: u64,
 }
 
 const SCHEDULER: usize = usize::MAX;
@@ -209,16 +184,8 @@ struct Runtime<'a> {
     /// The running fiber, or `SCHEDULER`.
     current: Cell<usize>,
     ready: RefCell<VecDeque<usize>>,
-    /// Timed parks, by `(deadline on the logical clock, fiber)`.
-    timed: RefCell<BTreeSet<(u64, usize)>>,
-    /// The logical clock deadlines are set against; moves only on expiry.
-    vnow: Cell<u64>,
     live: Cell<usize>,
-    /// Moves whenever a fiber finishes or starts a wait it did not just
-    /// expire out of; a sweep after which it has not moved woke nobody for
-    /// good.
-    progress: Cell<u64>,
-    stats: Cell<RunStats>,
+    switches: Cell<u64>,
 }
 
 thread_local! {
@@ -236,12 +203,6 @@ fn runtime<'a>() -> Option<&'a Runtime<'a>> {
 }
 
 impl Runtime<'_> {
-    fn bump(&self, f: impl FnOnce(&mut RunStats)) {
-        let mut stats = self.stats.get();
-        f(&mut stats);
-        self.stats.set(stats);
-    }
-
     /// Leave fiber `id` (whose state the caller has set) for the scheduler;
     /// returns when the scheduler resumes it.
     fn leave(&self, id: usize) {
@@ -252,22 +213,14 @@ impl Runtime<'_> {
         unsafe { pgas_fiber_switch(self.fibers[id].sp.as_ptr(), self.sched_sp.get()) };
     }
 
-    fn make_ready(&self, id: usize, wake: Wake) {
-        let f = &self.fibers[id];
-        f.wake.set(wake);
-        f.state.set(State::Ready);
+    fn make_ready(&self, id: usize) {
+        self.fibers[id].state.set(State::Ready);
         self.ready.borrow_mut().push_back(id);
     }
 
-    /// Expire every timed waiter, earliest deadline first.
-    fn sweep(&self) {
-        let timed = std::mem::take(&mut *self.timed.borrow_mut());
-        for &(deadline, id) in &timed {
-            self.vnow.set(deadline);
-            self.fibers[id].deadline.set(None);
-            self.make_ready(id, Wake::Expired);
-        }
-        self.bump(|s| s.expiries += timed.len() as u64);
+    /// The running fiber, if the scheduler is not what runs.
+    fn running(&self) -> Option<usize> {
+        Some(self.current.get()).filter(|&id| id != SCHEDULER)
     }
 }
 
@@ -278,7 +231,6 @@ extern "C" fn fiber_main() -> ! {
     (rt.entry)(id);
     rt.fibers[id].state.set(State::Done);
     rt.live.set(rt.live.get() - 1);
-    rt.progress.set(rt.progress.get() + 1);
     rt.leave(id);
     // A finished fiber is never resumed, and there is no frame to return to.
     std::process::abort()
@@ -288,14 +240,14 @@ extern "C" fn fiber_main() -> ! {
 /// each on the calling thread, and return their results (a panic's payload
 /// in place of the result of the fiber it ended) with the run's counts.
 ///
-/// `on_stall` is called from the scheduler when no fiber can ever run again
-/// (see the module docs); it must make at least one runnable, or `run`
-/// panics.
-pub fn run<T>(
+/// `on_idle` is called from the scheduler whenever no fiber is runnable and
+/// some are parked; it returns whether it made one runnable (see the module
+/// docs). If it did not, `run` panics.
+pub fn run<T: Send>(
     n: usize,
     stack_bytes: usize,
-    body: impl Fn(usize) -> T,
-    mut on_stall: impl FnMut(),
+    body: impl Fn(usize) -> T + Sync,
+    mut on_idle: impl FnMut() -> bool,
 ) -> (Vec<std::thread::Result<T>>, RunStats) {
     if n == 0 {
         return (Vec::new(), RunStats::default());
@@ -309,21 +261,13 @@ pub fn run<T>(
     let rt = Runtime {
         entry: &entry,
         fibers: (0..n)
-            .map(|i| Fiber {
-                sp: Cell::new(stacks.seeded(i)),
-                state: Cell::new(State::Ready),
-                wake: Cell::new(Wake::Notified),
-                deadline: Cell::new(None),
-            })
+            .map(|i| Fiber { sp: Cell::new(stacks.seeded(i)), state: Cell::new(State::Ready) })
             .collect(),
         sched_sp: Cell::new(std::ptr::null_mut()),
         current: Cell::new(SCHEDULER),
         ready: RefCell::new((0..n).collect()),
-        timed: RefCell::new(BTreeSet::new()),
-        vnow: Cell::new(0),
         live: Cell::new(n),
-        progress: Cell::new(0),
-        stats: Cell::new(RunStats::default()),
+        switches: Cell::new(0),
     };
 
     /// Puts the outer runtime (none, unless this is a nested run) back.
@@ -335,30 +279,20 @@ pub fn run<T>(
     }
     let _restore = Restore(RUNTIME.with(|r| r.replace((&raw const rt).cast())));
 
-    let mut swept_at = None;
     while rt.live.get() > 0 {
         let next = rt.ready.borrow_mut().pop_front();
         let Some(id) = next else {
-            let none_timed = rt.timed.borrow().is_empty();
-            if none_timed || swept_at == Some(rt.progress.get()) {
-                rt.bump(|s| s.stalls += 1);
-                on_stall();
-                assert!(
-                    !rt.ready.borrow().is_empty(),
-                    "fiber deadlock: {} fibers are parked for good and the stall handler \
-                     woke none",
-                    rt.live.get()
-                );
-                swept_at = None;
-            } else {
-                swept_at = Some(rt.progress.get());
-                rt.sweep();
-            }
+            let woke = on_idle();
+            assert!(
+                woke && !rt.ready.borrow().is_empty(),
+                "fiber deadlock: {} fibers are parked for good and the idle handler woke none",
+                rt.live.get()
+            );
             continue;
         };
         rt.fibers[id].state.set(State::Running);
         rt.current.set(id);
-        rt.bump(|s| s.switches += 1);
+        rt.switches.set(rt.switches.get() + 1);
         // SAFETY: `sp` is either the seed of a stack nobody has run on, or
         // what fiber `id`'s own `leave` saved; its stack is mapped until
         // `stacks` drops below. No `RefCell` borrow is open.
@@ -367,20 +301,55 @@ pub fn run<T>(
     }
     let results =
         results.iter().map(|r| r.take().expect("every fiber ran to completion")).collect();
-    (results, rt.stats.get())
+    (results, RunStats { switches: rt.switches.get() })
+}
+
+/// Give up the carrier until [`unpark`]ed. Panics off a fiber.
+pub fn park() {
+    match runtime() {
+        Some(rt) => {
+            let id = rt.running().expect("park() outside a fiber: only a fiber of a run can park");
+            rt.fibers[id].state.set(State::Parked);
+            rt.leave(id);
+        }
+        None => crate::baton::park(),
+    }
+}
+
+/// Make fiber `id` of the calling thread's run runnable if it is parked, and
+/// say whether it was. Callable from the run's fibers and its idle handler;
+/// panics anywhere else.
+pub fn unpark(id: usize) -> bool {
+    match runtime() {
+        Some(rt) => {
+            let parked = rt.fibers[id].state.get() == State::Parked;
+            if parked {
+                rt.make_ready(id);
+            }
+            parked
+        }
+        None => crate::baton::unpark(id),
+    }
 }
 
 /// Let the other runnable fibers of this job go first; on a plain thread,
 /// `std::thread::yield_now`.
 pub fn yield_now() {
-    match current() {
-        Some(me) => {
-            let rt = me.rt;
-            rt.fibers[me.id].state.set(State::Ready);
-            rt.ready.borrow_mut().push_back(me.id);
-            rt.leave(me.id);
+    match runtime() {
+        Some(rt) if rt.running().is_some() => {
+            let id = rt.current.get();
+            rt.make_ready(id);
+            rt.leave(id);
         }
-        None => std::thread::yield_now(),
+        _ => crate::baton::yield_now(),
+    }
+}
+
+/// The index of the fiber the caller is running as, if it is one.
+pub fn current() -> Option<usize> {
+    match runtime() {
+        Some(rt) => rt.running(),
+        None => crate::baton::current(),
     }
 }
 
@@ -389,108 +358,36 @@ pub fn is_fiber() -> bool {
     current().is_some()
 }
 
-/// The fiber the caller is running as, if it is one.
-pub(crate) fn current<'a>() -> Option<Parker<'a>> {
-    let rt = runtime()?;
-    let id = rt.current.get();
-    (id != SCHEDULER).then_some(Parker { rt, id })
-}
-
-/// The running fiber's handle on its own runtime.
-pub(crate) struct Parker<'a> {
-    rt: &'a Runtime<'a>,
-    id: usize,
-}
-
-/// A parked (or about to park) fiber as others see it: what a `Condvar`
-/// queues. Plain data; only its own carrier may unpark it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct Waiter {
-    carrier: usize,
-    id: usize,
-}
-
-impl Waiter {
-    pub(crate) fn same_carrier(&self, other: &Waiter) -> bool {
-        self.carrier == other.carrier
-    }
-}
-
-impl Parker<'_> {
-    pub(crate) fn waiter(&self) -> Waiter {
-        Waiter { carrier: std::ptr::from_ref(self.rt) as usize, id: self.id }
-    }
-
-    /// Give up the carrier until unparked or (with a `timeout`) expired.
-    /// `fresh` says this is not the re-wait of a wait that just expired —
-    /// the waiter got somewhere since, which is what stall detection asks.
-    pub(crate) fn park(&self, timeout: Option<Duration>, fresh: bool) -> Wake {
-        let (rt, f) = (self.rt, &self.rt.fibers[self.id]);
-        if fresh {
-            rt.progress.set(rt.progress.get() + 1);
+/// Keep the memory a launch frees for the next one: glibc's `malloc` serves
+/// allocations up to 32 MiB from its arena instead of fresh `mmap`s, and never
+/// trims the arena's top. Without it, whether a freed 40 MiB of PE heaps stays
+/// mapped depends on where small allocations happened to land, and every
+/// launch that finds it trimmed re-faults all of it. Once per process; a
+/// no-op off glibc.
+pub fn keep_freed_memory() {
+    #[cfg(target_env = "gnu")]
+    {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
         }
-        if let Some(timeout) = timeout {
-            let ns = u64::try_from(timeout.as_nanos()).unwrap_or(u64::MAX);
-            let deadline = rt.vnow.get().saturating_add(ns);
-            f.deadline.set(Some(deadline));
-            rt.timed.borrow_mut().insert((deadline, self.id));
-        }
-        f.state.set(State::Parked);
-        rt.leave(self.id);
-        f.wake.get()
-    }
-}
-
-/// The carrier of `w`, which must be the calling thread's: panics otherwise,
-/// so that a queue is only ever touched by the thread that owns it. (Every
-/// waiter queued on one `Condvar` has the same carrier.)
-pub(crate) fn carrier_of<'a>(w: &Waiter) -> Carrier<'a> {
-    let rt = runtime().filter(|rt| std::ptr::from_ref(*rt) as usize == w.carrier).expect(
-        "a Condvar with parked fibers was notified from outside their carrier thread; \
-         fibers can only share a Condvar with fibers of the same job",
-    );
-    Carrier(rt)
-}
-
-/// Proof that the calling thread carries this runtime's fibers.
-pub(crate) struct Carrier<'a>(&'a Runtime<'a>);
-
-impl Carrier<'_> {
-    /// Make a queued fiber of this carrier runnable.
-    pub(crate) fn unpark(&self, w: Waiter) {
-        let (rt, f) = (self.0, &self.0.fibers[w.id]);
-        match f.state.get() {
-            State::Parked => {
-                if let Some(deadline) = f.deadline.take() {
-                    rt.timed.borrow_mut().remove(&(deadline, w.id));
-                }
-                rt.make_ready(w.id, Wake::Notified);
-            }
-            // Expired but not resumed yet: the notify still reached it first.
-            State::Ready => f.wake.set(Wake::Notified),
-            State::Running | State::Done => {
-                unreachable!("only a parked fiber is queued on a Condvar")
-            }
-        }
+        // SAFETY: `mallopt` only sets allocator tunables; both parameters are
+        // documented glibc ones, 32 MiB is the largest mmap threshold it
+        // accepts on 64-bit targets, and the call is thread-safe.
+        ONCE.call_once(|| unsafe {
+            mallopt(M_MMAP_THRESHOLD, 32 << 20);
+            mallopt(M_TRIM_THRESHOLD, i32::MAX);
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Condvar, Mutex};
 
-    fn unwrap_all<T>(results: Vec<std::thread::Result<T>>) -> Vec<T> {
-        results.into_iter().map(|r| r.expect("fiber panicked")).collect()
-    }
-
-    fn message(payload: &(dyn std::any::Any + Send)) -> &str {
-        match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
-            (Some(s), _) => s,
-            (_, Some(s)) => s,
-            _ => "<non-string panic payload>",
-        }
-    }
+    include!("carrier_tests.rs");
 
     #[test]
     fn a_million_switches_preserve_each_fibers_registers_and_stack() {
@@ -511,7 +408,7 @@ mod tests {
                 }
                 acc
             },
-            || unreachable!("yielding fibers never stall"),
+            || unreachable!("yielding fibers never idle"),
         );
         for (id, got) in unwrap_all(results).into_iter().enumerate() {
             let mut want: [u64; 8] = std::array::from_fn(|k| (id as u64 + 1) * (k as u64 + 1));
@@ -523,27 +420,6 @@ mod tests {
             assert_eq!(got, want, "fiber {id}");
         }
         assert_eq!(stats.switches, 4 * (YIELDS + 1));
-        assert_eq!((stats.expiries, stats.stalls), (0, 0));
-    }
-
-    #[test]
-    fn a_panicking_fiber_is_caught_and_the_others_finish() {
-        let (results, _) = run(
-            3,
-            64 << 10,
-            |id| {
-                yield_now();
-                if id == 1 {
-                    panic!("fiber 1 gives up");
-                }
-                yield_now();
-                id * 10
-            },
-            || unreachable!(),
-        );
-        assert_eq!(*results[0].as_ref().unwrap(), 0);
-        assert_eq!(message(&**results[1].as_ref().unwrap_err()), "fiber 1 gives up");
-        assert_eq!(*results[2].as_ref().unwrap(), 20);
     }
 
     #[test]
@@ -555,237 +431,10 @@ mod tests {
                 yield_now();
                 id
             },
-            || unreachable!(),
+            || false,
         );
         assert_eq!(unwrap_all(results), (0..10_000).collect::<Vec<_>>());
         assert_eq!(stats.switches, 20_000);
-    }
-
-    #[test]
-    fn condvar_hands_the_carrier_from_fiber_to_fiber() {
-        // The shim's thread ping-pong, on fibers: every wake is a notify, so
-        // no timed wait ever expires although none is given real time.
-        const ROUNDS: u64 = 10_000;
-        let (turn, cv) = (Mutex::new(0u64), Condvar::new());
-        let (results, stats) = run(
-            2,
-            64 << 10,
-            |parity| {
-                let mut turn = turn.lock();
-                while *turn < ROUNDS {
-                    if *turn % 2 == parity as u64 {
-                        *turn += 1;
-                        assert!(cv.notify_one() || *turn == 1, "the other side is waiting");
-                    } else {
-                        let r = cv.wait_for(&mut turn, Duration::from_secs(3600));
-                        assert!(!r.timed_out(), "wake lost at turn {}", *turn);
-                    }
-                }
-            },
-            || unreachable!(),
-        );
-        unwrap_all(results);
-        assert_eq!((stats.expiries, stats.stalls), (0, 0));
-        assert!(stats.switches >= ROUNDS);
-    }
-
-    #[test]
-    fn timed_waits_expire_earliest_first_and_only_when_nothing_can_run() {
-        let (m, cv) = (Mutex::new(Vec::new()), Condvar::new());
-        let t0 = std::time::Instant::now();
-        let (results, stats) = run(
-            3,
-            64 << 10,
-            |id| {
-                let mut order = m.lock();
-                if id == 2 {
-                    // Runnable while the other two are parked: they stay so.
-                    drop(order);
-                    for _ in 0..100 {
-                        yield_now();
-                    }
-                    m.lock().push(id);
-                    return;
-                }
-                let hours = if id == 0 { 2 } else { 1 };
-                assert!(cv.wait_for(&mut order, Duration::from_secs(hours * 3600)).timed_out());
-                order.push(id);
-            },
-            || unreachable!("an expired waiter that returns has made progress"),
-        );
-        unwrap_all(results);
-        assert_eq!(*m.lock(), vec![2, 1, 0], "the yielder, then the 1 h wait, then the 2 h wait");
-        assert_eq!((stats.expiries, stats.stalls), (2, 0));
-        assert!(t0.elapsed() < Duration::from_secs(60), "hours of timeout cost no real time");
-    }
-
-    #[test]
-    fn a_stall_is_reported_once_a_sweep_moved_nobody() {
-        // Two fibers wait for a flag nobody sets, re-waiting on every expiry
-        // like the machine's wait loops do. One sweep later the scheduler
-        // calls the handler, which here sets the flag and notifies.
-        let (flag, cv) = (Mutex::new(false), Condvar::new());
-        let mut stalls = 0;
-        let (results, stats) = run(
-            2,
-            64 << 10,
-            |_| {
-                let mut set = flag.lock();
-                while !*set {
-                    cv.wait_for(&mut set, Duration::from_millis(200));
-                }
-            },
-            || {
-                stalls += 1;
-                *flag.lock() = true;
-                cv.notify_all();
-            },
-        );
-        unwrap_all(results);
-        assert_eq!((stalls, stats.stalls), (1, 1));
-        assert_eq!(stats.expiries, 2, "one sweep of both waiters");
-    }
-
-    #[test]
-    fn untimed_waiters_with_nobody_to_wake_them_stall_at_once() {
-        let (m, cv) = (Mutex::new(false), Condvar::new());
-        let (results, stats) = run(
-            1,
-            64 << 10,
-            |_| {
-                let mut set = m.lock();
-                while !*set {
-                    cv.wait(&mut set);
-                }
-            },
-            || {
-                *m.lock() = true;
-                cv.notify_all();
-            },
-        );
-        unwrap_all(results);
-        assert_eq!((stats.expiries, stats.stalls), (0, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "woke none")]
-    fn a_stall_the_handler_does_not_resolve_panics_instead_of_hanging() {
-        let (m, cv) = (Mutex::new(()), Condvar::new());
-        run(1, 64 << 10, |_| cv.wait(&mut m.lock()), || {});
-    }
-
-    #[test]
-    fn a_foreign_thread_notifying_parked_fibers_panics_with_a_message() {
-        let (m, cv) = (Mutex::new(false), Condvar::new());
-        let mut foreign = None;
-        let (results, _) = run(
-            1,
-            64 << 10,
-            |_| {
-                let mut set = m.lock();
-                while !*set {
-                    cv.wait(&mut set);
-                }
-            },
-            || {
-                // The fiber is parked on `cv` now. A thread that is not its
-                // carrier must be refused before it touches the ready queue…
-                foreign = Some(std::thread::scope(|s| {
-                    s.spawn(|| catch_unwind(AssertUnwindSafe(|| cv.notify_all()))).join().unwrap()
-                }));
-                // …and the fiber is still there for its own carrier to wake.
-                *m.lock() = true;
-                assert_eq!(cv.notify_all(), 1);
-            },
-        );
-        unwrap_all(results);
-        let payload = foreign.unwrap().unwrap_err();
-        let msg = message(&*payload);
-        assert!(msg.contains("outside their carrier thread"), "got: {msg}");
-    }
-
-    #[test]
-    fn a_second_carrier_on_the_same_condvar_panics_with_a_message() {
-        // Fiber 0 of the outer job parks on `cv`; the stall handler then runs
-        // a second job (its own runtime, same thread) whose fiber notifies
-        // `cv`: a different carrier as far as the queue is concerned.
-        let (m, cv) = (Mutex::new(false), Condvar::new());
-        let mut inner = None;
-        let (results, _) = run(
-            1,
-            64 << 10,
-            |_| {
-                let mut set = m.lock();
-                while !*set {
-                    cv.wait(&mut set);
-                }
-            },
-            || {
-                let (r, _) = run(1, 64 << 10, |_| cv.notify_all(), || unreachable!());
-                inner = r.into_iter().next();
-                *m.lock() = true;
-                cv.notify_all();
-            },
-        );
-        unwrap_all(results);
-        let payload = inner.unwrap().unwrap_err();
-        assert!(message(&*payload).contains("outside their carrier"));
-    }
-
-    #[test]
-    fn a_thread_and_a_fiber_waiting_on_one_condvar_panics_with_a_message() {
-        let (m, cv) = (Mutex::new(false), Condvar::new());
-        std::thread::scope(|s| {
-            let sleeper = s.spawn(|| {
-                let mut set = m.lock();
-                while !*set {
-                    cv.wait(&mut set);
-                }
-            });
-            // Once the thread is counted (under the mutex), a fiber that
-            // waits on the same condvar is refused.
-            loop {
-                let g = m.lock();
-                if cv.thread_sleepers() == 1 {
-                    break;
-                }
-                drop(g);
-                std::thread::yield_now();
-            }
-            let (results, _) = run(1, 64 << 10, |_| cv.wait(&mut m.lock()), || unreachable!());
-            *m.lock() = true;
-            cv.notify_all();
-            sleeper.join().unwrap();
-            let payload = results.into_iter().next().unwrap().unwrap_err();
-            let msg = message(&*payload);
-            assert!(msg.contains("shared between fibers and a thread"), "got: {msg}");
-        });
-    }
-
-    #[test]
-    fn a_run_from_inside_a_fiber_nests_on_that_fibers_stack() {
-        let (results, _) = run(
-            2,
-            256 << 10,
-            |outer| {
-                yield_now();
-                let (inner, stats) = run(
-                    3,
-                    32 << 10,
-                    |id| {
-                        yield_now();
-                        outer * 10 + id
-                    },
-                    || unreachable!(),
-                );
-                assert_eq!(stats.switches, 6);
-                // Back under the outer runtime: yielding reaches the sibling.
-                yield_now();
-                unwrap_all(inner)
-            },
-            || unreachable!(),
-        );
-        assert_eq!(unwrap_all(results), vec![vec![0, 1, 2], vec![10, 11, 12]]);
     }
 
     /// Child half of the guard-page test: recurses off the end of a 64 KiB
@@ -801,7 +450,7 @@ mod tests {
             recurse(depth + 1) + pad[0]
         }
         // The neighbour above must stay intact while fiber 0 dies.
-        run(2, 64 << 10, |id| if id == 0 { recurse(0) } else { 0 }, || {});
+        run(2, 64 << 10, |id| if id == 0 { recurse(0) } else { 0 }, || false);
     }
 
     #[test]

@@ -13,22 +13,31 @@
 //!   condvar, like parking_lot (`std::sync::Condvar` always issues the
 //!   `futex` wake), and `wait_for` reports a timeout only if nobody notified
 //!   the condvar meanwhile (`std` reports one whenever the time ran out).
-//! * [`fiber`] is not part of parking_lot at all: it runs closures as
-//!   stackful fibers on the calling thread, and a [`Condvar`] wait made from
-//!   one parks the fiber (a stack switch) instead of the thread (a `futex`).
-//!   The waiting protocols built on this crate run unchanged on either.
+//! * [`fiber`] and [`baton`] are not part of parking_lot at all: two
+//!   carriers of one API that run closures as fibers of which exactly one
+//!   runs at a time — stackful fibers on the calling thread (x86_64 Linux),
+//!   or OS threads passing a baton (everywhere). A fiber waits by
+//!   [`fiber::park`] until some fiber [`fiber::unpark`]s it; a [`Condvar`]
+//!   wait from a fiber would block its whole carrier, and panics.
 
 #![deny(unsafe_code)]
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[allow(unsafe_code)]
 pub mod fiber;
+/// No context switch on this target: the fiber carrier is the baton one.
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-#[path = "fiber_unsupported.rs"]
-pub mod fiber;
+pub mod fiber {
+    pub use crate::baton::{current, is_fiber, park, run, unpark, yield_now, RunStats};
 
-use fiber::{Waiter, Wake};
-use std::collections::VecDeque;
+    /// This target has no context switch; [`run`] is the baton carrier's.
+    pub const SUPPORTED: bool = false;
+
+    /// A no-op: the allocator policy is set on glibc x86_64 Linux only.
+    pub fn keep_freed_memory() {}
+}
+pub mod baton;
+
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,7 +77,7 @@ impl<T: ?Sized> Mutex<T> {
     }
 
     fn guard<'a>(&'a self, inner: std::sync::MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        MutexGuard { mutex: self, inner: Some(inner), expired: false }
+        MutexGuard { inner: Some(inner) }
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
@@ -97,16 +106,9 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// Guard returned by [`Mutex::lock`]. Holds the std guard in an `Option`
-/// so [`Condvar`] methods can temporarily take it out to wait, and knows its
-/// mutex so a fiber's wait — which unlocks by dropping the std guard — can
-/// lock again.
+/// so [`Condvar`] methods can temporarily take it out to wait.
 pub struct MutexGuard<'a, T: ?Sized> {
-    mutex: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
-    /// The last wait this guard went through was a fiber's and expired. A
-    /// waiter that waits again with such a guard has not left its wait loop
-    /// since, which is how [`fiber`] tells a stalled job from a slow one.
-    expired: bool,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -141,10 +143,9 @@ impl WaitTimeoutResult {
     }
 }
 
-/// Condition variable mirroring `parking_lot::Condvar`.
+/// Condition variable mirroring `parking_lot::Condvar`, for threads.
 ///
-/// `sleepers` counts the callers inside `wait`/`wait_for`: threads in its
-/// low half, fibers (see [`fiber`]) in its high half. It is raised
+/// `sleepers` counts the threads inside `wait`/`wait_for`. It is raised
 /// while the caller still holds the mutex and lowered once the mutex is held
 /// again, so a notifier that changed the awaited state under that mutex
 /// either ran before the waiter's predicate check (the waiter sees the
@@ -160,26 +161,15 @@ impl WaitTimeoutResult {
 /// before it ran again was notified, not timed out (parking_lot decides the
 /// same way, by who removed the thread from the queue).
 ///
-/// A waiting fiber queues itself in `parked` and switches to its scheduler;
-/// a notify moves queued fibers to their ready queue, oldest first, and a
-/// fiber's `wait_for` is told by the scheduler whether it was notified or
-/// expired. Fibers can share a condvar only with fibers of the same job:
-/// a thread beside them, or a fiber of another job, panics with a message.
+/// A wait from a [`fiber`] panics: it would block the fiber's whole carrier.
+/// Fibers wait through their carrier ([`fiber::park`]), which is what the
+/// machine's waits do.
 #[derive(Default)]
 pub struct Condvar {
     inner: std::sync::Condvar,
     sleepers: AtomicUsize,
     notifies: AtomicUsize,
-    parked: std::sync::Mutex<VecDeque<Waiter>>,
 }
-
-/// One sleeping fiber in [`Condvar::sleepers`]; threads count in units of 1.
-const FIBER: usize = 1 << (usize::BITS / 2);
-/// The half of [`Condvar::sleepers`] that counts threads.
-const THREADS: usize = FIBER - 1;
-
-const MIXED: &str = "a Condvar is shared between fibers and a thread; fibers can only share a \
-                     Condvar with fibers of the same job";
 
 impl Condvar {
     pub const fn new() -> Self {
@@ -187,17 +177,11 @@ impl Condvar {
             inner: std::sync::Condvar::new(),
             sleepers: AtomicUsize::new(0),
             notifies: AtomicUsize::new(0),
-            parked: std::sync::Mutex::new(VecDeque::new()),
         }
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        if let Some(me) = fiber::current() {
-            self.wait_parked(guard, me, None);
-            return;
-        }
-        let inner = guard.inner.take().expect("guard present before wait");
-        self.count_thread();
+        let inner = self.enter(guard);
         let inner = match self.inner.wait(inner) {
             Ok(g) => g,
             Err(p) => p.into_inner(),
@@ -211,13 +195,8 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
     ) -> WaitTimeoutResult {
-        if let Some(me) = fiber::current() {
-            let wake = self.wait_parked(guard, me, Some(timeout));
-            return WaitTimeoutResult { timed_out: wake == Wake::Expired };
-        }
-        let inner = guard.inner.take().expect("guard present before wait");
         let notifies = self.notifies.load(Ordering::SeqCst);
-        self.count_thread();
+        let inner = self.enter(guard);
         let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, r),
             Err(p) => p.into_inner(),
@@ -228,61 +207,27 @@ impl Condvar {
         WaitTimeoutResult { timed_out: result.timed_out() && unnotified }
     }
 
-    /// Count the calling thread as a sleeper (the caller holds the mutex).
-    fn count_thread(&self) {
-        if self.sleepers.fetch_add(1, Ordering::SeqCst) >= FIBER {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
-            panic!("{MIXED}");
-        }
-    }
-
-    fn parked(&self) -> std::sync::MutexGuard<'_, VecDeque<Waiter>> {
-        match self.parked.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    /// `wait`/`wait_for` of a fiber: queue it, unlock, and give the carrier
-    /// to its scheduler until a notify or an expiry makes it runnable.
-    fn wait_parked<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        me: fiber::Parker<'_>,
-        timeout: Option<Duration>,
-    ) -> Wake {
-        let waiter = me.waiter();
-        let before = self.sleepers.fetch_add(FIBER, Ordering::SeqCst);
-        {
-            let mut parked = self.parked();
-            let alone =
-                before & THREADS == 0 && parked.front().is_none_or(|w| w.same_carrier(&waiter));
-            if !alone {
-                drop(parked);
-                self.sleepers.fetch_sub(FIBER, Ordering::SeqCst);
-                panic!("{MIXED}");
-            }
-            parked.push_back(waiter);
-        }
-        drop(guard.inner.take().expect("guard present before wait"));
-        let wake = me.park(timeout, !guard.expired);
-        if wake == Wake::Expired {
-            // A notify would have taken the entry out; an expiry leaves it.
-            self.parked().retain(|w| *w != waiter);
-        }
-        guard.inner = Some(guard.mutex.lock_inner());
-        guard.expired = wake == Wake::Expired;
-        self.sleepers.fetch_sub(FIBER, Ordering::SeqCst);
-        wake
+    /// Count the calling thread as a sleeper (the caller holds the mutex)
+    /// and take the std guard out to wait with; refuse a fiber.
+    fn enter<'a, T>(&self, guard: &mut MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T> {
+        assert!(
+            !fiber::is_fiber(),
+            "a Condvar wait from a fiber would block its whole carrier; wait through the machine \
+             (parking_lot::fiber::park) instead"
+        );
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        guard.inner.take().expect("guard present before wait")
     }
 
     /// Wake one sleeper; `false` (and no syscall) when there is none.
     #[inline]
     pub fn notify_one(&self) -> bool {
-        match self.sleepers.load(Ordering::SeqCst) {
-            0 => false,
-            sleepers => self.wake(sleepers, 1) != 0,
+        if self.sleepers.load(Ordering::SeqCst) == 0 {
+            return false;
         }
+        self.notifies.fetch_add(1, Ordering::SeqCst);
+        self.inner.notify_one();
+        true
     }
 
     /// Wake every sleeper and return how many there were; `0` (and no
@@ -291,37 +236,12 @@ impl Condvar {
     pub fn notify_all(&self) -> usize {
         match self.sleepers.load(Ordering::SeqCst) {
             0 => 0,
-            sleepers => self.wake(sleepers, usize::MAX),
+            sleepers => {
+                self.notifies.fetch_add(1, Ordering::SeqCst);
+                self.inner.notify_all();
+                sleepers
+            }
         }
-    }
-
-    /// Wake up to `max` (one or all) of the `sleepers != 0` counted; returns
-    /// how many that was.
-    fn wake(&self, sleepers: usize, max: usize) -> usize {
-        self.notifies.fetch_add(1, Ordering::SeqCst);
-        if sleepers >= FIBER {
-            // Fibers already made runnable stay counted until they run, so
-            // the queue, not the count, says who is left to wake.
-            let mut parked = self.parked();
-            let Some(first) = parked.front() else { return 0 };
-            // Panics, before a queue is touched, if the caller is not the
-            // fibers' carrier.
-            let carrier = fiber::carrier_of(first);
-            let woken = parked.len().min(max);
-            parked.drain(..woken).for_each(|w| carrier.unpark(w));
-            woken
-        } else if max == 1 {
-            self.inner.notify_one();
-            1
-        } else {
-            self.inner.notify_all();
-            sleepers
-        }
-    }
-
-    #[cfg(test)]
-    fn thread_sleepers(&self) -> usize {
-        self.sleepers.load(Ordering::SeqCst) & THREADS
     }
 }
 
