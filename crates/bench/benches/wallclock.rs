@@ -61,6 +61,12 @@ fn heap_copy() {
             heap.read_bytes(8, std::hint::black_box(&mut dst))
         });
     }
+    // A read of memory no one has written: a symmetric heap is mostly that.
+    let heap = Heap::new(4096 + 64);
+    let mut dst = vec![0u8; 4096];
+    bench("heap_read_untouched_4096", Some(4096), || {
+        heap.read_bytes(8, std::hint::black_box(&mut dst))
+    });
     // One Himeno halo row (65 f32) written element by element, as the
     // strided apply did, against the one run it is written as now.
     let heap = Heap::new(512);
@@ -87,6 +93,14 @@ fn heap_stamps() {
     }
     bench("max_stamp_4096", Some(4096), || {
         std::hint::black_box(heap.max_stamp(8, 4096));
+    });
+    bench("max_stamp_8", Some(8), || {
+        std::hint::black_box(heap.max_stamp(std::hint::black_box(8), 8));
+    });
+    // A whole page at once, as a bulk put over page-aligned memory stamps it.
+    bench("stamp_range_4096_aligned", Some(4096), || {
+        t += 1;
+        heap.stamp_range(0, 4096, std::hint::black_box(t))
     });
 }
 
@@ -240,6 +254,11 @@ fn arbiter_engine() {
     // A job's fixed cost: build the machine, start every PE, join.
     let cfg = generic_smp(32).with_heap_bytes(1 << 12);
     bench("launch_32pe_arbiter", None, || {
+        assert_eq!(pgas_machine::run(cfg.clone(), |pe| pe.id()).results.len(), 32);
+    });
+    // The same at the platforms' default heap of 1 MiB per PE.
+    let cfg = generic_smp(32).with_heap_bytes(1 << 20);
+    bench("launch_32pe_1mib_heap", None, || {
         assert_eq!(pgas_machine::run(cfg.clone(), |pe| pe.id()).results.len(), 32);
     });
     const LAUNCHES: u64 = 3;

@@ -66,7 +66,7 @@ fn main() {
     } else {
         Vec::new()
     };
-    for (name, fig) in repro_bench::run_figure_jobs(jobs, workers) {
+    for (name, fig, took) in repro_bench::run_figure_jobs(jobs, workers) {
         fig.emit();
         if let Some(bench) = &fig.bench {
             match BenchRecord::from_json(bench) {
@@ -77,7 +77,7 @@ fn main() {
                 Err(e) => eprintln!("[repro_all] {name}: bad bench record: {e}"),
             }
         }
-        eprintln!("[repro_all] {name} done at {:?}", t0.elapsed());
+        eprintln!("[repro_all] {name} took {took}");
     }
     match repro_bench::baseline::write_baselines(&dir, &records) {
         Ok(paths) => {

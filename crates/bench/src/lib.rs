@@ -45,18 +45,62 @@ pub fn figure_jobs_from_env(default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// Host time one figure job took on the worker thread that ran it.
+#[derive(Debug, Clone, Copy)]
+pub struct JobTime {
+    /// Wall seconds from the job's start to its end.
+    pub wall_s: f64,
+    /// CPU seconds of the worker thread over the job (user + system), where
+    /// the OS reports them (`/proc/thread-self/stat`; 10 ms resolution).
+    /// PEs run as fibers on the thread that launches them, so on that
+    /// carrier this is the job's whole simulation cost.
+    pub cpu_s: Option<f64>,
+}
+
+impl std::fmt::Display for JobTime {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.2} s wall", self.wall_s)?;
+        match self.cpu_s {
+            Some(cpu) => write!(f, ", {cpu:.2} s cpu"),
+            None => write!(f, ", cpu n/a"),
+        }
+    }
+}
+
+/// User + system CPU seconds of the calling thread so far, if the OS says.
+fn thread_cpu_s() -> Option<f64> {
+    // Clock ticks per second of /proc's time fields (USER_HZ), 100 on Linux.
+    const TICKS_PER_S: f64 = 100.0;
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // Fields 14 and 15 (utime, stime) count from field 3, which follows the
+    // parenthesised command name (itself free to hold spaces).
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+    let mut ticks = || fields.next()?.parse::<u64>().ok();
+    Some((ticks()? + ticks()?) as f64 / TICKS_PER_S)
+}
+
+/// Run `job`, timing it on the current thread.
+fn timed<T>(job: impl FnOnce() -> T) -> (T, JobTime) {
+    let (start, cpu_start) = (std::time::Instant::now(), thread_cpu_s());
+    let out = job();
+    let wall_s = start.elapsed().as_secs_f64();
+    let cpu_s = cpu_start.zip(thread_cpu_s()).map(|(a, b)| b - a);
+    (out, JobTime { wall_s, cpu_s })
+}
+
 /// Run figure generators sharded across `workers` threads, returning the
 /// results in the original job order (emission stays serial and
-/// deterministic at the caller). Work-stealing by atomic index: long jobs
-/// (the scaling figures) don't serialize the short ones behind them.
+/// deterministic at the caller), each with the host time its job took.
+/// Work-stealing by atomic index: long jobs (the scaling figures) don't
+/// serialize the short ones behind them.
 pub fn run_figure_jobs(
     jobs: Vec<FigureJob>,
     workers: usize,
-) -> Vec<(&'static str, pgas_microbench::Figure)> {
+) -> Vec<(&'static str, pgas_microbench::Figure, JobTime)> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    let slots: Vec<Mutex<Option<pgas_microbench::Figure>>> =
+    let slots: Vec<Mutex<Option<(pgas_microbench::Figure, JobTime)>>> =
         jobs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = workers.max(1).min(jobs.len().max(1));
@@ -65,13 +109,16 @@ pub fn run_figure_jobs(
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some((_, job)) = jobs.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(job());
+                *slots[i].lock().unwrap() = Some(timed(job));
             });
         }
     });
     jobs.iter()
         .zip(slots)
-        .map(|((name, _), slot)| (*name, slot.into_inner().unwrap().expect("job ran")))
+        .map(|((name, _), slot)| {
+            let (fig, time) = slot.into_inner().unwrap().expect("job ran");
+            (*name, fig, time)
+        })
         .collect()
 }
 
@@ -90,8 +137,28 @@ mod tests {
             let jobs: Vec<FigureJob> =
                 ["a", "b", "c", "d", "e", "f", "g"].into_iter().map(trivial_job).collect();
             let done = run_figure_jobs(jobs, workers);
-            let names: Vec<&str> = done.iter().map(|(n, _)| *n).collect();
+            let names: Vec<&str> = done.iter().map(|(n, ..)| *n).collect();
             assert_eq!(names, ["a", "b", "c", "d", "e", "f", "g"], "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn each_job_reports_its_own_host_time() {
+        // Two workers: the sleeper and the trivial job run side by side, so
+        // a time taken at the end of the sweep would give both the same.
+        let sleeper: FigureJob = (
+            "sleeper",
+            Box::new(|| {
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                Figure::new("sleeper", "sleeper")
+            }),
+        );
+        let done = run_figure_jobs(vec![sleeper, trivial_job("trivial")], 2);
+        let (slept, trivial) = (done[0].2, done[1].2);
+        assert!(slept.wall_s >= 0.3, "{slept}");
+        assert!(trivial.wall_s < 0.1, "{trivial}");
+        if let (Some(slept_cpu), Some(_)) = (slept.cpu_s, trivial.cpu_s) {
+            assert!(slept_cpu < 0.1, "a sleeping thread burns no CPU: {slept}");
         }
     }
 

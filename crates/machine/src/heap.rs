@@ -2,28 +2,114 @@
 //!
 //! Any PE may read or write any other PE's heap at any time — that is the
 //! whole point of a PGAS machine — so the backing store must tolerate
-//! concurrent conflicting access without undefined behaviour. We store the
-//! heap as a slice of `AtomicU64` words and perform all byte-granularity
-//! access through word-level atomics (plain loads/stores for covered words,
-//! CAS-merge for partial words). Racy PGAS programs thus map onto well-defined
-//! relaxed-atomic races instead of UB.
+//! concurrent conflicting access without undefined behaviour. The bytes are
+//! kept in `AtomicU64` words and every byte-granularity access goes through
+//! word-level atomics (plain loads/stores for covered words, CAS-merge for
+//! partial words), so racy PGAS programs map onto well-defined relaxed-atomic
+//! races instead of UB. Only one PE runs at a time on a launched job's
+//! carrier, but a hand-driven `Machine::new` may still be shared between OS
+//! threads; the words can become plain bytes once the machine's state is
+//! owned by its carrier.
 //!
-//! Alongside the data, every word carries a **shadow timestamp**: the maximum
-//! virtual completion time of remote writes that touched it. Readers take the
-//! max over the region they read and fold it into their own clock, which
+//! **Pages.** OpenSHMEM reserves a PE's whole symmetric heap up front, and
+//! a program touches only what it allocates. So a heap is a table of 4 KiB
+//! pages: [`Heap::new`] allocates the table and no page, a write
+//! ([`Heap::write_bytes`], [`Heap::scatter`], [`Heap::atomic64`]) creates a
+//! page the first time it touches it, and a read of a page that does not
+//! exist yet yields zeros and creates nothing. Every copy and stamp loop
+//! looks a page up once and then walks its words.
+//!
+//! **Stamps.** Every word carries a *shadow timestamp*: the maximum virtual
+//! completion time of remote writes that touched it. Readers take the max
+//! over the region they read and fold it into their own clock, which
 //! propagates causality through memory (Lamport clocks through the heap).
-//! Stamps are read lock-free but written by one thread at a time per heap —
-//! the contract stated at [`Heap::stamp_range`].
+//! A page keeps its stamps as a `floor` plus, once a stamp above the floor
+//! covers only part of the page, a per-word array; a word's stamp is the
+//! larger of the two. A stamp over a whole page raises just the floor.
+//! Raising either side only where it grows keeps every word's stamp equal
+//! to the per-word maximum of the times written over it. Stamps are read
+//! lock-free but written by one thread at a time per heap — the contract
+//! stated at [`Heap::stamp_range`].
 //!
 //! Out-of-bounds access panics: it is the simulator's analogue of a segfault
 //! from a bad remote address.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+/// Bytes per heap page: the unit in which storage is created on first write
+/// and in which stamps are summarised.
+const PAGE_BYTES: usize = 4096;
+const PAGE_WORDS: usize = PAGE_BYTES / 8;
+
+/// The 8-byte words of one page.
+type Words = [AtomicU64; PAGE_WORDS];
+
+/// A fresh page of zero words, built on the heap.
+fn zeroed() -> Box<Words> {
+    let words: Box<[AtomicU64]> = (0..PAGE_WORDS).map(|_| AtomicU64::new(0)).collect();
+    words.try_into().expect("PAGE_WORDS words")
+}
+
+/// One page of a heap.
+#[derive(Default)]
+struct Page {
+    /// The bytes, created as zeros by the first write; until then the
+    /// page reads as zeros.
+    data: OnceLock<Box<Words>>,
+    /// Stamp of every word of the page that `stamps` holds no larger one for.
+    floor: AtomicU64,
+    /// Per-word stamps, created by the first stamp above `floor` that covers
+    /// only part of the page.
+    stamps: OnceLock<Box<Words>>,
+}
+
+impl Page {
+    /// The page's words, created on first use.
+    #[inline]
+    fn data(&self) -> &Words {
+        self.data.get_or_init(zeroed)
+    }
+
+    /// The page's words if it has been written.
+    #[inline]
+    fn written(&self) -> Option<&Words> {
+        self.data.get().map(|words| &**words)
+    }
+
+    /// Raise the stamps of the words covering bytes `[from, from + n)` of
+    /// this page to `t`. Stamp writer only (see [`Heap::stamp_range`]).
+    #[inline]
+    fn stamp(&self, from: usize, n: usize, t: u64) {
+        if self.floor.load(Ordering::Relaxed) >= t {
+            return; // every word of the page is already at `t` or above
+        }
+        let words = from / 8..(from + n).div_ceil(8);
+        if words.start == 0 && words.end == PAGE_WORDS {
+            self.floor.store(t, Ordering::Release);
+            return;
+        }
+        for w in &self.stamps.get_or_init(zeroed)[words] {
+            if w.load(Ordering::Relaxed) < t {
+                w.store(t, Ordering::Release);
+            }
+        }
+    }
+
+    /// Maximum stamp of the words covering bytes `[from, from + n)`.
+    #[inline]
+    fn max_stamp(&self, from: usize, n: usize) -> u64 {
+        let floor = self.floor.load(Ordering::Acquire);
+        match self.stamps.get() {
+            None => floor,
+            Some(stamps) => max_word(&stamps[from / 8..(from + n).div_ceil(8)]).max(floor),
+        }
+    }
+}
 
 /// Remotely accessible memory of one PE plus shadow timestamps.
 pub struct Heap {
-    words: Box<[AtomicU64]>,
-    stamps: Box<[AtomicU64]>,
+    pages: Box<[Page]>,
     len_bytes: usize,
     /// Set for the duration of a `stamp_range` call: detects a second,
     /// unserialized stamp writer (see the contract there).
@@ -32,13 +118,13 @@ pub struct Heap {
 }
 
 impl Heap {
-    /// Allocate a zeroed heap of at least `len_bytes` (rounded up to 8).
+    /// A zeroed heap of at least `len_bytes` (rounded up to 8). No page
+    /// exists until it is first written.
     pub fn new(len_bytes: usize) -> Self {
-        let words = len_bytes.div_ceil(8);
+        let len_bytes = len_bytes.div_ceil(8) * 8;
         Heap {
-            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            stamps: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            len_bytes: words * 8,
+            pages: (0..len_bytes.div_ceil(PAGE_BYTES)).map(|_| Page::default()).collect(),
+            len_bytes,
             #[cfg(debug_assertions)]
             stamping: std::sync::atomic::AtomicBool::new(false),
         }
@@ -58,91 +144,94 @@ impl Heap {
 
     #[inline]
     fn check(&self, off: usize, len: usize, what: &str) {
-        assert!(
-            off.checked_add(len).is_some_and(|end| end <= self.len_bytes),
-            "remote {what} out of bounds: offset {off} + len {len} > heap size {}",
-            self.len_bytes
-        );
+        if off.checked_add(len).is_none_or(|end| end > self.len_bytes) {
+            out_of_bounds(what, off, len, self.len_bytes);
+        }
+    }
+
+    /// Call `f(page, from, n, done)` for each page the already checked range
+    /// `[off, off + len)` touches, in order: bytes `[from, from + n)` of
+    /// `page` are bytes `[done, done + n)` of the range.
+    #[inline(always)]
+    fn each_page(&self, off: usize, len: usize, mut f: impl FnMut(&Page, usize, usize, usize)) {
+        let from = off % PAGE_BYTES;
+        if from + len > PAGE_BYTES {
+            self.each_of_pages(off, len, f);
+        } else if len > 0 {
+            // One page, as every access of up to 8 aligned bytes is.
+            f(&self.pages[off / PAGE_BYTES], from, len, 0);
+        }
+    }
+
+    /// [`Self::each_page`] for a range over more than one page, out of line
+    /// so that the one-page case stays a few instructions.
+    #[inline(never)]
+    fn each_of_pages(&self, off: usize, len: usize, mut f: impl FnMut(&Page, usize, usize, usize)) {
+        let mut pos = off;
+        while pos < off + len {
+            let from = pos % PAGE_BYTES;
+            let n = (off + len - pos).min(PAGE_BYTES - from);
+            f(&self.pages[pos / PAGE_BYTES], from, n, pos - off);
+            pos += n;
+        }
+    }
+
+    /// Group the `n` elements of `elem` bytes at `off + i * step` (an
+    /// already checked span) by page: `f(Some((page, from)), i..k)` gets
+    /// elements `i..k`, which lie wholly in `page`, the first at byte `from`
+    /// and the others every `step` bytes after it; an element `i` that
+    /// straddles two pages comes alone as `f(None, i..i + 1)`.
+    #[inline(always)]
+    fn runs(
+        &self,
+        off: usize,
+        step: usize,
+        elem: usize,
+        n: usize,
+        mut f: impl FnMut(Option<(&Page, usize)>, std::ops::Range<usize>),
+    ) {
+        let mut i = 0;
+        while i < n {
+            let at = off + i * step;
+            let from = at % PAGE_BYTES;
+            if from + elem > PAGE_BYTES {
+                f(None, i..i + 1);
+                i += 1;
+            } else {
+                let room = PAGE_BYTES - elem - from;
+                let k = room.checked_div(step).map_or(n, |more| n.min(i + 1 + more));
+                f(Some((&self.pages[at / PAGE_BYTES], from)), i..k);
+                i = k;
+            }
+        }
     }
 
     /// Copy `src` into the heap at byte offset `off`.
+    #[inline]
     pub fn write_bytes(&self, off: usize, src: &[u8]) {
         self.check(off, src.len(), "write");
-        self.store(off, src);
-    }
-
-    /// [`Self::write_bytes`] for a range the caller has already checked.
-    /// Always inlined, so the copy loop is compiled next to its caller's
-    /// bounds check as it was when the two were one function.
-    #[inline(always)]
-    fn store(&self, off: usize, src: &[u8]) {
-        let mut pos = off;
-        let mut rest = src;
-        // Leading partial word.
-        if !pos.is_multiple_of(8) {
-            let in_word = pos % 8;
-            let take = rest.len().min(8 - in_word);
-            merge_word(&self.words[pos / 8], in_word, &rest[..take]);
-            pos += take;
-            rest = &rest[take..];
-        }
-        // Full words.
-        let mut chunks = rest.chunks_exact(8);
-        for chunk in &mut chunks {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(chunk);
-            self.words[pos / 8].store(u64::from_ne_bytes(b), Ordering::Release);
-            pos += 8;
-        }
-        // Trailing partial word.
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            merge_word(&self.words[pos / 8], 0, tail);
-        }
+        self.each_page(off, src.len(), |page, from, n, done| {
+            store_words(page.data(), from, &src[done..done + n])
+        });
     }
 
     /// Copy heap bytes at offset `off` into `dst`.
+    #[inline]
     pub fn read_bytes(&self, off: usize, dst: &mut [u8]) {
         self.check(off, dst.len(), "read");
-        self.load(off, dst);
-    }
-
-    /// [`Self::read_bytes`] for a range the caller has already checked.
-    /// Always inlined, like [`Self::store`]: left to the inliner's choice,
-    /// a 4 KiB `read_bytes` measured 12 % slower.
-    #[inline(always)]
-    fn load(&self, off: usize, dst: &mut [u8]) {
-        let mut pos = off;
-        let mut rest = &mut dst[..];
-        if !pos.is_multiple_of(8) {
-            let in_word = pos % 8;
-            let take = rest.len().min(8 - in_word);
-            let w = self.words[pos / 8].load(Ordering::Acquire).to_ne_bytes();
-            rest[..take].copy_from_slice(&w[in_word..in_word + take]);
-            pos += take;
-            rest = &mut rest[take..];
-        }
-        let mut chunks = rest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.words[pos / 8].load(Ordering::Acquire).to_ne_bytes());
-            pos += 8;
-        }
-        let tail = chunks.into_remainder();
-        if !tail.is_empty() {
-            let w = self.words[pos / 8].load(Ordering::Acquire).to_ne_bytes();
-            let n = tail.len();
-            tail.copy_from_slice(&w[..n]);
-        }
+        self.each_page(off, dst.len(), |page, from, n, done| {
+            load_words(page.written(), from, &mut dst[done..done + n])
+        });
     }
 
     /// Direct access to the 8-byte atomic word at byte offset `off`
     /// (must be 8-aligned). This is the substrate for remote atomics and
-    /// `wait_until`.
+    /// `wait_until`. Creates the word's page if it does not exist yet.
     #[inline]
     pub fn atomic64(&self, off: usize) -> &AtomicU64 {
         self.check(off, 8, "atomic");
         assert!(off.is_multiple_of(8), "atomic access requires 8-byte alignment, got offset {off}");
-        &self.words[off / 8]
+        &self.pages[off / PAGE_BYTES].data()[off % PAGE_BYTES / 8]
     }
 
     /// Record that a remote write covering `[off, off+len)` completed at
@@ -157,12 +246,13 @@ impl Heap {
     /// one's loads. Readers ([`Self::max_stamp`]) stay lock-free; the
     /// `Release` store pairs with their `Acquire` load. Debug builds check
     /// the contract.
+    #[inline]
     pub fn stamp_range(&self, off: usize, len: usize, t: u64) {
         if len == 0 {
             return;
         }
         self.check(off, len, "stamp");
-        self.as_stamper(|| self.stamp_words(off, len, t));
+        self.as_stamper(|| self.each_page(off, len, |page, from, n, _| page.stamp(from, n, t)));
     }
 
     /// Run `f`, the body of a stamp writer. Debug builds check the writer
@@ -181,32 +271,16 @@ impl Heap {
         out
     }
 
-    /// Raise the stamps of the words of an already checked range to `t`.
-    #[inline]
-    fn stamp_words(&self, off: usize, len: usize, t: u64) {
-        for w in &self.stamps[off / 8..(off + len).div_ceil(8)] {
-            if w.load(Ordering::Relaxed) < t {
-                w.store(t, Ordering::Release);
-            }
-        }
-    }
-
     /// Maximum remote-write completion time over `[off, off+len)`.
+    #[inline]
     pub fn max_stamp(&self, off: usize, len: usize) -> u64 {
         if len == 0 {
             return 0;
         }
         self.check(off, len, "stamp read");
-        self.max_stamp_words(off, len)
-    }
-
-    #[inline]
-    fn max_stamp_words(&self, off: usize, len: usize) -> u64 {
-        self.stamps[off / 8..(off + len).div_ceil(8)]
-            .iter()
-            .map(|w| w.load(Ordering::Acquire))
-            .max()
-            .unwrap_or(0)
+        let mut stamp = 0;
+        self.each_page(off, len, |page, from, n, _| stamp = stamp.max(page.max_stamp(from, n)));
+        stamp
     }
 
     /// Strided write: element `i` of `n` (`elem` bytes each) is taken from
@@ -237,11 +311,23 @@ impl Heap {
             src.len()
         );
         self.as_stamper(|| {
-            for i in 0..n {
-                let at = off + i * step;
-                self.store(at, &src[i * src_step..][..elem]);
-                self.stamp_words(at, elem, t);
-            }
+            self.runs(off, step, elem, n, move |in_page, elems| match in_page {
+                Some((page, from)) => {
+                    let data = page.data();
+                    for i in elems.clone() {
+                        let from = from + (i - elems.start) * step;
+                        store_words(data, from, &src[i * src_step..][..elem]);
+                        page.stamp(from, elem, t);
+                    }
+                }
+                None => {
+                    let src = &src[elems.start * src_step..][..elem];
+                    self.each_page(off + elems.start * step, elem, |page, from, n, done| {
+                        store_words(page.data(), from, &src[done..done + n]);
+                        page.stamp(from, n, t);
+                    });
+                }
+            });
         });
     }
 
@@ -268,13 +354,42 @@ impl Heap {
             out.len()
         );
         let mut stamp = 0;
-        for i in 0..n {
-            let at = off + i * step;
-            self.load(at, &mut out[i * out_step..][..elem]);
-            stamp = stamp.max(self.max_stamp_words(at, elem));
-        }
+        self.runs(off, step, elem, n, |in_page, elems| match in_page {
+            Some((page, from)) => {
+                let (data, stamps) = (page.written(), page.stamps.get());
+                stamp = stamp.max(page.floor.load(Ordering::Acquire));
+                for i in elems.clone() {
+                    let from = from + (i - elems.start) * step;
+                    load_words(data, from, &mut out[i * out_step..][..elem]);
+                    if let Some(stamps) = stamps {
+                        stamp = stamp.max(max_word(&stamps[from / 8..(from + elem).div_ceil(8)]));
+                    }
+                }
+            }
+            None => {
+                let out = &mut out[elems.start * out_step..][..elem];
+                self.each_page(off + elems.start * step, elem, |page, from, n, done| {
+                    load_words(page.written(), from, &mut out[done..done + n]);
+                    stamp = stamp.max(page.max_stamp(from, n));
+                });
+            }
+        });
         stamp
     }
+
+    /// Pages whose bytes exist.
+    #[cfg(test)]
+    fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.data.get().is_some()).count()
+    }
+}
+
+/// The panic of [`Heap::check`], out of line so that the check inlines as
+/// one compare.
+#[cold]
+#[inline(never)]
+fn out_of_bounds(what: &str, off: usize, len: usize, size: usize) -> ! {
+    panic!("remote {what} out of bounds: offset {off} + len {len} > heap size {size}")
 }
 
 /// Bytes from the start of the first to the end of the last of `n >= 1`
@@ -284,6 +399,96 @@ fn strided_span(n: usize, step: usize, elem: usize) -> usize {
         .checked_mul(step)
         .and_then(|gaps| gaps.checked_add(elem))
         .expect("strided span overflows the address space")
+}
+
+/// Copy `src` into bytes `[from, from + src.len())` of one page.
+#[inline(always)]
+fn store_words(words: &Words, from: usize, src: &[u8]) {
+    let mut words = &words[from / 8..(from + src.len()).div_ceil(8)];
+    let mut rest = src;
+    // Leading partial word.
+    if !from.is_multiple_of(8) {
+        let in_word = from % 8;
+        let take = rest.len().min(8 - in_word);
+        merge_word(&words[0], in_word, &rest[..take]);
+        words = &words[1..];
+        rest = &rest[take..];
+    }
+    // Full words, eight at a time: each batch is read from `src` before any
+    // of it is stored. Word by word, the copy ran 2-4x slower at most
+    // placements of `src` relative to the page (a load whose address equals
+    // that of a recent store modulo 4 KiB waits for it).
+    let full = rest.len() / 8;
+    let (batched, single) = words[..full].split_at(full / 8 * 8);
+    let (batch_bytes, rest) = rest.split_at(batched.len() * 8);
+    for (batch, bytes) in batched.chunks_exact(8).zip(batch_bytes.chunks_exact(64)) {
+        let values: [u64; 8] = std::array::from_fn(|k| word_of(&bytes[8 * k..8 * k + 8]));
+        for (word, value) in batch.iter().zip(values) {
+            word.store(value, Ordering::Release);
+        }
+    }
+    let mut chunks = rest.chunks_exact(8);
+    for (word, chunk) in single.iter().zip(&mut chunks) {
+        word.store(word_of(chunk), Ordering::Release);
+    }
+    // Trailing partial word.
+    let tail = chunks.remainder();
+    if let (false, Some(word)) = (tail.is_empty(), words.last()) {
+        merge_word(word, 0, tail);
+    }
+}
+
+/// The native-endian word in 8 bytes.
+#[inline(always)]
+fn word_of(bytes: &[u8]) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(bytes);
+    u64::from_ne_bytes(b)
+}
+
+/// Copy bytes `[from, from + dst.len())` of one page into `dst`; a page
+/// that does not exist reads as zeros.
+#[inline(always)]
+fn load_words(words: Option<&Words>, from: usize, dst: &mut [u8]) {
+    let Some(words) = words else {
+        dst.fill(0);
+        return;
+    };
+    let mut words = &words[from / 8..(from + dst.len()).div_ceil(8)];
+    let mut rest = dst;
+    if !from.is_multiple_of(8) {
+        let in_word = from % 8;
+        let take = rest.len().min(8 - in_word);
+        let w = words[0].load(Ordering::Acquire).to_ne_bytes();
+        rest[..take].copy_from_slice(&w[in_word..in_word + take]);
+        words = &words[1..];
+        rest = &mut rest[take..];
+    }
+    // Full words, eight at a time, as `store_words` copies them.
+    let full = rest.len() / 8;
+    let (batched, single) = words[..full].split_at(full / 8 * 8);
+    let (batch_bytes, rest) = rest.split_at_mut(batched.len() * 8);
+    for (batch, bytes) in batched.chunks_exact(8).zip(batch_bytes.chunks_exact_mut(64)) {
+        let values: [u64; 8] = std::array::from_fn(|k| batch[k].load(Ordering::Acquire));
+        for (chunk, value) in bytes.chunks_exact_mut(8).zip(values) {
+            chunk.copy_from_slice(&value.to_ne_bytes());
+        }
+    }
+    let mut chunks = rest.chunks_exact_mut(8);
+    for (word, chunk) in single.iter().zip(&mut chunks) {
+        chunk.copy_from_slice(&word.load(Ordering::Acquire).to_ne_bytes());
+    }
+    let tail = chunks.into_remainder();
+    if let (false, Some(word)) = (tail.is_empty(), words.last()) {
+        let n = tail.len();
+        tail.copy_from_slice(&word.load(Ordering::Acquire).to_ne_bytes()[..n]);
+    }
+}
+
+/// The largest of `words`, 0 for none.
+#[inline(always)]
+fn max_word(words: &[AtomicU64]) -> u64 {
+    words.iter().map(|w| w.load(Ordering::Acquire)).max().unwrap_or(0)
 }
 
 /// CAS-merge `src` into `word` starting at byte `in_word`.
@@ -580,5 +785,229 @@ mod tests {
         assert_eq!(out[0], 0);
         assert_eq!(out[1], (9_999 % 251) as u8);
         assert_eq!(out[2], (9_999 % 241) as u8);
+    }
+
+    #[test]
+    fn reads_and_stamps_create_no_page() {
+        let h = Heap::new(5 * PAGE_BYTES);
+        let mut out = vec![0xAAu8; h.len()];
+        h.read_bytes(0, &mut out);
+        assert!(out.iter().all(|&b| b == 0));
+        assert_eq!(h.gather(4090, 4096, &mut out, 8, 8, 4), 0);
+        h.stamp_range(0, h.len(), 7);
+        h.stamp_range(12, 40, 9);
+        assert_eq!((h.max_stamp(0, h.len()), h.max_stamp(8, 8)), (9, 9));
+        assert_eq!(h.resident_pages(), 0, "no byte was written");
+        h.write_bytes(2 * PAGE_BYTES + 3, &[1]);
+        h.atomic64(4 * PAGE_BYTES);
+        assert_eq!(h.resident_pages(), 2);
+        h.write_bytes(PAGE_BYTES - 4, &[2; 8]); // straddles pages 0 and 1
+        assert_eq!(h.resident_pages(), 4);
+    }
+
+    #[test]
+    fn a_launch_materialises_only_the_pages_its_pes_write() {
+        // 32 PEs with 1 MiB heaps; each puts one word into its neighbour's
+        // heap the way the conduit applies a put.
+        use crate::platforms::generic_smp;
+        let out = crate::launch::run(generic_smp(32).with_heap_bytes(1 << 20), |pe| {
+            let (m, me) = (pe.machine(), pe.id());
+            let next = (me + 1) % pe.n();
+            m.apply_and_notify(next, || {
+                m.heap(next).write_bytes(8 * me, &(me as u64).to_ne_bytes());
+                m.heap(next).stamp_range(8 * me, 8, 1);
+            });
+            m.barrier_all(me, 0.0);
+            m.heap(me).resident_pages()
+        });
+        assert_eq!(out.results, vec![1; 32], "one data page per PE");
+    }
+
+    /// A flat reference heap: every byte and every word's stamp.
+    struct Flat {
+        bytes: Vec<u8>,
+        stamps: Vec<u64>,
+        /// Pages a write has touched.
+        written: Vec<bool>,
+    }
+
+    impl Flat {
+        fn new(len: usize) -> Flat {
+            let len = len.div_ceil(8) * 8;
+            Flat {
+                bytes: vec![0; len],
+                stamps: vec![0; len / 8],
+                written: vec![false; len.div_ceil(PAGE_BYTES)],
+            }
+        }
+
+        fn write(&mut self, off: usize, src: &[u8]) {
+            self.bytes[off..off + src.len()].copy_from_slice(src);
+            if !src.is_empty() {
+                self.written[off / PAGE_BYTES..=(off + src.len() - 1) / PAGE_BYTES].fill(true);
+            }
+        }
+
+        fn stamp(&mut self, off: usize, len: usize, t: u64) {
+            if len > 0 {
+                self.stamps[off / 8..(off + len).div_ceil(8)]
+                    .iter_mut()
+                    .for_each(|w| *w = (*w).max(t));
+            }
+        }
+
+        fn max_stamp(&self, off: usize, len: usize) -> u64 {
+            if len == 0 {
+                return 0;
+            }
+            self.stamps[off / 8..(off + len).div_ceil(8)].iter().copied().max().unwrap_or(0)
+        }
+    }
+
+    /// Run a seed-drawn sequence of every heap operation on a heap of
+    /// `len` bytes and on [`Flat`], comparing every result and, at the end,
+    /// every byte, every word's stamp and which pages exist.
+    fn against_flat(len: usize, seed: u64) -> Result<(), String> {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (h, mut flat) = (Heap::new(len), Flat::new(len));
+        let size = h.len();
+        // An offset, half the time within 16 bytes of a page boundary.
+        let place = |rng: &mut SmallRng| -> usize {
+            if rng.gen_range(0..2) == 0 {
+                let edge = rng.gen_range(0..=size / PAGE_BYTES) * PAGE_BYTES;
+                (edge + rng.gen_range(0..32)).saturating_sub(16).min(size)
+            } else {
+                rng.gen_range(0..=size)
+            }
+        };
+        let span = |rng: &mut SmallRng, off: usize| -> usize {
+            let len = [0, 1, 3, 7, 8, 9, 16, 100, 4088, 4096, 4104, 9000][rng.gen_range(0..12)];
+            len.min(size - off)
+        };
+        let bytes =
+            |rng: &mut SmallRng, n: usize| -> Vec<u8> { (0..n).map(|_| rng.gen()).collect() };
+        for op in 0..rng.gen_range(1..120) {
+            let at = place(&mut rng);
+            let word = (at / 8 * 8).min(size - 8);
+            let t = rng.gen_range(0..40u64);
+            let case = format!("seed {seed} heap {len} op {op}");
+            match rng.gen_range(0..9) {
+                0 => {
+                    let n = span(&mut rng, at);
+                    let src = bytes(&mut rng, n);
+                    h.write_bytes(at, &src);
+                    flat.write(at, &src);
+                }
+                1 => {
+                    let mut got = vec![0xAA; span(&mut rng, at)];
+                    h.read_bytes(at, &mut got);
+                    if got[..] != flat.bytes[at..at + got.len()] {
+                        return Err(format!("{case}: read_bytes({at}, {}) differs", got.len()));
+                    }
+                }
+                2 => {
+                    let want = u64::from_ne_bytes(flat.bytes[word..word + 8].try_into().unwrap());
+                    let got = match rng.gen_range(0..3) {
+                        0 => h.atomic64(word).load(Ordering::Acquire),
+                        1 => {
+                            let v: u64 = rng.gen();
+                            h.atomic64(word).store(v, Ordering::Release);
+                            flat.write(word, &v.to_ne_bytes());
+                            want
+                        }
+                        _ => {
+                            let v: u64 = rng.gen();
+                            let old = h.atomic64(word).fetch_add(v, Ordering::AcqRel);
+                            flat.write(word, &want.wrapping_add(v).to_ne_bytes());
+                            old
+                        }
+                    };
+                    flat.written[word / PAGE_BYTES] = true;
+                    if got != want {
+                        return Err(format!("{case}: atomic64({word}) = {got}, want {want}"));
+                    }
+                }
+                3 | 4 => {
+                    let n = span(&mut rng, at);
+                    h.stamp_range(at, n, t);
+                    flat.stamp(at, n, t);
+                }
+                5 => {
+                    let n = span(&mut rng, at);
+                    let (got, want) = (h.max_stamp(at, n), flat.max_stamp(at, n));
+                    if got != want {
+                        return Err(format!("{case}: max_stamp({at}, {n}) = {got}, want {want}"));
+                    }
+                }
+                _ => {
+                    // A strided transfer: elements of 1..=16 bytes with gaps,
+                    // touching, overlapping, repeating or a page apart.
+                    let elem = rng.gen_range(1..=16usize);
+                    let step = [0, elem / 2, elem, elem + 1, 2 * elem + 3, 4096 - 4, 4096 + 8]
+                        [rng.gen_range(0..7)];
+                    let data_step = [elem, elem + 3][rng.gen_range(0..2)];
+                    let room = size.saturating_sub(at);
+                    if room < elem {
+                        continue;
+                    }
+                    let most = (room - elem).checked_div(step).map_or(40, |more| more + 1);
+                    let n = rng.gen_range(1..=most.min(40));
+                    let mut data = bytes(&mut rng, (n - 1) * data_step + elem);
+                    if rng.gen_range(0..2) == 0 {
+                        h.scatter(at, step, &data, data_step, elem, n, t);
+                        for i in 0..n {
+                            flat.write(at + i * step, &data[i * data_step..][..elem]);
+                            flat.stamp(at + i * step, elem, t);
+                        }
+                    } else {
+                        let mut want = data.clone();
+                        let stamp = h.gather(at, step, &mut data, data_step, elem, n);
+                        let mut want_stamp = 0;
+                        for i in 0..n {
+                            want[i * data_step..][..elem]
+                                .copy_from_slice(&flat.bytes[at + i * step..][..elem]);
+                            want_stamp = want_stamp.max(flat.max_stamp(at + i * step, elem));
+                        }
+                        if (&data, stamp) != (&want, want_stamp) {
+                            return Err(format!(
+                                "{case}: gather({at}, {step}, .., {data_step}, {elem}, {n}) differs"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        let (bytes, stamps) = image(&h);
+        if bytes != flat.bytes {
+            return Err(format!("seed {seed} heap {len}: final bytes differ"));
+        }
+        if let Some(w) = (0..stamps.len()).find(|&w| stamps[w] != flat.stamps[w]) {
+            return Err(format!(
+                "seed {seed} heap {len}: word {w} stamp {} want {}",
+                stamps[w], flat.stamps[w]
+            ));
+        }
+        let written = flat.written.iter().filter(|&&w| w).count();
+        if h.resident_pages() != written {
+            return Err(format!(
+                "seed {seed} heap {len}: {} pages exist, {written} were written",
+                h.resident_pages()
+            ));
+        }
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        // The larger count is CI's `--release` run of this crate.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 256 }))]
+
+        #[test]
+        fn pages_and_floors_equal_a_flat_heap(which in 0usize..7, seed in any::<u64>()) {
+            let len = [8, 100, 4096, 4096 + 8, 2 * 4096, 3 * 4096 - 24, 5 * 4096 + 64][which];
+            prop_assert_eq!(against_flat(len, seed), Ok(()));
+        }
     }
 }

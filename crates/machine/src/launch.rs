@@ -472,9 +472,9 @@ mod tests {
         }
         const HEAP: usize = 512 << 10;
         let cfg = generic_smp(32).with_heap_bytes(HEAP);
-        // Words and stamps, every page written (zeroed at build, then by the
-        // PE).
-        let heap_pages = 32 * 2 * HEAP / 4096;
+        // Every page of every heap written, so created by the PE's first
+        // write; nothing is stamped, so no page has stamp words.
+        let heap_pages = 32 * HEAP / 4096;
         let launch = || {
             let before = minor_faults();
             run(cfg.clone(), |pe| {
