@@ -626,13 +626,13 @@ impl<'m> Ctx<'m> {
                 self.do_amo(peer, off, op).map(|value| OpReceipt { value, bytes: 8, staged: false })
             }
             OpKind::StridedPut { dst_off, dst_stride, src, elem, src_stride, nelems } => self
-                .do_strided_put(peer, dst_off, dst_stride, src, elem, src_stride, nelems)
+                .do_strided_put(peer, dst_off, dst_stride, src, elem, src_stride, nelems, false)
                 .map(|bytes| OpReceipt { bytes, ..Default::default() }),
             OpKind::StridedGet { src_off, src_stride, out, elem, out_stride, nelems } => self
                 .do_strided_get(peer, src_off, src_stride, out, elem, out_stride, nelems)
                 .map(|bytes| OpReceipt { bytes, ..Default::default() }),
             OpKind::AmStridedPut { dst_off, dst_stride, src, elem, src_stride, nelems } => self
-                .do_am_strided_put(peer, dst_off, dst_stride, src, elem, src_stride, nelems)
+                .do_strided_put(peer, dst_off, dst_stride, src, elem, src_stride, nelems, true)
                 .map(|bytes| OpReceipt { bytes, ..Default::default() }),
             OpKind::AmPutRegions { regions, payload } => self
                 .do_am_put_regions(peer, regions, payload)
@@ -785,16 +785,7 @@ impl<'m> Ctx<'m> {
             buf.ops.iter().map(|o| p.floor_for(o.dst)).max().unwrap_or(0)
         };
         let t_begin = self.pe.now();
-        let mut detail = FlowDetail::default();
-        let t = self.cost.coalesced_flush(
-            me,
-            rep_dst,
-            wire_bytes,
-            nops,
-            t_begin,
-            floor,
-            Some(&mut detail),
-        );
+        let (t, detail) = self.cost.am_packed_put(me, rep_dst, wire_bytes, nops, t_begin, floor);
         // Apply under the arbiter, keyed at the instant the batch lands:
         // tied flushes from different PEs (released by the same barrier)
         // apply in deterministic order, like tied AMOs.
@@ -884,9 +875,7 @@ impl<'m> Ctx<'m> {
             self.flag_hazard(h);
         }
         let floor = self.pending.borrow().floor_for(dst);
-        let mut detail = FlowDetail::default();
-        let t =
-            self.cost.put(self.pe.id(), dst, src.len(), self.pe.now(), floor, Some(&mut detail));
+        let (t, detail) = self.cost.put(self.pe.id(), dst, src.len(), self.pe.now(), floor);
         // Write + stamp + wake as one critical section (see the fastpath
         // comment above): keeps put-released `wait_on` wakes deterministic
         // under the arbiter.
@@ -951,8 +940,7 @@ impl<'m> Ctx<'m> {
         if let Some(h) = self.pending.borrow().check_get(dst, src_off, out.len()) {
             self.flag_hazard(h);
         }
-        let mut detail = FlowDetail::default();
-        let done = self.cost.get(self.pe.id(), dst, out.len(), self.pe.now(), Some(&mut detail));
+        let (done, detail) = self.cost.get(self.pe.id(), dst, out.len(), self.pe.now());
         m.heap(dst).read_bytes(src_off, out);
         let stamp = m.heap(dst).max_stamp(src_off, out.len());
         m.san_check_read(dst, src_off, out.len(), self.pe.id(), "get");
@@ -978,9 +966,7 @@ impl<'m> Ctx<'m> {
         if let Some(h) = self.pending.borrow().check_amo(dst, off) {
             self.flag_hazard(h);
         }
-        let mut detail = FlowDetail::default();
-        let t =
-            self.cost.amo(self.pe.id(), dst, op.is_fetching(), self.pe.now(), Some(&mut detail));
+        let (t, detail) = self.cost.amo(self.pe.id(), dst, op.is_fetching(), self.pe.now());
         // Apply the atomic under the arbiter, keyed at the instant it takes
         // effect on the target word. Tied RMWs — think MCS tail swaps from
         // images released by the same barrier, which all compute the same
@@ -1038,8 +1024,11 @@ impl<'m> Ctx<'m> {
         Ok(old)
     }
 
-    /// Strided put: one native wire descriptor on NIC-native profiles, a
-    /// per-element loop of `submit`ted puts otherwise (where each element
+    /// Strided put as one wire transfer: a native descriptor (`iput`) on
+    /// NIC-native profiles, or with `packed` one contiguous message unpacked
+    /// by a software handler at the target (`am put`, GASNet's VIS path).
+    /// An unpacked put on a loop profile, or to a fastpath peer, is a
+    /// per-element loop of `submit`ted puts instead (where each element
     /// coalesces like any other small put).
     #[allow(clippy::too_many_arguments)] // mirrors the C shmem_iput signature
     fn do_strided_put(
@@ -1051,11 +1040,12 @@ impl<'m> Ctx<'m> {
         elem: usize,
         src_stride: usize,
         nelems: usize,
+        packed: bool,
     ) -> Result<usize, ConduitError> {
         if nelems == 0 {
             return Ok(0);
         }
-        if !self.profile().has_native_strided() || self.fastpath(dst) {
+        if !packed && (!self.profile().has_native_strided() || self.fastpath(dst)) {
             for i in 0..nelems {
                 let s = i * src_stride * elem;
                 self.submit(OpDesc::new(
@@ -1069,16 +1059,20 @@ impl<'m> Ctx<'m> {
             return Ok(nelems * elem);
         }
         let m = self.machine();
-        self.fault_gate_payload("iput", dst, Some(src))?;
+        let op = if packed { "am put" } else { "iput" };
+        self.fault_gate_payload(op, dst, Some(src))?;
         Stats::bump(&m.stats().puts);
         Stats::add(&m.stats().bytes_put, (nelems * elem) as u64);
         let floor = self.pending.borrow().floor_for(dst);
         let t_begin = self.pe.now();
-        let mut detail = FlowDetail::default();
-        let t = self
-            .cost
-            .strided_put_native(self.pe.id(), dst, nelems, elem, t_begin, floor, Some(&mut detail))
-            .expect("checked native above");
+        let (me, bytes) = (self.pe.id(), nelems * elem);
+        let (t, detail) = if packed {
+            self.cost.am_packed_put(me, dst, bytes, nelems, t_begin, floor)
+        } else {
+            self.cost
+                .strided_put_native(me, dst, nelems, elem, t_begin, floor)
+                .expect("checked native above")
+        };
         m.apply_and_notify(dst, || {
             self.apply_strided_write(
                 dst,
@@ -1089,17 +1083,17 @@ impl<'m> Ctx<'m> {
                 src_stride,
                 nelems,
                 t.remote_complete,
-                "iput",
+                op,
             )
         });
-        m.lift_clock(self.pe.id(), t.local_complete);
-        self.record_op(SpanKind::Put, t_begin, Some(dst), nelems * elem, detail);
+        m.lift_clock(me, t.local_complete);
+        self.record_op(SpanKind::Put, t_begin, Some(dst), bytes, detail);
         // Conservative span for ordering tracking: covers the gaps too. The
         // CAF runtime quiets after every statement, so false positives from
         // the gaps cannot accumulate.
         let span = (nelems - 1) * dst_stride * elem + elem;
         self.pending.borrow_mut().record_put(dst, dst_off, span, t.remote_complete);
-        Ok(nelems * elem)
+        Ok(bytes)
     }
 
     /// Target-side half of a strided put, run inside the caller's
@@ -1174,9 +1168,9 @@ impl<'m> Ctx<'m> {
         Stats::bump(&m.stats().gets);
         Stats::add(&m.stats().bytes_get, (nelems * elem) as u64);
         let t_begin = self.pe.now();
-        let done = self
+        let (done, _) = self
             .cost
-            .strided_get_native(self.pe.id(), dst, nelems, elem, t_begin, None)
+            .strided_get_native(self.pe.id(), dst, nelems, elem, t_begin)
             .expect("checked native above");
         let heap = m.heap(dst);
         let stamp = if src_stride == 1 && out_stride == 1 {
@@ -1193,58 +1187,6 @@ impl<'m> Ctx<'m> {
         }
         m.lift_clock(self.pe.id(), done.max(stamp));
         self.trace(SpanKind::Get, t_begin, Some(dst), nelems * elem);
-        Ok(nelems * elem)
-    }
-
-    /// AM-packed strided put (one contiguous message, unpacked by a
-    /// software handler at the target — GASNet's VIS path).
-    #[allow(clippy::too_many_arguments)] // mirrors the C shmem_iput signature
-    fn do_am_strided_put(
-        &self,
-        dst: PeId,
-        dst_off: usize,
-        dst_stride: usize,
-        src: &[u8],
-        elem: usize,
-        src_stride: usize,
-        nelems: usize,
-    ) -> Result<usize, ConduitError> {
-        if nelems == 0 {
-            return Ok(0);
-        }
-        let m = self.machine();
-        self.fault_gate_payload("am put", dst, Some(src))?;
-        Stats::bump(&m.stats().puts);
-        Stats::add(&m.stats().bytes_put, (nelems * elem) as u64);
-        let floor = self.pending.borrow().floor_for(dst);
-        let t_begin = self.pe.now();
-        let mut detail = FlowDetail::default();
-        let t = self.cost.am_packed_put(
-            self.pe.id(),
-            dst,
-            nelems,
-            elem,
-            t_begin,
-            floor,
-            Some(&mut detail),
-        );
-        m.apply_and_notify(dst, || {
-            self.apply_strided_write(
-                dst,
-                dst_off,
-                dst_stride,
-                src,
-                elem,
-                src_stride,
-                nelems,
-                t.remote_complete,
-                "am put",
-            )
-        });
-        m.lift_clock(self.pe.id(), t.local_complete);
-        let span = (nelems - 1) * dst_stride * elem + elem;
-        self.pending.borrow_mut().record_put(dst, dst_off, span, t.remote_complete);
-        self.record_op(SpanKind::Put, t_begin, Some(dst), nelems * elem, detail);
         Ok(nelems * elem)
     }
 
@@ -1268,15 +1210,13 @@ impl<'m> Ctx<'m> {
         let floor = self.pending.borrow().floor_for(dst);
         let avg = (total / regions.len()).max(1);
         let t_begin = self.pe.now();
-        let mut detail = FlowDetail::default();
-        let t = self.cost.am_packed_put(
+        let (t, detail) = self.cost.am_packed_put(
             self.pe.id(),
             dst,
+            regions.len() * avg,
             regions.len(),
-            avg,
             t_begin,
             floor,
-            Some(&mut detail),
         );
         m.apply_and_notify(dst, || {
             let mut cursor = 0;
@@ -1310,7 +1250,8 @@ impl<'m> Ctx<'m> {
         Stats::add(&m.stats().bytes_get, total as u64);
         let avg = (total / regions.len()).max(1);
         let t_begin = self.pe.now();
-        let done = self.cost.am_packed_get(self.pe.id(), dst, regions.len(), avg, t_begin, None);
+        let (done, _) =
+            self.cost.am_packed_get(self.pe.id(), dst, regions.len() * avg, regions.len(), t_begin);
         let mut cursor = 0;
         let mut stamp = 0;
         for &(off, len) in regions {
@@ -1348,16 +1289,8 @@ impl<'m> Ctx<'m> {
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().ams);
         let floor = self.pending.borrow().floor_for(dst);
-        let mut detail = FlowDetail::default();
-        let t = self.cost.am_request(
-            self.pe.id(),
-            dst,
-            arg.len(),
-            h.compute_ns(arg),
-            t_begin,
-            floor,
-            Some(&mut detail),
-        );
+        let (t, mut detail) =
+            self.cost.am_request(self.pe.id(), dst, arg.len(), h.compute_ns(arg), t_begin, floor);
         // A target that dies before the handler would run can never execute
         // it, ack it, or reply — without a timeout an `am_call` would block
         // forever. The test is the scheduled deadline against the virtual
@@ -1399,8 +1332,9 @@ impl<'m> Ctx<'m> {
                 // through the handler is a happens-before edge, like a
                 // fetching AMO's.
                 let r = reply.unwrap_or_default();
-                let done =
-                    self.cost.am_reply(self.pe.id(), dst, r.len(), t.executed, Some(&mut detail));
+                let (done, leg) = self.cost.am_reply(self.pe.id(), dst, r.len(), t.executed);
+                detail.queue_ns += leg.queue_ns;
+                detail.service_ns += leg.service_ns;
                 for &(off, _len) in &target.reads {
                     m.san_sync_edge(self.pe.id(), dst, off);
                 }
@@ -2739,5 +2673,83 @@ mod tests {
         });
         let err = out.results[0].expect("90% drops with 2 attempts must exhaust");
         assert_eq!(err, ConduitError::RetriesExhausted { op: "am", target: 2, attempts: 2 });
+    }
+
+    #[test]
+    fn an_am_call_span_carries_the_request_and_the_reply_leg() {
+        let out = run(two_node_cfg().with_trace(true), |pe| {
+            let ctx = shmem_ctx(pe);
+            let add = ctx.register_am(Rc::new(AddAm));
+            ctx.barrier_all();
+            if pe.id() == 0 {
+                ctx.am_call(2, add, &2u64.to_le_bytes());
+            }
+            ctx.barrier_all();
+        });
+        let span = out.trace.iter().find(|s| s.pe == 0 && s.kind == SpanKind::Amo).unwrap();
+        // The same two legs on a fresh machine: the request's breakdown plus
+        // the reply leg's service.
+        let m = pgas_machine::Machine::new(two_node_cfg());
+        let cm = CostModel::new(&m, ConduitProfile::mvapich_shmem());
+        let (req, request) = cm.am_request(0, 2, 8, 25.0, 0, 0);
+        let (_, reply) = cm.am_reply(0, 2, 8, req.executed);
+        assert!(reply.service_ns > 0);
+        assert_eq!(span.service_ns, request.service_ns + reply.service_ns);
+        assert_eq!(
+            span.remote_end - span.remote_begin,
+            request.remote_end - request.remote_begin,
+            "the delivery window is the request's, handler included"
+        );
+    }
+
+    #[test]
+    fn strided_and_packed_gets_trace_spans_without_a_breakdown() {
+        let out = run(two_node_cfg().with_trace(true), |pe| {
+            let ctx =
+                Ctx::new(pe, ConduitProfile::cray_shmem(Platform::CrayXc30), CtxOptions::default());
+            if pe.id() == 0 {
+                let mut buf = vec![0u8; 40];
+                ctx.iget(2, 0, 2, &mut buf, 8, 1, 5);
+                let regions = [(0, 8), (64, 16)];
+                ctx.submit(OpDesc::new(
+                    2,
+                    OpKind::AmGetRegions { regions: &regions, out: &mut buf },
+                ))
+                .unwrap();
+            }
+            ctx.barrier_all();
+        });
+        let gets: Vec<_> =
+            out.trace.iter().filter(|s| s.pe == 0 && s.kind == SpanKind::Get).collect();
+        assert_eq!(gets.len(), 2);
+        for s in gets {
+            assert!(s.end > s.begin, "{s:?}");
+            assert_eq!((s.queue_ns, s.service_ns, s.remote_begin, s.remote_end), (0, 0, 0, 0));
+        }
+    }
+
+    #[test]
+    fn native_and_packed_strided_puts_land_the_same_bytes() {
+        let out = run(two_node_cfg(), |pe| {
+            let ctx =
+                Ctx::new(pe, ConduitProfile::cray_shmem(Platform::CrayXc30), CtxOptions::default());
+            if pe.id() == 0 {
+                let src: Vec<u8> = (1..=48).collect();
+                // Every other 8-byte element of `src`, three slots apart.
+                ctx.iput(2, 0, 3, &src, 8, 2, 3);
+                ctx.am_strided_put(2, 512, 3, &src, 8, 2, 3);
+                ctx.quiet();
+            }
+            ctx.barrier_all();
+            let (mut native, mut packed) = (vec![0u8; 72], vec![0u8; 72]);
+            ctx.get(2, 0, &mut native);
+            ctx.get(2, 512, &mut packed);
+            (native, packed)
+        });
+        assert_eq!(out.stats.puts, 2, "one wire transfer each");
+        let (native, packed) = &out.results[1];
+        assert_eq!(native, packed);
+        assert_eq!(&native[48..56], &(33..=40).collect::<Vec<u8>>()[..], "element 2");
+        assert_eq!(&native[8..24], &[0u8; 16], "the gap stays untouched");
     }
 }

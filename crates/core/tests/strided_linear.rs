@@ -70,10 +70,10 @@ mod reference {
         Stats::add(&m.stats().bytes_put, (n * elem) as u64);
         let now = ctx.pe().now();
         let (t, op) = if am {
-            (ctx.cost_model().am_packed_put(me, dst, n, elem, now, 0, None), "am put")
+            (ctx.cost_model().am_packed_put(me, dst, n * elem, n, now, 0).0, "am put")
         } else {
-            let t = ctx.cost_model().strided_put_native(me, dst, n, elem, now, 0, None);
-            (t.expect("native strided profile"), "iput")
+            let t = ctx.cost_model().strided_put_native(me, dst, n, elem, now, 0);
+            (t.expect("native strided profile").0, "iput")
         };
         m.apply_and_notify(dst, || {
             for (off, bytes) in elems {
@@ -91,9 +91,9 @@ mod reference {
         let (ctx, m, me) = (shmem.ctx(), shmem.machine(), shmem.my_pe());
         Stats::bump(&m.stats().gets);
         Stats::add(&m.stats().bytes_get, (offs.len() * elem) as u64);
-        let done = ctx
+        let (done, _) = ctx
             .cost_model()
-            .strided_get_native(me, dst, offs.len(), elem, ctx.pe().now(), None)
+            .strided_get_native(me, dst, offs.len(), elem, ctx.pe().now())
             .expect("native strided profile");
         let mut out = vec![0u8; offs.len() * elem];
         let mut stamp = 0;
