@@ -2,7 +2,7 @@
 // included in the test module of both carriers: `fiber::tests` and
 // `baton::tests` run the same cases.
 
-use crate::{Condvar, Mutex};
+use crate::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn unwrap_all<T>(results: Vec<std::thread::Result<T>>) -> Vec<T> {
@@ -196,36 +196,6 @@ fn a_second_carrier_cannot_unpark_the_first_ones_fibers() {
     );
     unwrap_all(results);
     assert_eq!(inner, Some(false), "the inner run reached the outer fiber");
-}
-
-#[test]
-fn a_thread_and_a_fiber_waiting_on_one_condvar_panics_with_a_message() {
-    // A thread may sleep on a condvar; a fiber may not — it would block its
-    // whole carrier — and is told to wait through the machine instead.
-    let (m, cv) = (Mutex::new(false), Condvar::new());
-    std::thread::scope(|s| {
-        let sleeper = s.spawn(|| {
-            let mut set = m.lock();
-            while !*set {
-                cv.wait(&mut set);
-            }
-        });
-        loop {
-            let g = m.lock();
-            if cv.sleepers.load(Ordering::SeqCst) == 1 {
-                break;
-            }
-            drop(g);
-            std::thread::yield_now();
-        }
-        let (results, _) = run(1, 64 << 10, |_| cv.wait(&mut m.lock()), || false);
-        *m.lock() = true;
-        cv.notify_all();
-        sleeper.join().unwrap();
-        let payload = results.into_iter().next().unwrap().unwrap_err();
-        let msg = message(&*payload);
-        assert!(msg.contains("wait through the machine"), "got: {msg}");
-    });
 }
 
 #[test]
