@@ -461,9 +461,12 @@ mod tests {
         }
     }
 
-    #[test]
+    /// Minor page faults of four back-to-back launches of 32 PEs that each
+    /// write every page of a 512 KiB heap, after two warm-up launches, must
+    /// stay under a tenth of the heap pages: each launch reuses the memory
+    /// the previous one freed.
     #[cfg(target_os = "linux")]
-    fn back_to_back_launches_reuse_their_memory() {
+    fn assert_launches_reuse_their_memory(cfg: crate::MachineConfig) {
         // Minor faults of the calling thread: field 10 of its stat line.
         fn minor_faults() -> usize {
             let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
@@ -471,9 +474,10 @@ mod tests {
             fields.split(' ').nth(7).unwrap().parse().unwrap()
         }
         const HEAP: usize = 512 << 10;
-        let cfg = generic_smp(32).with_heap_bytes(HEAP);
+        let cfg = cfg.with_heap_bytes(HEAP);
         // Every page of every heap written, so created by the PE's first
-        // write; nothing is stamped, so no page has stamp words.
+        // write; nothing is stamped or recorded, so no page has stamp words
+        // and the sanitizer, if on, no shadow page.
         let heap_pages = 32 * HEAP / 4096;
         let launch = || {
             let before = minor_faults();
@@ -489,6 +493,22 @@ mod tests {
             let faults = launch();
             assert!(faults < heap_pages / 10, "{faults} minor faults for {heap_pages} heap pages");
         }
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn back_to_back_launches_reuse_their_memory() {
+        assert_launches_reuse_their_memory(generic_smp(32));
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn back_to_back_sanitized_launches_reuse_their_memory() {
+        // Record mode shadows four words per heap word: 64 MiB here, were
+        // the shadow not paged.
+        assert_launches_reuse_their_memory(
+            generic_smp(32).with_sanitizer(crate::SanitizerMode::Record),
+        );
     }
 
     #[test]
