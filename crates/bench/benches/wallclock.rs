@@ -146,20 +146,23 @@ fn machine_idle_paths() {
         }
     });
 
-    // The same with 31 PEs waiting in a barrier: what the grant check costs
-    // per PE it has to rule out (`dht_locked` and `serve_mixed` run 32).
-    pgas_machine::run(generic_smp(32).with_heap_bytes(1 << 12), |pe| {
-        let (m, me) = (pe.machine(), pe.id());
-        m.barrier_all(me, 0.0);
-        if me == 0 {
-            bench("nic_turn_uncontended_32pe", None, || {
-                let start = m.clock(0);
-                let slot = m.nic_turn(0, start, || m.nic(0).reserve_tx(start, 10, 8));
-                m.lift_clock(0, slot.end);
-            });
-        }
-        m.barrier_all(me, 0.0);
-    });
+    // The same with 31 and 2047 PEs waiting in a barrier: what the grant
+    // check costs per PE it has to rule out (`dht_locked` and `serve_mixed`
+    // run 32; the paper's scaling figures reach 2048).
+    for pes in [32, 2048] {
+        pgas_machine::run(generic_smp(pes).with_heap_bytes(1 << 12), |pe| {
+            let (m, me) = (pe.machine(), pe.id());
+            m.barrier_all(me, 0.0);
+            if me == 0 {
+                bench(&format!("nic_turn_uncontended_{pes}pe"), None, || {
+                    let start = m.clock(0);
+                    let slot = m.nic_turn(0, start, || m.nic(0).reserve_tx(start, 10, 8));
+                    m.lift_clock(0, slot.end);
+                });
+            }
+            m.barrier_all(me, 0.0);
+        });
+    }
 }
 
 fn barrier_all_32() {
@@ -233,23 +236,25 @@ fn arbiter_engine() {
     });
     report("wait_on_handoff_2pe", None, "ns/handoff", out.results[0], 2 * ROUNDS);
 
-    // 32 PEs asking for the same instant every round: each turn parks, and
-    // the carrier's idle point grants the least key — one park and one grant
-    // per turn, the chain `dht_locked`'s lock handoffs are made of.
-    const CHAIN_ROUNDS: u64 = 1000;
-    let out = pgas_machine::run(generic_smp(32).with_heap_bytes(1 << 12), |pe| {
-        let (m, me) = (pe.machine(), pe.id());
-        m.barrier_all(me, 0.0);
-        let start = Instant::now();
-        for round in 1..=CHAIN_ROUNDS {
-            let t = round * 1000;
-            m.lift_clock(me, t);
-            m.nic_turn(me, t, || m.nic(0).reserve_tx(t, 1, 8));
-        }
-        m.barrier_all(me, 0.0);
-        start.elapsed().as_nanos() as f64 / (32 * CHAIN_ROUNDS) as f64
-    });
-    report("grant_chain_32pe", None, "ns/turn", out.results[0], 32 * CHAIN_ROUNDS);
+    // Every PE asking for the same instant every round: each turn parks,
+    // and the carrier's idle point grants the least key — one park and one
+    // grant per turn, the chain `dht_locked`'s lock handoffs are made of. At
+    // 2048 PEs, fewer rounds: a grant still scans every PE.
+    for (pes, rounds) in [(32u64, 1000u64), (2048, 20)] {
+        let out = pgas_machine::run(generic_smp(pes as usize).with_heap_bytes(1 << 12), |pe| {
+            let (m, me) = (pe.machine(), pe.id());
+            m.barrier_all(me, 0.0);
+            let start = Instant::now();
+            for round in 1..=rounds {
+                let t = round * 1000;
+                m.lift_clock(me, t);
+                m.nic_turn(me, t, || m.nic(0).reserve_tx(t, 1, 8));
+            }
+            m.barrier_all(me, 0.0);
+            start.elapsed().as_nanos() as f64 / (pes * rounds) as f64
+        });
+        report(&format!("grant_chain_{pes}pe"), None, "ns/turn", out.results[0], pes * rounds);
+    }
 
     // A job's fixed cost: build the machine, start every PE, join.
     let cfg = generic_smp(32).with_heap_bytes(1 << 12);
