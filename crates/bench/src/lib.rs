@@ -20,29 +20,50 @@ pub mod tables;
 pub use figures::*;
 pub use tables::*;
 
+use std::sync::OnceLock;
+
 /// Read the quick-mode switch from the environment.
 pub fn quick_from_env() -> bool {
     std::env::var("REPRO_QUICK").map(|v| v != "0").unwrap_or(false)
 }
 
+/// `var` read through `lookup` as a positive integer. A value that is set
+/// but does not parse is reported through `warn` and ignored.
+fn positive_var(
+    var: &str,
+    lookup: impl Fn(&str) -> Option<String>,
+    warn: impl FnOnce(String),
+) -> Option<usize> {
+    let raw = lookup(var)?;
+    let n = raw.parse().ok().filter(|&n: &usize| n > 0);
+    if n.is_none() {
+        warn(format!("warning: ignoring {var}={raw:?} (expected a positive integer)"));
+    }
+    n
+}
+
+/// [`positive_var`] of the process environment, read (and complained about)
+/// once per `cell`.
+fn env_positive(cell: &'static OnceLock<Option<usize>>, var: &str) -> Option<usize> {
+    *cell.get_or_init(|| positive_var(var, |v| std::env::var(v).ok(), |line| eprintln!("{line}")))
+}
+
 /// Maximum image count for the scaling figures (8/9/10), overridable with
 /// `REPRO_MAX_IMAGES`.
 pub fn max_images_from_env(default: usize) -> usize {
-    std::env::var("REPRO_MAX_IMAGES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    static MAX_IMAGES: OnceLock<Option<usize>> = OnceLock::new();
+    env_positive(&MAX_IMAGES, "REPRO_MAX_IMAGES").unwrap_or(default)
 }
 
 /// A deferred figure job (name, generator), runnable on a worker thread.
 pub type FigureJob = (&'static str, Box<dyn Fn() -> pgas_microbench::Figure + Send + Sync>);
 
 /// Worker-thread count for [`run_figure_jobs`], overridable with
-/// `REPRO_JOBS`. Each figure generator already launches one OS thread per
-/// simulated PE, so the default stays modest.
+/// `REPRO_JOBS`. Each worker is one OS thread that runs its figure's PEs as
+/// fibers, so workers beyond the host's cores only interleave.
 pub fn figure_jobs_from_env(default: usize) -> usize {
-    std::env::var("REPRO_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+    static JOBS: OnceLock<Option<usize>> = OnceLock::new();
+    env_positive(&JOBS, "REPRO_JOBS").unwrap_or(default)
 }
 
 /// Host time one figure job took on the worker thread that ran it.
@@ -159,6 +180,29 @@ mod tests {
         assert!(trivial.wall_s < 0.1, "{trivial}");
         if let (Some(slept_cpu), Some(_)) = (slept.cpu_s, trivial.cpu_s) {
             assert!(slept_cpu < 0.1, "a sleeping thread burns no CPU: {slept}");
+        }
+    }
+
+    #[test]
+    fn unparsable_counts_warn_and_fall_back() {
+        let parse = |raw: Option<&str>| {
+            let mut warned = None;
+            let n =
+                positive_var("REPRO_MAX_IMAGES", |_| raw.map(String::from), |w| warned = Some(w));
+            (n, warned)
+        };
+        assert_eq!(parse(None), (None, None));
+        assert_eq!(parse(Some("64")), (Some(64), None));
+        for bad in ["2k", "0", "-1", ""] {
+            assert_eq!(
+                parse(Some(bad)),
+                (
+                    None,
+                    Some(format!(
+                        "warning: ignoring REPRO_MAX_IMAGES={bad:?} (expected a positive integer)"
+                    ))
+                )
+            );
         }
     }
 

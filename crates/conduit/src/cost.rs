@@ -10,7 +10,7 @@
 //! Each transfer has one formula. It reserves on a lane source: the
 //! machine's NICs, or idle lanes that grant every reservation at its
 //! requested begin and record nothing. The `*_estimate*` probes the strided
-//! planner calibrates against are the reserving calls on idle lanes at
+//! planner prices plans with are the reserving calls on idle lanes at
 //! `start = 0`, so they cannot drift from what a real transfer costs.
 
 use crate::profile::{AmoSupport, ConduitProfile, StridedSupport};

@@ -81,10 +81,9 @@ pub enum StridedAlgorithm {
     /// length vs cache lines) and the conduit's actual `iput` capability,
     /// then execute the cheapest.
     Adaptive,
-    /// Like [`Self::Adaptive`] but scored by the `TunedPlanner`, whose
-    /// coefficients are calibrated against the live `CostModel` by micro-probe
-    /// transfers at image construction (and cached per platform/profile)
-    /// instead of being hard-coded.
+    /// Like [`Self::Adaptive`] but scored by the `TunedPlanner`, which prices
+    /// each candidate with the conduit's `CostModel` on idle lanes instead of
+    /// hard-coded coefficients.
     Tuned,
 }
 

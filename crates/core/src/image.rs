@@ -71,12 +71,6 @@ impl<'m> Image<'m> {
     pub fn new(pe: Pe<'m>, cfg: CafConfig) -> Image<'m> {
         let profile = cfg.backend.profile(cfg.platform);
         let shmem = Shmem::new(pe, ShmemConfig::new(profile).with_options(cfg.ctx_options()));
-        if matches!(cfg.strided_algorithm(), crate::config::StridedAlgorithm::Tuned) {
-            // Warm the per-(platform, profile) calibration memo so transfer
-            // calls only pay a map lookup. Costs no virtual time: the
-            // planner probes the cost model's pure estimators.
-            let _ = crate::planner::TunedPlanner::for_shmem(&shmem);
-        }
         let n = shmem.n_pes();
         let nonsym_base = shmem
             .shmalloc::<u8>(cfg.nonsym_bytes)

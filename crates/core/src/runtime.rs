@@ -1,31 +1,9 @@
 //! SPMD entry points for CAF programs.
 
-use crate::config::{CafConfig, StridedAlgorithm};
+use crate::config::CafConfig;
 use crate::image::Image;
 use pgas_machine::config::MachineConfig;
 use pgas_machine::launch::{SimError, SimOutcome};
-
-/// The planner-cache key a Tuned run will calibrate under, or `None` when
-/// the run doesn't use the tuned planner at all.
-fn tuned_cache_key(machine: &MachineConfig, caf: &CafConfig) -> Option<String> {
-    (caf.strided_algorithm() == StridedAlgorithm::Tuned)
-        .then(|| crate::planner::cache_key_for(machine, caf.backend.profile(caf.platform).label()))
-}
-
-/// Post-run planner hygiene: feed the run's `plan_cost_ratio_pct`
-/// misprediction histogram back into the tuned planner's cache — a skewed
-/// mean flags the memoised/persisted calibration stale so the *next* run
-/// re-probes the cost model (see `planner::invalidate_if_skewed`).
-fn recalibrate_if_skewed<R>(key: Option<String>, out: &SimOutcome<R>) {
-    if let Some(key) = key {
-        if let Some(mean) = crate::planner::invalidate_if_skewed(&key, &out.metrics) {
-            eprintln!(
-                "[caf] tuned-planner calibration `{key}` flagged stale \
-                 (mean plan_cost_ratio_pct {mean}); next run re-probes"
-            );
-        }
-    }
-}
 
 /// Launch a CAF program: one image per simulated core, each running `f`.
 /// Panics if any image fails.
@@ -34,13 +12,10 @@ where
     F: Fn(&Image<'_>) -> R + Send + Sync,
     R: Send,
 {
-    let recal = tuned_cache_key(&machine, &caf);
-    let out = pgas_machine::run(machine, move |pe| {
+    pgas_machine::run(machine, move |pe| {
         let img = Image::new(pe, caf);
         f(&img)
-    });
-    recalibrate_if_skewed(recal, &out);
-    out
+    })
 }
 
 /// Like [`run_caf`] but reporting failures as values (used by tests that
@@ -54,15 +29,10 @@ where
     F: Fn(&Image<'_>) -> R + Send + Sync,
     R: Send,
 {
-    let recal = tuned_cache_key(&machine, &caf);
-    let out = pgas_machine::run_with_result(machine, move |pe| {
+    pgas_machine::run_with_result(machine, move |pe| {
         let img = Image::new(pe, caf);
         f(&img)
-    });
-    if let Ok(out) = &out {
-        recalibrate_if_skewed(recal, out);
-    }
-    out
+    })
 }
 
 #[cfg(test)]
@@ -93,10 +63,9 @@ mod tests {
     fn tuned_run_records_healthy_misprediction_ratios() {
         use crate::section::{DimRange, Section};
         let mcfg = generic_smp(2).with_heap_bytes(1 << 17);
-        // The planner's calibration predicts *direct* wire costs; pin
-        // coalescing off so an ambient PGAS_COALESCE=on (the
-        // test-aggregated CI job) cannot re-time the strided puts it
-        // calibrated against.
+        // The planner prices *direct* wire costs; pin coalescing off so an
+        // ambient PGAS_COALESCE=on (the test-aggregated CI job) cannot
+        // re-time the strided puts it priced.
         let ccfg = CafConfig::new(Backend::Shmem, Platform::GenericSmp)
             .with_strided(crate::config::StridedAlgorithm::Tuned)
             .with_aggregation(pgas_conduit::CoalescePolicy::Off);
@@ -115,9 +84,9 @@ mod tests {
                 img.sync_all();
             })
         });
-        // The post-run hook judged these same numbers: a calibrated planner
-        // on an unchanged machine must land inside the healthy band, i.e.
-        // its calibration survives for the next run.
+        // Measured issue-side time over predicted cost, 100 = perfect: a
+        // planner pricing with the machine's own cost model lands in the
+        // 80–125 band.
         let (mut count, mut sum) = (0u64, 0u64);
         for h in out.metrics.histograms_named("plan_cost_ratio_pct") {
             count += h.count;
@@ -126,9 +95,8 @@ mod tests {
         assert!(count > 0, "tuned run records misprediction ratios");
         let mean = (sum as f64 / count as f64).round() as u64;
         assert!(
-            (crate::planner::RATIO_HEALTHY_MIN_PCT..=crate::planner::RATIO_HEALTHY_MAX_PCT)
-                .contains(&mean),
-            "calibrated planner should predict its own cost model well, mean {mean}%"
+            (80..=125).contains(&mean),
+            "the planner should predict its own cost model well, mean {mean}%"
         );
     }
 

@@ -88,8 +88,7 @@ fn plan_of(
             plan_and_record(&HeuristicPlanner, shmem, target_pe, sec, shape, elem, dir)
         }
         StridedAlgorithm::Tuned => {
-            let planner = TunedPlanner::for_shmem(shmem);
-            plan_and_record(&planner, shmem, target_pe, sec, shape, elem, dir)
+            plan_and_record(&TunedPlanner, shmem, target_pe, sec, shape, elem, dir)
         }
     }
 }

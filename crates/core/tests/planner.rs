@@ -1,13 +1,13 @@
-//! End-to-end tests for the `StridedPlanner` subsystem: the measured
-//! (`TunedPlanner`) scorer must never lose to the PR 1 heuristic or to the
-//! fixed Naive/TwoDim algorithms on any platform/backend profile — and must
-//! strictly beat the heuristic where the heuristic's hard-coded locality
-//! penalty mispredicts.
+//! End-to-end tests for the `StridedPlanner` subsystem: the cost-model
+//! (`TunedPlanner`) scorer must predict a statement's virtual time exactly,
+//! never lose to the heuristic or to the fixed Naive/TwoDim algorithms on
+//! any platform/backend profile — and must strictly beat the heuristic where
+//! the heuristic's hard-coded locality penalty mispredicts.
 
-use caf::planner::{Coefficients, StridedPlanner, TransferDir, TunedPlanner};
-use caf::{Backend, CafConfig, DimRange, Section, StridedAlgorithm};
-use pgas_conduit::CostModel;
-use pgas_machine::{generic_smp, Machine, Platform};
+use caf::planner::TransferDir;
+use caf::{Backend, CafConfig, CoalescePolicy, DimRange, PlanDecision, Section, StridedAlgorithm};
+use pgas_conduit::AmoSupport;
+use pgas_machine::{generic_smp, FaultPlan, Platform};
 
 /// Virtual time of three repetitions of `put_section` under `algo`.
 fn time_with(
@@ -94,8 +94,8 @@ const COMBOS: [(Platform, Backend); 6] = [
 /// all-strided pencils, and a deep-stride layout crafted so the heuristic's
 /// cache-line locality penalty (8·log2(stride/64) per element) outweighs its
 /// per-call term and it picks the 48-pencil dimension over the 32-pencil
-/// one — a misprediction the measured coefficients don't share (the real
-/// cost model charges iput scatter by element count, not stride depth).
+/// one — a misprediction the cost model doesn't share (it charges iput
+/// scatter by element count, not stride depth).
 fn sections() -> Vec<(Vec<DimRange>, Vec<usize>)> {
     vec![
         // Matrix-oriented: contiguous rows, strided columns.
@@ -181,46 +181,87 @@ fn tuned_strictly_beats_heuristic_on_deep_strides() {
     );
 }
 
-#[test]
-fn calibration_cache_round_trips_with_identical_plans() {
-    let machine = Machine::new(Platform::CrayXc30.config(2, 2));
-    let profile = Backend::Shmem.profile(Platform::CrayXc30);
-    let co = Coefficients::calibrate(&CostModel::new(&machine, profile));
-
-    let dir = std::env::temp_dir().join(format!("pgas-planner-cache-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("fit.json");
-    co.save(&path).unwrap();
-    let reloaded = Coefficients::load(&path).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(co, reloaded, "shortest-round-trip floats reload bit-exactly");
-
-    // And the reloaded fit makes the same choice on every probe section.
+/// One put or get statement of `sec` from image 1 to image 2 under `algo`,
+/// on otherwise idle NICs: the measured statement time and the planner
+/// decisions it recorded.
+fn statement(
+    platform: Platform,
+    backend: Backend,
+    algo: StridedAlgorithm,
+    dims: &[DimRange],
+    shape: &[usize],
+    dir: TransferDir,
+) -> (u64, Vec<PlanDecision>) {
+    let sec = Section::new(dims.to_vec());
+    let shape = shape.to_vec();
+    let cfg = match platform {
+        Platform::GenericSmp => generic_smp(2),
+        _ => platform.config(2, 1),
+    };
     let out = caf::run_caf(
-        Platform::CrayXc30.config(2, 2).with_heap_bytes(1 << 20),
-        CafConfig::new(Backend::Shmem, Platform::CrayXc30),
+        cfg.with_heap_bytes(1 << 20).with_faults(FaultPlan::none()),
+        CafConfig::new(backend, platform).with_strided(algo).with_aggregation(CoalescePolicy::Off),
         move |img| {
-            let fresh = TunedPlanner::from_coefficients(co.clone());
-            let disk = TunedPlanner::from_coefficients(reloaded.clone());
-            let mut plans = Vec::new();
-            for (dims, shape) in sections() {
-                let sec = Section::new(dims);
-                for target in [1usize, 2, 3, 4] {
-                    if target == img.this_image() {
-                        continue;
-                    }
-                    for dir in [TransferDir::Put, TransferDir::Get] {
-                        let a = fresh.plan(img.shmem(), target - 1, &sec, &shape, 4, dir);
-                        let b = disk.plan(img.shmem(), target - 1, &sec, &shape, 4, dir);
-                        assert_eq!(a, b, "saved and reloaded fits diverged ({dir:?})");
-                        plans.push(a.plan);
-                    }
-                }
+            let a = img.coarray::<i32>(&shape).unwrap();
+            img.sync_all();
+            if img.this_image() != 1 {
+                return 0;
             }
-            plans
+            let t0 = img.shmem().ctx().pe().now();
+            match dir {
+                TransferDir::Put => a.put_section(img, 2, &sec, &vec![1i32; sec.total()]),
+                TransferDir::Get => assert_eq!(a.get_section(img, 2, &sec).len(), sec.total()),
+            }
+            img.shmem().ctx().pe().now() - t0
         },
     );
-    assert!(!out.results[0].is_empty());
+    (out.results[0], out.plan_decisions)
+}
+
+#[test]
+fn the_tuned_prediction_is_the_statement_cost() {
+    // The tuned planner prices with the cost model on idle lanes, so on a
+    // machine with nothing else in flight its prediction is the transfer's
+    // virtual time to the ns. The statement adds its quiet (before a get,
+    // after a put), which waits for nothing left over and costs a quarter
+    // of a put issue.
+    for (dims, shape) in sections() {
+        for (platform, backend) in COMBOS {
+            let profile = backend.profile(platform);
+            let quiet = (profile.put_issue_ns / 4.0).round() as u64;
+            for dir in [TransferDir::Put, TransferDir::Get] {
+                let at = format!("{platform:?}/{backend:?} {dir:?} {dims:?}");
+                let (measured, decisions) =
+                    statement(platform, backend, StridedAlgorithm::Tuned, &dims, &shape, dir);
+                assert_eq!(decisions.len(), 1, "{at}: one planned transfer");
+                let d = &decisions[0];
+                assert_eq!(d.predicted_ns.fract(), 0.0, "{at}: predictions are whole ns");
+                assert_eq!(
+                    measured,
+                    d.predicted_ns as u64 + quiet,
+                    "{at}: chose {} among {:?}",
+                    d.chosen,
+                    d.candidates
+                );
+                // The packed candidate exists iff an AM layer does, and is
+                // priced at what the AM-packed algorithm measures.
+                let packed = d.candidates.iter().find(|(label, _)| label == "packed");
+                let am = matches!(profile.amo, AmoSupport::AmEmulated { .. });
+                assert_eq!(packed.is_some(), am, "{at}: packed iff an AM layer exists");
+                if let Some(&(_, price)) = packed {
+                    let (measured, _) = statement(
+                        platform,
+                        backend,
+                        StridedAlgorithm::AmPacked,
+                        &dims,
+                        &shape,
+                        dir,
+                    );
+                    assert_eq!(measured, price as u64 + quiet, "{at}: packed price");
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -516,9 +516,9 @@ impl Machine {
     /// Claim the pending cadence boundary and sample the machine's state.
     /// Sampling only *reads* (clocks, metric counters, last-span peeks, NIC
     /// counters) — no virtual clock moves, which is the contract the
-    /// streaming test asserts. Which PE thread wins the claim (and thus the
-    /// exact set of samples) depends on host scheduling; the stream is a
-    /// live monitoring surface, not a deterministic artifact.
+    /// streaming test asserts. Which PE wins the claim is part of the
+    /// schedule, since one PE runs at a time: every run of a program streams
+    /// the same samples.
     ///
     /// Claim, numbering and push are one critical section under the ring's
     /// lock, so the ring (and every push consumer) sees samples in `seq` and
@@ -1231,6 +1231,28 @@ mod tests {
         assert_eq!(out.fault_events.len(), 1);
         let held: Vec<u64> = out.results.iter().map(|r| r.0).collect();
         assert_eq!(held, vec![3, 3, 2, 3], "the dead PE held the token twice, the others thrice");
+    }
+
+    #[test]
+    fn stream_samples_are_the_same_on_both_engines_and_every_run() {
+        use crate::stream::StreamConfig;
+        // One PE runs at a time on either carrier, so the PE that crosses a
+        // cadence boundary first, and what it sees, is part of the schedule.
+        let streamed = |engine| {
+            let sc = StreamConfig::new(100, 256);
+            let ring = sc.ring();
+            let cfg = generic_smp(8).with_metrics(true).with_trace(true).with_stream(sc);
+            run_on(engine, cfg, three_round_job).expect("streamed run");
+            let samples = ring.drain();
+            assert_eq!(ring.dropped(), 0, "{engine:?}: the ring held every sample");
+            (samples.len(), format!("{samples:?}"))
+        };
+        let reference = streamed(Engine::Fibers);
+        assert!(reference.0 >= 3, "a sample per crossed boundary, got {}", reference.0);
+        for run in 0..4 {
+            assert_eq!(streamed(Engine::Baton), reference, "baton run {run}");
+            assert_eq!(streamed(Engine::Fibers), reference, "fiber run {run}");
+        }
     }
 
     #[test]

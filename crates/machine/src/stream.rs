@@ -5,13 +5,14 @@
 //! The channel exists for tools like `examples/pgas_top.rs`: a consumer
 //! thread drains [`StreamSample`]s out of a [`SnapshotRing`] and renders a
 //! refreshing view of per-PE clocks, live metric counters, each PE's most
-//! recent span and per-NIC traffic. Because PEs advance their clocks
-//! concurrently and samples are taken by whichever PE thread first crosses a
-//! cadence boundary, the *set* of samples depends on host scheduling — the
-//! stream is a monitoring surface, not a deterministic artifact. What *is*
-//! guaranteed (and asserted in the test suite, with the same contract as the
-//! observability-off check) is that attaching a stream changes no virtual
-//! clock: sampling only ever reads.
+//! recent span and per-NIC traffic. A sample is taken by the first PE to
+//! cross a cadence boundary. One PE runs at a time on either carrier, so
+//! which PE that is, and what it sees, is part of the schedule: a program
+//! streams the same samples on every run and on both carriers
+//! (`stream_samples_are_the_same_on_both_engines_and_every_run`,
+//! `streamed_samples_repeat_exactly`). Attaching a stream also changes no
+//! virtual clock, with the same contract as the observability-off check:
+//! sampling only ever reads.
 //!
 //! Enabling resolves like every other knob (see `crate::knobs`), minus the
 //! environment layer — a stream without a consumer holding the ring is

@@ -212,6 +212,24 @@ fn streaming_channel_does_not_change_virtual_time() {
 }
 
 #[test]
+fn streamed_samples_repeat_exactly() {
+    // One PE runs at a time, so which PE crosses each cadence boundary, and
+    // what it sees there, is a function of the program: every run streams
+    // the same samples.
+    let streamed = || {
+        let stream = StreamConfig::new(500, 64);
+        let ring = stream.ring();
+        with_forced_stream(stream, traced_workload);
+        format!("{:?}", ring.drain())
+    };
+    let reference = streamed();
+    assert!(reference.contains("seq: 1,"), "the run streams several samples");
+    for run in 0..20 {
+        assert_eq!(streamed(), reference, "streamed run {run}");
+    }
+}
+
+#[test]
 fn observability_off_does_not_change_virtual_time() {
     let on = traced_workload();
     let off = with_forced_tracing(false, || with_forced_metrics(false, workload));
