@@ -2,10 +2,9 @@
 //!
 //! A seeded program drives every reserving entry point of [`CostModel`] on
 //! one shared hand-driven machine, with non-zero `start` and `floor`, so
-//! flows contend for NIC lanes. It probes every estimator and
-//! `amo_rtt_estimate_ns` in between. Every returned timing, every
-//! [`FlowDetail`] field and each NIC's final `messages`, `bytes` and
-//! `busy_ns` are folded into one FNV-1a hash. The program runs for every
+//! flows contend for NIC lanes. It probes every estimator in between. Every
+//! returned timing, every [`FlowDetail`] field and each NIC's final
+//! `messages`, `bytes` and `busy_ns` are folded into one FNV-1a hash. The program runs for every
 //! conduit profile constructor on every platform preset, on one node and on
 //! three, plus one machine whose node 1 sits in a degraded-bandwidth window.
 //!
@@ -18,9 +17,10 @@ use pgas_conduit::cost::{AmTiming, AmoTiming, FlowDetail, PutTiming};
 use pgas_conduit::{ConduitProfile, CostModel};
 use pgas_machine::{DegradedWindow, FaultPlan, Machine, MachineConfig, Platform};
 
-/// The hash of the whole sweep, recorded at the commit that introduced this
-/// test.
-const PINNED: u64 = 0x5b55_6572_48a1_6ae1;
+/// The hash of the whole sweep. It was first recorded when this test was
+/// introduced, and re-recorded on the same model when the spin-lock
+/// round-trip closed form left the sweep.
+const PINNED: u64 = 0x90e7_d689_b7f0_83b6;
 
 // ---- adapters -------------------------------------------------------------
 
@@ -214,12 +214,11 @@ fn sweep(h: &mut Fold, cfg: MachineConfig, profile: ConduitProfile, seed: u64) {
             }
             _ => h.words(&am_reply(&cm, s, d, bytes, t)),
         }
-        // Estimators and the spin-lock RTT between the same pair.
+        // Estimators between the same pair.
         let est = [
             cm.get_estimate_ns(s, d, bytes),
             cm.strided_get_estimate_ns(s, d, n, e).unwrap_or(u64::MAX),
             cm.am_packed_get_estimate_ns(s, d, n, e),
-            cm.amo_rtt_estimate_ns(s, d).to_bits(),
         ];
         h.words(&est);
         let p = cm.put_estimate(s, d, bytes);
