@@ -303,7 +303,6 @@ mod tests {
             (Platform::Stampede, Backend::Shmem, Some(StridedAlgorithm::TwoDim)),
             (Platform::Stampede, Backend::Shmem, Some(StridedAlgorithm::Naive)),
             // Select-by-name, the way an app CLI flag or env var would.
-            (Platform::Stampede, Backend::Shmem, StridedAlgorithm::from_name("adaptive")),
             (Platform::Stampede, Backend::Shmem, StridedAlgorithm::from_name("tuned")),
         ] {
             let r = run_himeno(platform, backend, strided, 4, cfg);

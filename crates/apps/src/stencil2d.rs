@@ -241,8 +241,7 @@ mod tests {
     fn strided_algorithms_agree_on_the_stencil() {
         let cfg = StencilConfig { n: 8, steps: 6 };
         let serial = serial_stencil(&cfg);
-        for algo in [StridedAlgorithm::Naive, StridedAlgorithm::TwoDim, StridedAlgorithm::Adaptive]
-        {
+        for algo in [StridedAlgorithm::Naive, StridedAlgorithm::TwoDim, StridedAlgorithm::Tuned] {
             let got = parallel_stencil(Platform::CrayXc30, Backend::Shmem, Some(algo), 4, cfg);
             assert_eq!(got, serial, "{algo:?}");
         }

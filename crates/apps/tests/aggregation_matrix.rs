@@ -93,7 +93,7 @@ fn all_apps_hazard_free_with_aggregation() {
             run_himeno(
                 Platform::Titan,
                 Backend::Shmem,
-                Some(StridedAlgorithm::Adaptive),
+                Some(StridedAlgorithm::Tuned),
                 4,
                 HimenoConfig::tiny(),
             );

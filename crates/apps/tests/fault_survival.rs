@@ -55,15 +55,14 @@ fn stencil2d_survives_a_lossy_interconnect() {
     });
 }
 
-/// The strided fast paths retry too: the adaptive planner's `iput`
+/// The strided fast paths retry too: the tuned planner's `iput`
 /// decomposition must deliver every pencil even when individual puts drop.
 #[test]
 fn himeno_strided_algorithms_survive_drops() {
     with_forced_plan(drop1(0x2D13), || {
         let cfg = HimenoConfig::tiny();
         let serial = *serial_gosa(&cfg).last().unwrap();
-        for algo in [StridedAlgorithm::Naive, StridedAlgorithm::TwoDim, StridedAlgorithm::Adaptive]
-        {
+        for algo in [StridedAlgorithm::Naive, StridedAlgorithm::TwoDim, StridedAlgorithm::Tuned] {
             let r = run_himeno(Platform::Stampede, Backend::Shmem, Some(algo), 4, cfg);
             let rel = (r.gosa - serial).abs() / serial;
             assert!(rel < 1e-5, "{algo:?} under drops: rel {rel:e}");

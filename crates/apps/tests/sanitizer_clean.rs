@@ -20,7 +20,7 @@ fn run_all_apps(platform: Platform) {
         run_himeno(
             platform,
             Backend::Shmem,
-            Some(StridedAlgorithm::Adaptive),
+            Some(StridedAlgorithm::Tuned),
             4,
             HimenoConfig::tiny(),
         );

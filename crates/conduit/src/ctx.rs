@@ -211,7 +211,8 @@ pub struct Ctx<'m> {
     deferred: RefCell<Vec<ConduitError>>,
     /// End-to-end payload checksums (resolved once from the machine).
     checksums: bool,
-    /// CRC32 the op currently inside `submit` carried (verified at apply).
+    /// CRC32 of the payload of the op currently inside `submit` (verified
+    /// at apply).
     inflight_crc: Cell<Option<u32>>,
 }
 
@@ -588,17 +589,16 @@ impl<'m> Ctx<'m> {
     /// kind first flushes that node's buffer (program order per node, and
     /// read-your-writes, are preserved exactly) and then runs directly.
     pub fn submit(&self, op: OpDesc<'_>) -> Result<OpReceipt, ConduitError> {
-        let OpDesc { peer, completion, kind, team, checksum } = op;
-        // Attribution context for everything below the descriptor: an
-        // explicit per-op team beats the context's scope. Nested submits
-        // (strided loops) re-enter with team 0 and inherit the scope, so
-        // the attribution stays stable across decomposition.
-        self.active_team.set(if team != 0 { team } else { self.team_scope.get() });
-        // End-to-end checksum over the outbound payload, computed (or
-        // carried in) at submit and verified where the bytes are applied.
-        // Charges no virtual time, so enabling checksums moves no digest.
+        let OpDesc { peer, completion, kind } = op;
+        // Attribution context for everything below the descriptor: the
+        // context's team scope. Nested submits (strided loops) see the same
+        // scope, so the attribution stays stable across decomposition.
+        self.active_team.set(self.team_scope.get());
+        // End-to-end checksum over the outbound payload, computed at submit
+        // and verified where the bytes are applied. Charges no virtual
+        // time, so enabling checksums moves no digest.
         self.inflight_crc.set(if self.checksums {
-            checksum.or_else(|| kind.payload().map(crate::integrity::crc32))
+            kind.payload().map(crate::integrity::crc32)
         } else {
             None
         });
@@ -1628,9 +1628,9 @@ impl<'m> Ctx<'m> {
     /// Account for `polls` remote polling messages against `dst`'s NIC
     /// starting now (without moving this PE's clock).
     ///
-    /// Spin-based locks poll a remote word while they wait. In this hybrid
-    /// simulator the *number of physical retries* depends on OS scheduling,
-    /// not virtual time, so waiters reconstruct the polls their virtual wait
+    /// Spin-based locks poll a remote word while they wait. The *number of
+    /// retries* a waiter makes depends on when it is scheduled, not on
+    /// virtual time, so waiters reconstruct the polls their virtual wait
     /// implies and charge them here — that contention pressure on the lock
     /// home's NIC is precisely what queue-based (MCS) locks eliminate.
     pub fn charge_poll_traffic(&self, dst: PeId, polls: u64) {

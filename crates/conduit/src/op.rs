@@ -115,39 +115,17 @@ pub struct OpDesc<'a> {
     pub peer: PeId,
     pub completion: Completion,
     pub kind: OpKind<'a>,
-    /// Team the operation is attributed to (0 = world / no team). Defaults
-    /// to the issuing context's team scope; an explicit value here wins.
-    /// Carried so the sanitizer, metrics, and flow tracing can break ops
-    /// down per team without threading a team handle through every shim.
-    pub team: u32,
-    /// End-to-end CRC32 over the payload, verified when the bytes are
-    /// applied at the target. `None` means "compute at submit when the
-    /// machine runs with checksums enabled"; ops without a payload keep
-    /// `None` throughout.
-    pub checksum: Option<u32>,
 }
 
 impl<'a> OpDesc<'a> {
     /// Blocking-completion descriptor (the common case).
     pub fn new(peer: PeId, kind: OpKind<'a>) -> Self {
-        OpDesc { peer, completion: Completion::Blocking, kind, team: 0, checksum: None }
+        OpDesc { peer, completion: Completion::Blocking, kind }
     }
 
     /// Issue-only completion (`shmem_*_nbi`).
     pub fn nbi(mut self) -> Self {
         self.completion = Completion::Nbi;
-        self
-    }
-
-    /// Attribute this operation to `team` (overriding the context's scope).
-    pub fn on_team(mut self, team: u32) -> Self {
-        self.team = team;
-        self
-    }
-
-    /// Carry a precomputed payload CRC32 instead of computing at submit.
-    pub fn with_checksum(mut self, crc: u32) -> Self {
-        self.checksum = Some(crc);
         self
     }
 }

@@ -466,6 +466,57 @@ mod tests {
     }
 
     #[test]
+    fn sync_images_all_synchronises_every_image() {
+        // Every image writes its id into its own slot on every image; after
+        // `sync images(*)` each image sees every slot filled.
+        let out = run_caf(mcfg(4), cfg(), |img| {
+            let c = img.coarray::<i64>(&[4]).unwrap();
+            img.sync_all();
+            let me = img.this_image();
+            for other in 1..=img.num_images() {
+                c.put_elem(img, other, &[me - 1], me as i64);
+            }
+            img.sync_images_all();
+            c.read_local(img)
+        });
+        for r in out.results {
+            assert_eq!(r, vec![1, 2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn sync_memory_completes_an_outstanding_put() {
+        // Image 1's 64 KiB put to the other node returns before it lands;
+        // `sync memory` waits for it, so the first one takes longer than a
+        // second one with nothing left to complete. Image 2 then reads the
+        // data after `sync all`.
+        let out = run_caf(
+            pgas_machine::titan(2, 1).with_heap_bytes(1 << 20),
+            CafConfig::new(Backend::Shmem, Platform::Titan),
+            |img| {
+                let c = img.coarray::<i64>(&[8192]).unwrap();
+                img.sync_all();
+                let mut fences = (0, 0);
+                if img.this_image() == 1 {
+                    // The OpenSHMEM put alone, without the statement's quiet.
+                    img.shmem().put(c.ptr(), &vec![7; 8192], img.pe_of(2));
+                    let clock = || img.shmem().ctx().pe().now();
+                    let t0 = clock();
+                    img.sync_memory();
+                    let t1 = clock();
+                    img.sync_memory();
+                    fences = (t1 - t0, clock() - t1);
+                }
+                img.sync_all();
+                (fences, c.read_local(img).iter().all(|&v| v == 7))
+            },
+        );
+        let ((outstanding, idle), _) = out.results[0];
+        assert!(outstanding > idle, "sync memory waited {outstanding} ns, idle fence {idle} ns");
+        assert!(out.results[1].1, "image 2 reads the put after sync all");
+    }
+
+    #[test]
     fn co_sum_all_images() {
         let out = run_caf(mcfg(5), cfg(), |img| {
             let mut v = [img.this_image() as i64, 1];

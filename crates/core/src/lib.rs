@@ -81,7 +81,7 @@ pub use nonsym::NonSymArray;
 pub use pgas_conduit::CoalescePolicy;
 pub use pgas_machine::sanitizer::{HazardKind, HazardReport, SanitizerMode};
 pub use pgas_machine::stats::PlanDecision;
-pub use planner::{HeuristicPlanner, PlanChoice, StridedPlanner, TransferDir, TunedPlanner};
+pub use planner::{PlanChoice, TransferDir};
 pub use remote_ptr::RemotePtr;
 pub use runtime::{run_caf, run_caf_result};
 pub use section::{DimRange, Section};

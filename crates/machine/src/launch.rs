@@ -63,7 +63,7 @@ pub struct SimOutcome<R> {
     /// `Record` — in `Panic` mode the job fails at the first hazard).
     pub hazard_reports: Vec<HazardReport>,
     /// Every strided-plan selection made during the job, in recording order
-    /// (empty unless a `StridedPlanner`-backed algorithm ran).
+    /// (empty unless the tuned strided planner ran).
     pub plan_decisions: Vec<PlanDecision>,
     /// Every injected fault, retry exhaustion, and PE death (empty unless a
     /// fault plan was active), ordered by (pe, issue order) for determinism.

@@ -8,15 +8,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// One strided-plan selection made by a `StridedPlanner`, recorded so
+/// One strided-plan selection made by the caf planner, recorded so
 /// EXPERIMENTS figures can contrast predicted against measured costs and
 /// show mispredictions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanDecision {
     /// PE that made the decision.
     pub pe: usize,
-    /// Planner name ("heuristic", "tuned", ...).
-    pub planner: &'static str,
     /// Label of the chosen plan ("runs", "dim1", "packed", ...).
     pub chosen: String,
     /// The planner's predicted cost for the chosen plan, ns.
@@ -249,14 +247,12 @@ mod tests {
         let s = Stats::default();
         s.record_plan(PlanDecision {
             pe: 0,
-            planner: "heuristic",
             chosen: "dim1".into(),
             predicted_ns: 1200.0,
             candidates: vec![("runs".into(), 2000.0), ("dim1".into(), 1200.0)],
         });
         s.record_plan(PlanDecision {
             pe: 1,
-            planner: "tuned",
             chosen: "runs".into(),
             predicted_ns: 900.0,
             candidates: vec![("runs".into(), 900.0)],
@@ -264,7 +260,7 @@ mod tests {
         let drained = s.drain_plans();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].chosen, "dim1");
-        assert_eq!(drained[1].planner, "tuned");
+        assert_eq!(drained[1].pe, 1);
         assert!(s.drain_plans().is_empty(), "second drain sees an empty log");
         assert_eq!(s.snapshot().plans, 2, "counter survives the drain");
     }

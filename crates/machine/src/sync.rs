@@ -71,7 +71,6 @@ struct BarrierInner {
 #[derive(Debug)]
 pub struct ClockBarrier {
     inner: Mutex<BarrierInner>,
-    n: usize,
 }
 
 impl ClockBarrier {
@@ -86,13 +85,7 @@ impl ClockBarrier {
                 expected: n,
                 waiters: Vec::new(),
             }),
-            n,
         }
-    }
-
-    /// Number of participants at construction (departures not subtracted).
-    pub fn group_size(&self) -> usize {
-        self.n
     }
 
     /// Complete the current round: publish the combined clock and unpark

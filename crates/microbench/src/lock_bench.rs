@@ -68,17 +68,8 @@ pub fn naive_spinlock_ms(
                 backoff = (backoff * 2.0).min(20_000.0);
                 img.shmem().ctx().pe().yield_now();
             }
-            // Spin-wait accounting (see openshmem::lock::charge_spin_wait):
-            // expected poll misalignment plus the implied NIC poll traffic.
-            let ctx = img.shmem().ctx();
-            let base = ctx.cost_model().amo_rtt_estimate_ns(img.this_image() - 1, 0);
-            let waited = (ctx.pe().now() - start) as f64 - base;
-            if waited > base {
-                let steady = (waited / 4.0).clamp(200.0, 20_000.0);
-                ctx.pe().advance(steady * 0.5);
-                let polls = (waited / (steady + base)).ceil().min(128.0) as u64;
-                ctx.charge_poll_traffic(0, polls);
-            }
+            // Expected poll misalignment plus the implied NIC poll traffic.
+            img.shmem().charge_spin_wait(start, 0, 200.0, 20_000.0);
             let prev = img.shmem().cswap(word, me, 0u64, 0);
             assert_eq!(prev, me);
         }

@@ -78,11 +78,6 @@ impl SymAlloc {
         self.live.iter().map(|&(_, l)| l).sum()
     }
 
-    /// Number of live allocations.
-    pub fn live_blocks(&self) -> usize {
-        self.live.len()
-    }
-
     /// Largest free contiguous block.
     pub fn largest_free(&self) -> usize {
         self.free.iter().map(|b| b.len).max().unwrap_or(0)

@@ -15,7 +15,7 @@
 
 use crate::active_set::ActiveSet;
 use crate::data::{from_bytes, to_bytes, Scalar, SymPtr};
-use crate::shmem::{Cmp, Shmem, BCAST_FLAG_BASE, COLLECT_FLAG_BASE, REDUCE_FLAG_BASE};
+use crate::shmem::{Cmp, Shmem, BCAST_FLAG_BASE, REDUCE_FLAG_BASE};
 use pgas_machine::stats::Stats;
 use pgas_machine::trace::{Span, SpanKind};
 
@@ -383,12 +383,6 @@ impl<'m> Shmem<'m> {
             }
             self.barrier(set);
         })
-    }
-
-    /// Unused-slot accessor for tests that need a scratch flag word.
-    #[doc(hidden)]
-    pub fn scratch_flag_slot(&self) -> usize {
-        COLLECT_FLAG_BASE + 4
     }
 }
 

@@ -32,7 +32,7 @@ impl<'m> Shmem<'m> {
         loop {
             let prev = self.cswap(lock, 0u64, me, LOCK_HOME);
             if prev == 0 {
-                self.charge_spin_wait(start);
+                self.charge_spin_wait(start, LOCK_HOME, BACKOFF_MIN_NS, BACKOFF_MAX_NS);
                 return;
             }
             // Back off in virtual time, and let the holder run (on whichever
@@ -43,27 +43,32 @@ impl<'m> Shmem<'m> {
         }
     }
 
-    /// Account for a spin-wait that ended at the current virtual time.
+    /// Account for a spin-wait on a word homed on `home` that began at
+    /// `start` and ended, with the winning compare-and-swap, at the current
+    /// virtual time. `min_ns`/`max_ns` bound the spinner's exponential
+    /// backoff.
     ///
-    /// Whether the wait manifested as *physical* retries depends on OS
-    /// scheduling (a thread may get lucky and see the word free on its
-    /// first CAS even though, in virtual time, it waited out several
-    /// holders via the causality lift). So the wait is measured on the
+    /// A waiter retries when it is scheduled, not once per backoff: one PE
+    /// runs at a time, and a blocked spinner may find the word free on its
+    /// first retry even though, in virtual time, it waited out several
+    /// holders via the causality lift. So the wait is measured on the
     /// virtual clock and charged uniformly: the expected half-backoff
     /// discretization delay, plus the polling messages the wait implies on
     /// the home PE's NIC — the remote-spinning cost MCS locks avoid (§IV-D).
-    fn charge_spin_wait(&self, start: u64) {
-        let base = self.ctx().cost_model().amo_rtt_estimate_ns(self.my_pe(), LOCK_HOME);
+    /// The wait is what the clock moved beyond one uncontended fetching
+    /// `amo`; a wait no longer than that `amo` charges nothing.
+    pub fn charge_spin_wait(&self, start: u64, home: usize, min_ns: f64, max_ns: f64) {
+        let base = self.ctx().cost_model().amo_estimate_ns(self.my_pe(), home) as f64;
         let waited = (self.ctx().pe().now() - start) as f64 - base;
         if waited <= base {
             return; // essentially uncontended
         }
         // Exponential backoff settles near min(waited/4, max); polls are
         // spaced a round trip plus a backoff apart.
-        let steady = (waited / 4.0).clamp(BACKOFF_MIN_NS, BACKOFF_MAX_NS);
+        let steady = (waited / 4.0).clamp(min_ns, max_ns);
         self.ctx().pe().advance(steady * 0.5);
         let polls = (waited / (steady + base)).ceil().min(128.0) as u64;
-        self.ctx().charge_poll_traffic(LOCK_HOME, polls);
+        self.ctx().charge_poll_traffic(home, polls);
     }
 
     /// `shmem_test_lock`: try once; `true` means acquired.
@@ -157,6 +162,39 @@ mod tests {
             (first, second, third)
         });
         assert_eq!(out.results[0], (true, false, true));
+    }
+
+    #[test]
+    fn an_uncontended_set_lock_costs_one_fetching_amo() {
+        // Nobody else wants the lock, so the acquire is one compare-and-swap
+        // and its wait charge adds nothing: within a node and between nodes,
+        // over native and AM-emulated atomics.
+        use pgas_machine::{titan, FaultPlan};
+        for profile in
+            [ConduitProfile::cray_shmem(Platform::Titan), ConduitProfile::gasnet(Platform::Titan)]
+        {
+            for (nodes, cores) in [(1, 2), (2, 1)] {
+                let cfg =
+                    titan(nodes, cores).with_heap_bytes(1 << 16).with_faults(FaultPlan::none());
+                let out = run(cfg, move |pe| {
+                    let shmem = Shmem::new(pe, ShmemConfig::new(profile));
+                    let lock = shmem.shmalloc::<u64>(1).unwrap();
+                    shmem.barrier_all();
+                    let mut cost = (0, 0);
+                    if shmem.my_pe() == 1 {
+                        let t0 = shmem.ctx().pe().now();
+                        shmem.set_lock(lock);
+                        let elapsed = shmem.ctx().pe().now() - t0;
+                        cost = (elapsed, shmem.ctx().cost_model().amo_estimate_ns(1, LOCK_HOME));
+                        shmem.clear_lock(lock);
+                    }
+                    shmem.barrier_all();
+                    cost
+                });
+                let (elapsed, amo) = out.results[1];
+                assert_eq!(elapsed, amo, "{} on {nodes}x{cores}", profile.label());
+            }
+        }
     }
 
     #[test]

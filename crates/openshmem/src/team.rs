@@ -16,7 +16,7 @@
 use crate::active_set::ActiveSet;
 use crate::data::{Scalar, SymPtr};
 use crate::shmem::Shmem;
-use pgas_conduit::{ConduitError, Ctx};
+use pgas_conduit::Ctx;
 use pgas_machine::machine::PeId;
 
 /// A strided subset of the job's PEs with a machine-wide id.
@@ -163,15 +163,6 @@ impl<'m> Shmem<'m> {
     pub fn team_barrier(&self, team: &Team) {
         debug_assert!(team.contains(self.my_pe()), "team barrier from a non-member");
         self.with_team_scope(team, || self.ctx().barrier_group(&team.members()));
-    }
-
-    /// Fallible [`Self::team_barrier`]: surfaces deferred dead-target
-    /// errors (e.g. coalesced puts whose target died before the flush)
-    /// instead of panicking. The barrier itself still completes among the
-    /// surviving members, so live peers do not hang.
-    pub fn try_team_barrier(&self, team: &Team) -> Result<(), ConduitError> {
-        debug_assert!(team.contains(self.my_pe()), "team barrier from a non-member");
-        self.with_team_scope(team, || self.ctx().try_barrier_group(&team.members()))
     }
 
     /// Team-scoped broadcast: [`Shmem::broadcast`] over the team's PEs,

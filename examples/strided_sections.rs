@@ -35,7 +35,7 @@ fn main() {
         StridedAlgorithm::TwoDim,
         StridedAlgorithm::BestOfAll,
         StridedAlgorithm::AmPacked,
-        StridedAlgorithm::Adaptive,
+        StridedAlgorithm::Tuned,
     ] {
         let sec2 = sec.clone();
         let out = run_caf(
