@@ -1,12 +1,15 @@
 //! Pins the conduit's cost model to one hash.
 //!
 //! A seeded program drives every reserving entry point of [`CostModel`] on
-//! one shared hand-driven machine, with non-zero `start` and `floor`, so
-//! flows contend for NIC lanes. It probes every estimator in between. Every
-//! returned timing, every [`FlowDetail`] field and each NIC's final
-//! `messages`, `bytes` and `busy_ns` are folded into one FNV-1a hash. The program runs for every
-//! conduit profile constructor on every platform preset, on one node and on
-//! three, plus one machine whose node 1 sits in a degraded-bandwidth window.
+//! one launched machine, with non-zero `start` and `floor`, so flows contend
+//! for NIC lanes. Every PE replays the whole op stream and issues the ops
+//! whose source it is, from its own fiber, so the arbiter grants the
+//! contending turns in `(start, pe)` order. It probes every estimator in
+//! between. Every returned timing and every [`FlowDetail`] field, in op
+//! order, then each NIC's final `messages`, `bytes` and `busy_ns` are folded
+//! into one FNV-1a hash. The program runs for every conduit profile
+//! constructor on every platform preset, on one node and on three, plus one
+//! machine whose node 1 sits in a degraded-bandwidth window.
 //!
 //! The expected hash was recorded before the estimators were rebuilt on the
 //! reserving path and must not move: any change to a coefficient, a
@@ -15,12 +18,13 @@
 
 use pgas_conduit::cost::{AmTiming, AmoTiming, FlowDetail, PutTiming};
 use pgas_conduit::{ConduitProfile, CostModel};
-use pgas_machine::{DegradedWindow, FaultPlan, Machine, MachineConfig, Platform};
+use pgas_machine::{DegradedWindow, FaultPlan, MachineConfig, Platform};
 
 /// The hash of the whole sweep. It was first recorded when this test was
 /// introduced, and re-recorded on the same model when the spin-lock
-/// round-trip closed form left the sweep.
-const PINNED: u64 = 0x90e7_d689_b7f0_83b6;
+/// round-trip closed form left the sweep, and when the sweep moved from one
+/// caller issuing every op to each PE issuing its own under the arbiter.
+const PINNED: u64 = 0x1382_fd01_7e18_6c0a;
 
 // ---- adapters -------------------------------------------------------------
 
@@ -113,14 +117,24 @@ fn am_reply(cm: &CostModel, s: usize, d: usize, bytes: usize, executed: u64) -> 
 struct Fold(u64);
 
 impl Fold {
-    fn word(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
+    fn words(&mut self, xs: &[u64]) {
+        for b in xs.iter().flat_map(|x| x.to_le_bytes()) {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
         }
     }
+}
+
+/// The words one op answers, in fold order.
+#[derive(Default)]
+struct Answer(Vec<u64>);
+
+impl Answer {
+    fn word(&mut self, x: u64) {
+        self.0.push(x);
+    }
 
     fn words(&mut self, xs: &[u64]) {
-        xs.iter().for_each(|&x| self.word(x));
+        self.0.extend_from_slice(xs);
     }
 
     fn flow(&mut self, d: FlowDetail) {
@@ -160,14 +174,14 @@ const NELEMS: [usize; 5] = [1, 8, 100, 1024, 4096];
 const ELEMS: [usize; 4] = [1, 4, 8, 64];
 const OPS: usize = 160;
 
-/// Drive one machine and fold everything it answers into `h`.
-fn sweep(h: &mut Fold, cfg: MachineConfig, profile: ConduitProfile, seed: u64) {
-    let m = Machine::new(cfg);
-    let cm = CostModel::new(&m, profile);
-    let pes = m.config().total_pes() as u64;
+/// The seeded op stream as PE `me` replays it: every PE draws every op, and
+/// issues (and answers) only those whose source it is, so each turn is
+/// requested by the PE it is for. The answers, tagged with their op index.
+fn replay(cm: &CostModel, me: usize, pes: u64, seed: u64) -> Vec<(usize, Answer)> {
     let mut rng = Rng(seed);
     let mut clock = 1_000;
-    for _ in 0..OPS {
+    let mut answers = Vec::new();
+    for op in 0..OPS {
         let pair = (rng.below(pes) as usize, rng.below(pes) as usize);
         let (s, d) = pair;
         // Overlapping issue instants make flows queue behind each other.
@@ -176,43 +190,49 @@ fn sweep(h: &mut Fold, cfg: MachineConfig, profile: ConduitProfile, seed: u64) {
         let f = if rng.below(3) == 0 { t + rng.below(40_000) } else { rng.below(2) * t / 2 };
         let bytes = rng.pick(&BYTES);
         let (n, e) = (rng.pick(&NELEMS), rng.pick(&ELEMS));
-        match rng.below(10) {
-            0 => h.put(put(&cm, s, d, bytes, t, f)),
+        let kind = rng.below(10);
+        let fetching = kind == 2 && rng.below(2) == 0;
+        let extra = if kind == 8 { rng.pick(&[0.0, 37.5, 1_200.0]) } else { 0.0 };
+        if s != me {
+            continue;
+        }
+        let mut h = Answer::default();
+        match kind {
+            0 => h.put(put(cm, s, d, bytes, t, f)),
             1 => {
-                let (done, fd) = get(&cm, s, d, bytes, t);
+                let (done, fd) = get(cm, s, d, bytes, t);
                 h.word(done);
                 h.flow(fd);
             }
             2 => {
-                let (a, fd) = amo(&cm, s, d, rng.below(2) == 0, t);
+                let (a, fd) = amo(cm, s, d, fetching, t);
                 h.words(&[a.local_complete, a.remote_complete]);
                 h.flow(fd);
             }
-            3 => match iput(&cm, pair, n, e, t, f) {
+            3 => match iput(cm, pair, n, e, t, f) {
                 Some(x) => h.put(x),
                 None => h.word(u64::MAX),
             },
-            4 => match iget(&cm, pair, n, e, t) {
+            4 => match iget(cm, pair, n, e, t) {
                 Some((done, fd)) => {
                     h.word(done);
                     h.flow(fd);
                 }
                 None => h.word(u64::MAX - 1),
             },
-            5 => h.put(am_put(&cm, pair, n, e, t, f)),
+            5 => h.put(am_put(cm, pair, n, e, t, f)),
             6 => {
-                let (done, fd) = am_get(&cm, pair, n, e, t);
+                let (done, fd) = am_get(cm, pair, n, e, t);
                 h.word(done);
                 h.flow(fd);
             }
-            7 => h.put(flush(&cm, pair, bytes + 16 * n, n, t, f)),
+            7 => h.put(flush(cm, pair, bytes + 16 * n, n, t, f)),
             8 => {
-                let extra = rng.pick(&[0.0, 37.5, 1_200.0]);
-                let (a, fd) = am_request(&cm, pair, bytes, extra, t, f);
+                let (a, fd) = am_request(cm, pair, bytes, extra, t, f);
                 h.words(&[a.local_complete, a.executed]);
                 h.flow(fd);
             }
-            _ => h.words(&am_reply(&cm, s, d, bytes, t)),
+            _ => h.words(&am_reply(cm, s, d, bytes, t)),
         }
         // Estimators between the same pair.
         let est = [
@@ -229,10 +249,24 @@ fn sweep(h: &mut Fold, cfg: MachineConfig, profile: ConduitProfile, seed: u64) {
             Some(p) => h.words(&[p.local_complete, p.remote_complete]),
             None => h.word(u64::MAX),
         }
+        answers.push((op, h));
     }
-    for node in 0..m.config().nodes {
-        let nic = m.nic(node);
-        h.words(&[nic.messages(), nic.bytes(), nic.busy_ns()]);
+    answers
+}
+
+/// Launch one machine on which every PE replays the op stream, and fold
+/// into `h` every answer in op order, then each NIC's totals.
+fn sweep(h: &mut Fold, cfg: MachineConfig, profile: ConduitProfile, seed: u64) {
+    let out = pgas_machine::run(cfg, |pe| {
+        replay(&CostModel::new(pe.machine(), profile), pe.id(), pe.n() as u64, seed)
+    });
+    let mut answers: Vec<(usize, Answer)> = out.results.into_iter().flatten().collect();
+    answers.sort_by_key(|&(op, _)| op);
+    for (_, answer) in &answers {
+        h.words(&answer.0);
+    }
+    for nic in &out.nics {
+        h.words(&[nic.messages, nic.bytes, nic.busy_ns]);
     }
 }
 
