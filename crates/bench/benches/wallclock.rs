@@ -107,20 +107,7 @@ fn heap_stamps() {
 /// The machine's per-op synchronization paths with nobody to synchronize
 /// with: what every operation pays when there is no contention.
 fn machine_idle_paths() {
-    use pgas_machine::{generic_smp, Machine};
-    let m = Machine::new(generic_smp(2).with_heap_bytes(1 << 12));
-    let word = m.heap(1).atomic64(0);
-    bench("apply_and_notify_idle", None, || {
-        m.apply_and_notify(1, || word.fetch_add(1, std::sync::atomic::Ordering::AcqRel));
-    });
-
-    // By hand, so without the arbiter; `lift_clock_launched` is the row with.
-    let mut t = 0u64;
-    bench("lift_clock_arbiter_off", None, || {
-        t += 10;
-        std::hint::black_box(m.lift_clock(0, t));
-    });
-
+    use pgas_machine::generic_smp;
     let nic = pgas_machine::nic::Nic::new();
     let mut t = 0u64;
     bench("nic_reserve_tx", None, || {
@@ -133,6 +120,10 @@ fn machine_idle_paths() {
     pgas_machine::run(generic_smp(2).with_heap_bytes(1 << 12), |pe| {
         if pe.id() == 0 {
             let m = pe.machine();
+            let word = m.heap(1).atomic64(0);
+            bench("apply_and_notify_idle", None, || {
+                m.apply_and_notify(1, || word.fetch_add(1, std::sync::atomic::Ordering::AcqRel));
+            });
             let mut t = m.clock(0);
             bench("lift_clock_launched", None, || {
                 t += 10;

@@ -614,18 +614,40 @@ impl<'m> CostModel<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgas_machine::{stampede, titan, Machine, Platform};
+    use pgas_machine::{stampede, titan, MachineConfig, Platform};
 
-    fn shmem_on_stampede(nodes: usize) -> (std::sync::Arc<Machine>, ConduitProfile) {
-        (Machine::new(stampede(nodes, 16)), ConduitProfile::mvapich_shmem())
+    /// Launch `cfg` and hand every PE a cost model of `p`: `f(cm, pe)` makes
+    /// that PE's own calls, if it has any, so every turn is requested by the
+    /// PE it is for and tied starts are granted in PE order. The PEs' `Some`
+    /// answers, in PE order.
+    fn launch<R: Send>(
+        cfg: MachineConfig,
+        p: ConduitProfile,
+        f: impl Fn(&CostModel, PeId) -> Option<R> + Send + Sync,
+    ) -> Vec<R> {
+        let out = pgas_machine::run(cfg, |pe| f(&CostModel::new(pe.machine(), p), pe.id()));
+        out.results.into_iter().flatten().collect()
+    }
+
+    /// [`launch`] with only PE 0 making calls.
+    fn on_pe0<R: Send>(
+        cfg: MachineConfig,
+        p: ConduitProfile,
+        f: impl Fn(&CostModel) -> R + Send + Sync,
+    ) -> R {
+        launch(cfg, p, |cm, pe| (pe == 0).then(|| f(cm))).remove(0)
+    }
+
+    fn shmem() -> ConduitProfile {
+        ConduitProfile::mvapich_shmem()
     }
 
     #[test]
     fn put_latency_grows_with_size() {
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
-        let small = cm.put(0, 16, 8, 0, 0).0;
-        let large = cm.put(0, 16, 1 << 20, small.remote_complete, 0).0;
+        let (small, large) = on_pe0(stampede(2, 16), shmem(), |cm| {
+            let small = cm.put(0, 16, 8, 0, 0).0;
+            (small, cm.put(0, 16, 1 << 20, small.remote_complete, 0).0)
+        });
         let small_dur = small.remote_complete;
         let large_dur = large.remote_complete - small.remote_complete;
         assert!(large_dur > 10 * small_dur, "1 MiB ({large_dur}) vs 8 B ({small_dur})");
@@ -633,82 +655,68 @@ mod tests {
 
     #[test]
     fn large_put_approaches_link_bandwidth() {
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
         let bytes = 8 << 20;
-        let t = cm.put(0, 16, bytes, 0, 0).0;
+        let t = on_pe0(stampede(2, 16), shmem(), |cm| cm.put(0, 16, bytes, 0, 0).0);
         let gb_per_s = bytes as f64 / t.remote_complete as f64; // bytes/ns
-        let wire_bw = m.config().wire.inter.bytes_per_ns;
+        let wire_bw = stampede(2, 16).wire.inter.bytes_per_ns;
         assert!(gb_per_s > 0.8 * wire_bw, "sustained {gb_per_s:.2} of wire {wire_bw}");
         assert!(gb_per_s <= wire_bw);
     }
 
     #[test]
     fn intra_node_put_is_much_faster() {
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
-        let local = cm.put(0, 1, 1024, 0, 0).0.remote_complete;
-        let remote = cm.put(2, 17, 1024, 0, 0).0.remote_complete;
+        let done = launch(stampede(2, 16), shmem(), |cm, pe| match pe {
+            0 => Some(cm.put(0, 1, 1024, 0, 0).0.remote_complete),
+            2 => Some(cm.put(2, 17, 1024, 0, 0).0.remote_complete),
+            _ => None,
+        });
+        let (local, remote) = (done[0], done[1]);
         assert!(local * 3 < remote, "local {local} remote {remote}");
     }
 
     #[test]
     fn put_local_completion_precedes_remote() {
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
-        let t = cm.put(0, 16, 4096, 100, 0).0;
+        let t = on_pe0(stampede(2, 16), shmem(), |cm| cm.put(0, 16, 4096, 100, 0).0);
         assert!(t.local_complete < t.remote_complete);
         assert!(t.local_complete > 100);
     }
 
     #[test]
     fn fence_floor_delays_data_flow() {
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
-        let unfenced = cm.put(0, 16, 64, 0, 0).0;
+        let unfenced = on_pe0(stampede(2, 16), shmem(), |cm| cm.put(0, 16, 64, 0, 0).0);
         // Fresh machine so NIC state doesn't carry over.
-        let (m2, p2) = shmem_on_stampede(2);
-        let cm2 = CostModel::new(&m2, p2);
-        let fenced = cm2.put(0, 16, 64, 0, 50_000).0;
+        let fenced = on_pe0(stampede(2, 16), shmem(), |cm| cm.put(0, 16, 64, 0, 50_000).0);
         assert!(fenced.remote_complete >= 50_000);
         assert!(fenced.remote_complete > unfenced.remote_complete);
     }
 
     #[test]
     fn get_costs_a_round_trip() {
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
-        let put = cm.put(0, 16, 8, 0, 0).0.remote_complete;
-        let (m2, p2) = shmem_on_stampede(2);
-        let cm2 = CostModel::new(&m2, p2);
-        let get = cm2.get(0, 16, 8, 0).0;
-        assert!(get > put + m.config().wire.inter.latency_ns as u64, "get {get} put {put}");
+        let put = on_pe0(stampede(2, 16), shmem(), |cm| cm.put(0, 16, 8, 0, 0).0.remote_complete);
+        let get = on_pe0(stampede(2, 16), shmem(), |cm| cm.get(0, 16, 8, 0).0);
+        let latency = stampede(2, 16).wire.inter.latency_ns as u64;
+        assert!(get > put + latency, "get {get} put {put}");
     }
 
     #[test]
     fn contention_divides_bandwidth() {
         // 16 concurrent large puts through one NIC pair vs one alone.
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
         let bytes = 1 << 20;
-        let mut last = 0;
-        for src in 0..16 {
-            last = last.max(cm.put(src, 16 + src, bytes, 0, 0).0.remote_complete);
-        }
-        let (m1, p1) = shmem_on_stampede(2);
-        let alone = CostModel::new(&m1, p1).put(0, 16, bytes, 0, 0).0.remote_complete;
+        let done = launch(stampede(2, 16), shmem(), |cm, src| {
+            (src < 16).then(|| cm.put(src, 16 + src, bytes, 0, 0).0.remote_complete)
+        });
+        let last = done.into_iter().max().unwrap();
+        let alone =
+            on_pe0(stampede(2, 16), shmem(), |cm| cm.put(0, 16, bytes, 0, 0).0.remote_complete);
         let ratio = last as f64 / alone as f64;
         assert!(ratio > 10.0 && ratio < 20.0, "16-way contention ratio {ratio:.1}");
     }
 
     #[test]
     fn native_amo_beats_am_emulated() {
-        let m = Machine::new(titan(2, 16));
-        let native = CostModel::new(&m, ConduitProfile::cray_shmem(Platform::Titan));
-        let t_native = native.amo(0, 16, true, 0).0.local_complete;
-        let m2 = Machine::new(titan(2, 16));
-        let emulated = CostModel::new(&m2, ConduitProfile::gasnet(Platform::Titan));
-        let t_am = emulated.amo(0, 16, true, 0).0.local_complete;
+        let amo = |p| on_pe0(titan(2, 16), p, |cm| cm.amo(0, 16, true, 0).0.local_complete);
+        let t_native = amo(ConduitProfile::cray_shmem(Platform::Titan));
+        let t_am = amo(ConduitProfile::gasnet(Platform::Titan));
         assert!(
             t_am as f64 > 1.2 * t_native as f64,
             "AM-emulated {t_am} should clearly exceed native {t_native}"
@@ -717,75 +725,74 @@ mod tests {
 
     #[test]
     fn nonfetching_amo_returns_early_on_native() {
-        let m = Machine::new(titan(2, 16));
-        let cm = CostModel::new(&m, ConduitProfile::cray_shmem(Platform::Titan));
-        let t = cm.amo(0, 16, false, 0).0;
+        let amo = |fetching| {
+            let p = ConduitProfile::cray_shmem(Platform::Titan);
+            on_pe0(titan(2, 16), p, move |cm| cm.amo(0, 16, fetching, 0).0)
+        };
+        let t = amo(false);
         assert!(t.local_complete < t.remote_complete);
-        let m2 = Machine::new(titan(2, 16));
-        let cm2 = CostModel::new(&m2, ConduitProfile::cray_shmem(Platform::Titan));
-        let tf = cm2.amo(0, 16, true, 0).0;
+        let tf = amo(true);
         assert!(tf.local_complete > tf.remote_complete, "fetch waits for the reply");
     }
 
     #[test]
     fn strided_native_only_on_capable_profiles() {
-        let m = Machine::new(titan(2, 16));
-        let cray = CostModel::new(&m, ConduitProfile::cray_shmem(Platform::Titan));
-        assert!(cray.strided_put_native(0, 16, 100, 8, 0, 0).is_some());
-        let mv = CostModel::new(&m, ConduitProfile::mvapich_shmem());
-        assert!(mv.strided_put_native(0, 16, 100, 8, 0, 0).is_none());
-        assert!(mv.strided_get_native(0, 16, 100, 8, 0).is_none());
+        let cray = ConduitProfile::cray_shmem(Platform::Titan);
+        assert!(
+            on_pe0(titan(2, 16), cray, |cm| cm.strided_put_native(0, 16, 100, 8, 0, 0)).is_some()
+        );
+        let (put, get) = on_pe0(titan(2, 16), shmem(), |cm| {
+            (cm.strided_put_native(0, 16, 100, 8, 0, 0), cm.strided_get_native(0, 16, 100, 8, 0))
+        });
+        assert!(put.is_none());
+        assert!(get.is_none());
     }
 
     #[test]
     fn one_native_strided_beats_elementwise_puts() {
-        let m = Machine::new(titan(2, 16));
-        let cm = CostModel::new(&m, ConduitProfile::cray_shmem(Platform::Titan));
+        let cray = ConduitProfile::cray_shmem(Platform::Titan);
         let n = 64;
-        let strided = cm.strided_put_native(0, 16, n, 8, 0, 0).unwrap().0.remote_complete;
-        let m2 = Machine::new(titan(2, 16));
-        let cm2 = CostModel::new(&m2, ConduitProfile::cray_shmem(Platform::Titan));
-        let mut t = 0;
-        let mut clock = 0;
-        for _ in 0..n {
-            let pt = cm2.put(0, 16, 8, clock, 0).0;
-            clock = pt.local_complete;
-            t = pt.remote_complete;
-        }
+        let strided = on_pe0(titan(2, 16), cray, |cm| {
+            cm.strided_put_native(0, 16, n, 8, 0, 0).unwrap().0.remote_complete
+        });
+        let t = on_pe0(titan(2, 16), cray, |cm| {
+            let mut t = 0;
+            let mut clock = 0;
+            for _ in 0..n {
+                let pt = cm.put(0, 16, 8, clock, 0).0;
+                clock = pt.local_complete;
+                t = pt.remote_complete;
+            }
+            t
+        });
         assert!(strided * 4 < t, "one iput {strided} vs {n} puts {t}");
     }
 
     #[test]
     fn rendezvous_adds_a_round_trip() {
-        let m = Machine::new(stampede(2, 16));
         let p = ConduitProfile::mpi3(Platform::Stampede); // 8 KiB threshold
-        let cm = CostModel::new(&m, p);
-        let below = cm.put(0, 16, 8 * 1024, 0, 0).0.remote_complete;
-        let m2 = Machine::new(stampede(2, 16));
-        let cm2 = CostModel::new(&m2, p);
-        let above = cm2.put(0, 16, 8 * 1024 + 1, 0, 0).0.remote_complete;
+        let put = |bytes| on_pe0(stampede(2, 16), p, move |cm| cm.put(0, 16, bytes, 0, 0).0);
+        let below = put(8 * 1024).remote_complete;
+        let above = put(8 * 1024 + 1).remote_complete;
         let delta = above as i64 - below as i64;
-        assert!(delta as f64 > 1.5 * m.config().wire.inter.latency_ns, "delta {delta}");
+        let latency = stampede(2, 16).wire.inter.latency_ns;
+        assert!(delta as f64 > 1.5 * latency, "delta {delta}");
     }
 
     #[test]
     fn barrier_cost_grows_logarithmically() {
-        let m = Machine::new(stampede(64, 16));
-        let cm = CostModel::new(&m, ConduitProfile::mvapich_shmem());
-        let b2 = cm.barrier_ns(2);
-        let b1024 = cm.barrier_ns(1024);
+        let (b1, b2, b1024) = on_pe0(stampede(64, 16), shmem(), |cm| {
+            (cm.barrier_ns(1), cm.barrier_ns(2), cm.barrier_ns(1024))
+        });
         assert!((b1024 / b2 - 10.0).abs() < 0.01, "log2(1024)/log2(2) = 10, got {}", b1024 / b2);
-        assert!(cm.barrier_ns(1) < b2);
+        assert!(b1 < b2);
     }
 
     #[test]
     fn am_packed_put_charges_unpack_at_target() {
-        let m = Machine::new(stampede(2, 16));
-        let cm = CostModel::new(&m, ConduitProfile::gasnet(Platform::Stampede));
-        let plain = cm.put(0, 16, 800, 0, 0).0;
-        let m2 = Machine::new(stampede(2, 16));
-        let cm2 = CostModel::new(&m2, ConduitProfile::gasnet(Platform::Stampede));
-        let packed = cm2.am_packed_put(0, 16, 800, 100, 0, 0).0;
+        let p = ConduitProfile::gasnet(Platform::Stampede);
+        let plain = on_pe0(stampede(2, 16), p, |cm| cm.put(0, 16, 800, 0, 0).0);
+        let packed = on_pe0(stampede(2, 16), p, |cm| cm.am_packed_put(0, 16, 800, 100, 0, 0).0);
         assert!(packed.remote_complete > plain.remote_complete);
         assert_eq!(packed.local_complete, plain.local_complete);
     }
@@ -795,7 +802,7 @@ mod tests {
         // Every estimator must equal the corresponding reserving call issued
         // at start = 0 on a fresh machine, for every profile family and for
         // both intra- and inter-node pairs.
-        type Cfg = fn() -> pgas_machine::MachineConfig;
+        type Cfg = fn() -> MachineConfig;
         let cases: [(ConduitProfile, Cfg); 4] = [
             (ConduitProfile::cray_shmem(Platform::Titan), || titan(2, 16)),
             (ConduitProfile::mvapich_shmem(), || stampede(2, 16)),
@@ -803,56 +810,45 @@ mod tests {
             (ConduitProfile::mpi3(Platform::Stampede), || stampede(2, 16)),
         ];
         for (p, cfg) in cases {
-            for (src, dst) in [(0usize, 1usize), (0, 16)] {
-                let m = Machine::new(cfg());
-                let est = CostModel::new(&m, p).amo_estimate_ns(src, dst);
-                let m2 = Machine::new(cfg());
-                let real = CostModel::new(&m2, p).amo(src, dst, true, 0).0.local_complete;
-                assert_eq!(est, real, "fetching amo {src}->{dst} on {}", p.label());
+            // Estimates reserve nothing, so each is issued beside its call
+            // on one fresh machine.
+            let (src, label) = (0, p.label());
+            for dst in [1, 16] {
+                let (est, real) = on_pe0(cfg(), p, |cm| {
+                    (cm.amo_estimate_ns(src, dst), cm.amo(src, dst, true, 0).0.local_complete)
+                });
+                assert_eq!(est, real, "fetching amo {src}->{dst} on {label}");
                 for bytes in [8usize, 800, 64 * 1024, 1 << 20] {
-                    let m = Machine::new(cfg());
-                    let est = CostModel::new(&m, p).put_estimate(src, dst, bytes);
-                    let m2 = Machine::new(cfg());
-                    let real = CostModel::new(&m2, p).put(src, dst, bytes, 0, 0).0;
-                    assert_eq!(est, real, "put {bytes}B {src}->{dst} on {}", p.label());
-
-                    let m3 = Machine::new(cfg());
-                    let gest = CostModel::new(&m3, p).get_estimate_ns(src, dst, bytes);
-                    let m4 = Machine::new(cfg());
-                    let greal = CostModel::new(&m4, p).get(src, dst, bytes, 0).0;
-                    assert_eq!(gest, greal, "get {bytes}B {src}->{dst} on {}", p.label());
+                    let (est, real) = on_pe0(cfg(), p, |cm| {
+                        (cm.put_estimate(src, dst, bytes), cm.put(src, dst, bytes, 0, 0).0)
+                    });
+                    assert_eq!(est, real, "put {bytes}B {src}->{dst} on {label}");
+                    let (est, real) = on_pe0(cfg(), p, |cm| {
+                        (cm.get_estimate_ns(src, dst, bytes), cm.get(src, dst, bytes, 0).0)
+                    });
+                    assert_eq!(est, real, "get {bytes}B {src}->{dst} on {label}");
                 }
-                for nelems in [8usize, 100, 1024] {
-                    let m = Machine::new(cfg());
-                    let est = CostModel::new(&m, p).strided_put_estimate(src, dst, nelems, 8);
-                    let m2 = Machine::new(cfg());
-                    let real = CostModel::new(&m2, p)
-                        .strided_put_native(src, dst, nelems, 8, 0, 0)
-                        .map(|r| r.0);
-                    assert_eq!(est, real, "iput n={nelems} {src}->{dst} on {}", p.label());
-
-                    let m3 = Machine::new(cfg());
-                    let aest = CostModel::new(&m3, p).am_packed_put_estimate(src, dst, nelems, 8);
-                    let m4 = Machine::new(cfg());
-                    let areal =
-                        CostModel::new(&m4, p).am_packed_put(src, dst, nelems * 8, nelems, 0, 0).0;
-                    assert_eq!(aest, areal, "am n={nelems} {src}->{dst} on {}", p.label());
-
-                    let m5 = Machine::new(cfg());
-                    let igest = CostModel::new(&m5, p).strided_get_estimate_ns(src, dst, nelems, 8);
-                    let m6 = Machine::new(cfg());
-                    let igreal = CostModel::new(&m6, p)
-                        .strided_get_native(src, dst, nelems, 8, 0)
-                        .map(|r| r.0);
-                    assert_eq!(igest, igreal, "iget n={nelems} {src}->{dst} on {}", p.label());
-
-                    let m7 = Machine::new(cfg());
-                    let agest =
-                        CostModel::new(&m7, p).am_packed_get_estimate_ns(src, dst, nelems, 8);
-                    let m8 = Machine::new(cfg());
-                    let agreal =
-                        CostModel::new(&m8, p).am_packed_get(src, dst, nelems * 8, nelems, 0).0;
-                    assert_eq!(agest, agreal, "am get n={nelems} {src}->{dst} on {}", p.label());
+                for n in [8usize, 100, 1024] {
+                    let (est, real) = on_pe0(cfg(), p, |cm| {
+                        let real = cm.strided_put_native(src, dst, n, 8, 0, 0).map(|r| r.0);
+                        (cm.strided_put_estimate(src, dst, n, 8), real)
+                    });
+                    assert_eq!(est, real, "iput n={n} {src}->{dst} on {label}");
+                    let (est, real) = on_pe0(cfg(), p, |cm| {
+                        let real = cm.am_packed_put(src, dst, n * 8, n, 0, 0).0;
+                        (cm.am_packed_put_estimate(src, dst, n, 8), real)
+                    });
+                    assert_eq!(est, real, "am n={n} {src}->{dst} on {label}");
+                    let (est, real) = on_pe0(cfg(), p, |cm| {
+                        let real = cm.strided_get_native(src, dst, n, 8, 0).map(|r| r.0);
+                        (cm.strided_get_estimate_ns(src, dst, n, 8), real)
+                    });
+                    assert_eq!(est, real, "iget n={n} {src}->{dst} on {label}");
+                    let (est, real) = on_pe0(cfg(), p, |cm| {
+                        let real = cm.am_packed_get(src, dst, n * 8, n, 0).0;
+                        (cm.am_packed_get_estimate_ns(src, dst, n, 8), real)
+                    });
+                    assert_eq!(est, real, "am get n={n} {src}->{dst} on {label}");
                 }
             }
         }
@@ -861,30 +857,20 @@ mod tests {
     #[test]
     fn degradation_window_stretches_transfers() {
         use pgas_machine::{DegradedWindow, FaultPlan};
-        let plan = FaultPlan::new(5).with_degraded_window(DegradedWindow {
-            node: 1,
-            begin_ns: 0,
-            end_ns: u64::MAX,
-            bandwidth_factor: 0.25,
-        });
-        let m = Machine::new(stampede(2, 16).with_faults(plan));
-        let cm = CostModel::new(&m, ConduitProfile::mvapich_shmem());
-        let slow = cm.put(0, 16, 1 << 20, 0, 0).0.remote_complete;
-        let m2 = Machine::new(stampede(2, 16).with_faults(FaultPlan::none()));
-        let fast = CostModel::new(&m2, ConduitProfile::mvapich_shmem())
-            .put(0, 16, 1 << 20, 0, 0)
-            .0
-            .remote_complete;
+        let put = |plan| {
+            let cfg = stampede(2, 16).with_faults(plan);
+            on_pe0(cfg, shmem(), |cm| cm.put(0, 16, 1 << 20, 0, 0).0.remote_complete)
+        };
+        let window = |node, begin_ns, end_ns| {
+            let w = DegradedWindow { node, begin_ns, end_ns, bandwidth_factor: 0.25 };
+            FaultPlan::new(5).with_degraded_window(w)
+        };
+        let slow = put(window(1, 0, u64::MAX));
+        let fast = put(FaultPlan::none());
         assert!(slow > 2 * fast, "degraded rx {slow} vs nominal {fast}");
 
         // Outside the window (different node) nothing changes.
-        let m3 = Machine::new(stampede(2, 16).with_faults(FaultPlan::new(5).with_degraded_window(
-            DegradedWindow { node: 0, begin_ns: 1 << 60, end_ns: 1 << 61, bandwidth_factor: 0.25 },
-        )));
-        let unaffected = CostModel::new(&m3, ConduitProfile::mvapich_shmem())
-            .put(0, 16, 1 << 20, 0, 0)
-            .0
-            .remote_complete;
+        let unaffected = put(window(0, 1 << 60, 1 << 61));
         assert_eq!(unaffected, fast);
     }
 
@@ -892,20 +878,18 @@ mod tests {
     fn estimates_do_not_reserve_nic_time() {
         // Probing must leave the shared timelines untouched: a real call after
         // a barrage of estimates sees the same timing as on a fresh machine.
-        let m = Machine::new(stampede(2, 16));
-        let cm = CostModel::new(&m, ConduitProfile::mvapich_shmem());
-        for bytes in [8usize, 4096, 1 << 20] {
-            let _ = cm.put_estimate(0, 16, bytes);
-            let _ = cm.get_estimate_ns(0, 16, bytes);
-            let _ = cm.strided_put_estimate(0, 16, bytes / 8, 8);
-            let _ = cm.am_packed_put_estimate(0, 16, bytes / 8, 8);
-            let _ = cm.strided_get_estimate_ns(0, 16, bytes / 8, 8);
-            let _ = cm.am_packed_get_estimate_ns(0, 16, bytes / 8, 8);
-        }
-        let after_probes = cm.put(0, 16, 1 << 20, 0, 0).0;
-        let m2 = Machine::new(stampede(2, 16));
-        let fresh =
-            CostModel::new(&m2, ConduitProfile::mvapich_shmem()).put(0, 16, 1 << 20, 0, 0).0;
+        let after_probes = on_pe0(stampede(2, 16), shmem(), |cm| {
+            for bytes in [8usize, 4096, 1 << 20] {
+                let _ = cm.put_estimate(0, 16, bytes);
+                let _ = cm.get_estimate_ns(0, 16, bytes);
+                let _ = cm.strided_put_estimate(0, 16, bytes / 8, 8);
+                let _ = cm.am_packed_put_estimate(0, 16, bytes / 8, 8);
+                let _ = cm.strided_get_estimate_ns(0, 16, bytes / 8, 8);
+                let _ = cm.am_packed_get_estimate_ns(0, 16, bytes / 8, 8);
+            }
+            cm.put(0, 16, 1 << 20, 0, 0).0
+        });
+        let fresh = on_pe0(stampede(2, 16), shmem(), |cm| cm.put(0, 16, 1 << 20, 0, 0).0);
         assert_eq!(after_probes, fresh);
     }
 
@@ -915,50 +899,58 @@ mod tests {
         // Node 1 at a quarter of its bandwidth throughout, and both NICs
         // busy for a while: real transfers wait and stretch, idle-lane
         // estimates do not.
+        let estimates =
+            |cm: &CostModel| (cm.put_estimate(0, 16, 4096), cm.get_estimate_ns(1, 17, 4096));
         let window =
             DegradedWindow { node: 1, begin_ns: 0, end_ns: u64::MAX, bandwidth_factor: 0.25 };
-        let m = Machine::new(
-            stampede(2, 16).with_faults(FaultPlan::new(5).with_degraded_window(window)),
-        );
-        let cm = CostModel::new(&m, ConduitProfile::mvapich_shmem());
-        let busy = cm.put(0, 16, 1 << 20, 0, 0).0;
-        let fresh = Machine::new(stampede(2, 16));
-        let plain = CostModel::new(&fresh, ConduitProfile::mvapich_shmem());
-        assert_eq!(cm.put_estimate(0, 16, 4096), plain.put_estimate(0, 16, 4096));
-        assert_eq!(cm.get_estimate_ns(1, 17, 4096), plain.get_estimate_ns(1, 17, 4096));
-        let real = cm.put(0, 16, 4096, 0, 0);
+        let cfg = stampede(2, 16).with_faults(FaultPlan::new(5).with_degraded_window(window));
+        let (busy, est, real) = on_pe0(cfg, shmem(), |cm| {
+            let busy = cm.put(0, 16, 1 << 20, 0, 0).0;
+            (busy, estimates(cm), cm.put(0, 16, 4096, 0, 0))
+        });
+        assert_eq!(est, on_pe0(stampede(2, 16), shmem(), estimates));
         assert!(real.0.remote_complete > busy.local_complete, "queued behind the 1 MiB put");
         assert!(real.1.queue_ns > 0);
     }
 
     #[test]
     fn an_am_reply_returns_its_own_leg() {
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
-        // The caller's RX lane is busy with a 1 MiB put from node 1.
-        let inbound = cm.put(17, 1, 1 << 20, 0, 0).0;
-        let (done, reply) = cm.am_reply(0, 16, 64, 0);
+        // The caller's RX lane is busy with a 1 MiB put from node 1, which
+        // PE 17 issues before a barrier that the caller, PE 0, replies after.
+        let legs = launch(stampede(2, 16), shmem(), |cm, pe| {
+            let inbound = (pe == 17).then(|| cm.put(17, 1, 1 << 20, 0, 0).0);
+            cm.machine().barrier_all(pe, 0.0);
+            match pe {
+                0 => Some((None, Some((cm.am_reply(0, 16, 64, 0), cm.am_reply(0, 1, 64, 1_000))))),
+                17 => Some((inbound, None)),
+                _ => None,
+            }
+        });
+        let ((done, reply), (local_done, local)) = legs[0].1.unwrap();
+        let inbound = legs[1].0.unwrap();
         assert_eq!(reply.remote_end, done, "delivered at the caller");
         assert!(reply.remote_begin >= inbound.remote_complete, "behind the inbound put");
-        let occ = cm.occupancy_ns(AM_HEADER_BYTES + 64).round() as u64;
+        let cm_occ =
+            |cm: &CostModel| (cm.occupancy_ns(AM_HEADER_BYTES + 64).round() as u64, cm.latency());
+        let (occ, latency) = on_pe0(stampede(2, 16), shmem(), cm_occ);
         assert_eq!(reply.service_ns, 2 * occ);
-        assert_eq!(reply.queue_ns, reply.remote_begin - cm.latency(), "rx queue only");
+        assert_eq!(reply.queue_ns, reply.remote_begin - latency, "rx queue only");
         // Within a node: one copy, nothing queued.
-        let (done, local) = cm.am_reply(0, 1, 64, 1_000);
-        assert_eq!((local.queue_ns, local.remote_end), (0, done));
+        assert_eq!((local.queue_ns, local.remote_end), (0, local_done));
     }
 
     #[test]
     fn a_get_is_delivered_by_the_target_streaming_back() {
-        let (m, p) = shmem_on_stampede(2);
-        let cm = CostModel::new(&m, p);
-        let (done, d) = cm.get(0, 16, 4096, 1_000);
+        let p = shmem();
+        let (done, d, req, data, latency) = on_pe0(stampede(2, 16), p, |cm| {
+            let (done, d) = cm.get(0, 16, 4096, 1_000);
+            let req = cm.control_occupancy_ns().round() as u64;
+            (done, d, req, cm.occupancy_ns(4096).round() as u64, cm.latency())
+        });
         let issue_done = 1_000 + p.get_issue_ns.round() as u64;
-        let req = cm.control_occupancy_ns().round() as u64;
-        let data = cm.occupancy_ns(4096).round() as u64;
-        assert_eq!(d.remote_begin, issue_done + req + cm.latency(), "the target's TX lane");
+        assert_eq!(d.remote_begin, issue_done + req + latency, "the target's TX lane");
         assert_eq!(d.remote_end, d.remote_begin + data);
-        assert_eq!(done, d.remote_begin + cm.latency() + data, "through the caller's RX lane");
+        assert_eq!(done, d.remote_begin + latency + data, "through the caller's RX lane");
         assert_eq!((d.queue_ns, d.service_ns), (0, req + 2 * data));
     }
 }

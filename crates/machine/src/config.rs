@@ -73,8 +73,8 @@ pub struct MachineConfig {
     pub metrics_window_ns: u64,
     /// This config's choices for the seven machine-wide knobs (sanitizer,
     /// faults, trace, metrics, aggregation, checksums, stream); all `None`
-    /// in the presets. `Machine::new` resolves them against the
-    /// thread-forced and environment layers (see `crate::knobs`).
+    /// in the presets. A launch resolves them against the thread-forced
+    /// and environment layers (see `crate::knobs`).
     pub knobs: Knobs,
 }
 

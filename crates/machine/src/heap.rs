@@ -6,10 +6,10 @@
 //! kept in `AtomicU64` words and every byte-granularity access goes through
 //! word-level atomics (plain loads/stores for covered words, CAS-merge for
 //! partial words), so racy PGAS programs map onto well-defined relaxed-atomic
-//! races instead of UB. Only one PE runs at a time on a launched job's
-//! carrier, but a hand-driven `Machine::new` may still be shared between OS
-//! threads; the words can become plain bytes once the machine's state is
-//! owned by its carrier.
+//! races instead of UB. Every machine is launched and runs one PE at a time,
+//! on either carrier, but a `Heap` is `Sync` and a caller that builds one may
+//! still share it between OS threads; the words can become plain bytes once
+//! the machine's state is owned by its carrier.
 //!
 //! **Pages.** OpenSHMEM reserves a PE's whole symmetric heap up front, and
 //! a program touches only what it allocates. So a heap is a table of 4 KiB

@@ -13,7 +13,7 @@
 //!    is useless without a consumer holding its ring).
 //!
 //! [`Knobs::resolve`] takes the first layer that made a choice, per knob,
-//! and remembers which one it was. It runs once per `Machine::new`, on the
+//! and remembers which one it was. It runs once per launch, on the
 //! launching thread — thread-locals do not reach PE threads, so everything
 //! downstream (including conduits built on PE threads) reads the stored
 //! [`ResolvedKnobs`] back from the machine.

@@ -234,7 +234,7 @@ where
     R: Send,
 {
     parking_lot::fiber::keep_freed_memory();
-    let machine: Arc<Machine> = Machine::new_on(cfg, true);
+    let machine: Arc<Machine> = Machine::new(cfg);
     let n = machine.num_pes();
     let name = machine.config().name.clone();
     let stack = machine.config().stack_bytes;

@@ -56,7 +56,7 @@ impl StreamState {
     }
 }
 
-/// Virtual-time NIC arbiter of every launched machine ([`Machine::new_on`]).
+/// Virtual-time NIC arbiter of every machine.
 ///
 /// [`Nic::reserve`] grants lane occupancy first-come-first-served in *real*
 /// time, so when several PEs contend with overlapping virtual windows the
@@ -154,25 +154,17 @@ pub struct Machine {
     /// Live streaming snapshot channel; `None` unless configured, so the
     /// common path costs one branch per clock movement.
     stream: Option<StreamState>,
-    /// Virtual-time NIC arbiter; `None` on a machine driven by hand
-    /// ([`Machine::new`]), `Some` on every launched one.
-    arbiter: Option<ArbiterState>,
+    /// Virtual-time NIC arbiter.
+    arbiter: ArbiterState,
     /// Every knob as resolved on the launching thread at build time.
     knobs: ResolvedKnobs,
 }
 
 impl Machine {
-    /// Build a machine from a validated configuration, to be driven by hand:
-    /// one caller moves every PE, so it has no NIC arbiter — whose grant
-    /// waits for every other PE to run or park, which none here ever does —
-    /// and [`Self::nic_turn`] is a passthrough.
-    pub fn new(cfg: MachineConfig) -> Arc<Machine> {
-        Machine::new_on(cfg, false)
-    }
-
-    /// [`Self::new`], or with `launched` the launcher's machine: it runs
-    /// every PE as a fiber of one carrier, and so always arbitrates.
-    pub(crate) fn new_on(cfg: MachineConfig, launched: bool) -> Arc<Machine> {
+    /// Build a machine from a validated configuration. A launch
+    /// ([`crate::launch::run_with_result`]) is what drives one: it runs every
+    /// PE as a fiber of one carrier, under the arbiter.
+    pub(crate) fn new(cfg: MachineConfig) -> Arc<Machine> {
         cfg.validate().expect("invalid machine configuration");
         let n = cfg.total_pes();
         let knobs = Knobs::resolve(&cfg);
@@ -181,7 +173,7 @@ impl Machine {
             FaultState::new(plan, n)
         });
         let stream = knobs.stream.value.clone().map(StreamState::new);
-        let arbiter = launched.then(|| ArbiterState {
+        let arbiter = ArbiterState {
             parked: Mutex::new(BinaryHeap::new()),
             horizon: (0..n).map(|_| AtomicU64::new(0)).collect(),
             in_turn: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -189,7 +181,7 @@ impl Machine {
             finished: (0..n).map(|_| AtomicBool::new(false)).collect(),
             #[cfg(test)]
             parked_turns: AtomicU64::new(0),
-        });
+        };
         Arc::new(Machine {
             faults,
             stream,
@@ -567,11 +559,10 @@ impl Machine {
 
     // ---- deterministic NIC arbitration ----------------------------------
 
-    /// Run `f` (a NIC reservation sequence on behalf of `pe`, requesting no
-    /// earlier than virtual time `start`) under the arbiter's virtual-time
-    /// ordering. On a machine driven by hand this is exactly `f()`.
+    /// Run `f` (a NIC reservation sequence of `pe`, requesting no earlier
+    /// than virtual time `start`) under the arbiter's virtual-time ordering.
     ///
-    /// The caller must be the thread running `pe`, and `f` must not block on
+    /// The caller must be the fiber running `pe`, and `f` must not block on
     /// other PEs (it only touches NIC lane frontiers).
     pub fn nic_turn<R>(&self, pe: PeId, start: u64, f: impl FnOnce() -> R) -> R {
         self.nic_turn_ctx(pe, 0, start, f)
@@ -589,9 +580,9 @@ impl Machine {
     /// `ctx.rs` ×4, the benchmark's ladder). Any other request parks until
     /// the idle point grants it (`Self::grant_idle`).
     pub fn nic_turn_ctx<R>(&self, pe: PeId, ctx: u32, start: u64, f: impl FnOnce() -> R) -> R {
-        let Some(arb) = &self.arbiter else { return f() };
-        if !self.poison.is_poisoned() && Self::arb_blocker(arb, start, pe).is_none() {
-            debug_assert!(fiber::is_fiber(), "a launched machine runs its PEs as fibers");
+        debug_assert_eq!(fiber::current(), Some(pe), "a turn is requested by the PE it is for");
+        let arb = &self.arbiter;
+        if !self.poison.is_poisoned() && self.arb_blocker(start, pe).is_none() {
             return f();
         }
         #[cfg(test)]
@@ -616,10 +607,10 @@ impl Machine {
     /// is one unpark. Whether a PE was made runnable; `false` with nothing
     /// grantable, which on the idle point means the job is stalled.
     pub(crate) fn grant_idle(&self) -> bool {
-        let Some(arb) = &self.arbiter else { return false };
+        let arb = &self.arbiter;
         let mut parked = arb.parked.lock();
         let Some(&Reverse((start, pe, _))) = parked.peek() else { return false };
-        if Self::arb_blocker(arb, start, pe).is_some() {
+        if self.arb_blocker(start, pe).is_some() {
             return false;
         }
         parked.pop();
@@ -634,7 +625,8 @@ impl Machine {
     /// `start`, unless that is a parked key tied with `start` and of a later
     /// PE (which `(start, pe)` precedes).
     #[inline]
-    fn arb_blocker(arb: &ArbiterState, start: u64, pe: PeId) -> Option<PeId> {
+    fn arb_blocker(&self, start: u64, pe: PeId) -> Option<PeId> {
+        let arb = &self.arbiter;
         arb.horizon.iter().enumerate().position(|(q, h)| {
             let h = h.load(Ordering::Relaxed);
             h <= start
@@ -644,13 +636,10 @@ impl Machine {
     }
 
     /// Mark `pe` unable to issue NIC requests until externally unblocked:
-    /// it enters a barrier, or its program closure finished. No-op without
-    /// an arbiter.
+    /// it enters a barrier, or its program closure finished.
     #[inline]
     fn arb_quiesce(&self, pe: PeId) {
-        if let Some(arb) = &self.arbiter {
-            arb.horizon[pe].store(u64::MAX, Ordering::Relaxed);
-        }
+        self.arbiter.horizon[pe].store(u64::MAX, Ordering::Relaxed);
     }
 
     /// A barrier's completing arrival, *before* the waiters are unparked: a
@@ -659,27 +648,21 @@ impl Machine {
     /// that died left the group instead of arriving — it may be parked in a
     /// turn, asleep in `wait_on` or gone — and its horizon says so already.
     fn arb_release(&self, group: impl Iterator<Item = PeId>) {
-        let Some(arb) = &self.arbiter else { return };
         for q in group.filter(|&q| !self.pe_failed(q)) {
-            arb.horizon[q].store(self.clock(q), Ordering::Relaxed);
+            self.arbiter.horizon[q].store(self.clock(q), Ordering::Relaxed);
         }
     }
 
     /// `pe`, running, moved its clock to `next`: that is its horizon now.
-    /// One branch when no arbiter, a store with one.
     #[inline]
     fn arb_clock_moved(&self, pe: PeId, next: u64) {
-        if let Some(arb) = &self.arbiter {
-            arb.horizon[pe].store(next, Ordering::Relaxed);
-        }
+        self.arbiter.horizon[pe].store(next, Ordering::Relaxed);
     }
 
     /// Mark `pe`'s program closure finished (launcher hook): permanently
     /// quiescent for NIC arbitration.
     pub(crate) fn pe_finished(&self, pe: PeId) {
-        if let Some(arb) = &self.arbiter {
-            arb.finished[pe].store(true, Ordering::Relaxed);
-        }
+        self.arbiter.finished[pe].store(true, Ordering::Relaxed);
         self.arb_quiesce(pe);
     }
 
@@ -729,19 +712,17 @@ impl Machine {
     /// Apply `f` — a write to `pe`'s heap that `wait_on` predicates may
     /// observe — and wake `pe`'s waiters, as one critical section.
     ///
-    /// On a launched machine this additionally withdraws `pe`'s `wait_on`
-    /// quiescence in the same section: the moment the write is observable,
-    /// `pe` no longer counts as "provably unable to issue a NIC request",
-    /// closing the wake-latency window in which an arbiter grant could order
-    /// reservations by host scheduling. On a machine driven by hand this is
-    /// just `f` followed by [`Self::notify_pe`] under the notify lock.
+    /// It also withdraws `pe`'s `wait_on` quiescence in the same section:
+    /// the moment the write is observable, `pe` no longer counts as
+    /// "provably unable to issue a NIC request", closing the wake-latency
+    /// window in which an arbiter grant could order reservations by host
+    /// scheduling.
     pub fn apply_and_notify<R>(&self, pe: PeId, f: impl FnOnce() -> R) -> R {
         self.pes[pe].notify.notify_applying(|| {
             let out = f();
-            if let Some(arb) = &self.arbiter {
-                if arb.in_wait_on[pe].load(Ordering::Relaxed) != 0 {
-                    arb.horizon[pe].store(self.clock(pe), Ordering::Relaxed);
-                }
+            let arb = &self.arbiter;
+            if arb.in_wait_on[pe].load(Ordering::Relaxed) != 0 {
+                arb.horizon[pe].store(self.clock(pe), Ordering::Relaxed);
             }
             out
         })
@@ -764,45 +745,41 @@ impl Machine {
     fn wait_on_named(&self, pe: PeId, name: usize, pred: impl FnMut() -> bool) {
         // The predicate only runs under the notify lock, so the waiter sees
         // all or none of a write published through `apply_and_notify` (value,
-        // stamp, sanitizer record). Under the arbiter, quiescence is asserted
-        // there right before every park and withdrawn there on exit: a
-        // waiter is flagged quiescent only while no satisfying write has
-        // been observed.
-        let arb = self.arbiter.as_ref();
+        // stamp, sanitizer record). Quiescence is asserted there right
+        // before every park and withdrawn there on exit: a waiter is flagged
+        // quiescent only while no satisfying write has been observed.
+        let arb = &self.arbiter;
         self.pes[pe].notify.wait_until(
             &self.poison,
             pred,
             || {
-                let Some(arb) = arb else { return };
                 arb.in_wait_on[pe].store(name, Ordering::Relaxed);
                 arb.horizon[pe].store(u64::MAX, Ordering::Relaxed);
             },
             || {
-                let Some(arb) = arb else { return };
                 arb.horizon[pe].store(self.clock(pe), Ordering::Relaxed);
                 arb.in_wait_on[pe].store(0, Ordering::Relaxed);
             },
         );
     }
 
-    /// Unpark every parked PE of a launched machine, so that it re-reads its
-    /// predicate and the poison flag; whether any was parked. (A PE parked
-    /// in a NIC turn parks again unless poisoned: only the idle point grants
-    /// it.) A machine driven by hand has no parked PE.
+    /// Unpark every parked PE, so that it re-reads its predicate and the
+    /// poison flag; whether any was parked. (A PE parked in a NIC turn parks
+    /// again unless poisoned: only the idle point grants it.)
     pub fn interrupt_all(&self) -> bool {
-        self.arbiter.is_some() && (0..self.num_pes()).fold(false, |any, pe| fiber::unpark(pe) | any)
+        (0..self.num_pes()).fold(false, |any, pe| fiber::unpark(pe) | any)
     }
 
     /// Why the job cannot go on, when it cannot: one line per PE that has not
     /// finished, saying what it is blocked in, and the lowest such PE.
     /// Meaningful when no PE is running — the launcher calls it from the
-    /// carrier's idle point, with every PE parked. `None` on a machine driven
-    /// by hand: it reads the arbiter's state. A PE with a key in the set is in
-    /// a turn, one with `in_wait_on` set polls, any other whose horizon is
-    /// `u64::MAX` waits in a barrier, and one that could run but does not is
-    /// blocked in something of the program's own.
+    /// carrier's idle point, with every PE parked; `None` when every PE has
+    /// finished. A PE with a key in the set is in a turn, one with
+    /// `in_wait_on` set polls, any other whose horizon is `u64::MAX` waits in
+    /// a barrier, and one that could run but does not is blocked in
+    /// something of the program's own.
     pub(crate) fn stall_report(&self) -> Option<(PeId, String)> {
-        let arb = self.arbiter.as_ref()?;
+        let arb = &self.arbiter;
         let parked = arb.parked.lock();
         let min = parked.peek().map(|&Reverse(key)| key);
         let barrier_line = |name: &str, b: &ClockBarrier| {
@@ -816,7 +793,7 @@ impl Machine {
             let what = if let Some(Reverse(key)) = parked.iter().find(|key| key.0 .1 == pe) {
                 let behind = match min {
                     Some(min) if min != *key => format!("behind the key of PE {}", min.1),
-                    _ => match Self::arb_blocker(arb, key.0, pe) {
+                    _ => match self.arb_blocker(key.0, pe) {
                         Some(q) => {
                             format!("PE {q} at {} ns could still issue earlier", self.clock(q))
                         }
@@ -1027,14 +1004,6 @@ impl std::fmt::Debug for Pe<'_> {
 mod tests {
     use super::*;
     use crate::platforms::generic_smp;
-
-    #[test]
-    fn nic_turn_is_a_passthrough_without_the_arbiter() {
-        // A machine driven by hand has none.
-        let m = Machine::new(generic_smp(2));
-        assert!(m.arbiter.is_none());
-        assert_eq!(m.nic_turn(0, 50, || 7), 7);
-    }
 
     #[test]
     fn nic_arbiter_grants_tied_reservations_in_pe_order() {
@@ -1441,8 +1410,7 @@ mod tests {
 
     #[test]
     fn an_uncontested_turn_never_parks_and_a_contested_one_does() {
-        let parked_turns =
-            |m: &Machine| m.arbiter.as_ref().unwrap().parked_turns.load(Ordering::Relaxed);
+        let parked_turns = |m: &Machine| m.arbiter.parked_turns.load(Ordering::Relaxed);
         let cfg = generic_smp(2).with_heap_bytes(1 << 12);
         // One active PE: PE 1 sits in the second barrier through all of them.
         let out = run_on(Engine::Fibers, cfg.clone(), |pe| {
@@ -1528,22 +1496,26 @@ mod tests {
     #[test]
     fn scheduled_failure_trips_when_clock_crosses_deadline() {
         use crate::fault::FaultPlan;
-        let m = Machine::new(generic_smp(2).with_faults(FaultPlan::new(1).with_pe_failure(1, 100)));
-        assert!(m.faults_active());
-        m.advance(1, 99.0);
-        assert!(!m.pe_failed(1), "deadline not reached yet");
-        m.advance(1, 1.0);
-        assert!(m.pe_failed(1));
-        assert_eq!(m.failed_pes(), vec![1]);
-        assert_eq!(m.stats().snapshot().pe_failures, 1);
-        let events = m.stats().drain_faults();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, "pe-failure");
-        assert_eq!(events[0].at_ns, 100);
+        let cfg = generic_smp(2).with_faults(FaultPlan::new(1).with_pe_failure(1, 100));
+        let out = crate::launch::run(cfg, |pe| {
+            let (m, me) = (pe.machine(), pe.id());
+            assert!(m.faults_active());
+            if me == 1 {
+                m.advance(1, 99.0);
+                assert!(!m.pe_failed(1), "deadline not reached yet");
+                m.advance(1, 1.0);
+                assert!(m.pe_failed(1));
+                assert_eq!(m.failed_pes(), vec![1]);
+            }
+            (m.clock(me), m.barrier_all(me, 5.0))
+        });
+        assert_eq!(out.stats.pe_failures, 1);
+        assert_eq!(out.fault_events.len(), 1);
+        assert_eq!(out.fault_events[0].kind, "pe-failure");
+        assert_eq!(out.fault_events[0].at_ns, 100);
         // The survivor's barrier completes alone; the dead PE's is a no-op.
-        assert_eq!(m.barrier_all(0, 5.0), m.clock(0));
-        let dead_clock = m.clock(1);
-        assert_eq!(m.barrier_all(1, 5.0), dead_clock, "dead PE does not rendezvous");
+        assert_eq!(out.results[0], (0, 5));
+        assert_eq!(out.results[1], (100, 100), "dead PE does not rendezvous");
     }
 
     #[test]

@@ -187,9 +187,7 @@ impl NotifyCell {
     /// write and its visibility one critical section: a waiter can only see
     /// the write's effects *after* everything `f` did — including, for the
     /// NIC arbiter, giving the waiter its horizon back — so an arbiter grant
-    /// can never see "write landed, waiter still quiescent". Writers that
-    /// are not fibers (a machine driven by hand from several threads) are
-    /// serialized by the same lock.
+    /// can never see "write landed, waiter still quiescent".
     pub fn notify_applying<R>(&self, f: impl FnOnce() -> R) -> R {
         let _g = self.lock.lock();
         let out = f();
