@@ -302,6 +302,36 @@ mod tests {
     }
 
     #[test]
+    fn sync_spans_carry_the_team_scope_they_ran_in() {
+        use pgas_machine::trace::SpanKind::{Barrier, Quiet};
+        // A quiet or barrier submits no op, so its span takes its team from
+        // the scope it ran in, not from the last op submitted.
+        let out = run(cfg(4).with_trace(true), |pe| {
+            let shmem = mk(pe);
+            let evens = shmem.team_split_strided(&shmem.team_world(), 0, 2, 2);
+            shmem.barrier_all();
+            if let Some(t) = &evens {
+                shmem.team_barrier(t);
+            }
+            shmem.barrier_all();
+        });
+        let syncs = |pe| -> Vec<_> {
+            let spans =
+                out.trace.iter().filter(|s| s.pe == pe && matches!(s.kind, Quiet | Barrier));
+            spans.map(|s| (s.kind, s.team)).collect()
+        };
+        let world_team_world =
+            [(Quiet, 0), (Barrier, 0), (Quiet, 1), (Barrier, 1), (Quiet, 0), (Barrier, 0)];
+        for pe in [0, 2] {
+            let got = syncs(pe);
+            assert_eq!(got[got.len() - 6..], world_team_world, "PE {pe}");
+        }
+        for pe in [1, 3] {
+            assert!(syncs(pe).iter().all(|&(_, team)| team == 0), "PE {pe}");
+        }
+    }
+
+    #[test]
     fn team_collectives_and_attribution() {
         let out = pgas_machine::with_forced_metrics(true, || {
             run(cfg(4), |pe| {
