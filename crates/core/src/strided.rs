@@ -507,83 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_ablation_never_worse_than_naive_or_twodim() {
-        // The planner's candidate set must cover every static arm of
-        // `plan_of` on *every* profile — including emulated-iput conduits
-        // (mvapich-shmem), where BaseDim plans degenerate to a putmem
-        // loop. Assert the virtual time of Tuned never exceeds Naive or
-        // TwoDim for any platform/backend combination, on both a
-        // contiguous-rows section and an all-strided one.
-        let sections: Vec<(Vec<DimRange>, Vec<usize>)> = vec![
-            // Matrix-oriented: contiguous rows, strided columns.
-            (
-                vec![
-                    DimRange { start: 0, count: 32, step: 1 },
-                    DimRange { start: 0, count: 8, step: 3 },
-                ],
-                vec![32, 24],
-            ),
-            // All-strided, dim1 dominant: pencil plans are at their best.
-            (
-                vec![
-                    DimRange { start: 0, count: 8, step: 2 },
-                    DimRange { start: 0, count: 32, step: 2 },
-                ],
-                vec![16, 64],
-            ),
-        ];
-        let combos = [
-            (Platform::Stampede, Backend::Shmem), // emulated iput (loop)
-            (Platform::Stampede, Backend::Gasnet),
-            (Platform::Titan, Backend::Shmem), // native iput
-            (Platform::CrayXc30, Backend::Shmem),
-            (Platform::CrayXc30, Backend::CrayCaf),
-            (Platform::GenericSmp, Backend::Shmem),
-        ];
-        for (dims, shape) in &sections {
-            for (platform, backend) in combos {
-                let time_with = |algo: StridedAlgorithm| {
-                    let sec = Section::new(dims.clone());
-                    let shape = shape.clone();
-                    let cfg = match platform {
-                        Platform::GenericSmp => generic_smp(2),
-                        _ => platform.config(2, 1),
-                    };
-                    let out = run_caf(
-                        cfg.with_heap_bytes(1 << 20),
-                        CafConfig::new(backend, platform).with_strided(algo),
-                        move |img| {
-                            let a = img.coarray::<i32>(&shape).unwrap();
-                            if img.this_image() == 1 {
-                                let data = vec![1i32; sec.total()];
-                                let t0 = img.shmem().ctx().pe().now();
-                                for _ in 0..3 {
-                                    a.put_section(img, 2, &sec, &data);
-                                }
-                                img.shmem().ctx().pe().now() - t0
-                            } else {
-                                0
-                            }
-                        },
-                    );
-                    out.results[0]
-                };
-                let tuned = time_with(Tuned);
-                let naive = time_with(Naive);
-                let twodim = time_with(TwoDim);
-                assert!(
-                    tuned <= naive,
-                    "{platform:?}/{backend:?} {dims:?}: tuned {tuned} > naive {naive}"
-                );
-                assert!(
-                    tuned <= twodim,
-                    "{platform:?}/{backend:?} {dims:?}: tuned {tuned} > twodim {twodim}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn full_contiguous_section_is_one_message() {
         let out = run_caf(
             pgas_machine::titan(2, 1).with_heap_bytes(1 << 18),
