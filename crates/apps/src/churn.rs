@@ -36,9 +36,9 @@ use std::rc::Rc;
 
 /// Team number the serving workers form (and re-form) under; the spare
 /// passes it too when it rejoins after a failure.
-const WORKER_TEAM: i64 = 7;
+pub(crate) const WORKER_TEAM: i64 = 7;
 /// Team number the spare idles under before a failure.
-const SPARE_TEAM: i64 = 11;
+pub(crate) const SPARE_TEAM: i64 = 11;
 
 /// Workload parameters. `images - 1` workers serve; the last image is the
 /// spare that rejoins after a failure.
@@ -138,7 +138,7 @@ pub fn expected_checksum(workers: usize, cfg: &ChurnConfig) -> u64 {
 /// owners before — the spares) round-robin, or to surviving members if no
 /// newcomer joined. Pure function of the old map and the new membership,
 /// so every live image computes the same map without communicating.
-fn reassign_shards(map: &[usize], team: &CafTeam) -> Vec<usize> {
+pub(crate) fn reassign_shards(map: &[usize], team: &CafTeam) -> Vec<usize> {
     let newcomers: Vec<usize> =
         team.members().iter().copied().filter(|m| !map.contains(m)).collect();
     let mut rr = 0usize;

@@ -32,7 +32,7 @@
 //! the `serving_slo` figure consume. Under tracing, request markers thread
 //! request ids through every span for per-request latency decomposition.
 
-use caf::{run_caf, Backend, CafConfig, CafTeam};
+use caf::{run_caf, Backend, CafConfig};
 use openshmem::{AmHandler, AmTarget, ConduitError};
 use pgas_machine::slo::{SloReport, SloSpec};
 use pgas_machine::stats::StatsSnapshot;
@@ -43,13 +43,8 @@ use rand::{Rng, SeedableRng};
 use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::churn::{reassign_shards, SPARE_TEAM, WORKER_TEAM};
 use crate::dht::DhtUpdateMode;
-
-/// Team number the serving workers form (and re-form) under — same
-/// protocol constants as the churn app.
-const WORKER_TEAM: i64 = 7;
-/// Team number the spare idles under before a failure.
-const SPARE_TEAM: i64 = 11;
 
 /// Open-loop workload parameters. `images - 1` workers generate and serve
 /// requests; the last image is the spare that owns reassigned shards after
@@ -766,31 +761,6 @@ pub fn run_serve_outcome(
     });
     let result = aggregate(&cfg, &out);
     (result, out)
-}
-
-/// Reassign shards after a re-formation — the churn app's rule: a live
-/// owner's shards stay put; a dead owner's shards go to the newcomers
-/// round-robin, or to surviving members if no newcomer joined. Pure
-/// function of the old map and the new membership.
-fn reassign_shards(map: &[usize], team: &CafTeam) -> Vec<usize> {
-    let newcomers: Vec<usize> =
-        team.members().iter().copied().filter(|m| !map.contains(m)).collect();
-    let mut rr = 0usize;
-    map.iter()
-        .map(|&owner| {
-            if team.contains(owner) {
-                owner
-            } else {
-                let pick = if newcomers.is_empty() {
-                    team.members()[rr % team.size()]
-                } else {
-                    newcomers[rr % newcomers.len()]
-                };
-                rr += 1;
-                pick
-            }
-        })
-        .collect()
 }
 
 /// Fold the per-image raw outcomes into a [`ServeResult`].
