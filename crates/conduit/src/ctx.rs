@@ -5,13 +5,17 @@
 //! [`Ctx::submit`] — the single fallible choke point where the sanitizer,
 //! metrics, flow tracing, fault-retry, coalescing, and active-message
 //! paths hook. The named public methods (`put`, `try_put`, `put_nbi`,
-//! `iput`, `amo`, `am_send`, ...) are thin shims over `submit`.
+//! `iput`, `amo`, `am_send`, ...) are thin shims over `submit`. Every put
+//! runs one body and every get another; the transfer's `Layout` (run,
+//! strided or regions) picks its price, landing, pending range and label.
 
 use crate::am::{AmHandler, AmHandlerId, AmTarget};
 use crate::coalesce::{
     CoalescePolicy, Coalescer, CoalescingConfig, NodeBuf, StagedOp, StagedPayload,
 };
 use crate::cost::{CostModel, FlowDetail, AM_HEADER_BYTES};
+use crate::integrity::Crc32;
+use crate::layout::Layout;
 use crate::op::{Completion, OpDesc, OpKind, OpReceipt};
 use crate::pending::{Hazard, HazardKind, PendingSet};
 use crate::profile::ConduitProfile;
@@ -22,7 +26,7 @@ use pgas_machine::stats::{FaultEvent, Stats};
 use pgas_machine::trace::{Span, SpanKind};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Histogram name for an op kind's end-to-end latency (metrics registry
 /// keys are `&'static str`, so the mapping is a static table).
@@ -104,27 +108,6 @@ impl AmoOp {
     }
 }
 
-/// Apply `op` to an atomic heap word, returning the previous value. Shared
-/// by the direct AMO path and the coalesced-flush replay so both apply
-/// identical semantics.
-fn amo_word(word: &AtomicU64, op: AmoOp) -> u64 {
-    match op {
-        AmoOp::Swap(v) => word.swap(v, Ordering::AcqRel),
-        AmoOp::CompareSwap { cond, value } => {
-            match word.compare_exchange(cond, value, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(prev) => prev,
-                Err(prev) => prev,
-            }
-        }
-        AmoOp::FetchAdd(v) | AmoOp::Add(v) => word.fetch_add(v, Ordering::AcqRel),
-        AmoOp::Fetch => word.load(Ordering::Acquire),
-        AmoOp::Set(v) => word.swap(v, Ordering::AcqRel),
-        AmoOp::And(v) | AmoOp::FetchAnd(v) => word.fetch_and(v, Ordering::AcqRel),
-        AmoOp::Or(v) | AmoOp::FetchOr(v) => word.fetch_or(v, Ordering::AcqRel),
-        AmoOp::Xor(v) | AmoOp::FetchXor(v) => word.fetch_xor(v, Ordering::AcqRel),
-    }
-}
-
 /// Why a fallible one-sided operation could not be delivered.
 ///
 /// Only produced when the machine runs under a [fault
@@ -167,6 +150,10 @@ impl std::fmt::Display for ConduitError {
 
 impl std::error::Error for ConduitError {}
 
+/// A strided layout that does not loop ([`Ctx::loops_strided`]) runs on a
+/// profile with a native strided descriptor.
+const NATIVE: &str = "a strided transfer reaches the wire only on a native-strided profile";
+
 /// The single conversion the infallible entry points use: a fault that a
 /// fallible caller would handle becomes a hard panic here.
 fn unwrap_infallible<T>(r: Result<T, ConduitError>) -> T {
@@ -178,9 +165,10 @@ fn unwrap_infallible<T>(r: Result<T, ConduitError>) -> T {
     }
 }
 
-/// Per-PE one-sided communication engine. Not `Sync`: each PE thread owns
-/// exactly one (plus any sibling contexts it creates — see
-/// [`Ctx::create_ctx`]).
+/// Per-PE one-sided communication engine. Not `Sync`: each PE owns exactly
+/// one, used only from the fiber (or, on the baton carrier, the thread) that
+/// runs the PE — plus any sibling contexts it creates, see
+/// [`Ctx::create_ctx`].
 pub struct Ctx<'m> {
     pe: Pe<'m>,
     cost: CostModel<'m>,
@@ -438,6 +426,14 @@ impl<'m> Ctx<'m> {
         self.opts.shmem_ptr_fastpath && self.machine().same_node(self.pe.id(), dst)
     }
 
+    /// Does a strided transfer to `dst` run as one submitted put or get per
+    /// element? On a software-loop profile, or to a fastpath peer, it does:
+    /// that loop is the model the paper measures (§V-B2), and each element
+    /// coalesces like any other small op.
+    fn loops_strided(&self, dst: PeId) -> bool {
+        !self.profile().has_native_strided() || self.fastpath(dst)
+    }
+
     // ---- fault injection -------------------------------------------------
 
     /// Admission gate every message-path operation passes before touching
@@ -457,20 +453,16 @@ impl<'m> Ctx<'m> {
     /// fault-free, so `quiet` stays infallible and errors surface at the
     /// operation that caused them.
     ///
+    /// With end-to-end checksums enabled, a `Corrupt` draw on a `payload` is
+    /// *verified*: the receiver-side CRC32 of a deterministically mangled
+    /// copy of `payload` is checked against the sender-side digest, the
+    /// mismatch is counted as `payload_corrupt`, and exhaustion surfaces as
+    /// the typed [`ConduitError::PayloadCorrupt`]. The draw sequence, backoff
+    /// charges and clock movement are bit-identical with checksums off —
+    /// detection changes *what the failure is called*, never what it costs.
+    ///
     /// [`RetryPolicy`]: pgas_machine::RetryPolicy
-    fn fault_gate(&self, op: &'static str, target: PeId) -> Result<(), ConduitError> {
-        self.fault_gate_payload(op, target, None)
-    }
-
-    /// [`Self::fault_gate`] for payload-carrying ops. With end-to-end
-    /// checksums enabled, a `Corrupt` draw is *verified*: the receiver-side
-    /// CRC32 of a deterministically mangled copy of `payload` is checked
-    /// against the sender-side digest, the mismatch is counted as
-    /// `payload_corrupt`, and exhaustion surfaces as the typed
-    /// [`ConduitError::PayloadCorrupt`]. The draw sequence, backoff charges
-    /// and clock movement are bit-identical with checksums off — detection
-    /// changes *what the failure is called*, never what it costs.
-    fn fault_gate_payload(
+    fn fault_gate(
         &self,
         op: &'static str,
         target: PeId,
@@ -554,26 +546,106 @@ impl<'m> Ctx<'m> {
         Ok(())
     }
 
-    /// Receive-side half of end-to-end verification: with checksums on,
-    /// read the just-applied range back from the target heap and check its
-    /// CRC32 against the payload's — `digest` when the caller has it, else
-    /// hashed here. Runs inside the target's apply section (no concurrent
-    /// applies can interleave) and charges no virtual time. A mismatch here
-    /// would mean the *simulator* corrupted data in flight — injected
-    /// corruption never reaches this point, the gate catches and retries it
-    /// — so it is a hard failure, not a typed error.
-    fn verify_applied(&self, dst: PeId, off: usize, data: &[u8], digest: Option<u32>) {
-        if !self.checksums || data.is_empty() {
-            return;
+    // ---- landing and reading ---------------------------------------------
+
+    /// The one landing path, run inside the caller's `apply_and_notify`
+    /// section on `dst`: write `src` where `layout` says, stamp the touched
+    /// words `t`, verify, and record one sanitizer write per piece (so a
+    /// report names the element or region that raced).
+    ///
+    /// Verification is the receive-side half of end-to-end checksums: with
+    /// them on, the landed bytes are read back and their CRC32 checked
+    /// against the payload's — `digest` when the caller has it, else hashed
+    /// here. It charges no virtual time. A mismatch would mean the
+    /// *simulator* corrupted data in flight — injected corruption never
+    /// reaches this point, the gate catches and retries it — so it is a
+    /// hard failure, not a typed error.
+    fn land(
+        &self,
+        dst: PeId,
+        layout: Layout<'_>,
+        src: &[u8],
+        t: u64,
+        op: &'static str,
+        digest: Option<u32>,
+    ) {
+        let m = self.machine();
+        let heap = m.heap(dst);
+        layout.write(heap, src, t);
+        if self.checksums {
+            let (mut back, mut sent, mut buf) = (Crc32::new(), Crc32::new(), Vec::new());
+            for (off, len, at) in layout.pieces() {
+                buf.resize(len, 0);
+                heap.read_bytes(off, &mut buf);
+                back.update(&buf);
+                if digest.is_none() {
+                    sent.update(&src[at..at + len]);
+                }
+            }
+            assert_eq!(
+                back.finish(),
+                digest.unwrap_or_else(|| sent.finish()),
+                "end-to-end CRC32 mismatch applying {} bytes at PE {dst} offset {}",
+                layout.bytes(),
+                layout.span().0
+            );
         }
-        let mut back = vec![0u8; data.len()];
-        self.machine().heap(dst).read_bytes(off, &mut back);
-        assert_eq!(
-            crate::integrity::crc32(&back),
-            digest.unwrap_or_else(|| crate::integrity::crc32(data)),
-            "end-to-end CRC32 mismatch applying {} bytes at PE {dst} offset {off}",
-            data.len()
-        );
+        if m.san_on() {
+            for (off, len, _) in layout.pieces() {
+                m.san_record_write(dst, off, len, self.pe.id(), t, false, op);
+            }
+        }
+    }
+
+    /// The one read path: copy `layout`'s pieces of `dst`'s heap into
+    /// `out`, check each against the sanitizer, and return the newest stamp
+    /// they carry.
+    fn fetch(&self, dst: PeId, layout: Layout<'_>, out: &mut [u8], op: &'static str) -> u64 {
+        let m = self.machine();
+        let stamp = layout.read(m.heap(dst), out);
+        if m.san_on() {
+            for (off, len, _) in layout.pieces() {
+                m.san_check_read(dst, off, len, self.pe.id(), op);
+            }
+        }
+        stamp
+    }
+
+    /// Apply `op` to the 8-byte word at `off` of `dst`'s heap, inside the
+    /// caller's `apply_and_notify` section, and stamp it `t`. Returns the
+    /// word's previous value and the stamp it carried. Shared by the direct
+    /// AMO path and the coalesced-flush replay.
+    fn land_amo(&self, dst: PeId, off: usize, op: AmoOp, t: u64) -> (u64, u64) {
+        let m = self.machine();
+        // A fetching atomic observes the last writer of the word — that is
+        // the happens-before edge lock handoffs are built on. Taken here, in
+        // the section that serializes the word's atomics: earlier, a release
+        // that lands between the edge and the fetch would be observed but
+        // not joined.
+        if op.is_fetching() {
+            m.san_sync_edge(self.pe.id(), dst, off);
+        }
+        let (heap, word) = (m.heap(dst), m.heap(dst).atomic64(off));
+        let prior_stamp = heap.max_stamp(off, 8);
+        let old = match op {
+            AmoOp::Swap(v) | AmoOp::Set(v) => word.swap(v, Ordering::AcqRel),
+            AmoOp::CompareSwap { cond, value } => word
+                .compare_exchange(cond, value, Ordering::AcqRel, Ordering::Acquire)
+                .unwrap_or_else(|prev| prev),
+            AmoOp::FetchAdd(v) | AmoOp::Add(v) => word.fetch_add(v, Ordering::AcqRel),
+            AmoOp::Fetch => word.load(Ordering::Acquire),
+            AmoOp::And(v) | AmoOp::FetchAnd(v) => word.fetch_and(v, Ordering::AcqRel),
+            AmoOp::Or(v) | AmoOp::FetchOr(v) => word.fetch_or(v, Ordering::AcqRel),
+            AmoOp::Xor(v) | AmoOp::FetchXor(v) => word.fetch_xor(v, Ordering::AcqRel),
+        };
+        heap.stamp_range(off, 8, t);
+        if !matches!(op, AmoOp::Fetch) {
+            // Record before waking: a waiter released by this AMO derives
+            // its happens-before edge from the sanitizer's view of this
+            // write.
+            m.san_record_write(dst, off, 8, self.pe.id(), t, true, "amo");
+        }
+        (old, prior_stamp)
     }
 
     // ---- the submit choke point ------------------------------------------
@@ -608,38 +680,35 @@ impl<'m> Ctx<'m> {
                 _ => self.flush_node(peer),
             }
         }
-        match kind {
-            OpKind::Put { dst_off, src } => self
-                .do_put(peer, dst_off, src, completion)
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-            OpKind::Get { src_off, out } => self
-                .do_get(peer, src_off, out, completion)
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-            OpKind::Amo { off, op } => {
-                self.do_amo(peer, off, op).map(|value| OpReceipt { value, bytes: 8, staged: false })
+        let bytes = match kind {
+            OpKind::Put { dst_off, src } => {
+                self.do_put(peer, Layout::Run { off: dst_off, len: src.len() }, src, completion)
             }
-            OpKind::StridedPut { dst_off, dst_stride, src, elem, src_stride, nelems } => self
-                .do_strided_put(peer, dst_off, dst_stride, src, elem, src_stride, nelems, false)
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-            OpKind::StridedGet { src_off, src_stride, out, elem, out_stride, nelems } => self
-                .do_strided_get(peer, src_off, src_stride, out, elem, out_stride, nelems)
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-            OpKind::AmStridedPut { dst_off, dst_stride, src, elem, src_stride, nelems } => self
-                .do_strided_put(peer, dst_off, dst_stride, src, elem, src_stride, nelems, true)
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-            OpKind::AmPutRegions { regions, payload } => self
-                .do_am_put_regions(peer, regions, payload)
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-            OpKind::AmGetRegions { regions, out } => self
-                .do_am_get_regions(peer, regions, out)
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-            OpKind::AmSend { handler, arg } => self
-                .do_am(peer, handler, arg, None)
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-            OpKind::AmCall { handler, arg, reply } => self
-                .do_am(peer, handler, arg, Some(reply))
-                .map(|bytes| OpReceipt { bytes, ..Default::default() }),
-        }
+            OpKind::Get { src_off, out } => {
+                self.do_get(peer, Layout::Run { off: src_off, len: out.len() }, out, completion)
+            }
+            OpKind::Amo { off, op } => {
+                let value = self.do_amo(peer, off, op)?;
+                return Ok(OpReceipt { value, bytes: 8, staged: false });
+            }
+            OpKind::StridedPut { dst_off, dst_stride, src, elem, src_stride, nelems } => {
+                let layout = Layout::strided(dst_off, dst_stride, elem, nelems, src_stride);
+                self.do_put(peer, layout, src, completion)
+            }
+            OpKind::StridedGet { src_off, src_stride, out, elem, out_stride, nelems } => {
+                let layout = Layout::strided(src_off, src_stride, elem, nelems, out_stride);
+                self.do_get(peer, layout, out, completion)
+            }
+            OpKind::AmPutRegions { regions, payload } => {
+                self.do_put(peer, Layout::Regions(regions), payload, completion)
+            }
+            OpKind::AmGetRegions { regions, out } => {
+                self.do_get(peer, Layout::Regions(regions), out, completion)
+            }
+            OpKind::AmSend { handler, arg } => self.do_am(peer, handler, arg, None),
+            OpKind::AmCall { handler, arg, reply } => self.do_am(peer, handler, arg, Some(reply)),
+        }?;
+        Ok(OpReceipt { bytes, ..Default::default() })
     }
 
     // ---- coalescing ------------------------------------------------------
@@ -648,7 +717,7 @@ impl<'m> Ctx<'m> {
     fn stage_put(&self, dst: PeId, dst_off: usize, src: &[u8]) -> Result<OpReceipt, ConduitError> {
         let m = self.machine();
         // Faults are drawn at stage time (see `fault_gate`).
-        self.fault_gate_payload("put", dst, Some(src))?;
+        self.fault_gate("put", dst, Some(src))?;
         let node = m.node_of(dst);
         let c = self.coalescer.as_ref().expect("stage_put called without a coalescer");
         // A same-range rewrite merges in place (write combining), growing
@@ -688,7 +757,7 @@ impl<'m> Ctx<'m> {
     /// result, so nothing is lost.
     fn stage_amo(&self, dst: PeId, off: usize, op: AmoOp) -> Result<OpReceipt, ConduitError> {
         let m = self.machine();
-        self.fault_gate("amo", dst)?;
+        self.fault_gate("amo", dst, None)?;
         let node = m.node_of(dst);
         let c = self.coalescer.as_ref().expect("stage_amo called without a coalescer");
         if c.borrow().needs_flush_before(node, 1, 8, self.pe.now()) {
@@ -782,178 +851,182 @@ impl<'m> Ctx<'m> {
         // Apply under the arbiter, keyed at the instant the batch lands:
         // tied flushes from different PEs (released by the same barrier)
         // apply in deterministic order, like tied AMOs.
-        m.nic_turn_ctx(me, self.ctx_id, t.remote_complete, || {
+        let (landed, mut pending) = (t.remote_complete, self.pending.borrow_mut());
+        m.nic_turn_ctx(me, self.ctx_id, landed, || {
             for op in &buf.ops {
                 m.apply_and_notify(op.dst, || match &op.payload {
                     StagedPayload::Put(data) => {
-                        m.heap(op.dst).write_bytes(op.off, data);
-                        self.verify_applied(op.dst, op.off, data, None);
-                        m.heap(op.dst).stamp_range(op.off, data.len(), t.remote_complete);
-                        m.san_record_write(
-                            op.dst,
-                            op.off,
-                            data.len(),
-                            me,
-                            t.remote_complete,
-                            false,
-                            "put",
-                        );
+                        let layout = Layout::Run { off: op.off, len: data.len() };
+                        self.land(op.dst, layout, data, landed, "put", None);
+                        pending.record_put(op.dst, op.off, data.len(), landed);
                     }
                     StagedPayload::Amo(a) => {
-                        amo_word(m.heap(op.dst).atomic64(op.off), *a);
-                        m.heap(op.dst).stamp_range(op.off, 8, t.remote_complete);
-                        m.san_record_write(op.dst, op.off, 8, me, t.remote_complete, true, "amo");
+                        self.land_amo(op.dst, op.off, *a, landed);
+                        pending.record_amo(op.dst, op.off, landed);
                     }
                 });
             }
         });
+        drop(pending);
         m.lift_clock(me, t.local_complete);
-        {
-            let mut p = self.pending.borrow_mut();
-            for op in &buf.ops {
-                let (off, len) = op.write_range();
-                match &op.payload {
-                    StagedPayload::Put(_) => p.record_put(op.dst, off, len, t.remote_complete),
-                    StagedPayload::Amo(_) => p.record_amo(op.dst, off, t.remote_complete),
-                }
-            }
-        }
         // One span for the whole batch; the staged ops recorded none.
         self.record_op(SpanKind::Put, t_begin, Some(rep_dst), wire_bytes, detail);
     }
 
-    // ---- operation bodies (one per OpKind; shims below build OpDescs) ----
+    // ---- operation bodies (shims below build OpDescs) --------------------
 
-    /// Contiguous put. `Completion` picks what lands on the clock at the
-    /// end: blocking lifts to local completion, nbi charges only the issue
-    /// cost. Everything before that point is completion-independent, so
-    /// `put` and `put_nbi` share one body.
+    /// The one put body. `layout` picks the wire shape and its price: a
+    /// contiguous put, a NIC-native strided descriptor (`iput`) or one
+    /// AM-packed message unpacked by a software handler at the target
+    /// (`am put`, GASNet's VIS path). `Completion` picks what lands on the
+    /// clock at the end: blocking lifts to local completion, nbi charges
+    /// only the issue cost.
+    ///
+    /// A strided put may instead loop over its elements
+    /// ([`Self::loops_strided`]). Only a contiguous put takes the fastpath
+    /// and checks the pending set for hazards: the other layouts' pending
+    /// ranges cover their gaps, and the pencils of one multi-dimensional
+    /// statement interleave.
     fn do_put(
         &self,
         dst: PeId,
-        dst_off: usize,
+        layout: Layout<'_>,
         src: &[u8],
         completion: Completion,
     ) -> Result<usize, ConduitError> {
+        if matches!(layout, Layout::Strided { .. }) && self.loops_strided(dst) {
+            for (dst_off, len, at) in layout.pieces() {
+                let kind = OpKind::Put { dst_off, src: &src[at..at + len] };
+                self.submit(OpDesc { peer: dst, completion, kind })?;
+            }
+            return Ok(layout.bytes());
+        }
+        if layout.pieces().len() == 0 {
+            return Ok(0);
+        }
         let m = self.machine();
-        if !self.fastpath(dst) {
+        let (me, op, bytes) = (self.pe.id(), layout.label(true), layout.bytes());
+        let fast = matches!(layout, Layout::Run { .. }) && self.fastpath(dst);
+        // Submit hashed the payload: the landed bytes back to back for every
+        // layout but a strided one.
+        let digest = self.inflight_crc.get().filter(|_| !matches!(layout, Layout::Strided { .. }));
+        if !fast {
             // Direct loads/stores cannot be dropped; only the message path
             // passes the gate.
-            self.fault_gate_payload("put", dst, Some(src))?;
+            self.fault_gate(op, dst, Some(src))?;
         }
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().puts);
-        Stats::add(&m.stats().bytes_put, src.len() as u64);
-        if self.fastpath(dst) {
+        Stats::add(&m.stats().bytes_put, bytes as u64);
+        if fast {
             Stats::bump(&m.stats().local_fastpath);
-            let t = self.cost.local_copy(src.len(), self.pe.now());
-            // Publish through the same critical section AMOs use: the word
-            // update, its stamp, the sanitizer record and the waiter wake-up
-            // are one atomic step, and under the NIC arbiter the target's
-            // `wait_on` quiescence is withdrawn in the same section. A bare
-            // `notify_pe` after an unguarded write would let the arbiter
-            // observe the waiter as quiescent *after* its release condition
-            // became true — granting or withholding tied turns depending on
-            // host scheduling.
-            m.apply_and_notify(dst, || {
-                m.heap(dst).write_bytes(dst_off, src);
-                m.heap(dst).stamp_range(dst_off, src.len(), t);
-                m.san_record_write(dst, dst_off, src.len(), self.pe.id(), t, false, "put");
-            });
-            m.lift_clock(self.pe.id(), t);
-            self.trace(SpanKind::Put, t_begin, Some(dst), src.len());
-            return Ok(src.len());
+            let t = self.cost.local_copy(bytes, t_begin);
+            // One critical section for the bytes, their stamps, the
+            // sanitizer record and the waiter wake-up, as for AMOs: a bare
+            // `notify_pe` after an unguarded write would let the arbiter see
+            // a released waiter as still quiescent.
+            m.apply_and_notify(dst, || self.land(dst, layout, src, t, op, digest));
+            m.lift_clock(me, t);
+            self.trace(SpanKind::Put, t_begin, Some(dst), bytes);
+            return Ok(bytes);
         }
-        if let Some(h) = self.pending.borrow().check_put(dst, dst_off, src.len()) {
-            self.flag_hazard(h);
+        if let Layout::Run { off, len } = layout {
+            if let Some(h) = self.pending.borrow().check_put(dst, off, len) {
+                self.flag_hazard(h);
+            }
         }
         let floor = self.pending.borrow().floor_for(dst);
-        let (t, detail) = self.cost.put(self.pe.id(), dst, src.len(), self.pe.now(), floor);
-        // Write + stamp + wake as one critical section (see the fastpath
-        // comment above): keeps put-released `wait_on` wakes deterministic
-        // under the arbiter.
-        m.apply_and_notify(dst, || {
-            m.heap(dst).write_bytes(dst_off, src);
-            // Submit hashed exactly these bytes.
-            self.verify_applied(dst, dst_off, src, self.inflight_crc.get());
-            m.heap(dst).stamp_range(dst_off, src.len(), t.remote_complete);
-            m.san_record_write(
-                dst,
-                dst_off,
-                src.len(),
-                self.pe.id(),
-                t.remote_complete,
-                false,
-                "put",
-            );
-        });
-        match completion {
-            Completion::Blocking => {
-                m.lift_clock(self.pe.id(), t.local_complete);
+        let (t, detail) = match layout {
+            Layout::Run { len, .. } => self.cost.put(me, dst, len, t_begin, floor),
+            Layout::Strided { elem, n, .. } => {
+                self.cost.strided_put_native(me, dst, n, elem, t_begin, floor).expect(NATIVE)
             }
+            Layout::Regions(r) => self.cost.am_packed_put(me, dst, bytes, r.len(), t_begin, floor),
+        };
+        // One critical section, as on the fastpath.
+        m.apply_and_notify(dst, || self.land(dst, layout, src, t.remote_complete, op, digest));
+        if completion == Completion::Nbi {
             // Only the issue cost lands on the clock; completion waits in
             // the pending set. (The NIC reservations above still model
             // contention.) An nbi op's injected faults were detected and
             // retried at issue time above — same total cost, deterministic.
-            Completion::Nbi => {
-                self.pe.advance(self.cost.profile().put_issue_ns);
-            }
+            self.pe.advance(self.cost.profile().put_issue_ns);
+        } else {
+            m.lift_clock(me, t.local_complete);
         }
-        self.pending.borrow_mut().record_put(dst, dst_off, src.len(), t.remote_complete);
-        self.record_op(SpanKind::Put, t_begin, Some(dst), src.len(), detail);
-        Ok(src.len())
+        let (off, span) = layout.span();
+        self.pending.borrow_mut().record_put(dst, off, span, t.remote_complete);
+        self.record_op(SpanKind::Put, t_begin, Some(dst), bytes, detail);
+        Ok(bytes)
     }
 
-    /// Contiguous get: blocking lifts past the data's stamp, nbi defers
-    /// validity to `quiet` via the pending set.
+    /// The one get body, the mirror of [`Self::do_put`]: blocking lifts
+    /// past the data's stamp, nbi defers validity to `quiet` via the
+    /// pending set. Only a contiguous get checks for hazards and records
+    /// its flow breakdown.
     fn do_get(
         &self,
         dst: PeId,
-        src_off: usize,
+        layout: Layout<'_>,
         out: &mut [u8],
         completion: Completion,
     ) -> Result<usize, ConduitError> {
+        if matches!(layout, Layout::Strided { .. }) && self.loops_strided(dst) {
+            for (src_off, len, at) in layout.pieces() {
+                let kind = OpKind::Get { src_off, out: &mut out[at..at + len] };
+                self.submit(OpDesc { peer: dst, completion, kind })?;
+            }
+            return Ok(layout.bytes());
+        }
+        if layout.pieces().len() == 0 {
+            return Ok(0);
+        }
         let m = self.machine();
-        if !self.fastpath(dst) {
-            self.fault_gate("get", dst)?;
+        let (me, op, bytes) = (self.pe.id(), layout.label(false), layout.bytes());
+        let run = matches!(layout, Layout::Run { .. });
+        let fast = run && self.fastpath(dst);
+        if !fast {
+            self.fault_gate(op, dst, None)?;
         }
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().gets);
-        Stats::add(&m.stats().bytes_get, out.len() as u64);
-        if self.fastpath(dst) {
+        Stats::add(&m.stats().bytes_get, bytes as u64);
+        if fast {
             Stats::bump(&m.stats().local_fastpath);
-            let t = self.cost.local_copy(out.len(), self.pe.now());
-            m.heap(dst).read_bytes(src_off, out);
-            let stamp = m.heap(dst).max_stamp(src_off, out.len());
-            m.san_check_read(dst, src_off, out.len(), self.pe.id(), "get");
-            m.lift_clock(self.pe.id(), t.max(stamp));
-            self.trace(SpanKind::Get, t_begin, Some(dst), out.len());
-            return Ok(out.len());
+            let t = self.cost.local_copy(bytes, t_begin);
+            let stamp = self.fetch(dst, layout, out, op);
+            m.lift_clock(me, t.max(stamp));
+            self.trace(SpanKind::Get, t_begin, Some(dst), bytes);
+            return Ok(bytes);
         }
-        if let Some(h) = self.pending.borrow().check_get(dst, src_off, out.len()) {
-            self.flag_hazard(h);
-        }
-        let (done, detail) = self.cost.get(self.pe.id(), dst, out.len(), self.pe.now());
-        m.heap(dst).read_bytes(src_off, out);
-        let stamp = m.heap(dst).max_stamp(src_off, out.len());
-        m.san_check_read(dst, src_off, out.len(), self.pe.id(), "get");
-        match completion {
-            Completion::Blocking => {
-                m.lift_clock(self.pe.id(), done.max(stamp));
-            }
-            Completion::Nbi => {
-                self.pe.advance(self.cost.profile().get_issue_ns);
-                self.pending.borrow_mut().record_nbi_get(done.max(stamp));
+        if let Layout::Run { off, len } = layout {
+            if let Some(h) = self.pending.borrow().check_get(dst, off, len) {
+                self.flag_hazard(h);
             }
         }
-        self.record_op(SpanKind::Get, t_begin, Some(dst), out.len(), detail);
-        Ok(out.len())
+        let (done, detail) = match layout {
+            Layout::Run { len, .. } => self.cost.get(me, dst, len, t_begin),
+            Layout::Strided { elem, n, .. } => {
+                self.cost.strided_get_native(me, dst, n, elem, t_begin).expect(NATIVE)
+            }
+            Layout::Regions(r) => self.cost.am_packed_get(me, dst, bytes, r.len(), t_begin),
+        };
+        let stamp = self.fetch(dst, layout, out, op);
+        if completion == Completion::Nbi {
+            self.pe.advance(self.cost.profile().get_issue_ns);
+            self.pending.borrow_mut().record_nbi_get(done.max(stamp));
+        } else {
+            m.lift_clock(me, done.max(stamp));
+        }
+        let detail = if run { detail } else { FlowDetail::default() };
+        self.record_op(SpanKind::Get, t_begin, Some(dst), bytes, detail);
+        Ok(bytes)
     }
 
     /// Remote atomic on an 8-byte word; returns the previous value.
     fn do_amo(&self, dst: PeId, off: usize, op: AmoOp) -> Result<u64, ConduitError> {
         let m = self.machine();
-        self.fault_gate("amo", dst)?;
+        self.fault_gate("amo", dst, None)?;
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().amos);
         if let Some(h) = self.pending.borrow().check_amo(dst, off) {
@@ -969,41 +1042,13 @@ impl<'m> Ctx<'m> {
         // lane, so this is their only arbiter turn. Causality: a fetched
         // value cannot be observed before the write that produced it
         // completed, hence the stamp read inside the same turn.
+        // `apply_and_notify` makes the word update, its stamp, and the
+        // waiter wake-up one critical section — a `wait_on` waiter can only
+        // observe this AMO after its quiescence was withdrawn, keeping the
+        // arbiter's view of the waiter conclusive.
         let (old, prior_stamp) =
             m.nic_turn_ctx(self.pe.id(), self.ctx_id, t.remote_complete, || {
-                // `apply_and_notify` makes the word update, its stamp, and the
-                // waiter wake-up one critical section — a `wait_on` waiter can
-                // only observe this AMO after its quiescence was withdrawn,
-                // keeping the arbiter's view of the waiter conclusive.
-                m.apply_and_notify(dst, || {
-                    // A fetching atomic observes the last writer of the word
-                    // — that is the happens-before edge lock handoffs are
-                    // built on. Taken here, in the section that serializes
-                    // the word's atomics: earlier, a release that lands
-                    // between the edge and the fetch would be observed but
-                    // not joined.
-                    if op.is_fetching() {
-                        m.san_sync_edge(self.pe.id(), dst, off);
-                    }
-                    let prior_stamp = m.heap(dst).max_stamp(off, 8);
-                    let old = amo_word(m.heap(dst).atomic64(off), op);
-                    m.heap(dst).stamp_range(off, 8, t.remote_complete);
-                    if !matches!(op, AmoOp::Fetch) {
-                        // Record before waking: a waiter released by this AMO
-                        // derives its happens-before edge from the sanitizer's
-                        // view of this write.
-                        m.san_record_write(
-                            dst,
-                            off,
-                            8,
-                            self.pe.id(),
-                            t.remote_complete,
-                            true,
-                            "amo",
-                        );
-                    }
-                    (old, prior_stamp)
-                })
+                m.apply_and_notify(dst, || self.land_amo(dst, off, op, t.remote_complete))
             });
         if op.is_fetching() {
             m.lift_clock(self.pe.id(), t.local_complete.max(prior_stamp));
@@ -1015,247 +1060,6 @@ impl<'m> Ctx<'m> {
         // in the same critical section as the word update.
         self.record_op(SpanKind::Amo, t_begin, Some(dst), 8, detail);
         Ok(old)
-    }
-
-    /// Strided put as one wire transfer: a native descriptor (`iput`) on
-    /// NIC-native profiles, or with `packed` one contiguous message unpacked
-    /// by a software handler at the target (`am put`, GASNet's VIS path).
-    /// An unpacked put on a loop profile, or to a fastpath peer, is a
-    /// per-element loop of `submit`ted puts instead (where each element
-    /// coalesces like any other small put).
-    #[allow(clippy::too_many_arguments)] // mirrors the C shmem_iput signature
-    fn do_strided_put(
-        &self,
-        dst: PeId,
-        dst_off: usize,
-        dst_stride: usize,
-        src: &[u8],
-        elem: usize,
-        src_stride: usize,
-        nelems: usize,
-        packed: bool,
-    ) -> Result<usize, ConduitError> {
-        if nelems == 0 {
-            return Ok(0);
-        }
-        if !packed && (!self.profile().has_native_strided() || self.fastpath(dst)) {
-            for i in 0..nelems {
-                let s = i * src_stride * elem;
-                self.submit(OpDesc::new(
-                    dst,
-                    OpKind::Put {
-                        dst_off: dst_off + i * dst_stride * elem,
-                        src: &src[s..s + elem],
-                    },
-                ))?;
-            }
-            return Ok(nelems * elem);
-        }
-        let m = self.machine();
-        let op = if packed { "am put" } else { "iput" };
-        self.fault_gate_payload(op, dst, Some(src))?;
-        Stats::bump(&m.stats().puts);
-        Stats::add(&m.stats().bytes_put, (nelems * elem) as u64);
-        let floor = self.pending.borrow().floor_for(dst);
-        let t_begin = self.pe.now();
-        let (me, bytes) = (self.pe.id(), nelems * elem);
-        let (t, detail) = if packed {
-            self.cost.am_packed_put(me, dst, bytes, nelems, t_begin, floor)
-        } else {
-            self.cost
-                .strided_put_native(me, dst, nelems, elem, t_begin, floor)
-                .expect("checked native above")
-        };
-        m.apply_and_notify(dst, || {
-            self.apply_strided_write(
-                dst,
-                dst_off,
-                dst_stride,
-                src,
-                elem,
-                src_stride,
-                nelems,
-                t.remote_complete,
-                op,
-            )
-        });
-        m.lift_clock(me, t.local_complete);
-        self.record_op(SpanKind::Put, t_begin, Some(dst), bytes, detail);
-        // Conservative span for ordering tracking: covers the gaps too. The
-        // CAF runtime quiets after every statement, so false positives from
-        // the gaps cannot accumulate.
-        let span = (nelems - 1) * dst_stride * elem + elem;
-        self.pending.borrow_mut().record_put(dst, dst_off, span, t.remote_complete);
-        Ok(bytes)
-    }
-
-    /// Target-side half of a strided put, run inside the caller's
-    /// `apply_and_notify` section on `dst`: element `i` of `src` lands at
-    /// `dst_off + i * dst_stride * elem` and the words it touches are
-    /// stamped `t`. A transfer contiguous on both sides is one run — one
-    /// heap write, one stamp pass; any other layout is one [`Heap::scatter`].
-    /// Host work is linear in `nelems` either way. The sanitizer keeps one
-    /// record per element, so a report names the element that raced.
-    ///
-    /// [`Heap::scatter`]: pgas_machine::heap::Heap::scatter
-    #[allow(clippy::too_many_arguments)] // the iput geometry plus stamp and label
-    fn apply_strided_write(
-        &self,
-        dst: PeId,
-        dst_off: usize,
-        dst_stride: usize,
-        src: &[u8],
-        elem: usize,
-        src_stride: usize,
-        nelems: usize,
-        t: u64,
-        op: &'static str,
-    ) {
-        let m = self.machine();
-        let heap = m.heap(dst);
-        if dst_stride == 1 && src_stride == 1 {
-            let run = &src[..nelems * elem];
-            heap.write_bytes(dst_off, run);
-            heap.stamp_range(dst_off, run.len(), t);
-        } else {
-            heap.scatter(dst_off, dst_stride * elem, src, src_stride * elem, elem, nelems, t);
-        }
-        if m.san_on() {
-            for i in 0..nelems {
-                let d = dst_off + i * dst_stride * elem;
-                m.san_record_write(dst, d, elem, self.pe.id(), t, false, op);
-            }
-        }
-    }
-
-    /// Strided get: the mirror of [`Self::do_strided_put`].
-    #[allow(clippy::too_many_arguments)] // mirrors the C shmem_iget signature
-    fn do_strided_get(
-        &self,
-        dst: PeId,
-        src_off: usize,
-        src_stride: usize,
-        out: &mut [u8],
-        elem: usize,
-        out_stride: usize,
-        nelems: usize,
-    ) -> Result<usize, ConduitError> {
-        if nelems == 0 {
-            return Ok(0);
-        }
-        if !self.profile().has_native_strided() || self.fastpath(dst) {
-            for i in 0..nelems {
-                let d = i * out_stride * elem;
-                self.submit(OpDesc::new(
-                    dst,
-                    OpKind::Get {
-                        src_off: src_off + i * src_stride * elem,
-                        out: &mut out[d..d + elem],
-                    },
-                ))?;
-            }
-            return Ok(nelems * elem);
-        }
-        let m = self.machine();
-        self.fault_gate("iget", dst)?;
-        Stats::bump(&m.stats().gets);
-        Stats::add(&m.stats().bytes_get, (nelems * elem) as u64);
-        let t_begin = self.pe.now();
-        let (done, _) = self
-            .cost
-            .strided_get_native(self.pe.id(), dst, nelems, elem, t_begin)
-            .expect("checked native above");
-        let heap = m.heap(dst);
-        let stamp = if src_stride == 1 && out_stride == 1 {
-            let run = &mut out[..nelems * elem];
-            heap.read_bytes(src_off, run);
-            heap.max_stamp(src_off, run.len())
-        } else {
-            heap.gather(src_off, src_stride * elem, out, out_stride * elem, elem, nelems)
-        };
-        if m.san_on() {
-            for i in 0..nelems {
-                m.san_check_read(dst, src_off + i * src_stride * elem, elem, self.pe.id(), "iget");
-            }
-        }
-        m.lift_clock(self.pe.id(), done.max(stamp));
-        self.trace(SpanKind::Get, t_begin, Some(dst), nelems * elem);
-        Ok(nelems * elem)
-    }
-
-    /// AM-packed scatter-put of arbitrary regions.
-    fn do_am_put_regions(
-        &self,
-        dst: PeId,
-        regions: &[(usize, usize)],
-        payload: &[u8],
-    ) -> Result<usize, ConduitError> {
-        if regions.is_empty() {
-            return Ok(0);
-        }
-        let total: usize = regions.iter().map(|r| r.1).sum();
-        let m = self.machine();
-        self.fault_gate_payload("am put", dst, Some(payload))?;
-        Stats::bump(&m.stats().puts);
-        Stats::add(&m.stats().bytes_put, total as u64);
-        let lo = regions.iter().map(|r| r.0).min().unwrap_or(0);
-        let hi = regions.iter().map(|r| r.0 + r.1).max().unwrap_or(0);
-        let floor = self.pending.borrow().floor_for(dst);
-        let avg = (total / regions.len()).max(1);
-        let t_begin = self.pe.now();
-        let (t, detail) = self.cost.am_packed_put(
-            self.pe.id(),
-            dst,
-            regions.len() * avg,
-            regions.len(),
-            t_begin,
-            floor,
-        );
-        m.apply_and_notify(dst, || {
-            let mut cursor = 0;
-            for &(off, len) in regions {
-                m.heap(dst).write_bytes(off, &payload[cursor..cursor + len]);
-                m.heap(dst).stamp_range(off, len, t.remote_complete);
-                m.san_record_write(dst, off, len, self.pe.id(), t.remote_complete, false, "am put");
-                cursor += len;
-            }
-        });
-        m.lift_clock(self.pe.id(), t.local_complete);
-        self.pending.borrow_mut().record_put(dst, lo, hi - lo, t.remote_complete);
-        self.record_op(SpanKind::Put, t_begin, Some(dst), total, detail);
-        Ok(total)
-    }
-
-    /// AM-packed gather-get of arbitrary regions.
-    fn do_am_get_regions(
-        &self,
-        dst: PeId,
-        regions: &[(usize, usize)],
-        out: &mut [u8],
-    ) -> Result<usize, ConduitError> {
-        if regions.is_empty() {
-            return Ok(0);
-        }
-        let total: usize = regions.iter().map(|r| r.1).sum();
-        let m = self.machine();
-        self.fault_gate("am get", dst)?;
-        Stats::bump(&m.stats().gets);
-        Stats::add(&m.stats().bytes_get, total as u64);
-        let avg = (total / regions.len()).max(1);
-        let t_begin = self.pe.now();
-        let (done, _) =
-            self.cost.am_packed_get(self.pe.id(), dst, regions.len() * avg, regions.len(), t_begin);
-        let mut cursor = 0;
-        let mut stamp = 0;
-        for &(off, len) in regions {
-            m.heap(dst).read_bytes(off, &mut out[cursor..cursor + len]);
-            stamp = stamp.max(m.heap(dst).max_stamp(off, len));
-            m.san_check_read(dst, off, len, self.pe.id(), "am get");
-            cursor += len;
-        }
-        m.lift_clock(self.pe.id(), done.max(stamp));
-        self.trace(SpanKind::Get, t_begin, Some(dst), total);
-        Ok(total)
     }
 
     /// Active-message request: one wire transfer carries `arg` to `dst`,
@@ -1278,7 +1082,7 @@ impl<'m> Ctx<'m> {
             .get(handler.0)
             .cloned()
             .expect("active-message handler not registered on this context");
-        self.fault_gate_payload("am", dst, Some(arg))?;
+        self.fault_gate("am", dst, Some(arg))?;
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().ams);
         let floor = self.pending.borrow().floor_for(dst);
@@ -1542,37 +1346,6 @@ impl<'m> Ctx<'m> {
         unwrap_infallible(self.submit(OpDesc::new(
             dst,
             OpKind::StridedGet { src_off, src_stride, out, elem, out_stride, nelems },
-        )));
-    }
-
-    /// AM-packed strided put: pack the elements into one contiguous message,
-    /// unpacked by a software handler at the target. Models GASNet's VIS
-    /// path (the "with-AM" legend of the paper's Himeno figure).
-    #[allow(clippy::too_many_arguments)] // mirrors the C shmem_iput signature
-    pub fn am_strided_put(
-        &self,
-        dst: PeId,
-        dst_off: usize,
-        dst_stride: usize,
-        src: &[u8],
-        elem: usize,
-        src_stride: usize,
-        nelems: usize,
-    ) {
-        assert!(
-            elem > 0 && dst_stride > 0 && src_stride > 0,
-            "strides and element size must be positive"
-        );
-        if nelems == 0 {
-            return;
-        }
-        assert!(
-            src.len() >= ((nelems - 1) * src_stride + 1) * elem,
-            "source slice too short for am_strided_put"
-        );
-        unwrap_infallible(self.submit(OpDesc::new(
-            dst,
-            OpKind::AmStridedPut { dst_off, dst_stride, src, elem, src_stride, nelems },
         )));
     }
 
@@ -2067,13 +1840,14 @@ mod tests {
     }
 
     #[test]
-    fn am_strided_put_moves_data_in_one_message() {
+    fn am_put_of_strided_regions_moves_data_in_one_message() {
         let out = run(two_node_cfg(), |pe| {
             let ctx =
                 Ctx::new(pe, ConduitProfile::gasnet(Platform::Stampede), CtxOptions::default());
             if pe.id() == 0 {
                 let src: Vec<u8> = (0..24).collect();
-                ctx.am_strided_put(2, 0, 3, &src, 8, 1, 3);
+                // Three 8-byte elements, three slots apart.
+                ctx.am_put_regions(2, &[(0, 8), (24, 8), (48, 8)], &src);
                 ctx.quiet();
             }
             ctx.barrier_all();
@@ -2083,6 +1857,41 @@ mod tests {
         });
         assert_eq!(out.stats.puts, 1);
         assert_eq!(out.results[0], (16..24).collect::<Vec<u8>>());
+    }
+
+    #[test]
+    fn am_region_ops_price_the_bytes_they_carry() {
+        // 999 one-byte regions and one of 64 KiB: 66 535 bytes in 1000
+        // pieces, not 1000 times their 66-byte average.
+        let mut regions: Vec<(usize, usize)> = (0..999).map(|i| (i * 2, 1)).collect();
+        regions.push((4096, 1 << 16));
+        let total: usize = regions.iter().map(|r| r.1).sum();
+        assert_eq!(total, 66_535);
+        let cfg =
+            stampede(2, 1).with_heap_bytes(1 << 18).with_faults(pgas_machine::FaultPlan::none());
+        let out = run(cfg.clone(), |pe| {
+            let ctx =
+                Ctx::new(pe, ConduitProfile::gasnet(Platform::Stampede), CtxOptions::default());
+            (pe.id() == 0).then(|| {
+                ctx.am_put_regions(1, &regions, &vec![7u8; total]);
+                let put = (pe.now(), pe.machine().heap(1).max_stamp(4096, 1 << 16));
+                ctx.quiet();
+                let t0 = pe.now();
+                ctx.am_get_regions(1, &regions, &mut vec![0u8; total]);
+                (put, t0, pe.now())
+            })
+        });
+        let (put, t0, got) = out.results[0].unwrap();
+        // The same two transfers priced on a fresh machine, from the same
+        // clocks, over the bytes they carry.
+        let want = run(cfg, |pe| {
+            (pe.id() == 0).then(|| {
+                let cm = CostModel::new(pe.machine(), ConduitProfile::gasnet(Platform::Stampede));
+                let (t, _) = cm.am_packed_put(0, 1, total, 1000, 0, 0);
+                ((t.local_complete, t.remote_complete), cm.am_packed_get(0, 1, total, 1000, t0).0)
+            })
+        });
+        assert_eq!((put, got), want.results[0].unwrap());
     }
 
     #[test]
@@ -2727,21 +2536,28 @@ mod tests {
 
     #[test]
     fn native_and_packed_strided_puts_land_the_same_bytes() {
-        let out = run(two_node_cfg(), |pe| {
-            let ctx =
-                Ctx::new(pe, ConduitProfile::cray_shmem(Platform::CrayXc30), CtxOptions::default());
-            if pe.id() == 0 {
-                let src: Vec<u8> = (1..=48).collect();
-                // Every other 8-byte element of `src`, three slots apart.
-                ctx.iput(2, 0, 3, &src, 8, 2, 3);
-                ctx.am_strided_put(2, 512, 3, &src, 8, 2, 3);
-                ctx.quiet();
-            }
-            ctx.barrier_all();
-            let (mut native, mut packed) = (vec![0u8; 72], vec![0u8; 72]);
-            ctx.get(2, 0, &mut native);
-            ctx.get(2, 512, &mut packed);
-            (native, packed)
+        // Under checksums, so every layout lands through verification.
+        let out = pgas_machine::with_forced_checksums(true, || {
+            run(two_node_cfg(), |pe| {
+                let ctx = Ctx::new(
+                    pe,
+                    ConduitProfile::cray_shmem(Platform::CrayXc30),
+                    CtxOptions::default(),
+                );
+                if pe.id() == 0 {
+                    let src: Vec<u8> = (1..=48).collect();
+                    // Every other 8-byte element of `src`, three slots apart.
+                    ctx.iput(2, 0, 3, &src, 8, 2, 3);
+                    let packed: Vec<u8> = src.chunks(16).flat_map(|c| c[..8].to_vec()).collect();
+                    ctx.am_put_regions(2, &[(512, 8), (536, 8), (560, 8)], &packed);
+                    ctx.quiet();
+                }
+                ctx.barrier_all();
+                let (mut native, mut packed) = (vec![0u8; 72], vec![0u8; 72]);
+                ctx.get(2, 0, &mut native);
+                ctx.get(2, 512, &mut packed);
+                (native, packed)
+            })
         });
         assert_eq!(out.stats.puts, 2, "one wire transfer each");
         let (native, packed) = &out.results[1];

@@ -35,6 +35,7 @@ pub mod coalesce;
 pub mod cost;
 pub mod ctx;
 pub mod integrity;
+mod layout;
 pub mod op;
 pub mod pending;
 pub mod profile;

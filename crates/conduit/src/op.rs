@@ -4,10 +4,12 @@
 //! [`OpDesc`] and executed by `Ctx::submit` — the single fallible,
 //! detail-carrying choke point where the sanitizer, metrics, flow
 //! tracing, fault-retry, coalescing, and active-message paths all hook.
-//! The ~20 named public methods (`put`, `try_put`, `put_nbi`, `iput`,
-//! `amo`, `am_strided_put`, ...) are thin shims that build a descriptor
-//! and interpret the receipt; new cross-cutting behaviour lands in
-//! `submit`'s dispatch once instead of per method.
+//! The named public methods (`put`, `try_put`, `put_nbi`, `iput`, `amo`,
+//! `am_put_regions`, `am_call`, ...) are thin shims that build a
+//! descriptor and interpret the receipt; new cross-cutting behaviour lands
+//! in `submit`'s dispatch once instead of per method. Every put-shaped kind
+//! runs the conduit's one put body and every get-shaped kind its one get
+//! body; the kind only picks where the bytes sit in the target heap.
 
 use crate::am::AmHandlerId;
 use crate::ctx::AmoOp;
@@ -56,16 +58,6 @@ pub enum OpKind<'a> {
         out_stride: usize,
         nelems: usize,
     },
-    /// AM-packed strided write: one contiguous message, unpacked by a
-    /// software handler at the target (GASNet VIS).
-    AmStridedPut {
-        dst_off: usize,
-        dst_stride: usize,
-        src: &'a [u8],
-        elem: usize,
-        src_stride: usize,
-        nelems: usize,
-    },
     /// AM-packed scatter-put of arbitrary `(offset, len)` regions;
     /// `payload` covers them front to back.
     AmPutRegions { regions: &'a [(usize, usize)], payload: &'a [u8] },
@@ -80,28 +72,12 @@ pub enum OpKind<'a> {
 }
 
 impl OpKind<'_> {
-    /// Label used for fault events and error reporting.
-    pub fn label(&self) -> &'static str {
-        match self {
-            OpKind::Put { .. } => "put",
-            OpKind::Get { .. } => "get",
-            OpKind::Amo { .. } => "amo",
-            OpKind::StridedPut { .. } => "iput",
-            OpKind::StridedGet { .. } => "iget",
-            OpKind::AmStridedPut { .. } | OpKind::AmPutRegions { .. } => "am put",
-            OpKind::AmGetRegions { .. } => "am get",
-            OpKind::AmSend { .. } | OpKind::AmCall { .. } => "am",
-        }
-    }
-
     /// The contiguous outbound payload this op carries, if any — the bytes
     /// an end-to-end checksum covers. Gets carry no outbound payload;
     /// strided puts cover their (packed) source slice.
     pub fn payload(&self) -> Option<&[u8]> {
         match self {
-            OpKind::Put { src, .. }
-            | OpKind::StridedPut { src, .. }
-            | OpKind::AmStridedPut { src, .. } => Some(src),
+            OpKind::Put { src, .. } | OpKind::StridedPut { src, .. } => Some(src),
             OpKind::AmPutRegions { payload, .. } => Some(payload),
             OpKind::AmSend { arg, .. } | OpKind::AmCall { arg, .. } => Some(arg),
             OpKind::Get { .. } | OpKind::StridedGet { .. } | OpKind::AmGetRegions { .. } => None,

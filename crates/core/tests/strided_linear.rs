@@ -421,7 +421,9 @@ fn racing_reports(path: Path) -> Vec<HazardReport> {
                     match path {
                         Path::Production => {
                             ctx.iput(1, put_at, tst, &src, 4, lst, 6);
-                            ctx.am_strided_put(1, am_at, tst, &src, 4, lst, 6);
+                            let (regions, payload): (Vec<_>, Vec<_>) =
+                                elems(am_at).into_iter().map(|(off, b)| ((off, 4), b)).unzip();
+                            ctx.am_put_regions(1, &regions, &payload.concat());
                             ctx.iget(1, get_at, tst, &mut [0u8; 96], 4, lst, 6);
                         }
                         Path::Reference => {
