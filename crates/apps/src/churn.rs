@@ -26,19 +26,14 @@
 //! (`image_dead_by_now`, post-barrier failure flags), so a fixed seed and
 //! plan reproduce the whole cycle bit-identically on any host schedule.
 
-use caf::{run_caf, Backend, CafConfig, CafTeam};
-use openshmem::{AmHandler, AmTarget, ConduitError};
+use crate::kv::{self, Rec, Shards};
+use caf::{run_caf, Backend, CafConfig};
+use openshmem::ConduitError;
 use pgas_machine::stats::StatsSnapshot;
 use pgas_machine::Platform;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::rc::Rc;
-
-/// Team number the serving workers form (and re-form) under; the spare
-/// passes it too when it rejoins after a failure.
-pub(crate) const WORKER_TEAM: i64 = 7;
-/// Team number the spare idles under before a failure.
-pub(crate) const SPARE_TEAM: i64 = 11;
 
 /// Workload parameters. `images - 1` workers serve; the last image is the
 /// spare that rejoins after a failure.
@@ -56,21 +51,6 @@ pub struct ChurnConfig {
 impl Default for ChurnConfig {
     fn default() -> Self {
         ChurnConfig { slots_per_shard: 64, updates_per_round: 8, rounds: 8, seed: 0xC802 }
-    }
-}
-
-/// The update handler, identical to the DHT's AM mode: `arg` is
-/// `[slot offset, key]` as two little-endian u64s, applied as a wrapping
-/// add at the home image (commutative, so replay order never matters).
-struct ChurnUpdateAm;
-
-impl AmHandler for ChurnUpdateAm {
-    fn execute(&self, t: &mut AmTarget<'_>, arg: &[u8]) -> Option<Vec<u8>> {
-        let off = u64::from_le_bytes(arg[0..8].try_into().expect("churn am arg")) as usize;
-        let key = u64::from_le_bytes(arg[8..16].try_into().expect("churn am arg"));
-        let v = t.read_u64(off);
-        t.write_u64(off, v.wrapping_add(key));
-        None
     }
 }
 
@@ -123,49 +103,7 @@ pub struct ChurnResult {
 /// Wrapping sum of the keys the workers generate over a full healthy run —
 /// the oracle for the final table checksum when nothing fails.
 pub fn expected_checksum(workers: usize, cfg: &ChurnConfig) -> u64 {
-    let mut sum = 0u64;
-    for image in 1..=workers {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (image as u64).wrapping_mul(0x9E37_79B9));
-        for _ in 0..cfg.rounds * cfg.updates_per_round {
-            sum = sum.wrapping_add(rng.gen::<u64>());
-        }
-    }
-    sum
-}
-
-/// Reassign shards after a re-formation: shards whose owner survives stay
-/// put; a dead owner's shards go to the newcomers (images that were not
-/// owners before — the spares) round-robin, or to surviving members if no
-/// newcomer joined. Pure function of the old map and the new membership,
-/// so every live image computes the same map without communicating.
-pub(crate) fn reassign_shards(map: &[usize], team: &CafTeam) -> Vec<usize> {
-    let newcomers: Vec<usize> =
-        team.members().iter().copied().filter(|m| !map.contains(m)).collect();
-    let mut rr = 0usize;
-    map.iter()
-        .map(|&owner| {
-            if team.contains(owner) {
-                owner
-            } else {
-                let pick = if newcomers.is_empty() {
-                    team.members()[rr % team.size()]
-                } else {
-                    newcomers[rr % newcomers.len()]
-                };
-                rr += 1;
-                pick
-            }
-        })
-        .collect()
-}
-
-/// One acknowledged update: which shard it belongs to, its key, and the
-/// image that acknowledged it most recently (updated when a replay moves
-/// it to a reassigned shard).
-struct Rec {
-    shard: usize,
-    key: u64,
-    owner: usize,
+    kv::key_sum(cfg.seed, workers, cfg.rounds * cfg.updates_per_round)
 }
 
 /// Per-image raw outcome, aggregated by the host after the run.
@@ -190,28 +128,19 @@ pub fn run_churn_outcome(
     cfg: ChurnConfig,
 ) -> (ChurnResult, pgas_machine::SimOutcome<ImageOut>) {
     assert!(images >= 3, "churn needs at least two workers and a spare");
-    let cores = 16.min(images);
-    let nodes = images.div_ceil(cores);
-    let heap = (cfg.slots_per_shard * 8 + (1 << 16)).next_power_of_two();
-    let mcfg = platform.config(nodes, cores).with_heap_bytes(heap);
+    let mcfg = crate::job_machine(platform, images, cfg.slots_per_shard * 8 + (1 << 16));
     let caf_cfg = CafConfig::new(backend, platform).with_nonsym_bytes(4096);
     let out = run_caf(mcfg, caf_cfg, move |img| {
-        let n = img.num_images();
-        let w = n - 1; // fixed shard count = initial worker count
+        let w = img.num_images() - 1; // fixed shard count = initial worker count
         let me = img.this_image();
         let table = img.coarray::<u64>(&[cfg.slots_per_shard]).unwrap();
-        let update_am = img.shmem().register_am(Rc::new(ChurnUpdateAm));
+        let update_am = img.shmem().register_am(Rc::new(kv::UpdateAm));
         let send = |home: usize, key: u64| -> Result<(), ConduitError> {
             let slot = ((key / w as u64) % cfg.slots_per_shard as u64) as usize;
-            let mut arg = [0u8; 16];
-            let off = table.ptr().at(slot).offset() as u64;
-            arg[0..8].copy_from_slice(&off.to_le_bytes());
-            arg[8..16].copy_from_slice(&key.to_le_bytes());
-            img.shmem().try_am_send(img.pe_of(home), update_am, &arg)
+            kv::am_update(img, &table, update_am, home, slot, key)
         };
-        let mut team = img.form_team(if me <= w { WORKER_TEAM } else { SPARE_TEAM });
-        let mut shard_map: Vec<usize> = (1..=w).collect();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (me as u64).wrapping_mul(0x9E37_79B9));
+        let mut shards = Shards::form(img, w);
+        let mut rng = SmallRng::seed_from_u64(kv::key_seed(cfg.seed, me));
         let mut recs: Vec<Rec> = Vec::new();
         let mut pending: Vec<(usize, u64)> = Vec::new();
         let mut rounds_log: Vec<(u64, u64, bool)> = Vec::with_capacity(cfg.rounds);
@@ -219,23 +148,23 @@ pub fn run_churn_outcome(
         // Request-id sequence for tail attribution: each direct update is a
         // tracked request (arrival == begin: churn updates are closed-loop,
         // they never queue behind an open-loop schedule).
-        let my_pe = img.pe_of(me);
+        let (pe, my_pe) = (img.shmem().ctx().pe(), img.pe_of(me));
+        let tracer = pe.machine().tracer();
         let mut seq = 0u64;
         let mut detect_round = u64::MAX;
-        let mut reformed = false;
         img.sync_all();
         for round in 0..cfg.rounds {
             if img.this_image_failed() {
                 break;
             }
-            let serving = team.number() == WORKER_TEAM && team.contains(me);
+            let serving = shards.serving(me);
             let mut done = 0u64;
             if serving {
                 // Serve under the team scope: every update is attributed to
                 // the worker team in the sanitizer/metrics/flow traces, and
                 // the construct's implicit `sync team` pair keeps the
                 // workers in step even while the spare idles outside.
-                img.change_team(&team, || {
+                img.change_team(&shards.team, || {
                     for _ in 0..cfg.updates_per_round {
                         // Cooperative failure model: the scheduled failure
                         // kills the simulated image, not the OS thread, so
@@ -245,7 +174,7 @@ pub fn run_churn_outcome(
                         }
                         let key: u64 = rng.gen();
                         let shard = (key % w as u64) as usize;
-                        let home = shard_map[shard];
+                        let home = shards.map[shard];
                         // Clock-deterministic liveness probe: which updates
                         // get parked (and every ns the skip saves) must
                         // reproduce bit-identically on any host schedule.
@@ -254,14 +183,8 @@ pub fn run_churn_outcome(
                             continue;
                         }
                         seq += 1;
-                        let pe = img.shmem().ctx().pe();
                         let begin = pe.now();
-                        pe.machine().tracer().begin_request(
-                            my_pe,
-                            ((me as u64) << 32) | seq,
-                            begin,
-                            begin,
-                        );
+                        tracer.begin_request(my_pe, ((me as u64) << 32) | seq, begin, begin);
                         match send(home, key) {
                             Ok(()) => {
                                 recs.push(Rec { shard, key, owner: home });
@@ -273,95 +196,33 @@ pub fn run_churn_outcome(
                             Err(e) => panic!("churn update: {e:?}"),
                         }
                         pe.compute_ops(20); // hashing
-                        pe.machine().tracer().end_request(my_pe, pe.now());
+                        tracer.end_request(my_pe, pe.now());
                     }
                 });
             }
             if img.this_image_failed() {
                 break;
             }
-            // Round boundary: global before recovery (the idle spare must
-            // observe the failure at the same control point), team-scoped
-            // after (every live image is then a member).
-            let _ = if reformed { img.sync_team_stat(&team) } else { img.sync_all_stat() };
-            // The stat result above races host time: the victim's failure
-            // flag flips when *its* thread crosses the deadline, so a slow
-            // survivor could see FailedImage a round before a fast one —
-            // and a split decision would leave half the images inside the
-            // `form_team` collective. The recovery decision instead
-            // branches on the deadline probe against the barrier-aligned
-            // clock, which every live image evaluates identically.
-            let lost = !reformed
-                && !img.this_image_failed()
-                && shard_map.iter().any(|&o| img.image_dead_by_now(o));
-            if lost {
+            if let Some(n) = shards.boundary(img, &mut recs, |home, key| send(home, key).is_ok()) {
                 detect_round = round as u64;
-                // Re-form: survivors and the spare all pass the worker
-                // team number; the dead image is excluded from the
-                // member exchange and the spare joins in its place.
-                team = img.form_team(WORKER_TEAM);
-                let new_map = reassign_shards(&shard_map, &team);
-                // Shard redistribution: each writer replays its own
-                // journal onto the reassigned shards, and drains the
-                // updates that failed against the dying image.
-                for r in recs.iter_mut() {
-                    if new_map[r.shard] != r.owner && send(new_map[r.shard], r.key).is_ok() {
-                        r.owner = new_map[r.shard];
-                        replayed += 1;
-                    }
-                }
+                replayed += n;
+                // The updates that failed against the dying image drain onto
+                // the new map.
                 for (shard, key) in pending.drain(..) {
-                    if send(new_map[shard], key).is_ok() {
-                        recs.push(Rec { shard, key, owner: new_map[shard] });
+                    let home = shards.map[shard];
+                    if send(home, key).is_ok() {
+                        recs.push(Rec { shard, key, owner: home });
                         retried += 1;
                     }
                 }
-                shard_map = new_map;
-                reformed = true;
-                // Replays land before anyone serves against the new map.
-                img.sync_team(&team);
+                img.sync_team(&shards.team);
             }
-            rounds_log.push((img.shmem().ctx().pe().now(), done, serving));
+            rounds_log.push((pe.now(), done, serving));
         }
-        // Completion barrier so every in-flight AM has applied, then the
-        // deterministic accounting pass.
-        if !img.this_image_failed() {
-            if reformed {
-                img.sync_team(&team);
-            } else {
-                img.sync_all();
-            }
-        }
-        // Both guards are deterministic here: the failure flag is ordered
-        // before the barrier exit and the deadline probe is a pure function
-        // of this image's clock.
-        let dead = |image: usize| img.image_failed(image) || img.image_dead_by_now(image);
-        let acked: u64 =
-            recs.iter().filter(|r| !dead(r.owner)).fold(0u64, |a, r| a.wrapping_add(r.key));
-        let checksum = if me == 1 && !img.this_image_failed() {
-            let mut sum = 0u64;
-            for image in 1..=n {
-                if dead(image) {
-                    continue;
-                }
-                if let Ok(vs) = table.get_from_stat(img, image) {
-                    for v in vs {
-                        sum = sum.wrapping_add(v);
-                    }
-                }
-            }
-            sum
-        } else {
-            0
-        };
-        if !img.this_image_failed() {
-            if reformed {
-                img.sync_team(&team);
-            } else {
-                img.sync_all();
-            }
-        }
-        let members = if me == 1 { team.members().to_vec() } else { Vec::new() };
+        shards.complete(img);
+        let (acked, checksum) = kv::settle(img, &table, recs.iter().map(|r| (r.owner, r.key)));
+        shards.complete(img);
+        let members = if me == 1 { shards.team.members().to_vec() } else { Vec::new() };
         (rounds_log, acked, replayed, retried, detect_round, checksum, members)
     });
     let result = aggregate(&out);

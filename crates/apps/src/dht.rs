@@ -10,8 +10,9 @@
 //! and release. The final table contents are deterministic given the seed
 //! (sum of keys is order-independent), which the tests exploit.
 
+use crate::kv;
 use caf::{run_caf, Backend, CafConfig};
-use openshmem::{AmHandler, AmTarget, ConduitError};
+use openshmem::ConduitError;
 use pgas_machine::stats::StatsSnapshot;
 use pgas_machine::Platform;
 use rand::rngs::SmallRng;
@@ -59,22 +60,6 @@ impl Default for DhtConfig {
     }
 }
 
-/// The AM-mode update handler: `arg` is `[slot offset, key]` as two
-/// little-endian u64s; the slot gets `wrapping_add(key)` applied in place
-/// at the home image. Target-side compute models the same hashing +
-/// bookkeeping the locked path charges on the initiator.
-struct DhtUpdateAm;
-
-impl AmHandler for DhtUpdateAm {
-    fn execute(&self, t: &mut AmTarget<'_>, arg: &[u8]) -> Option<Vec<u8>> {
-        let off = u64::from_le_bytes(arg[0..8].try_into().expect("dht am arg")) as usize;
-        let key = u64::from_le_bytes(arg[8..16].try_into().expect("dht am arg"));
-        let v = t.read_u64(off);
-        t.write_u64(off, v.wrapping_add(key));
-        None
-    }
-}
-
 /// Benchmark outcome.
 #[derive(Debug, Clone, Copy)]
 pub struct DhtResult {
@@ -99,14 +84,7 @@ pub struct DhtResult {
 /// Wrapping sum of the keys each image generates — the oracle for the final
 /// table checksum.
 pub fn expected_checksum(images: usize, cfg: &DhtConfig) -> u64 {
-    let mut sum = 0u64;
-    for image in 1..=images {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (image as u64).wrapping_mul(0x9E37_79B9));
-        for _ in 0..cfg.updates_per_image {
-            sum = sum.wrapping_add(rng.gen::<u64>());
-        }
-    }
-    sum
+    kv::key_sum(cfg.seed, images, cfg.updates_per_image)
 }
 
 /// Run the DHT benchmark on `images` images.
@@ -124,10 +102,7 @@ pub fn run_dht_outcome(
     cfg: DhtConfig,
     _deterministic_nic: bool,
 ) -> (DhtResult, pgas_machine::SimOutcome<(u64, u64, u64, u64)>) {
-    let cores = 16.min(images);
-    let nodes = images.div_ceil(cores);
-    let heap = (cfg.slots_per_image * 8 + (1 << 16)).next_power_of_two();
-    let mcfg = platform.config(nodes, cores).with_heap_bytes(heap);
+    let mcfg = crate::job_machine(platform, images, cfg.slots_per_image * 8 + (1 << 16));
     let caf_cfg = CafConfig::new(backend, platform).with_nonsym_bytes(4096);
     let out = run_caf(mcfg, caf_cfg, move |img| {
         let n = img.num_images();
@@ -135,10 +110,9 @@ pub fn run_dht_outcome(
         let locks = img.lock_vars(cfg.locks_per_image);
         // Registered unconditionally (SPMD-symmetric) even in locked mode,
         // so both modes run over an identical context.
-        let update_am = img.shmem().register_am(Rc::new(DhtUpdateAm));
+        let update_am = img.shmem().register_am(Rc::new(kv::UpdateAm));
         img.sync_all();
-        let me = img.this_image();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ (me as u64).wrapping_mul(0x9E37_79B9));
+        let mut rng = SmallRng::seed_from_u64(kv::key_seed(cfg.seed, img.this_image()));
         let t0 = img.shmem().ctx().pe().now();
         // Keys this image has successfully pushed, with their home image.
         // On a healthy run every key lands here; under a PE-failure plan an
@@ -167,30 +141,17 @@ pub fn run_dht_outcome(
             match cfg.update {
                 DhtUpdateMode::Locked => {
                     let lock = &locks[slot % cfg.locks_per_image];
-                    img.lock(lock, home);
-                    // The stat-bearing accessors: on a healthy run they are
-                    // the plain ops; under an injected fault plan they
-                    // surface exhausted retries or a dead home image instead
-                    // of panicking.
-                    let v = table.get_elem_stat(img, home, &[slot]).expect("dht get");
-                    table.put_elem_stat(img, home, &[slot], v.wrapping_add(key)).expect("dht put");
-                    img.unlock(lock, home);
+                    kv::locked_update(img, lock, &table, home, slot, key).expect("dht update");
                     sent.push((home, key));
                 }
-                DhtUpdateMode::Am => {
-                    let mut arg = [0u8; 16];
-                    let off = table.ptr().at(slot).offset() as u64;
-                    arg[0..8].copy_from_slice(&off.to_le_bytes());
-                    arg[8..16].copy_from_slice(&key.to_le_bytes());
-                    match img.shmem().try_am_send(img.pe_of(home), update_am, &arg) {
-                        Ok(()) => sent.push((home, key)),
-                        // The home died between the liveness probe and
-                        // delivery: the update never applied, so it is not
-                        // acknowledged — drop it instead of crashing.
-                        Err(ConduitError::TargetFailed { .. }) => skipped += 1,
-                        Err(e) => panic!("dht am update: {e:?}"),
-                    }
-                }
+                DhtUpdateMode::Am => match kv::am_update(img, &table, update_am, home, slot, key) {
+                    Ok(()) => sent.push((home, key)),
+                    // The home died between the liveness probe and
+                    // delivery: the update never applied, so it is not
+                    // acknowledged — drop it instead of crashing.
+                    Err(ConduitError::TargetFailed { .. }) => skipped += 1,
+                    Err(e) => panic!("dht am update: {e:?}"),
+                },
             }
             img.shmem().ctx().pe().compute_ops(20); // hashing + bookkeeping
         }
@@ -198,32 +159,7 @@ pub fn run_dht_outcome(
         let elapsed = img.shmem().ctx().pe().now() - t0;
         // An acknowledged write counts only while its shard is reachable:
         // keys whose home image later died leave the live table with it.
-        // Both guards are deterministic here — the failure flag is ordered
-        // before the barrier exit, and the deadline probe is a pure
-        // function of this image's (barrier-aligned) clock.
-        let dead = |image: usize| img.image_failed(image) || img.image_dead_by_now(image);
-        let acked: u64 =
-            sent.iter().filter(|(home, _)| !dead(*home)).fold(0u64, |a, (_, k)| a.wrapping_add(*k));
-        // Deterministic checksum: image 1 folds the live part of the table.
-        let checksum = if me == 1 && !img.this_image_failed() {
-            let mut sum = 0u64;
-            for image in 1..=n {
-                if dead(image) {
-                    continue;
-                }
-                // The fold itself moves the clock, so a shard can cross its
-                // scheduled deadline between the probe and the read — skip
-                // it, exactly as the probe would have.
-                if let Ok(vs) = table.get_from_stat(img, image) {
-                    for v in vs {
-                        sum = sum.wrapping_add(v);
-                    }
-                }
-            }
-            sum
-        } else {
-            0
-        };
+        let (acked, checksum) = kv::settle(img, &table, sent);
         img.sync_all();
         (elapsed, checksum, acked, skipped as u64)
     });

@@ -1,14 +1,20 @@
 //! # caf-apps — application benchmarks over the CAF runtime
 //!
-//! The two applications of the paper's evaluation plus a halo-exchange
-//! mini-app:
+//! The two applications of the paper's evaluation, two workloads grown on
+//! its hash table, and four mini-apps:
 //!
 //! * [`dht`] — the distributed hash table benchmark (§V-C, Figure 9):
-//!   random locked updates, atomicity via CAF per-image locks.
+//!   random updates under CAF per-image locks, or one active message each.
+//! * [`churn`] — the table through a scheduled image failure and recovery.
+//! * [`serve`] — open-loop Zipfian reads and writes on the table, with
+//!   windowed latency metrics and an SLO, through the same recovery.
 //! * [`himeno`] — the Himeno pressure solver (§V-D, Figure 10): 19-point
 //!   Jacobi stencil with matrix-oriented strided halo exchange.
 //! * [`heat`] — a 1-D heat-diffusion mini-app exercising `sync images`
 //!   with neighbour lists and section-based gather.
+//! * [`stencil2d`] — a 2-D Laplace stencil with contiguous and strided halos.
+//! * [`histogram`] — a histogram on image 1, by remote atomics or a lock.
+//! * [`transpose`] — a matrix transpose landed by strided puts.
 
 #![forbid(unsafe_code)]
 
@@ -17,6 +23,7 @@ pub mod dht;
 pub mod heat;
 pub mod himeno;
 pub mod histogram;
+mod kv;
 pub mod serve;
 pub mod stencil2d;
 pub mod transpose;

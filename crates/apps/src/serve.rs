@@ -18,13 +18,13 @@
 //! its two update modes (locked get–modify–put or one active message);
 //! reads are one-sided stat-bearing gets.
 //!
-//! Failure handling is the churn app's cycle verbatim: `images - 1` workers
-//! serve, one spare idles; a scheduled image death is observed at an epoch
-//! boundary via clock-deterministic probes, the team re-forms with the
-//! spare, the dead shard is reassigned, writer journals replay, and every
-//! request parked against the dying home *drains* — completing with its
-//! original arrival time, so the outage shows up as a latency spike in the
-//! windowed series rather than as silent loss.
+//! Failure handling is the churn app's cycle (the `kv` module's recovery
+//! state): `images - 1` workers serve, one spare idles; a scheduled image
+//! death is observed at an epoch boundary via clock-deterministic probes,
+//! the team re-forms with the spare, the dead shard is reassigned, writer
+//! journals replay, and every request parked against the dying home
+//! *drains* — completing with its original arrival time, so the outage
+//! shows up as a latency spike in the windowed series, not as silent loss.
 //!
 //! Every completion lands in the machine's windowed metrics
 //! (`serve_latency_ns`, `serve_queue_ns`, `serve_requests`) keyed by the
@@ -33,7 +33,7 @@
 //! request ids through every span for per-request latency decomposition.
 
 use caf::{run_caf, Backend, CafConfig};
-use openshmem::{AmHandler, AmTarget, ConduitError};
+use openshmem::ConduitError;
 use pgas_machine::slo::{SloReport, SloSpec};
 use pgas_machine::stats::StatsSnapshot;
 use pgas_machine::tailprof::{TailAttribution, DEFAULT_EXEMPLARS};
@@ -43,8 +43,8 @@ use rand::{Rng, SeedableRng};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::churn::{reassign_shards, SPARE_TEAM, WORKER_TEAM};
 use crate::dht::DhtUpdateMode;
+use crate::kv::{self, Rec, Shards};
 
 /// Open-loop workload parameters. `images - 1` workers generate and serve
 /// requests; the last image is the spare that owns reassigned shards after
@@ -269,7 +269,7 @@ impl RequestGen {
     pub fn new(cfg: &ServeConfig, image: usize, workers: usize) -> RequestGen {
         let w = workers.max(1);
         RequestGen {
-            rng: SmallRng::seed_from_u64(cfg.seed ^ (image as u64).wrapping_mul(0x9E37_79B9)),
+            rng: SmallRng::seed_from_u64(kv::key_seed(cfg.seed, image)),
             arrivals: Arrivals::Drawn(ArrivalStream::new(cfg, w)),
             zipf: Zipf::new(cfg.keyspace, cfg.zipf_exponent),
             read_fraction: cfg.read_fraction,
@@ -331,38 +331,6 @@ pub fn expected_write_sum(workers: usize, cfg: &ServeConfig) -> u64 {
 // ---------------------------------------------------------------------------
 // The workload.
 // ---------------------------------------------------------------------------
-
-/// The write handler, identical to the DHT's AM mode: `arg` is
-/// `[slot offset, key]` as two little-endian u64s, applied as a wrapping
-/// add at the home image (commutative, so replay order never matters).
-struct ServeWriteAm;
-
-impl AmHandler for ServeWriteAm {
-    fn execute(&self, t: &mut AmTarget<'_>, arg: &[u8]) -> Option<Vec<u8>> {
-        let off = u64::from_le_bytes(arg[0..8].try_into().expect("serve am arg")) as usize;
-        let key = u64::from_le_bytes(arg[8..16].try_into().expect("serve am arg"));
-        let v = t.read_u64(off);
-        t.write_u64(off, v.wrapping_add(key));
-        None
-    }
-}
-
-/// One acknowledged write: its shard, key, and latest acknowledged home
-/// (updated when a recovery replay moves it).
-struct Rec {
-    shard: usize,
-    key: u64,
-    owner: usize,
-}
-
-/// A request parked against a dying home, drained during recovery with its
-/// original arrival time intact.
-struct Parked {
-    id: u64,
-    arrival_ns: u64,
-    key: u64,
-    write: bool,
-}
 
 /// One epoch's aggregate across the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -465,83 +433,100 @@ pub fn run_serve_outcome(
 ) -> (ServeResult, pgas_machine::SimOutcome<ServeImageOut>) {
     assert!(images >= 3, "serving needs at least two workers and a spare");
     assert!(cfg.epochs >= 1, "serving needs at least one epoch");
-    let cores = 16.min(images);
-    let nodes = images.div_ceil(cores);
-    let heap = (cfg.slots_per_shard * 8 + (1 << 16)).next_power_of_two();
-    let mcfg = platform
-        .config(nodes, cores)
-        .with_heap_bytes(heap)
+    let mcfg = crate::job_machine(platform, images, cfg.slots_per_shard * 8 + (1 << 16))
         .with_metrics(true)
         .with_metrics_window(cfg.window_ns);
     let caf_cfg = CafConfig::new(backend, platform).with_nonsym_bytes(4096);
     // One arrival stream per run: every image strides through this table.
     let arrivals = global_arrivals(&cfg, images - 1);
     let out = run_caf(mcfg, caf_cfg, move |img| {
-        let n = img.num_images();
-        let w = n - 1; // fixed shard count = initial worker count
+        let w = img.num_images() - 1; // fixed shard count = initial worker count
         let me = img.this_image();
         let pe_id = me - 1;
         let table = img.coarray::<u64>(&[cfg.slots_per_shard]).unwrap();
         // Allocated symmetrically in both modes so the two run over an
         // identical context (the DHT does the same).
         let locks = img.lock_vars(1);
-        let write_am = img.shmem().register_am(Rc::new(ServeWriteAm));
+        let write_am = img.shmem().register_am(Rc::new(kv::UpdateAm));
         // Placement: logical key -> (shard, slot) through the mixer.
         let place = |key: u64| -> (usize, usize) {
             let h = mix(key);
             ((h % w as u64) as usize, ((h / w as u64) % cfg.slots_per_shard as u64) as usize)
         };
-        // One write against `home`; Ok(()) = acknowledged. A stat failure
-        // in either mode reports Err so the caller can park the request.
-        let write_to = |home: usize, key: u64| -> Result<(), ()> {
+        // One write against `home`; true = acknowledged. A stat failure in
+        // either mode reports false so the caller can park the request.
+        let write_to = |home: usize, key: u64| -> bool {
             let (_, slot) = place(key);
             match cfg.mode {
                 DhtUpdateMode::Locked => {
-                    img.lock(&locks[0], home);
-                    let ok = match table.get_elem_stat(img, home, &[slot]) {
-                        Ok(v) => {
-                            table.put_elem_stat(img, home, &[slot], v.wrapping_add(key)).is_ok()
-                        }
-                        Err(_) => false,
-                    };
-                    img.unlock(&locks[0], home);
-                    if ok {
-                        Ok(())
-                    } else {
-                        Err(())
-                    }
+                    kv::locked_update(img, &locks[0], &table, home, slot, key).is_ok()
                 }
-                DhtUpdateMode::Am => {
-                    let mut arg = [0u8; 16];
-                    let off = table.ptr().at(slot).offset() as u64;
-                    arg[0..8].copy_from_slice(&off.to_le_bytes());
-                    arg[8..16].copy_from_slice(&key.to_le_bytes());
-                    match img.shmem().try_am_send(img.pe_of(home), write_am, &arg) {
-                        Ok(()) => Ok(()),
-                        Err(ConduitError::TargetFailed { .. }) => Err(()),
-                        Err(e) => panic!("serve write: {e:?}"),
-                    }
-                }
+                DhtUpdateMode::Am => match kv::am_update(img, &table, write_am, home, slot, key) {
+                    Ok(()) => true,
+                    Err(ConduitError::TargetFailed { .. }) => false,
+                    Err(e) => panic!("serve write: {e:?}"),
+                },
             }
         };
-        let read_from = |home: usize, key: u64| -> Result<u64, ()> {
-            let (_, slot) = place(key);
-            table.get_elem_stat(img, home, &[slot]).map_err(|_| ())
+        let pe = img.shmem().ctx().pe();
+        let m = pe.machine();
+        // Serve request `id` against `home`, traced as one request and,
+        // once acknowledged, journaled and observed in the windowed series
+        // at its completion instant. False = the home failed: the caller
+        // parks or drops the request. `hashing` charges the in-line path's
+        // bookkeeping; the recovery drain charges none.
+        let serve = |o: &mut ServeImageOut,
+                     recs: &mut Vec<Rec>,
+                     (id, req): (u64, ReqSpec),
+                     home,
+                     hashing| {
+            let begin = pe.now();
+            m.tracer().begin_request(pe_id, id, req.arrival_ns, begin);
+            let ok = if req.write {
+                write_to(home, req.key)
+            } else {
+                match table.get_elem_stat(img, home, &[place(req.key).1]) {
+                    Ok(v) => {
+                        o.read_sum = o.read_sum.wrapping_add(v);
+                        true
+                    }
+                    Err(_) => false,
+                }
+            };
+            if hashing {
+                pe.compute_ops(20);
+            }
+            let end = pe.now();
+            m.tracer().end_request(pe_id, end);
+            if !ok {
+                return false;
+            }
+            if req.write {
+                recs.push(Rec { shard: place(req.key).0, key: req.key, owner: home });
+                o.writes += 1;
+            } else {
+                o.reads += 1;
+            }
+            let mx = m.metrics();
+            mx.observe_windowed(pe_id, "serve_latency_ns", None, end, end - req.arrival_ns);
+            mx.observe_windowed(pe_id, "serve_queue_ns", None, end, begin - req.arrival_ns);
+            mx.count_windowed(pe_id, "serve_requests", None, end, 1);
+            true
         };
-        let mut team = img.form_team(if me <= w { WORKER_TEAM } else { SPARE_TEAM });
-        let mut shard_map: Vec<usize> = (1..=w).collect();
+        let mut shards = Shards::form(img, w);
         let mut gen = RequestGen::sharing(&cfg, me, w, arrivals.clone());
         let mut o = ServeImageOut { detect_epoch: u64::MAX, ..Default::default() };
         let mut recs: Vec<Rec> = Vec::new();
-        let mut parked: Vec<Parked> = Vec::new();
+        // Admitted requests `(id, spec)` parked against a dying home until
+        // the recovery drain completes them with their original arrival.
+        let mut parked: Vec<(u64, ReqSpec)> = Vec::new();
         let mut seq = 0u64;
-        let mut reformed = false;
         img.sync_all();
         for epoch in 0..cfg.epochs {
             if img.this_image_failed() {
                 break;
             }
-            let serving = team.number() == WORKER_TEAM && team.contains(me);
+            let serving = shards.serving(me);
             // Only the original workers generate load; the spare owns
             // reassigned shards after recovery but injects no requests.
             let quota = if serving && me <= w {
@@ -552,9 +537,7 @@ pub fn run_serve_outcome(
             };
             let mut done = 0u64;
             if serving {
-                img.change_team(&team, || {
-                    let pe = img.shmem().ctx().pe();
-                    let m = pe.machine();
+                img.change_team(&shards.team, || {
                     for _ in 0..quota {
                         // Cooperative failure model: the scheduled failure
                         // kills the simulated image, not the OS thread, so
@@ -565,7 +548,7 @@ pub fn run_serve_outcome(
                         }
                         let spec = gen.next_req();
                         seq += 1;
-                        let id = ((me as u64) << 32) | seq;
+                        let req = (((me as u64) << 32) | seq, spec);
                         // Open-loop admission: the virtual clock, not the
                         // previous completion, decides when this request
                         // exists. Ahead of schedule -> idle forward; behind
@@ -573,147 +556,43 @@ pub fn run_serve_outcome(
                         if pe.now() < spec.arrival_ns {
                             pe.advance((spec.arrival_ns - pe.now()) as f64);
                         }
-                        let (shard, _) = place(spec.key);
-                        let home = shard_map[shard];
+                        let home = shards.map[place(spec.key).0];
                         // Clock-deterministic liveness probe: which
                         // requests get parked must reproduce bit-identically
-                        // on any host schedule.
-                        if img.image_dead_by_now(home) {
-                            parked.push(Parked {
-                                id,
-                                arrival_ns: spec.arrival_ns,
-                                key: spec.key,
-                                write: spec.write,
-                            });
+                        // on any host schedule. A home that died between
+                        // the probe and delivery parks the request too.
+                        if !img.image_dead_by_now(home) && serve(&mut o, &mut recs, req, home, true)
+                        {
+                            done += 1;
+                        } else {
+                            parked.push(req);
                             m.metrics().count_windowed(pe_id, "serve_parked", None, pe.now(), 1);
-                            continue;
                         }
-                        let begin = pe.now();
-                        m.tracer().begin_request(pe_id, id, spec.arrival_ns, begin);
-                        let ok = if spec.write {
-                            write_to(home, spec.key).is_ok()
-                        } else {
-                            match read_from(home, spec.key) {
-                                Ok(v) => {
-                                    o.read_sum = o.read_sum.wrapping_add(v);
-                                    true
-                                }
-                                Err(()) => false,
-                            }
-                        };
-                        pe.compute_ops(20); // hashing + bookkeeping
-                        let end = pe.now();
-                        m.tracer().end_request(pe_id, end);
-                        if !ok {
-                            // Died between the probe and delivery: park for
-                            // the recovery drain.
-                            parked.push(Parked {
-                                id,
-                                arrival_ns: spec.arrival_ns,
-                                key: spec.key,
-                                write: spec.write,
-                            });
-                            m.metrics().count_windowed(pe_id, "serve_parked", None, end, 1);
-                            continue;
-                        }
-                        if spec.write {
-                            recs.push(Rec { shard, key: spec.key, owner: home });
-                            o.writes += 1;
-                        } else {
-                            o.reads += 1;
-                        }
-                        done += 1;
-                        let mx = m.metrics();
-                        mx.observe_windowed(
-                            pe_id,
-                            "serve_latency_ns",
-                            None,
-                            end,
-                            end - spec.arrival_ns,
-                        );
-                        mx.observe_windowed(
-                            pe_id,
-                            "serve_queue_ns",
-                            None,
-                            end,
-                            begin - spec.arrival_ns,
-                        );
-                        mx.count_windowed(pe_id, "serve_requests", None, end, 1);
                     }
                 });
             }
             if img.this_image_failed() {
                 break;
             }
-            // Epoch boundary: global before recovery (the idle spare must
-            // observe the failure at the same control point), team-scoped
-            // after (every live image is then a member).
-            let _ = if reformed { img.sync_team_stat(&team) } else { img.sync_all_stat() };
-            // Branch on the deadline probe against the barrier-aligned
-            // clock, which every live image evaluates identically (the stat
-            // result above races host time — see the churn app).
-            let lost = !reformed
-                && !img.this_image_failed()
-                && shard_map.iter().any(|&owner| img.image_dead_by_now(owner));
-            if lost {
+            if let Some(n) = shards.boundary(img, &mut recs, &write_to) {
                 o.detect_epoch = epoch as u64;
-                team = img.form_team(WORKER_TEAM);
-                let new_map = reassign_shards(&shard_map, &team);
-                // Writer journals replay onto reassigned shards first, so
-                // the replacement holds every previously acknowledged write.
-                for r in recs.iter_mut() {
-                    if new_map[r.shard] != r.owner && write_to(new_map[r.shard], r.key).is_ok() {
-                        r.owner = new_map[r.shard];
-                        o.replayed += 1;
-                    }
-                }
-                // Then the parked requests drain: they complete now, with
-                // their *original* arrival time, so the outage is a latency
-                // spike in the windowed series instead of silent loss.
-                let pe = img.shmem().ctx().pe();
-                let m = pe.machine();
-                for p in parked.drain(..) {
-                    let (shard, _) = place(p.key);
-                    let home = new_map[shard];
-                    let begin = pe.now();
-                    m.tracer().begin_request(pe_id, p.id, p.arrival_ns, begin);
-                    let ok = if p.write {
-                        write_to(home, p.key).is_ok()
+                o.replayed += n;
+                // Journals replayed first, so the replacement holds every
+                // previously acknowledged write. Then the parked requests
+                // drain: they complete now, with their *original* arrival
+                // time, so the outage is a latency spike in the windowed
+                // series instead of silent loss.
+                for req in parked.drain(..) {
+                    let home = shards.map[place(req.1.key).0];
+                    if serve(&mut o, &mut recs, req, home, false) {
+                        o.drained += 1;
                     } else {
-                        match read_from(home, p.key) {
-                            Ok(v) => {
-                                o.read_sum = o.read_sum.wrapping_add(v);
-                                true
-                            }
-                            Err(()) => false,
-                        }
-                    };
-                    let end = pe.now();
-                    m.tracer().end_request(pe_id, end);
-                    if !ok {
                         o.dropped += 1;
-                        continue;
                     }
-                    if p.write {
-                        recs.push(Rec { shard, key: p.key, owner: home });
-                        o.writes += 1;
-                    } else {
-                        o.reads += 1;
-                    }
-                    o.drained += 1;
-                    let mx = m.metrics();
-                    mx.observe_windowed(pe_id, "serve_latency_ns", None, end, end - p.arrival_ns);
-                    mx.observe_windowed(pe_id, "serve_queue_ns", None, end, begin - p.arrival_ns);
-                    mx.count_windowed(pe_id, "serve_requests", None, end, 1);
                 }
-                shard_map = new_map;
-                reformed = true;
-                // Replays and drains land before anyone serves against the
-                // new map.
-                img.sync_team(&team);
+                img.sync_team(&shards.team);
             }
-            let now = img.shmem().ctx().pe().now();
-            o.epochs.push((now, done, quota > 0));
+            o.epochs.push((pe.now(), done, quota > 0));
             o.completed += done;
         }
         if img.this_image_failed() && me <= w {
@@ -722,40 +601,11 @@ pub fn run_serve_outcome(
             // boundary) — and so is anything it still held parked.
             o.dropped += (cfg.requests_per_image as u64 - seq) + parked.len() as u64;
         }
-        // Completion barrier so every in-flight write has applied, then the
-        // deterministic accounting pass (guards as in the churn app).
-        if !img.this_image_failed() {
-            if reformed {
-                img.sync_team(&team);
-            } else {
-                img.sync_all();
-            }
-        }
-        let dead = |image: usize| img.image_failed(image) || img.image_dead_by_now(image);
-        o.acked = recs.iter().filter(|r| !dead(r.owner)).fold(0u64, |a, r| a.wrapping_add(r.key));
-        if me == 1 && !img.this_image_failed() {
-            let mut sum = 0u64;
-            for image in 1..=n {
-                if dead(image) {
-                    continue;
-                }
-                if let Ok(vs) = table.get_from_stat(img, image) {
-                    for v in vs {
-                        sum = sum.wrapping_add(v);
-                    }
-                }
-            }
-            o.checksum = sum;
-        }
-        if !img.this_image_failed() {
-            if reformed {
-                img.sync_team(&team);
-            } else {
-                img.sync_all();
-            }
-        }
+        shards.complete(img);
+        (o.acked, o.checksum) = kv::settle(img, &table, recs.iter().map(|r| (r.owner, r.key)));
+        shards.complete(img);
         if me == 1 {
-            o.members = team.members().to_vec();
+            o.members = shards.team.members().to_vec();
         }
         o
     });

@@ -197,9 +197,6 @@ pub struct Ctx<'m> {
     deferred: RefCell<Vec<ConduitError>>,
     /// End-to-end payload checksums (resolved once from the machine).
     checksums: bool,
-    /// CRC32 of the payload of the op currently inside `submit` (verified
-    /// at apply).
-    inflight_crc: Cell<Option<u32>>,
 }
 
 impl<'m> Ctx<'m> {
@@ -242,7 +239,6 @@ impl<'m> Ctx<'m> {
             team_scope: Cell::new(0),
             deferred: RefCell::new(Vec::new()),
             checksums: m.knobs().checksums.value,
-            inflight_crc: Cell::new(None),
         }
     }
 
@@ -455,7 +451,8 @@ impl<'m> Ctx<'m> {
     ///
     /// With end-to-end checksums enabled, a `Corrupt` draw on a `payload` is
     /// *verified*: the receiver-side CRC32 of a deterministically mangled
-    /// copy of `payload` is checked against the sender-side digest, the
+    /// copy of the bytes `payload` lands is checked against the sender-side
+    /// `digest` (hashed here if the caller has none), the
     /// mismatch is counted as `payload_corrupt`, and exhaustion surfaces as
     /// the typed [`ConduitError::PayloadCorrupt`]. The draw sequence, backoff
     /// charges and clock movement are bit-identical with checksums off —
@@ -466,7 +463,8 @@ impl<'m> Ctx<'m> {
         &self,
         op: &'static str,
         target: PeId,
-        payload: Option<&[u8]>,
+        payload: Option<(Layout<'_>, &[u8])>,
+        mut digest: Option<u32>,
     ) -> Result<(), ConduitError> {
         let m = self.machine();
         if !m.faults_active() {
@@ -478,9 +476,6 @@ impl<'m> Ctx<'m> {
         let max = m.fault_plan().map_or(u32::MAX, |p| p.retry.max_attempts);
         let me = self.pe.id();
         let stats = m.stats();
-        // The payload's digest, hashed at most once per transfer however
-        // many attempts it takes (submit has usually hashed it already).
-        let mut digest = self.inflight_crc.get();
         for attempt in 1..=max {
             let Some(kind) = m.fault_draw(me) else {
                 return Ok(());
@@ -494,9 +489,15 @@ impl<'m> Ctx<'m> {
             let mut verified_corrupt = false;
             let mut label = kind.label();
             if kind == pgas_machine::FaultKind::Corrupt && self.checksums {
-                if let Some(data) = payload.filter(|d| !d.is_empty()) {
-                    let expect = *digest.get_or_insert_with(|| crate::integrity::crc32(data));
-                    let mut wire = data.to_vec();
+                if let Some((layout, src)) = payload.filter(|(layout, _)| layout.bytes() > 0) {
+                    let mut wire: Vec<u8> = layout
+                        .pieces()
+                        .flat_map(|(_, len, at)| &src[at..at + len])
+                        .copied()
+                        .collect();
+                    // Hashed at most once per transfer, however many
+                    // attempts it takes.
+                    let expect = *digest.get_or_insert_with(|| crate::integrity::crc32(&wire));
                     let flip = (attempt as usize - 1) % wire.len();
                     wire[flip] ^= 0xFF;
                     if crate::integrity::crc32(&wire) != expect {
@@ -553,10 +554,10 @@ impl<'m> Ctx<'m> {
     /// words `t`, verify, and record one sanitizer write per piece (so a
     /// report names the element or region that raced).
     ///
-    /// Verification is the receive-side half of end-to-end checksums: with
-    /// them on, the landed bytes are read back and their CRC32 checked
-    /// against the payload's — `digest` when the caller has it, else hashed
-    /// here. It charges no virtual time. A mismatch would mean the
+    /// Verification is the receive-side half of end-to-end checksums: given
+    /// the payload's `digest` ([`Self::payload_digest`], `None` with
+    /// checksums off), the landed bytes are read back and their CRC32
+    /// checked against it. It charges no virtual time. A mismatch would mean the
     /// *simulator* corrupted data in flight — injected corruption never
     /// reaches this point, the gate catches and retries it — so it is a
     /// hard failure, not a typed error.
@@ -572,19 +573,16 @@ impl<'m> Ctx<'m> {
         let m = self.machine();
         let heap = m.heap(dst);
         layout.write(heap, src, t);
-        if self.checksums {
-            let (mut back, mut sent, mut buf) = (Crc32::new(), Crc32::new(), Vec::new());
-            for (off, len, at) in layout.pieces() {
+        if let Some(digest) = digest {
+            let (mut back, mut buf) = (Crc32::new(), Vec::new());
+            for (off, len, _) in layout.pieces() {
                 buf.resize(len, 0);
                 heap.read_bytes(off, &mut buf);
                 back.update(&buf);
-                if digest.is_none() {
-                    sent.update(&src[at..at + len]);
-                }
             }
             assert_eq!(
                 back.finish(),
-                digest.unwrap_or_else(|| sent.finish()),
+                digest,
                 "end-to-end CRC32 mismatch applying {} bytes at PE {dst} offset {}",
                 layout.bytes(),
                 layout.span().0
@@ -595,6 +593,17 @@ impl<'m> Ctx<'m> {
                 m.san_record_write(dst, off, len, self.pe.id(), t, false, op);
             }
         }
+    }
+
+    /// CRC32 of the bytes `layout` lands from `src`, back to back — what
+    /// the wire carries — or `None` with checksums off. It charges no
+    /// virtual time, so enabling checksums moves no digest.
+    fn payload_digest(&self, layout: Layout<'_>, src: &[u8]) -> Option<u32> {
+        self.checksums.then(|| {
+            let mut crc = Crc32::new();
+            layout.pieces().for_each(|(_, len, at)| crc.update(&src[at..at + len]));
+            crc.finish()
+        })
     }
 
     /// The one read path: copy `layout`'s pieces of `dst`'s heap into
@@ -657,16 +666,20 @@ impl<'m> Ctx<'m> {
     /// destination node's buffer and return a `staged` receipt; any other
     /// kind first flushes that node's buffer (program order per node, and
     /// read-your-writes, are preserved exactly) and then runs directly.
+    /// An empty strided or regions transfer moves nothing and is no flush
+    /// point: it returns an empty receipt before the dispatch.
     pub fn submit(&self, op: OpDesc<'_>) -> Result<OpReceipt, ConduitError> {
         let OpDesc { peer, completion, kind } = op;
-        // End-to-end checksum over the outbound payload, computed at submit
-        // and verified where the bytes are applied. Charges no virtual
-        // time, so enabling checksums moves no digest.
-        self.inflight_crc.set(if self.checksums {
-            kind.payload().map(crate::integrity::crc32)
-        } else {
-            None
-        });
+        let empty = match &kind {
+            OpKind::StridedPut { nelems, .. } | OpKind::StridedGet { nelems, .. } => *nelems == 0,
+            OpKind::AmPutRegions { regions, .. } | OpKind::AmGetRegions { regions, .. } => {
+                regions.is_empty()
+            }
+            _ => false,
+        };
+        if empty {
+            return Ok(OpReceipt::default());
+        }
         if let Some(c) = &self.coalescer {
             match &kind {
                 OpKind::Put { dst_off, src }
@@ -717,7 +730,12 @@ impl<'m> Ctx<'m> {
     fn stage_put(&self, dst: PeId, dst_off: usize, src: &[u8]) -> Result<OpReceipt, ConduitError> {
         let m = self.machine();
         // Faults are drawn at stage time (see `fault_gate`).
-        self.fault_gate("put", dst, Some(src))?;
+        self.fault_gate(
+            "put",
+            dst,
+            Some((Layout::Run { off: dst_off, len: src.len() }, src)),
+            None,
+        )?;
         let node = m.node_of(dst);
         let c = self.coalescer.as_ref().expect("stage_put called without a coalescer");
         // A same-range rewrite merges in place (write combining), growing
@@ -757,7 +775,7 @@ impl<'m> Ctx<'m> {
     /// result, so nothing is lost.
     fn stage_amo(&self, dst: PeId, off: usize, op: AmoOp) -> Result<OpReceipt, ConduitError> {
         let m = self.machine();
-        self.fault_gate("amo", dst, None)?;
+        self.fault_gate("amo", dst, None, None)?;
         let node = m.node_of(dst);
         let c = self.coalescer.as_ref().expect("stage_amo called without a coalescer");
         if c.borrow().needs_flush_before(node, 1, 8, self.pe.now()) {
@@ -857,7 +875,8 @@ impl<'m> Ctx<'m> {
                 m.apply_and_notify(op.dst, || match &op.payload {
                     StagedPayload::Put(data) => {
                         let layout = Layout::Run { off: op.off, len: data.len() };
-                        self.land(op.dst, layout, data, landed, "put", None);
+                        let digest = self.payload_digest(layout, data);
+                        self.land(op.dst, layout, data, landed, "put", digest);
                         pending.record_put(op.dst, op.off, data.len(), landed);
                     }
                     StagedPayload::Amo(a) => {
@@ -901,19 +920,15 @@ impl<'m> Ctx<'m> {
             }
             return Ok(layout.bytes());
         }
-        if layout.pieces().len() == 0 {
-            return Ok(0);
-        }
         let m = self.machine();
         let (me, op, bytes) = (self.pe.id(), layout.label(true), layout.bytes());
         let fast = matches!(layout, Layout::Run { .. }) && self.fastpath(dst);
-        // Submit hashed the payload: the landed bytes back to back for every
-        // layout but a strided one.
-        let digest = self.inflight_crc.get().filter(|_| !matches!(layout, Layout::Strided { .. }));
+        // The landed bytes, hashed once for the gate and the landing.
+        let digest = self.payload_digest(layout, src);
         if !fast {
             // Direct loads/stores cannot be dropped; only the message path
             // passes the gate.
-            self.fault_gate(op, dst, Some(src))?;
+            self.fault_gate(op, dst, Some((layout, src)), digest)?;
         }
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().puts);
@@ -978,15 +993,12 @@ impl<'m> Ctx<'m> {
             }
             return Ok(layout.bytes());
         }
-        if layout.pieces().len() == 0 {
-            return Ok(0);
-        }
         let m = self.machine();
         let (me, op, bytes) = (self.pe.id(), layout.label(false), layout.bytes());
         let run = matches!(layout, Layout::Run { .. });
         let fast = run && self.fastpath(dst);
         if !fast {
-            self.fault_gate(op, dst, None)?;
+            self.fault_gate(op, dst, None, None)?;
         }
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().gets);
@@ -1026,7 +1038,7 @@ impl<'m> Ctx<'m> {
     /// Remote atomic on an 8-byte word; returns the previous value.
     fn do_amo(&self, dst: PeId, off: usize, op: AmoOp) -> Result<u64, ConduitError> {
         let m = self.machine();
-        self.fault_gate("amo", dst, None)?;
+        self.fault_gate("amo", dst, None, None)?;
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().amos);
         if let Some(h) = self.pending.borrow().check_amo(dst, off) {
@@ -1082,7 +1094,7 @@ impl<'m> Ctx<'m> {
             .get(handler.0)
             .cloned()
             .expect("active-message handler not registered on this context");
-        self.fault_gate("am", dst, Some(arg))?;
+        self.fault_gate("am", dst, Some((Layout::Run { off: 0, len: arg.len() }, arg)), None)?;
         let t_begin = self.pe.now();
         Stats::bump(&m.stats().ams);
         let floor = self.pending.borrow().floor_for(dst);
@@ -1303,11 +1315,8 @@ impl<'m> Ctx<'m> {
             elem > 0 && dst_stride > 0 && src_stride > 0,
             "strides and element size must be positive"
         );
-        if nelems == 0 {
-            return;
-        }
         assert!(
-            src.len() >= ((nelems - 1) * src_stride + 1) * elem,
+            nelems == 0 || src.len() >= ((nelems - 1) * src_stride + 1) * elem,
             "source slice too short for iput: need {} have {}",
             ((nelems - 1) * src_stride + 1) * elem,
             src.len()
@@ -1336,11 +1345,8 @@ impl<'m> Ctx<'m> {
             elem > 0 && src_stride > 0 && out_stride > 0,
             "strides and element size must be positive"
         );
-        if nelems == 0 {
-            return;
-        }
         assert!(
-            out.len() >= ((nelems - 1) * out_stride + 1) * elem,
+            nelems == 0 || out.len() >= ((nelems - 1) * out_stride + 1) * elem,
             "output slice too short for iget"
         );
         unwrap_infallible(self.submit(OpDesc::new(
@@ -1356,9 +1362,6 @@ impl<'m> Ctx<'m> {
     pub fn am_put_regions(&self, dst: PeId, regions: &[(usize, usize)], payload: &[u8]) {
         let total: usize = regions.iter().map(|r| r.1).sum();
         assert_eq!(total, payload.len(), "payload must exactly cover the regions");
-        if regions.is_empty() {
-            return;
-        }
         unwrap_infallible(self.submit(OpDesc::new(dst, OpKind::AmPutRegions { regions, payload })));
     }
 
@@ -1366,9 +1369,6 @@ impl<'m> Ctx<'m> {
     pub fn am_get_regions(&self, dst: PeId, regions: &[(usize, usize)], out: &mut [u8]) {
         let total: usize = regions.iter().map(|r| r.1).sum();
         assert_eq!(total, out.len(), "output must exactly cover the regions");
-        if regions.is_empty() {
-            return;
-        }
         unwrap_infallible(self.submit(OpDesc::new(dst, OpKind::AmGetRegions { regions, out })));
     }
 
@@ -2270,6 +2270,48 @@ mod tests {
         for r in data.results {
             assert_eq!(r, [4u8; 64], "last staged payload lands");
         }
+    }
+
+    #[test]
+    fn an_empty_strided_or_regions_transfer_is_no_flush_point() {
+        let out = run(two_node_cfg(), |pe| {
+            let ctx = coalescing_ctx(pe);
+            if pe.id() != 0 {
+                return Vec::new();
+            }
+            ctx.put(2, 0, &[1u8; 8]);
+            let mut out = [0u8; 0];
+            let empties = [
+                OpKind::StridedPut {
+                    dst_off: 64,
+                    dst_stride: 2,
+                    src: &[],
+                    elem: 8,
+                    src_stride: 1,
+                    nelems: 0,
+                },
+                OpKind::StridedGet {
+                    src_off: 64,
+                    src_stride: 2,
+                    out: &mut [],
+                    elem: 8,
+                    out_stride: 1,
+                    nelems: 0,
+                },
+                OpKind::AmPutRegions { regions: &[], payload: &[] },
+                OpKind::AmGetRegions { regions: &[], out: &mut out },
+            ];
+            // After each empty descriptor: its bytes and whether the put is
+            // still staged.
+            let staged = || ctx.coalescer.as_ref().unwrap().borrow().staged_ops();
+            let seen: Vec<(usize, usize)> = empties
+                .into_iter()
+                .map(|kind| (ctx.submit(OpDesc::new(2, kind)).unwrap().bytes, staged()))
+                .collect();
+            ctx.quiet();
+            seen
+        });
+        assert_eq!(out.results[0], vec![(0, 1); 4], "the staged put stays staged");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end payload checksums: CRC32 (IEEE 802.3) over the bytes an
-//! operation carries, computed when a descriptor is submitted and verified
-//! when its payload is applied at the target heap.
+//! operation lands, computed once per transfer and verified when its
+//! payload is applied at the target heap.
 //!
 //! The polynomial and table layout are the standard reflected CRC-32
 //! (`0xEDB88320`), so values match every other IEEE CRC32 implementation —

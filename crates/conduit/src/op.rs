@@ -71,21 +71,6 @@ pub enum OpKind<'a> {
     AmCall { handler: AmHandlerId, arg: &'a [u8], reply: &'a mut Vec<u8> },
 }
 
-impl OpKind<'_> {
-    /// The contiguous outbound payload this op carries, if any — the bytes
-    /// an end-to-end checksum covers. Gets carry no outbound payload;
-    /// strided puts cover their (packed) source slice.
-    pub fn payload(&self) -> Option<&[u8]> {
-        match self {
-            OpKind::Put { src, .. } | OpKind::StridedPut { src, .. } => Some(src),
-            OpKind::AmPutRegions { payload, .. } => Some(payload),
-            OpKind::AmSend { arg, .. } | OpKind::AmCall { arg, .. } => Some(arg),
-            OpKind::Get { .. } | OpKind::StridedGet { .. } | OpKind::AmGetRegions { .. } => None,
-            OpKind::Amo { .. } => None,
-        }
-    }
-}
-
 /// One operation: what, to whom, and with which completion semantics.
 pub struct OpDesc<'a> {
     pub peer: PeId,

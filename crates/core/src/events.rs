@@ -69,10 +69,8 @@ impl<'m> Image<'m> {
             self.event_wait(ev, until_count);
             return Ok(());
         }
+        self.check_alive()?;
         let me0 = self.this_image() - 1;
-        if m.pe_failed(me0) {
-            return Err(CafStat::FailedImage { image: me0 + 1 });
-        }
         let pe = self.pe_of(poster);
         let consumed = self.shmem().read_local_one(ev.consumed);
         let target = consumed + until_count;

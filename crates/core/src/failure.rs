@@ -131,20 +131,24 @@ impl<'m> Image<'m> {
         self.machine().failed_pes().first().map(|&pe| CafStat::FailedImage { image: pe + 1 })
     }
 
+    /// STAT_FAILED_IMAGE naming this image if it has failed: the entry
+    /// check of the stat-bearing image controls and collectives.
+    pub(crate) fn check_alive(&self) -> Result<(), CafStat> {
+        if self.this_image_failed() {
+            return Err(CafStat::FailedImage { image: self.this_image() });
+        }
+        Ok(())
+    }
+
     // ---- image control with stat= -------------------------------------------
 
     /// `sync all (stat=s)`: the barrier completes among the surviving
     /// images (the machine detaches dead PEs from the global barrier), then
     /// reports STAT_FAILED_IMAGE if any image has failed.
     pub fn sync_all_stat(&self) -> Result<(), CafStat> {
-        if self.this_image_failed() {
-            return Err(CafStat::FailedImage { image: self.this_image() });
-        }
+        self.check_alive()?;
         self.sync_all();
-        match self.first_failed_stat() {
-            Some(s) => Err(s),
-            None => Ok(()),
-        }
+        self.first_failed_stat().map_or(Ok(()), Err)
     }
 
     /// `sync images(list, stat=s)`: pairwise synchronization that skips
@@ -157,10 +161,8 @@ impl<'m> Image<'m> {
             self.sync_images(images);
             return Ok(());
         }
+        self.check_alive()?;
         let me0 = self.this_image() - 1;
-        if m.pe_failed(me0) {
-            return Err(CafStat::FailedImage { image: me0 + 1 });
-        }
         let mut stat: Option<CafStat> = None;
         self.shmem().quiet();
         for &img in images {
@@ -195,10 +197,7 @@ impl<'m> Image<'m> {
             }
         }
         drop(expected);
-        match stat {
-            Some(s) => Err(s),
-            None => Ok(()),
-        }
+        stat.map_or(Ok(()), Err)
     }
 
     // ---- collectives among survivors ----------------------------------------
@@ -255,59 +254,12 @@ impl<'m> Image<'m> {
         result_image: Option<ImageId>,
         op: impl Fn(T, T) -> T + Copy,
     ) -> Result<(), CafStat> {
+        self.check_alive()?;
         let m = self.machine();
-        let me0 = self.this_image() - 1;
-        if m.pe_failed(me0) {
-            return Err(CafStat::FailedImage { image: me0 + 1 });
-        }
-        let n = self.num_images();
-        let len = data.len();
-        let survivors: Vec<usize> = (0..n).filter(|&p| !m.pe_failed(p)).collect();
-        let root = survivors[0];
-        let mut stat: Option<CafStat> = None;
-        // One contribution slot per image on every PE; slot 0 doubles as the
-        // result slot (the root contributes straight from `data`).
-        let slots =
-            self.shmem().shmalloc::<T>((n * len).max(1)).expect("co_* scratch allocation failed");
-        self.sync_all();
-        if len > 0 && me0 != root {
-            if let Err(e) = self.shmem().try_put(slots.slice(me0 * len, len), data, root) {
-                stat.get_or_insert(e.into());
-            }
-            self.shmem().quiet();
-        }
-        self.sync_all(); // all surviving contributions have landed
-        if me0 == root && len > 0 {
-            let mut acc = data.to_vec();
-            let mut part = data.to_vec();
-            for &p in &survivors[1..] {
-                self.shmem().read_local(slots.slice(p * len, len), &mut part);
-                for (a, &b) in acc.iter_mut().zip(part.iter()) {
-                    *a = op(*a, b);
-                }
-            }
-            for &p in &survivors[1..] {
-                if self.wants_result(p, result_image) {
-                    if let Err(e) = self.shmem().try_put(slots.slice(0, len), &acc, p) {
-                        stat.get_or_insert(e.into());
-                    }
-                }
-            }
-            self.shmem().quiet();
-            if self.wants_result(root, result_image) {
-                data.copy_from_slice(&acc);
-            }
-        }
-        self.sync_all(); // result delivered
-        if len > 0 && me0 != root && self.wants_result(me0, result_image) {
-            self.shmem().read_local(slots.slice(0, len), data);
-        }
-        self.sync_all(); // no image recycles the scratch before all have read
-        self.shmem().shfree(slots).expect("scratch free");
-        match stat.or_else(|| self.first_failed_stat()) {
-            Some(s) => Err(s),
-            None => Ok(()),
-        }
+        let survivors: Vec<usize> = (0..self.num_images()).filter(|&p| !m.pe_failed(p)).collect();
+        let wants = |pe| self.wants_result(pe, result_image);
+        let stat = self.linear_reduce(&survivors, data, op, wants, |s| self.sync_all_keeping(s));
+        stat.or_else(|| self.first_failed_stat()).map_or(Ok(()), Err)
     }
 
     /// Linear survivor-set broadcast; see [`Self::co_reduce_survivors`].
@@ -316,11 +268,8 @@ impl<'m> Image<'m> {
         data: &mut [T],
         source_image: ImageId,
     ) -> Result<(), CafStat> {
+        self.check_alive()?;
         let m = self.machine();
-        let me0 = self.this_image() - 1;
-        if m.pe_failed(me0) {
-            return Err(CafStat::FailedImage { image: me0 + 1 });
-        }
         let root = self.pe_of(source_image);
         if m.pe_failed(root) {
             // The source died: nothing can be replicated. Every survivor
@@ -328,29 +277,111 @@ impl<'m> Image<'m> {
             // without touching the scratch phases.
             return Err(CafStat::FailedImage { image: source_image });
         }
-        let n = self.num_images();
-        let len = data.len();
-        let mut stat: Option<CafStat> = None;
-        let slots = self.shmem().shmalloc::<T>(len.max(1)).expect("co_* scratch allocation failed");
+        let survivors: Vec<usize> = (0..self.num_images()).filter(|&p| !m.pe_failed(p)).collect();
+        let stat = self.linear_broadcast(&survivors, root, data, |s| self.sync_all_keeping(s));
+        stat.or_else(|| self.first_failed_stat()).map_or(Ok(()), Err)
+    }
+
+    /// `sync all`, passing the stat gathered so far through untouched.
+    fn sync_all_keeping(&self, stat: Option<CafStat>) -> Option<CafStat> {
         self.sync_all();
-        if len > 0 && me0 == root {
-            for p in (0..n).filter(|&p| p != root && !m.pe_failed(p)) {
-                if let Err(e) = self.shmem().try_put(slots, data, p) {
+        stat
+    }
+
+    /// The one linear reduction over `live` (ascending 0-based PEs, this
+    /// image among them): every member puts its contribution into its slot
+    /// of fresh symmetric scratch on the lowest member, which combines them
+    /// in `live` order and puts the result back to each member `wants`
+    /// names. `barrier` separates the four phases; it takes the first stat
+    /// so far (a failed put's, or an earlier barrier's) and returns the new
+    /// one. Returns that first stat.
+    pub(crate) fn linear_reduce<T: Scalar>(
+        &self,
+        live: &[usize],
+        data: &mut [T],
+        op: impl Fn(T, T) -> T,
+        wants: impl Fn(usize) -> bool,
+        mut barrier: impl FnMut(Option<CafStat>) -> Option<CafStat>,
+    ) -> Option<CafStat> {
+        let shmem = self.shmem();
+        let me0 = self.this_image() - 1;
+        let len = data.len();
+        let root = live[0];
+        let mut stat: Option<CafStat> = None;
+        // One contribution slot per image (global indexing keeps the layout
+        // independent of the survivor set); slot 0 doubles as the result
+        // slot, since the root contributes straight from `data`.
+        let slots = shmem
+            .shmalloc::<T>((self.num_images() * len).max(1))
+            .expect("survivor collective: scratch allocation");
+        stat = barrier(stat);
+        if len > 0 && me0 != root {
+            if let Err(e) = shmem.try_put(slots.slice(me0 * len, len), data, root) {
+                stat.get_or_insert(e.into());
+            }
+            shmem.quiet();
+        }
+        stat = barrier(stat); // contributions landed
+        if me0 == root && len > 0 {
+            let mut acc = data.to_vec();
+            let mut part = data.to_vec();
+            for &p in &live[1..] {
+                shmem.read_local(slots.slice(p * len, len), &mut part);
+                for (a, &b) in acc.iter_mut().zip(part.iter()) {
+                    *a = op(*a, b);
+                }
+            }
+            for &p in live[1..].iter().filter(|&&p| wants(p)) {
+                if let Err(e) = shmem.try_put(slots.slice(0, len), &acc, p) {
                     stat.get_or_insert(e.into());
                 }
             }
-            self.shmem().quiet();
+            shmem.quiet();
+            if wants(root) {
+                data.copy_from_slice(&acc);
+            }
         }
-        self.sync_all(); // payload delivered
+        stat = barrier(stat); // result delivered
+        if len > 0 && me0 != root && wants(me0) {
+            shmem.read_local(slots.slice(0, len), data);
+        }
+        stat = barrier(stat); // no image recycles the scratch before all have read
+        shmem.shfree(slots).expect("survivor collective: scratch free");
+        stat
+    }
+
+    /// The one linear broadcast over `live`, the mirror of
+    /// [`Self::linear_reduce`]: `root` (a member) puts `data` into fresh
+    /// scratch on every other member, three `barrier` phases apart.
+    pub(crate) fn linear_broadcast<T: Scalar>(
+        &self,
+        live: &[usize],
+        root: usize,
+        data: &mut [T],
+        mut barrier: impl FnMut(Option<CafStat>) -> Option<CafStat>,
+    ) -> Option<CafStat> {
+        let shmem = self.shmem();
+        let me0 = self.this_image() - 1;
+        let len = data.len();
+        let mut stat: Option<CafStat> = None;
+        let slots =
+            shmem.shmalloc::<T>(len.max(1)).expect("survivor collective: scratch allocation");
+        stat = barrier(stat);
+        if len > 0 && me0 == root {
+            for &p in live.iter().filter(|&&p| p != root) {
+                if let Err(e) = shmem.try_put(slots, data, p) {
+                    stat.get_or_insert(e.into());
+                }
+            }
+            shmem.quiet();
+        }
+        stat = barrier(stat); // payload delivered
         if len > 0 && me0 != root {
-            self.shmem().read_local(slots, data);
+            shmem.read_local(slots, data);
         }
-        self.sync_all();
-        self.shmem().shfree(slots).expect("scratch free");
-        match stat.or_else(|| self.first_failed_stat()) {
-            Some(s) => Err(s),
-            None => Ok(()),
-        }
+        stat = barrier(stat); // no image recycles the scratch before all have read
+        shmem.shfree(slots).expect("survivor collective: scratch free");
+        stat
     }
 
     #[inline]

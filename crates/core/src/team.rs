@@ -136,10 +136,16 @@ impl<'m> Image<'m> {
             self.this_image()
         );
         self.sync_team(team);
+        let r = self.in_scope(team, f);
+        self.sync_team(team);
+        r
+    }
+
+    /// Run `f` with every operation it issues attributed to `team`.
+    fn in_scope<R>(&self, team: &CafTeam, f: impl FnOnce() -> R) -> R {
         let prev = self.shmem().ctx().set_team_scope(team.id());
         let r = f();
         self.shmem().ctx().set_team_scope(prev);
-        self.sync_team(team);
         r
     }
 
@@ -147,9 +153,7 @@ impl<'m> Image<'m> {
     /// completion. Dead members are detached automatically; use
     /// [`Self::sync_team_stat`] to observe them.
     pub fn sync_team(&self, team: &CafTeam) {
-        let prev = self.shmem().ctx().set_team_scope(team.id());
-        self.shmem().ctx().barrier_group(&Self::member_pes(team));
-        self.shmem().ctx().set_team_scope(prev);
+        self.in_scope(team, || self.shmem().ctx().barrier_group(&Self::member_pes(team)));
     }
 
     /// `sync team(team, stat=s)`: like [`Self::sync_team`], but deferred
@@ -158,17 +162,10 @@ impl<'m> Image<'m> {
     /// hanging or panicking. The barrier itself always completes among the
     /// survivors, so live members stay in step even on the error path.
     pub fn sync_team_stat(&self, team: &CafTeam) -> Result<(), CafStat> {
-        if self.this_image_failed() {
-            return Err(CafStat::FailedImage { image: self.this_image() });
-        }
-        let prev = self.shmem().ctx().set_team_scope(team.id());
-        let r = self.shmem().ctx().try_barrier_group(&Self::member_pes(team));
-        self.shmem().ctx().set_team_scope(prev);
-        r.map_err(CafStat::from)?;
-        match team.members().iter().find(|&&img| self.image_failed(img)) {
-            Some(&img) => Err(CafStat::FailedImage { image: img }),
-            None => Ok(()),
-        }
+        self.check_alive()?;
+        let r =
+            self.in_scope(team, || self.shmem().ctx().try_barrier_group(&Self::member_pes(team)));
+        self.team_stat(team, r.err().map(CafStat::from))
     }
 
     /// `co_reduce` scoped to a team: combine `data` element-wise across the
@@ -184,79 +181,12 @@ impl<'m> Image<'m> {
         data: &mut [T],
         op: impl Fn(T, T) -> T + Copy,
     ) -> Result<(), CafStat> {
-        let m = self.machine();
-        let me0 = self.this_image() - 1;
-        if m.pe_failed(me0) {
-            return Err(CafStat::FailedImage { image: me0 + 1 });
-        }
-        let prev = self.shmem().ctx().set_team_scope(team.id());
-        let r = self.team_reduce_inner(team, data, op);
-        self.shmem().ctx().set_team_scope(prev);
-        r
-    }
-
-    fn team_reduce_inner<T: Scalar>(
-        &self,
-        team: &CafTeam,
-        data: &mut [T],
-        op: impl Fn(T, T) -> T + Copy,
-    ) -> Result<(), CafStat> {
-        let m = self.machine();
-        let shmem = self.shmem();
-        let me0 = self.this_image() - 1;
-        let len = data.len();
-        let n = self.num_images();
-        let live: Vec<usize> =
-            team.members().iter().map(|&img| img - 1).filter(|&p| !m.pe_failed(p)).collect();
-        let root = live[0];
-        let mut stat: Option<CafStat> = None;
-        // One slot per image (global indexing keeps the layout independent
-        // of the survivor set); slot 0 doubles as the result slot.
-        let slots =
-            shmem.shmalloc::<T>((n * len).max(1)).expect("team collective: scratch allocation");
-        let barrier = |live: &[usize]| -> Option<CafStat> {
-            self.shmem().ctx().try_barrier_group(live).err().map(CafStat::from)
-        };
-        stat = stat.or_else(|| barrier(&live));
-        if len > 0 && me0 != root {
-            if let Err(e) = shmem.try_put(slots.slice(me0 * len, len), data, root) {
-                stat.get_or_insert(e.into());
-            }
-            shmem.quiet();
-        }
-        stat = stat.or_else(|| barrier(&live)); // contributions landed
-        if me0 == root && len > 0 {
-            let mut acc = data.to_vec();
-            let mut part = data.to_vec();
-            for &p in live.iter().filter(|&&p| p != root) {
-                shmem.read_local(slots.slice(p * len, len), &mut part);
-                for (a, &b) in acc.iter_mut().zip(part.iter()) {
-                    *a = op(*a, b);
-                }
-            }
-            for &p in live.iter().filter(|&&p| p != root) {
-                if let Err(e) = shmem.try_put(slots.slice(0, len), &acc, p) {
-                    stat.get_or_insert(e.into());
-                }
-            }
-            shmem.quiet();
-            data.copy_from_slice(&acc);
-        }
-        stat = stat.or_else(|| barrier(&live)); // result delivered
-        if len > 0 && me0 != root {
-            shmem.read_local(slots.slice(0, len), data);
-        }
-        stat = stat.or_else(|| barrier(&live)); // reads done before recycling
-        shmem.shfree(slots).expect("team collective: scratch free");
-        match stat.or_else(|| {
-            team.members()
-                .iter()
-                .find(|&&img| self.image_failed(img))
-                .map(|&img| CafStat::FailedImage { image: img })
-        }) {
-            Some(s) => Err(s),
-            None => Ok(()),
-        }
+        self.check_alive()?;
+        let live = self.live_pes(team);
+        let stat = self.in_scope(team, || {
+            self.linear_reduce(&live, data, op, |_| true, |s| self.team_barrier(&live, s))
+        });
+        self.team_stat(team, stat)
     }
 
     /// `co_sum` scoped to a team.
@@ -277,11 +207,7 @@ impl<'m> Image<'m> {
         data: &mut [T],
         source_rank: usize,
     ) -> Result<(), CafStat> {
-        let m = self.machine();
-        let me0 = self.this_image() - 1;
-        if m.pe_failed(me0) {
-            return Err(CafStat::FailedImage { image: me0 + 1 });
-        }
+        self.check_alive()?;
         assert!(
             (1..=team.size()).contains(&source_rank),
             "source rank {source_rank} outside team of {}",
@@ -289,56 +215,34 @@ impl<'m> Image<'m> {
         );
         let source = team.members()[source_rank - 1];
         let root = self.pe_of(source);
-        if m.pe_failed(root) {
+        if self.machine().pe_failed(root) {
             return Err(CafStat::FailedImage { image: source });
         }
-        let prev = self.shmem().ctx().set_team_scope(team.id());
-        let r = self.team_broadcast_inner(team, data, root);
-        self.shmem().ctx().set_team_scope(prev);
-        r
+        let live = self.live_pes(team);
+        let stat = self.in_scope(team, || {
+            self.linear_broadcast(&live, root, data, |s| self.team_barrier(&live, s))
+        });
+        self.team_stat(team, stat)
     }
 
-    fn team_broadcast_inner<T: Scalar>(
-        &self,
-        team: &CafTeam,
-        data: &mut [T],
-        root: usize,
-    ) -> Result<(), CafStat> {
+    /// A team collective's phase barrier over its `live` members. Once a
+    /// stat is set the image skips the remaining phases' barriers.
+    fn team_barrier(&self, live: &[usize], stat: Option<CafStat>) -> Option<CafStat> {
+        stat.or_else(|| self.shmem().ctx().try_barrier_group(live).err().map(CafStat::from))
+    }
+
+    /// The stat a team collective reports: `stat` from the exchange, else
+    /// the first failed member's.
+    fn team_stat(&self, team: &CafTeam, stat: Option<CafStat>) -> Result<(), CafStat> {
+        let first_failed = || team.members().iter().find(|&&img| self.image_failed(img));
+        stat.or_else(|| first_failed().map(|&image| CafStat::FailedImage { image }))
+            .map_or(Ok(()), Err)
+    }
+
+    /// The team's members not failed so far, as sorted 0-based PEs.
+    fn live_pes(&self, team: &CafTeam) -> Vec<usize> {
         let m = self.machine();
-        let shmem = self.shmem();
-        let me0 = self.this_image() - 1;
-        let len = data.len();
-        let live: Vec<usize> =
-            team.members().iter().map(|&img| img - 1).filter(|&p| !m.pe_failed(p)).collect();
-        let mut stat: Option<CafStat> = None;
-        let slots = shmem.shmalloc::<T>(len.max(1)).expect("team collective: scratch allocation");
-        let barrier = |live: &[usize]| -> Option<CafStat> {
-            self.shmem().ctx().try_barrier_group(live).err().map(CafStat::from)
-        };
-        stat = stat.or_else(|| barrier(&live));
-        if len > 0 && me0 == root {
-            for &p in live.iter().filter(|&&p| p != root) {
-                if let Err(e) = shmem.try_put(slots, data, p) {
-                    stat.get_or_insert(e.into());
-                }
-            }
-            shmem.quiet();
-        }
-        stat = stat.or_else(|| barrier(&live)); // payload delivered
-        if len > 0 && me0 != root {
-            shmem.read_local(slots, data);
-        }
-        stat = stat.or_else(|| barrier(&live));
-        shmem.shfree(slots).expect("team collective: scratch free");
-        match stat.or_else(|| {
-            team.members()
-                .iter()
-                .find(|&&img| self.image_failed(img))
-                .map(|&img| CafStat::FailedImage { image: img })
-        }) {
-            Some(s) => Err(s),
-            None => Ok(()),
-        }
+        team.members().iter().map(|&img| img - 1).filter(|&p| !m.pe_failed(p)).collect()
     }
 
     /// Member images as sorted 0-based PEs, for the machine's group

@@ -41,8 +41,9 @@ pub struct Knobs {
     /// Default for conduit small-op aggregation. The machine aggregates
     /// nothing itself; `pgas-conduit` reads the resolved value back.
     pub aggregation: Option<bool>,
-    /// Conduit end-to-end payload checksums (CRC32 at submit, verified at
-    /// apply). Free in virtual time, so they change no digest.
+    /// Conduit end-to-end payload checksums (CRC32 of the bytes a transfer
+    /// lands, verified at apply). Free in virtual time, so they change no
+    /// digest.
     pub checksums: Option<bool>,
     /// Live streaming snapshot channel (see `crate::stream`).
     pub stream: Option<StreamConfig>,
