@@ -87,44 +87,64 @@ pub fn serial_gosa(cfg: &HimenoConfig) -> Vec<f64> {
                 sweep_row(&p, &mut wrk[row..row + im], row, im, im * jm, &mut gosa);
             }
         }
-        for k in 1..km - 1 {
-            for j in 1..jm - 1 {
-                let interior = idx(1, j, k)..idx(im - 1, j, k);
-                p[interior.clone()].copy_from_slice(&wrk[interior]);
-            }
-        }
+        // `wrk` now holds every interior cell's new value and the same
+        // fixed boundary as `p`; the next sweep overwrites all of the
+        // interior it receives.
+        std::mem::swap(&mut p, &mut wrk);
         out.push(gosa);
     }
     out
 }
+
+/// Cells per chunk of [`sweep_row`]'s stencil pass.
+const SWEEP_CHUNK: usize = 64;
 
 /// One row of the Jacobi sweep: the 19-point Himeno stencil residual
 /// (a=[1,1,1,1/6], b=[0,0,0], c=[1,1,1], bnd=1, wrk1=0) at the interior
 /// cells `1..im-1` of the row starting at linear index `row` of `p`, with
 /// `sj`/`sk` the strides of the other two dimensions. Writes the relaxed
 /// pressures into `wrk_row` and adds the squared residuals to `gosa`, cell
-/// by cell in `i` order. The nine neighbour rows are sliced once, so the
-/// inner loop indexes slices of one known length.
+/// by cell in `i` order.
+///
+/// The row goes in chunks of at most [`SWEEP_CHUNK`] cells, each in two
+/// passes. The stencil pass computes every cell's residual `ss` into a
+/// stack buffer and its relaxed pressure into `wrk_row`; its cells are
+/// independent, so it vectorizes, and every cell keeps the same f32
+/// expression order, so every lane rounds as the scalar loop would. The
+/// fold pass then adds `ss²` to `gosa` in f64, in `i` order. Kept in one
+/// loop, that serial f64 sum held the whole stencil scalar; split off, it
+/// sums in the same order and `gosa` stays bit-identical.
 #[inline]
 fn sweep_row(p: &[f32], wrk_row: &mut [f32], row: usize, sj: usize, sk: usize, gosa: &mut f64) {
     let im = wrk_row.len();
-    let at = |o: usize| &p[o..o + im];
-    let (c, jp, jm, kp, km) = (at(row), at(row + sj), at(row - sj), at(row + sk), at(row - sk));
-    let (jpkp, jmkp) = (at(row + sj + sk), at(row - sj + sk));
-    let (jpkm, jmkm) = (at(row + sj - sk), at(row - sj - sk));
-    for i in 1..im - 1 {
-        let s0 = c[i + 1]
-            + jp[i]
-            + kp[i]
-            + 0.0 * (jp[i + 1] - jm[i + 1] - jp[i - 1] + jm[i - 1])
-            + 0.0 * (jpkp[i] - jmkp[i] - jpkm[i] + jmkm[i])
-            + 0.0 * (kp[i + 1] - kp[i - 1] - km[i + 1] + km[i - 1])
-            + c[i - 1]
-            + jm[i]
-            + km[i];
-        let ss = (s0 * A3 - c[i]) * 1.0;
-        *gosa += (ss as f64) * (ss as f64);
-        wrk_row[i] = c[i] + OMEGA * ss;
+    let mut ss = [0.0f32; SWEEP_CHUNK];
+    let mut lo = 1;
+    while lo < im - 1 {
+        let n = SWEEP_CHUNK.min(im - 1 - lo);
+        // Cells lo-1 ..= lo+n of each neighbour row: cell `lo + i` is at
+        // `i + 1`, its `i - 1` neighbour at `i` and its `i + 1` at `i + 2`.
+        let at = |o: usize| &p[o + lo - 1..][..n + 2];
+        let (c, jp, jm, kp, km) = (at(row), at(row + sj), at(row - sj), at(row + sk), at(row - sk));
+        let (jpkp, jmkp) = (at(row + sj + sk), at(row - sj + sk));
+        let (jpkm, jmkm) = (at(row + sj - sk), at(row - sj - sk));
+        let wrk = &mut wrk_row[lo..][..n];
+        for (i, (s, w)) in ss[..n].iter_mut().zip(wrk.iter_mut()).enumerate() {
+            let s0 = c[i + 2]
+                + jp[i + 1]
+                + kp[i + 1]
+                + 0.0 * (jp[i + 2] - jm[i + 2] - jp[i] + jm[i])
+                + 0.0 * (jpkp[i + 1] - jmkp[i + 1] - jpkm[i + 1] + jmkm[i + 1])
+                + 0.0 * (kp[i + 2] - kp[i] - km[i + 2] + km[i])
+                + c[i]
+                + jm[i + 1]
+                + km[i + 1];
+            *s = (s0 * A3 - c[i + 1]) * 1.0;
+            *w = c[i + 1] + OMEGA * *s;
+        }
+        for &s in &ss[..n] {
+            *gosa += (s as f64) * (s as f64);
+        }
+        lo += n;
     }
 }
 
@@ -244,12 +264,10 @@ pub fn run_himeno_outcome(
                     sweep_row(&p, &mut wrk[row..row + im], row, im, im * jtot, &mut gosa);
                 }
             }
-            for k in 1..km - 1 {
-                for jl in interior.clone() {
-                    let cells = idx(1, jl, k)..idx(im - 1, jl, k);
-                    p[cells.clone()].copy_from_slice(&wrk[cells]);
-                }
-            }
+            // As in `serial_gosa`: the fixed boundary agrees in both grids,
+            // and the ghost planes `p` gets from `wrk` are stale only where
+            // the next halo exchange overwrites them.
+            std::mem::swap(&mut p, &mut wrk);
             let cells = (km - 2) * interior.len() * (im - 2);
             img.shmem().ctx().pe().compute_flops(cells as f64 * 34.0);
             let mut g = [gosa];
@@ -273,6 +291,84 @@ pub fn run_himeno_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-pass scalar row sweep [`sweep_row`] replaced: the residual
+    /// summed into `gosa` inside the stencil loop. The reference for the
+    /// bitwise test below.
+    fn sweep_row_reference(
+        p: &[f32],
+        wrk_row: &mut [f32],
+        row: usize,
+        sj: usize,
+        sk: usize,
+        gosa: &mut f64,
+    ) {
+        let im = wrk_row.len();
+        let at = |o: usize| &p[o..o + im];
+        let (c, jp, jm, kp, km) = (at(row), at(row + sj), at(row - sj), at(row + sk), at(row - sk));
+        let (jpkp, jmkp) = (at(row + sj + sk), at(row - sj + sk));
+        let (jpkm, jmkm) = (at(row + sj - sk), at(row - sj - sk));
+        for i in 1..im - 1 {
+            let s0 = c[i + 1]
+                + jp[i]
+                + kp[i]
+                + 0.0 * (jp[i + 1] - jm[i + 1] - jp[i - 1] + jm[i - 1])
+                + 0.0 * (jpkp[i] - jmkp[i] - jpkm[i] + jmkm[i])
+                + 0.0 * (kp[i + 1] - kp[i - 1] - km[i + 1] + km[i - 1])
+                + c[i - 1]
+                + jm[i]
+                + km[i];
+            let ss = (s0 * A3 - c[i]) * 1.0;
+            *gosa += (ss as f64) * (ss as f64);
+            wrk_row[i] = c[i] + OMEGA * ss;
+        }
+    }
+
+    /// A 3×3 block of rows of length `im` (the centre row and its eight
+    /// neighbours) filled from `seed`, with values spread over many
+    /// magnitudes and both signs.
+    fn random_block(im: usize, seed: u64) -> Vec<f32> {
+        let mut x = seed;
+        (0..im * 9)
+            .map(|_| {
+                // splitmix64
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                let unit = (z >> 40) as f32 / (1u64 << 24) as f32;
+                let scale = [1e-6f32, 1e-2, 1.0, 3.0, 1e4][(z & 7) as usize % 5];
+                (unit - 0.5) * scale
+            })
+            .collect()
+    }
+
+    proptest! {
+        // The larger count is CI's `--release` run, where the stencil pass
+        // vectorizes.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 512 }))]
+
+        #[test]
+        fn sweep_row_is_bit_identical_to_the_scalar_reference(
+            im in 3usize..301,
+            seed in any::<u64>(),
+            start in 0.0f64..10.0,
+        ) {
+            let p = random_block(im, seed);
+            let (sj, sk) = (im, 3 * im);
+            let row = sj + sk;
+            let mut fast = p[row..row + im].to_vec();
+            let mut slow = fast.clone();
+            let (mut g_fast, mut g_slow) = (start, start);
+            sweep_row(&p, &mut fast, row, sj, sk, &mut g_fast);
+            sweep_row_reference(&p, &mut slow, row, sj, sk, &mut g_slow);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast), bits(&slow));
+            prop_assert_eq!(g_fast.to_bits(), g_slow.to_bits());
+        }
+    }
 
     #[test]
     fn serial_residual_decreases() {
@@ -308,6 +404,20 @@ mod tests {
             let r = run_himeno(platform, backend, strided, 4, cfg);
             let rel = (r.gosa - serial).abs() / serial;
             assert!(rel < 1e-5, "{backend:?}/{strided:?}: rel {rel:e}");
+        }
+    }
+
+    #[test]
+    fn tiny_gosa_is_pinned_to_the_bit() {
+        // The tiny grid's final residual, serial and on 1, 2, 3 and 5
+        // images, as the one-pass scalar sweep with a copy-back computed it.
+        // Covers the two-pass sweep inside both bodies and the grid swap.
+        const GOSA_BITS: u64 = 0x3f90_a517_5783_ea2c;
+        let cfg = HimenoConfig::tiny();
+        assert_eq!(serial_gosa(&cfg).last().unwrap().to_bits(), GOSA_BITS);
+        for images in [1, 2, 3, 5] {
+            let r = run_himeno(Platform::CrayXc30, Backend::Shmem, None, images, cfg);
+            assert_eq!(r.gosa.to_bits(), GOSA_BITS, "images={images}: {}", r.gosa);
         }
     }
 

@@ -58,15 +58,6 @@ impl BenchRecord {
     }
 }
 
-/// The directory figures and baselines are written to: `REPRO_RESULTS_DIR`,
-/// or the workspace `results/` directory.
-pub fn results_dir() -> PathBuf {
-    match std::env::var("REPRO_RESULTS_DIR") {
-        Ok(dir) => PathBuf::from(dir),
-        Err(_) => Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-    }
-}
-
 /// Path of the baseline file for one platform.
 pub fn bench_path(dir: &Path, platform: &str) -> PathBuf {
     dir.join(format!("BENCH_{platform}.json"))

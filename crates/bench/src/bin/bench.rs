@@ -25,6 +25,7 @@
 
 use pgas_machine::critdiff::CritDiff;
 use pgas_machine::ResolvedKnobs;
+use pgas_microbench::report::results_dir;
 use repro_bench::baseline::{self, BenchRecord};
 use repro_bench::probes::{probe_for, FIGURE_IDS};
 
@@ -76,7 +77,7 @@ fn probe_records(figures: &[&'static str]) -> Vec<(BenchRecord, ResolvedKnobs)> 
 /// Merge fresh records into the committed baselines (replacing same-figure
 /// entries, keeping the rest) and rewrite the BENCH files.
 fn record(figures: &[&'static str]) {
-    let dir = baseline::results_dir();
+    let dir = results_dir();
     let mut records = baseline::load_baselines(&dir).unwrap_or_default();
     for (fresh, _) in probe_records(figures) {
         records.retain(|r| r.figure != fresh.figure);
@@ -100,7 +101,7 @@ fn regress(tol: f64, update: bool, figures: &[&'static str]) {
         record(figures);
         return;
     }
-    let dir = baseline::results_dir();
+    let dir = results_dir();
     let committed = match baseline::load_baselines(&dir) {
         Ok(r) if !r.is_empty() => r,
         Ok(_) => {
@@ -151,7 +152,7 @@ fn regress(tol: f64, update: bool, figures: &[&'static str]) {
 }
 
 fn diff_one(figure: &'static str) {
-    let dir = baseline::results_dir();
+    let dir = results_dir();
     let committed = match baseline::load_baselines(&dir) {
         Ok(r) => r,
         Err(e) => {

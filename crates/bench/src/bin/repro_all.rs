@@ -20,7 +20,7 @@ fn main() {
     let max = repro_bench::max_images_from_env(if quick { 32 } else { 256 });
     let himeno_max = repro_bench::max_images_from_env(if quick { 16 } else { 127 });
     let workers = repro_bench::figure_jobs_from_env(3);
-    let dir = repro_bench::baseline::results_dir();
+    let dir = pgas_microbench::report::results_dir();
     let t0 = std::time::Instant::now();
 
     println!("# Tables\n");

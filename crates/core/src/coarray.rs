@@ -4,7 +4,7 @@ use crate::failure::CafStat;
 use crate::image::{Image, ImageId};
 use crate::section::Section;
 use openshmem::alloc::AllocError;
-use openshmem::data::{Scalar, SymPtr};
+use openshmem::data::{zero, Scalar, SymPtr};
 
 /// A coarray of element type `T` with a local array of `shape`
 /// (column-major, Fortran-style). Both `save` coarrays and `allocatable`
@@ -182,11 +182,6 @@ impl<T: Scalar> Coarray<T> {
             sec,
         )
     }
-}
-
-#[inline]
-fn zero<T: Scalar>() -> T {
-    T::load(&vec![0u8; T::BYTES])
 }
 
 impl<'m> Image<'m> {

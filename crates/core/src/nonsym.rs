@@ -17,7 +17,7 @@
 use crate::image::{Image, ImageId, NonSymHandle};
 use crate::remote_ptr::{RemotePtr, NIL};
 use openshmem::alloc::AllocError;
-use openshmem::data::{Scalar, SymPtr};
+use openshmem::data::{zero, Scalar, SymPtr};
 
 /// A coarray of derived type with one allocatable array component:
 /// conceptually `type t; real, allocatable :: comp(:); end type t` with
@@ -87,7 +87,7 @@ impl<'m> Image<'m> {
         let (ptr, len) = self
             .nonsym_descriptor(arr, image)
             .unwrap_or_else(|| panic!("component not allocated on image {image}"));
-        let mut out = vec![T::load(&vec![0u8; T::BYTES]); len];
+        let mut out = vec![zero::<T>(); len];
         let data = SymPtr::<T>::from_raw_parts(self.nonsym_abs(ptr.offset), len);
         // The data lives on the image recorded in the pointer (== `image`).
         self.shmem().get(data, &mut out, ptr.image);
@@ -123,7 +123,7 @@ impl<'m> Image<'m> {
             None => Vec::new(),
             Some((h, n)) => {
                 let ptr = SymPtr::<T>::from_raw_parts(self.nonsym_abs(h.offset), n);
-                let mut out = vec![T::load(&vec![0u8; T::BYTES]); n];
+                let mut out = vec![zero::<T>(); n];
                 self.shmem().read_local(ptr, &mut out);
                 out
             }

@@ -19,7 +19,7 @@
 use crate::config::StridedAlgorithm;
 use crate::planner::{self, TransferDir};
 use crate::section::Section;
-use openshmem::data::{from_bytes, to_bytes, Scalar, SymPtr};
+use openshmem::data::{zero, Scalar, SymPtr};
 use openshmem::Shmem;
 
 /// An execution plan for a section transfer.
@@ -162,7 +162,9 @@ pub fn put_section<T: Scalar>(
         }
         Plan::Packed => {
             let regions = byte_runs(ptr, shape, sec);
-            shmem.ctx().am_put_regions(target_pe, &regions, &to_bytes(data));
+            shmem.with_ne_bytes(data, |bytes| {
+                shmem.ctx().am_put_regions(target_pe, &regions, bytes)
+            });
         }
     }
     record_misprediction(shmem, target_pe, predicted, t0);
@@ -180,8 +182,7 @@ pub fn get_section<T: Scalar>(
 ) -> Vec<T> {
     sec.validate(shape).unwrap_or_else(|e| panic!("invalid section: {e}"));
     assert_eq!(ptr.count(), shape.iter().product::<usize>(), "pointer/shape mismatch");
-    let zero = T::load(&vec![0u8; T::BYTES]);
-    let mut out = vec![zero; sec.total()];
+    let mut out = vec![zero::<T>(); sec.total()];
     if sec.is_full_contiguous(shape) {
         shmem.get(ptr, &mut out, target_pe);
         return out;
@@ -206,9 +207,11 @@ pub fn get_section<T: Scalar>(
         }
         Plan::Packed => {
             let regions = byte_runs(ptr, shape, sec);
-            let mut buf = vec![0u8; sec.total() * T::BYTES];
-            shmem.ctx().am_get_regions(target_pe, &regions, &mut buf);
-            from_bytes(&buf, &mut out);
+            let filled = shmem.fill_ne_bytes(&mut out, |bytes| {
+                shmem.ctx().am_get_regions(target_pe, &regions, bytes);
+                Ok::<(), std::convert::Infallible>(())
+            });
+            let Ok(()) = filled;
         }
     }
     record_misprediction(shmem, target_pe, predicted, t0);

@@ -225,10 +225,12 @@ impl<'m> Image<'m> {
         self.team_stat(team, stat)
     }
 
-    /// A team collective's phase barrier over its `live` members. Once a
-    /// stat is set the image skips the remaining phases' barriers.
+    /// A team collective's phase barrier over its `live` members. Every
+    /// live member enters every phase whatever its stat, so the members'
+    /// barriers stay paired; the first stat this member saw wins.
     fn team_barrier(&self, live: &[usize], stat: Option<CafStat>) -> Option<CafStat> {
-        stat.or_else(|| self.shmem().ctx().try_barrier_group(live).err().map(CafStat::from))
+        let barrier = self.shmem().ctx().try_barrier_group(live).err().map(CafStat::from);
+        stat.or(barrier)
     }
 
     /// The stat a team collective reports: `stat` from the exchange, else
@@ -324,6 +326,60 @@ mod tests {
         assert_eq!(out.results[4], (9, 100));
         assert_eq!(out.results[1], (6, 200));
         assert_eq!(out.results[3], (6, 200));
+    }
+
+    /// Run `collective` once in a 4-image team under a plan whose seed drops
+    /// exactly one put, with no retry, then `sync team`. Checks that the job
+    /// finishes (no stall report), that the one drop is `dropper`'s put to
+    /// `target` inside the collective, that `dropper` gets its stat back,
+    /// and that every member leaves the following team barrier at the same
+    /// virtual instant, so the barriers stayed paired.
+    fn one_dropped_put_in_a_team_collective(
+        seed: u64,
+        dropper: usize,
+        target: usize,
+        collective: impl Fn(&Image<'_>, &CafTeam, &mut [i64]) -> Result<(), CafStat> + Sync,
+    ) {
+        use pgas_machine::RetryPolicy;
+        let plan = FaultPlan::new(seed)
+            .with_drop_prob(0.15)
+            .with_retry(RetryPolicy { max_attempts: 1, ..Default::default() });
+        let out = crate::runtime::run_caf_result(mcfg(4).with_faults(plan), cfg(), |img| {
+            let team = img.form_team(1);
+            let mut v = [img.this_image() as i64];
+            let stat = collective(img, &team, &mut v);
+            img.sync_team(&team);
+            (stat, img.shmem().ctx().pe().now())
+        })
+        .unwrap_or_else(|e| panic!("a member skipped a phase barrier: {}", e.message));
+        let drops: Vec<_> = out.fault_events.iter().filter(|e| e.kind == "drop").collect();
+        assert_eq!(drops.len(), 1, "the seed drops exactly one put: {drops:?}");
+        assert_eq!((drops[0].pe, drops[0].op, drops[0].target), (dropper, "put", target));
+        assert_eq!(
+            out.results[dropper].0,
+            Err(CafStat::CommFailure { image: target + 1, attempts: 1 }),
+            "the member whose put failed gets its stat"
+        );
+        let left = out.results[0].1;
+        assert!(
+            out.results.iter().all(|r| r.1 == left),
+            "every member leaves the next team barrier together: {:?}",
+            out.results
+        );
+    }
+
+    #[test]
+    fn a_failed_contribution_put_keeps_team_reduce_barriers_paired() {
+        // Image 2's contribution to the root (image 1) is dropped.
+        one_dropped_put_in_a_team_collective(8, 1, 0, |img, team, v| img.team_sum(team, v));
+    }
+
+    #[test]
+    fn a_failed_payload_put_keeps_team_broadcast_barriers_paired() {
+        // The root's (image 1's) payload put to image 2 is dropped.
+        one_dropped_put_in_a_team_collective(50, 0, 1, |img, team, v| {
+            img.team_broadcast(team, v, 1)
+        });
     }
 
     #[test]

@@ -1,6 +1,29 @@
 //! Result containers and rendering for the reproduction harnesses.
 
 use pgas_machine::json::Json;
+use std::path::{Path, PathBuf};
+
+/// The directory figures and baselines are written to: `REPRO_RESULTS_DIR`,
+/// else `results/` of the workspace that contains the current directory,
+/// else `results/` under the current directory. Resolved at run time, so a
+/// copy of the repository writes into its own `results/` even when it runs
+/// binaries built in another checkout.
+pub fn results_dir() -> PathBuf {
+    if let Ok(dir) = std::env::var("REPRO_RESULTS_DIR") {
+        return PathBuf::from(dir);
+    }
+    let cwd = std::env::current_dir().unwrap_or_default();
+    workspace_root(&cwd).unwrap_or(&cwd).join("results")
+}
+
+/// The nearest ancestor of `from` (itself included) whose `Cargo.toml`
+/// declares a `[workspace]`.
+fn workspace_root(from: &Path) -> Option<&Path> {
+    from.ancestors().find(|dir| {
+        std::fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+    })
+}
 
 /// One line on a figure panel: a labelled series of (x, y) points.
 #[derive(Debug, Clone)]
@@ -181,16 +204,12 @@ impl Figure {
         .pretty()
     }
 
-    /// Print to stdout and persist under the workspace's `results/<id>.json`
-    /// (best effort; override the directory with `REPRO_RESULTS_DIR`).
+    /// Print to stdout and persist as `<id>.json` under [`results_dir`]
+    /// (best effort).
     pub fn emit(&self) {
         println!("{}", self.render());
-        let dir = std::env::var("REPRO_RESULTS_DIR").unwrap_or_else(|_| {
-            // Bench targets run with CWD = their package dir; anchor on the
-            // workspace root instead.
-            format!("{}/../../results", env!("CARGO_MANIFEST_DIR"))
-        });
-        let dir = std::path::Path::new(&dir);
+        let dir = results_dir();
+        let dir = dir.as_path();
         if std::fs::create_dir_all(dir).is_ok() {
             let _ = std::fs::write(dir.join(format!("{}.json", self.id)), self.to_json());
             if let Some(cp) = &self.critpath {
@@ -264,6 +283,28 @@ mod tests {
         let parsed = pgas_machine::json::parse(&j).expect("emitted JSON is well-formed");
         assert_eq!(parsed.get("id").and_then(|v| v.as_str()), Some("figX"));
         assert_eq!(parsed.get("panels").and_then(|v| v.as_array()).map(|a| a.len()), Some(1));
+    }
+
+    #[test]
+    fn the_workspace_root_is_found_from_a_subdirectory() {
+        // A throwaway copy of the layout: a workspace manifest at the top
+        // and a member package two levels below it.
+        let top = std::env::temp_dir().join(format!("ws-root-{}", std::process::id()));
+        let member = top.join("crates").join("member");
+        std::fs::create_dir_all(member.join("src")).unwrap();
+        std::fs::write(top.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/member\"]\n")
+            .unwrap();
+        std::fs::write(member.join("Cargo.toml"), "[package]\nname = \"member\"\n").unwrap();
+        let found = workspace_root(&member.join("src")).map(Path::to_path_buf);
+        let outside = workspace_root(&std::env::temp_dir()).map(Path::to_path_buf);
+        std::fs::remove_dir_all(&top).unwrap();
+        assert_eq!(found.as_deref(), Some(top.as_path()));
+        assert_ne!(outside.as_deref(), Some(top.as_path()));
+        // Tests run in their package's directory, two levels below this
+        // repository's workspace manifest.
+        let here = std::env::current_dir().unwrap();
+        let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap();
+        assert_eq!(workspace_root(&here).map(|p| p.canonicalize().unwrap()), Some(repo));
     }
 
     #[test]

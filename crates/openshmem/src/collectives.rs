@@ -14,7 +14,7 @@
 //! flag writes of the next collective.
 
 use crate::active_set::ActiveSet;
-use crate::data::{from_bytes, to_bytes, Scalar, SymPtr};
+use crate::data::{zero, Scalar, SymPtr};
 use crate::shmem::{Cmp, Shmem, BCAST_FLAG_BASE, REDUCE_FLAG_BASE};
 use pgas_machine::stats::Stats;
 use pgas_machine::trace::{Span, SpanKind};
@@ -94,18 +94,19 @@ impl<'m> Shmem<'m> {
             off
         };
         // Forward to rel + 2^j for every j with 2^j > rel.
-        let mut payload = vec![0u8; len];
-        self.read_local_bytes(my_read_off, &mut payload, "broadcast read");
-        for j in 0..rounds {
-            if rel < (1 << j) && rel + (1 << j) < n {
-                let tgt_rel = (rel + (1 << j) + root_rel) % n;
-                let tgt = set.member(tgt_rel);
-                self.ctx().put(tgt, off, &payload);
-                self.quiet();
-                // floor(log2(rel + 2^j)) == j because rel < 2^j.
-                self.set_flag(tgt, BCAST_FLAG_BASE + j, seq);
+        self.with_scratch(len, |payload| {
+            self.read_local_bytes(my_read_off, payload, "broadcast read");
+            for j in 0..rounds {
+                if rel < (1 << j) && rel + (1 << j) < n {
+                    let tgt_rel = (rel + (1 << j) + root_rel) % n;
+                    let tgt = set.member(tgt_rel);
+                    self.ctx().put(tgt, off, payload);
+                    self.quiet();
+                    // floor(log2(rel + 2^j)) == j because rel < 2^j.
+                    self.set_flag(tgt, BCAST_FLAG_BASE + j, seq);
+                }
             }
-        }
+        });
     }
 
     fn reset_bcast_flags(&self, n: usize) {
@@ -178,7 +179,7 @@ impl<'m> Shmem<'m> {
             if nelems == 0 {
                 break;
             }
-            let mut acc = vec![T::load(&vec![0u8; T::BYTES]); len];
+            let mut acc = vec![zero::<T>(); len];
             self.read_local(src.slice(chunk_start, len), &mut acc);
             // Binomial gather towards relative rank 0.
             for k in 0..rounds {
@@ -190,7 +191,7 @@ impl<'m> Shmem<'m> {
                     // Sender: partial goes to rel - 2^k's pWrk slot k.
                     let tgt = set.member(rel - bit);
                     let slot_off = self.pwrk().offset() + k * slot_bytes;
-                    self.ctx().put(tgt, slot_off, &to_bytes(&acc));
+                    self.with_ne_bytes(&acc, |bytes| self.ctx().put(tgt, slot_off, bytes));
                     self.quiet();
                     self.set_flag(tgt, REDUCE_FLAG_BASE + k, seq);
                     break; // done gathering this chunk
@@ -198,13 +199,12 @@ impl<'m> Shmem<'m> {
                     // Receiver: combine partner's partial.
                     self.wait_flag_at_least(REDUCE_FLAG_BASE + k, seq);
                     let slot_off = self.pwrk().offset() + k * slot_bytes;
-                    let mut buf = vec![0u8; len * T::BYTES];
-                    self.read_local_bytes(slot_off, &mut buf, "reduce read");
-                    let mut partial = acc.clone();
-                    from_bytes(&buf, &mut partial);
-                    for (a, p) in acc.iter_mut().zip(partial) {
-                        *a = op(*a, p);
-                    }
+                    self.with_scratch(len * T::BYTES, |buf| {
+                        self.read_local_bytes(slot_off, buf, "reduce read");
+                        for (a, p) in acc.iter_mut().zip(buf.chunks_exact(T::BYTES)) {
+                            *a = op(*a, T::load(p));
+                        }
+                    });
                     self.ctx().pe().compute_ops(len as u64);
                 }
             }

@@ -18,10 +18,23 @@ pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + 'static {
     fn store(self, out: &mut [u8]);
     /// Deserialize from `b` (exactly `Self::BYTES` bytes).
     fn load(b: &[u8]) -> Self;
+    /// `src` itself as native-endian bytes, where no conversion is needed:
+    /// `Some` only for `u8`. Every other type is converted with
+    /// [`Self::store`] and [`Self::load`].
+    #[inline]
+    fn as_ne_bytes(_src: &[Self]) -> Option<&[u8]> {
+        None
+    }
+    /// The mutable counterpart of [`Self::as_ne_bytes`], for reads that
+    /// land straight in the caller's slice.
+    #[inline]
+    fn as_ne_bytes_mut(_dst: &mut [Self]) -> Option<&mut [u8]> {
+        None
+    }
 }
 
 macro_rules! impl_scalar {
-    ($($t:ty),*) => {$(
+    ($($t:ty $({ $($bulk:item)* })?),*) => {$(
         impl Scalar for $t {
             const BYTES: usize = std::mem::size_of::<$t>();
             #[inline]
@@ -34,27 +47,72 @@ macro_rules! impl_scalar {
                 tmp.copy_from_slice(&b[..Self::BYTES]);
                 <$t>::from_ne_bytes(tmp)
             }
+            $($($bulk)*)?
         }
     )*};
 }
 
-impl_scalar!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
+impl_scalar!(
+    u8 {
+        #[inline]
+        fn as_ne_bytes(src: &[u8]) -> Option<&[u8]> {
+            Some(src)
+        }
+        #[inline]
+        fn as_ne_bytes_mut(dst: &mut [u8]) -> Option<&mut [u8]> {
+            Some(dst)
+        }
+    },
+    i8, u16, i16, u32, i32, u64, i64, f32, f64
+);
+
+/// The zero value of `T` (all bytes zero), built without a heap buffer.
+/// Every `Scalar` in this crate is at most 8 bytes wide.
+#[inline]
+pub fn zero<T: Scalar>() -> T {
+    T::load(&[0u8; 8][..T::BYTES])
+}
+
+/// Serialize every `sst`-th element of `src` into `out`, which holds exactly
+/// the selected elements. The unit-stride loop walks fixed-size chunks, so
+/// it vectorizes; only `sst > 1` keeps the strided walk.
+pub(crate) fn encode<T: Scalar>(src: &[T], sst: usize, out: &mut [u8]) {
+    if sst == 1 {
+        for (slot, v) in out.chunks_exact_mut(T::BYTES).zip(src) {
+            v.store(slot);
+        }
+    } else {
+        for (slot, v) in out.chunks_exact_mut(T::BYTES).zip(src.iter().step_by(sst)) {
+            v.store(slot);
+        }
+    }
+}
+
+/// Deserialize the elements packed in `bytes` into every `tst`-th element of
+/// `out`; elements in between keep their values. The mirror of [`encode`].
+pub(crate) fn decode<T: Scalar>(bytes: &[u8], out: &mut [T], tst: usize) {
+    if tst == 1 {
+        for (v, slot) in out.iter_mut().zip(bytes.chunks_exact(T::BYTES)) {
+            *v = T::load(slot);
+        }
+    } else {
+        for (v, slot) in out.iter_mut().step_by(tst).zip(bytes.chunks_exact(T::BYTES)) {
+            *v = T::load(slot);
+        }
+    }
+}
 
 /// Serialize a slice of scalars into a fresh byte buffer.
 pub fn to_bytes<T: Scalar>(src: &[T]) -> Vec<u8> {
     let mut out = vec![0u8; src.len() * T::BYTES];
-    for (i, v) in src.iter().enumerate() {
-        v.store(&mut out[i * T::BYTES..(i + 1) * T::BYTES]);
-    }
+    encode(src, 1, &mut out);
     out
 }
 
 /// Deserialize bytes into `out` (lengths must correspond).
 pub fn from_bytes<T: Scalar>(bytes: &[u8], out: &mut [T]) {
     assert_eq!(bytes.len(), out.len() * T::BYTES, "byte/element length mismatch");
-    for (i, v) in out.iter_mut().enumerate() {
-        *v = T::load(&bytes[i * T::BYTES..(i + 1) * T::BYTES]);
-    }
+    decode(bytes, out, 1);
 }
 
 /// A typed handle to a symmetric allocation: the same offset is valid in

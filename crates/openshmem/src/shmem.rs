@@ -3,11 +3,12 @@
 
 use crate::active_set::ActiveSet;
 use crate::alloc::{AllocError, SymAlloc};
-use crate::data::{from_bytes, to_bytes, Scalar, SymPtr};
+use crate::data::{decode, encode, zero, Scalar, SymPtr};
 use pgas_conduit::ctx::AmoOp;
 use pgas_conduit::{AmHandler, AmHandlerId, ConduitError, ConduitProfile, Ctx, CtxOptions};
 use pgas_machine::machine::{Machine, Pe, PeId};
 use std::cell::{Cell, RefCell};
+use std::convert::Infallible;
 use std::rc::Rc;
 
 /// Flag words reserved for collective protocols (enough for jobs up to
@@ -16,6 +17,11 @@ pub(crate) const PSYNC_WORDS: usize = 64;
 pub(crate) const BCAST_FLAG_BASE: usize = 0;
 pub(crate) const REDUCE_FLAG_BASE: usize = 21;
 pub(crate) const COLLECT_FLAG_BASE: usize = 42;
+
+/// Bytes of the stack chunk `read_local`/`write_local` convert through.
+/// Kept small: PEs run on fiber stacks, and a 1 KiB chunk touched one more
+/// stack page per PE (+0.28 MB peak RSS on a 32-image job).
+const LOCAL_CHUNK: usize = 512;
 
 /// Configuration of a SHMEM context.
 #[derive(Debug, Clone, Copy)]
@@ -122,6 +128,9 @@ pub struct Shmem<'m> {
     /// PE performs the same creations in the same order, so the ids agree
     /// machine-wide without communication.
     pub(crate) next_team: Cell<u32>,
+    /// Reusable staging for payloads whose type is not bytes (see
+    /// [`Self::with_scratch`]). Empty until the first such transfer.
+    scratch: Cell<Vec<u8>>,
 }
 
 impl<'m> Shmem<'m> {
@@ -140,6 +149,7 @@ impl<'m> Shmem<'m> {
             psync: SymPtr::new(psync_off, PSYNC_WORDS),
             pwrk: SymPtr::new(pwrk_off, pwrk_bytes),
             next_team: Cell::new(1),
+            scratch: Cell::new(Vec::new()),
         }
     }
 
@@ -246,20 +256,106 @@ impl<'m> Shmem<'m> {
         self.barrier_all();
     }
 
+    // ---- payload bytes ------------------------------------------------------
+
+    /// Run `f` on `len` bytes of this PE's reusable scratch. The buffer is
+    /// taken out of its cell for the call, so a nested use (code run from
+    /// inside `f`) finds it empty and grows its own instead of panicking. It
+    /// grows on demand and is never zeroed again: every caller overwrites
+    /// the bytes it hands on.
+    pub(crate) fn with_scratch<R>(&self, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        let mut buf = self.scratch.take();
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        let r = f(&mut buf[..len]);
+        self.scratch.set(buf);
+        r
+    }
+
+    /// Run `f` on the native-endian bytes of `n` elements of `src` taken at
+    /// stride `sst`: `src` itself for a unit-stride `u8` payload, else one
+    /// conversion into the scratch.
+    fn staged<T: Scalar, R>(
+        &self,
+        src: &[T],
+        sst: usize,
+        n: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        match T::as_ne_bytes(src) {
+            Some(bytes) if sst == 1 => f(&bytes[..n]),
+            _ => self.with_scratch(n * T::BYTES, |buf| {
+                encode(src, sst, buf);
+                f(buf)
+            }),
+        }
+    }
+
+    /// Let `f` fill the native-endian bytes of `n` elements of `out` at
+    /// stride `tst`: `out` itself for a unit-stride `u8` read, else the
+    /// scratch, decoded into `out` only when `f` succeeds.
+    fn unstaged<T: Scalar, E>(
+        &self,
+        out: &mut [T],
+        tst: usize,
+        n: usize,
+        f: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if tst == 1 {
+            if let Some(bytes) = T::as_ne_bytes_mut(out) {
+                return f(&mut bytes[..n]);
+            }
+        }
+        self.with_scratch(n * T::BYTES, |buf| {
+            f(buf)?;
+            decode(buf, out, tst);
+            Ok(())
+        })
+    }
+
+    /// [`Self::unstaged`] for a read that cannot fail.
+    fn fill<T: Scalar>(&self, out: &mut [T], tst: usize, n: usize, f: impl FnOnce(&mut [u8])) {
+        let filled: Result<(), Infallible> = self.unstaged(out, tst, n, |bytes| {
+            f(bytes);
+            Ok(())
+        });
+        let Ok(()) = filled;
+    }
+
+    /// Run `f` on `src` as native-endian bytes: `src` itself when `T` is
+    /// `u8`, else one conversion into this PE's reusable scratch. For
+    /// runtimes that hand a typed payload to a byte-level conduit call,
+    /// like CAF's AM-packed sections.
+    pub fn with_ne_bytes<T: Scalar, R>(&self, src: &[T], f: impl FnOnce(&[u8]) -> R) -> R {
+        self.staged(src, 1, src.len(), f)
+    }
+
+    /// Let `f` fill `out`'s native-endian bytes: `out` itself when `T` is
+    /// `u8`, else this PE's scratch, decoded into `out` only when `f`
+    /// returns `Ok` (on `Err`, `out` is untouched). The mirror of
+    /// [`Self::with_ne_bytes`].
+    pub fn fill_ne_bytes<T: Scalar, E>(
+        &self,
+        out: &mut [T],
+        f: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let n = out.len();
+        self.unstaged(out, 1, n, f)
+    }
+
     // ---- contiguous RMA ---------------------------------------------------
 
     /// Write `src` into `dest`'s copy of `dst` (`shmem_put`).
     pub fn put<T: Scalar>(&self, dst: SymPtr<T>, src: &[T], dest_pe: PeId) {
         assert!(src.len() <= dst.count(), "put of {} elements into {}", src.len(), dst.count());
-        self.ctx.put(dest_pe, dst.offset(), &to_bytes(src));
+        self.with_ne_bytes(src, |bytes| self.ctx.put(dest_pe, dst.offset(), bytes));
     }
 
     /// Read `out.len()` elements of `src` from `src_pe` (`shmem_get`).
     pub fn get<T: Scalar>(&self, src: SymPtr<T>, out: &mut [T], src_pe: PeId) {
         assert!(out.len() <= src.count(), "get of {} elements from {}", out.len(), src.count());
-        let mut buf = vec![0u8; out.len() * T::BYTES];
-        self.ctx.get(src_pe, src.offset(), &mut buf);
-        from_bytes(&buf, out);
+        self.fill(out, 1, out.len(), |bytes| self.ctx.get(src_pe, src.offset(), bytes));
     }
 
     /// Fallible [`Self::put`]: under an active fault plan, retry exhaustion
@@ -273,7 +369,7 @@ impl<'m> Shmem<'m> {
         dest_pe: PeId,
     ) -> Result<(), ConduitError> {
         assert!(src.len() <= dst.count(), "put of {} elements into {}", src.len(), dst.count());
-        self.ctx.try_put(dest_pe, dst.offset(), &to_bytes(src))
+        self.with_ne_bytes(src, |bytes| self.ctx.try_put(dest_pe, dst.offset(), bytes))
     }
 
     /// Fallible [`Self::get`]; on `Err`, `out` is untouched.
@@ -284,26 +380,21 @@ impl<'m> Shmem<'m> {
         src_pe: PeId,
     ) -> Result<(), ConduitError> {
         assert!(out.len() <= src.count(), "get of {} elements from {}", out.len(), src.count());
-        let mut buf = vec![0u8; out.len() * T::BYTES];
-        self.ctx.try_get(src_pe, src.offset(), &mut buf)?;
-        from_bytes(&buf, out);
-        Ok(())
+        self.fill_ne_bytes(out, |bytes| self.ctx.try_get(src_pe, src.offset(), bytes))
     }
 
     /// Non-blocking put (`shmem_put_nbi`): returns after issue; completion
     /// (local and remote) requires [`Self::quiet`].
     pub fn put_nbi<T: Scalar>(&self, dst: SymPtr<T>, src: &[T], dest_pe: PeId) {
         assert!(src.len() <= dst.count(), "put_nbi of {} elements into {}", src.len(), dst.count());
-        self.ctx.put_nbi(dest_pe, dst.offset(), &to_bytes(src));
+        self.with_ne_bytes(src, |bytes| self.ctx.put_nbi(dest_pe, dst.offset(), bytes));
     }
 
     /// Non-blocking get (`shmem_get_nbi`): `out` is only guaranteed valid
     /// after [`Self::quiet`].
     pub fn get_nbi<T: Scalar>(&self, src: SymPtr<T>, out: &mut [T], src_pe: PeId) {
         assert!(out.len() <= src.count(), "get_nbi of {} elements from {}", out.len(), src.count());
-        let mut buf = vec![0u8; out.len() * T::BYTES];
-        self.ctx.get_nbi(src_pe, src.offset(), &mut buf);
-        from_bytes(&buf, out);
+        self.fill(out, 1, out.len(), |bytes| self.ctx.get_nbi(src_pe, src.offset(), bytes));
     }
 
     /// Single-element put (`shmem_p`).
@@ -313,7 +404,7 @@ impl<'m> Shmem<'m> {
 
     /// Single-element get (`shmem_g`).
     pub fn g<T: Scalar>(&self, src: SymPtr<T>, src_pe: PeId) -> T {
-        let mut out = [src_default::<T>()];
+        let mut out = [zero::<T>()];
         self.get(src, &mut out, src_pe);
         out[0]
     }
@@ -355,11 +446,9 @@ impl<'m> Shmem<'m> {
         );
         // The wire carries the selected elements packed; the conduit sees a
         // unit source stride.
-        let mut bytes = vec![0u8; nelems * T::BYTES];
-        for (slot, v) in bytes.chunks_exact_mut(T::BYTES).zip(src.iter().step_by(sst)) {
-            v.store(slot);
-        }
-        self.ctx.iput(dest_pe, dst.offset(), tst, &bytes, T::BYTES, 1, nelems);
+        self.staged(src, sst, nelems, |bytes| {
+            self.ctx.iput(dest_pe, dst.offset(), tst, bytes, T::BYTES, 1, nelems)
+        });
     }
 
     /// `shmem_iget`: gather `nelems` elements of `src_pe`'s `src` at stride
@@ -389,39 +478,62 @@ impl<'m> Shmem<'m> {
             (nelems - 1) * tst + 1,
             out.len()
         );
-        let mut bytes = vec![0u8; nelems * T::BYTES];
-        self.ctx.iget(src_pe, src.offset(), sst, &mut bytes, T::BYTES, 1, nelems);
-        for (v, slot) in out.iter_mut().step_by(tst).zip(bytes.chunks_exact(T::BYTES)) {
-            *v = T::load(slot);
-        }
+        self.fill(out, tst, nelems, |bytes| {
+            self.ctx.iget(src_pe, src.offset(), sst, bytes, T::BYTES, 1, nelems)
+        });
     }
 
     // ---- local heap access (this PE's own symmetric memory) ---------------
 
     /// Read this PE's own copy of `src` without a communication call
     /// (legal in OpenSHMEM: local symmetric objects are ordinary memory).
+    ///
+    /// A `u8` read lands in `out` directly; any other type is decoded
+    /// through a fixed stack chunk, so a large read holds no heap buffer.
     pub fn read_local<T: Scalar>(&self, src: SymPtr<T>, out: &mut [T]) {
         let me = self.my_pe();
-        let mut buf = vec![0u8; out.len() * T::BYTES];
+        let len = out.len() * T::BYTES;
         let heap = self.machine().heap(me);
-        heap.read_bytes(src.offset(), &mut buf);
-        let stamp = heap.max_stamp(src.offset(), buf.len());
-        self.machine().san_check_read(me, src.offset(), buf.len(), me, "local read");
+        match T::as_ne_bytes_mut(out) {
+            Some(bytes) => heap.read_bytes(src.offset(), bytes),
+            None => {
+                let mut chunk = [0u8; LOCAL_CHUNK];
+                let per = LOCAL_CHUNK / T::BYTES;
+                for (k, part) in out.chunks_mut(per).enumerate() {
+                    let bytes = &mut chunk[..part.len() * T::BYTES];
+                    heap.read_bytes(src.offset() + k * per * T::BYTES, bytes);
+                    decode(bytes, part, 1);
+                }
+            }
+        }
+        let stamp = heap.max_stamp(src.offset(), len);
+        self.machine().san_check_read(me, src.offset(), len, me, "local read");
         self.machine().lift_clock(me, stamp);
-        from_bytes(&buf, out);
     }
 
-    /// Write this PE's own copy of `dst` directly.
+    /// Write this PE's own copy of `dst` directly, through the same stack
+    /// chunk as [`Self::read_local`].
     pub fn write_local<T: Scalar>(&self, dst: SymPtr<T>, src: &[T]) {
         assert!(src.len() <= dst.count());
         let me = self.my_pe();
-        let bytes = to_bytes(src);
-        self.machine().heap(me).write_bytes(dst.offset(), &bytes);
+        let heap = self.machine().heap(me);
+        match T::as_ne_bytes(src) {
+            Some(bytes) => heap.write_bytes(dst.offset(), bytes),
+            None => {
+                let mut chunk = [0u8; LOCAL_CHUNK];
+                let per = LOCAL_CHUNK / T::BYTES;
+                for (k, part) in src.chunks(per).enumerate() {
+                    let bytes = &mut chunk[..part.len() * T::BYTES];
+                    encode(part, 1, bytes);
+                    heap.write_bytes(dst.offset() + k * per * T::BYTES, bytes);
+                }
+            }
+        }
         let now = self.machine().clock(me);
         self.machine().san_record_write(
             me,
             dst.offset(),
-            bytes.len(),
+            src.len() * T::BYTES,
             me,
             now,
             false,
@@ -445,7 +557,7 @@ impl<'m> Shmem<'m> {
 
     /// Convenience: read one local element.
     pub fn read_local_one<T: Scalar>(&self, src: SymPtr<T>) -> T {
-        let mut out = [src_default::<T>()];
+        let mut out = [zero::<T>()];
         self.read_local(src, &mut out);
         out[0]
     }
@@ -682,28 +794,30 @@ impl<'m, T: Scalar> LocalView<'m, T> {
     pub fn read(&self, i: usize) -> T {
         assert!(i < self.ptr.count(), "index {i} out of bounds");
         let off = self.ptr.offset() + i * T::BYTES;
-        let mut buf = vec![0u8; T::BYTES];
+        let mut word = [0u8; 8];
+        let buf = &mut word[..T::BYTES];
         let heap = self.machine.heap(self.pe);
-        heap.read_bytes(off, &mut buf);
+        heap.read_bytes(off, buf);
         let stamp = heap.max_stamp(off, T::BYTES);
         self.machine.san_check_read(self.pe, off, T::BYTES, self.me, "shmem_ptr read");
         self.machine.lift_clock(self.me, stamp);
         self.machine.advance(self.me, self.access_ns);
-        T::load(&buf)
+        T::load(buf)
     }
 
     /// Store element `i` directly.
     pub fn write(&self, i: usize, v: T) {
         assert!(i < self.ptr.count(), "index {i} out of bounds");
         let off = self.ptr.offset() + i * T::BYTES;
-        let mut buf = vec![0u8; T::BYTES];
-        v.store(&mut buf);
+        let mut word = [0u8; 8];
+        let buf = &mut word[..T::BYTES];
+        v.store(buf);
         let t = self.machine.advance(self.me, self.access_ns);
         // Same critical section AMOs publish through: write + stamp + wake
         // atomically, so a `wait_on` watching this word wakes
         // deterministically under the NIC arbiter.
         self.machine.apply_and_notify(self.pe, || {
-            self.machine.heap(self.pe).write_bytes(off, &buf);
+            self.machine.heap(self.pe).write_bytes(off, buf);
             self.machine.heap(self.pe).stamp_range(off, T::BYTES, t);
             self.machine.san_record_write(
                 self.pe,
@@ -716,11 +830,6 @@ impl<'m, T: Scalar> LocalView<'m, T> {
             );
         });
     }
-}
-
-#[inline]
-fn src_default<T: Scalar>() -> T {
-    T::load(&vec![0u8; T::BYTES])
 }
 
 #[cfg(test)]
